@@ -241,7 +241,7 @@ def cmd_report(args) -> int:
         else:
             text = summary_rows_to_csv(summaries, extra_column=("table", Path(table).stem))
             chunks.append(text if i == 0 else text.split("\n", 1)[1])
-    atomic_write_text(args.out, "".join(chunks))
+    atomic_write_text(args.out, chunks)
     print(f"wrote distribution summary for {len(args.tables)} table(s) to {args.out}")
     return 0
 

@@ -54,6 +54,10 @@ def estimate_latency(rec: GazeRecording, search_range_ms=(0.0, 400.0),
     Shifts are whole sample counts: gaze shifted back by k samples is
     compared against the target over the overlapping region, with missing
     gaze samples excluded from the mean. Ties resolve to the smallest shift.
+
+    The exact per-shift mean is computed only for the few shifts whose
+    prefix-sum estimate could be the minimum (see _candidate_shifts), so
+    the result equals that of scoring every shift exactly.
     """
     lo, hi = float(search_range_ms[0]), float(search_range_ms[1])
     if not (0.0 <= lo <= hi <= 500.0):
@@ -68,11 +72,10 @@ def estimate_latency(rec: GazeRecording, search_range_ms=(0.0, 400.0),
     gx, gy = rec.gaze_x, rec.gaze_y
     tx, ty = rec.tgt_x, rec.tgt_y
     n = rec.n_samples
+    shifts = np.arange(k_lo, min(k_hi, n - 2) + 1, k_step)
     best_k = None
     best_d = np.inf
-    for k in range(k_lo, k_hi + 1, k_step):
-        if n - k < 2:
-            break
+    for k in _candidate_shifts(gx, gy, tx, ty, shifts).tolist():
         d = np.hypot(gx[k:] - tx[:n - k], gy[k:] - ty[:n - k])
         valid = ~np.isnan(d)
         if not valid.any():
@@ -84,6 +87,50 @@ def estimate_latency(rec: GazeRecording, search_range_ms=(0.0, 400.0),
     if best_k is None:
         raise ValueError("all samples missing: cannot estimate latency")
     return LatencyEstimate(shift_ms=best_k * period, distance_at_shift=best_d)
+
+
+def _candidate_shifts(gx, gy, tx, ty, shifts: np.ndarray) -> np.ndarray:
+    """The shifts, ascending, whose mean gaze-to-target distance could be the
+    minimum.
+
+    Shift k pairs gaze[i + k] with target[i] for i < n - k. The target is
+    piecewise constant, so one cumulative sum per dwell, over the gaze
+    samples any searched shift pairs with that dwell's target, gives every
+    shift's distance sum in two lookups: O(dwells * (n + shifts)) work
+    instead of O(shifts * n). A shift is kept when its prefix-sum mean is
+    within the summation error bound, plus a relative 1e-9, of the smallest.
+    """
+    if shifts.size == 0 or any(np.isinf(ch).any() for ch in (gx, gy, tx, ty)):
+        return shifts  # an infinite distance breaks the differences: rescore all
+    n = gx.size
+    k_lo, k_hi = int(shifts[0]), int(shifts[-1])
+    sums = np.zeros(shifts.size)
+    counts = np.zeros(shifts.size, dtype=np.int64)
+    err = 0.0
+    changed = (tx[1:] != tx[:-1]) | (ty[1:] != ty[:-1])
+    bounds = np.concatenate(([0], np.flatnonzero(changed) + 1, [n])).tolist()
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        base, top = s + k_lo, min(e + k_hi, n)
+        if base >= n:
+            break
+        d = np.hypot(gx[base:top] - tx[s], gy[base:top] - ty[s])
+        valid = ~np.isnan(d)
+        csum = np.concatenate(([0.0], np.cumsum(np.where(valid, d, 0.0))))
+        ccount = np.concatenate(([0], np.cumsum(valid)))
+        b = np.minimum(e + shifts, n) - base
+        a = np.minimum(shifts - k_lo, b)
+        sums += csum[b] - csum[a]
+        counts += ccount[b] - ccount[a]
+        # a running sum of m non-negative terms is off by at most m * eps/2
+        # of its total, so a two-lookup difference by m * eps of it; adding
+        # the dwells' differences costs at most (dwells * eps/2) of each more
+        err += (top - base + len(bounds)) * csum[-1] * np.finfo(float).eps
+    has = counts > 0
+    if not has.any():
+        return shifts[has]
+    mean = sums[has] / counts[has]
+    tol = err / counts[has] + 1e-9 * mean
+    return shifts[has][mean - tol <= np.min(mean + tol)]
 
 
 def extract_fixations(rec: GazeRecording, latency: LatencyEstimate,

@@ -1,9 +1,14 @@
+import csv
+import io
+import re
+
 import numpy as np
 import pytest
 
-from gazesim.io import (ManifestEntry, read_manifest, read_quality_table,
-                        read_recording, write_manifest, write_quality_table,
-                        write_recording)
+from gazesim.io import (_BLOCK_ROWS, RECORDING_HEADER, ManifestEntry,
+                        format_float, read_manifest, read_quality_table,
+                        read_recording, recording_to_csv, write_manifest,
+                        write_quality_table, write_recording)
 from gazesim.metrics import temporal_precision
 from gazesim.types import QualityVector
 
@@ -134,6 +139,123 @@ class TestAdapters:
         path.write_text("n,x,xT,yT\n0,1,0,0\n")
         with pytest.raises(ValueError, match="missing column"):
             read_recording(path, "eyelink-export", 1000.0)
+
+
+def row_loop_csv(rec):
+    """Reference writer: one csv.writer row per sample, the byte layout
+    recording_to_csv must reproduce."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(RECORDING_HEADER)
+    for i in range(rec.n_samples):
+        writer.writerow([
+            format_float(rec.timestamps_ms[i]),
+            "" if np.isnan(rec.gaze_x[i]) else format_float(rec.gaze_x[i]),
+            "" if np.isnan(rec.gaze_y[i]) else format_float(rec.gaze_y[i]),
+            format_float(rec.tgt_x[i]),
+            format_float(rec.tgt_y[i]),
+        ])
+    return buf.getvalue()
+
+
+EDGE_VALUES = [np.nan, -0.0, 0.0, 1e-300, -1e-300, 1e22, -1e22, 5e-324,
+               3.0, -17.0, 0.1, 2.5e-7, 123456789.0, 1.7976931348623157e308]
+
+
+class TestCsvGolden:
+    @pytest.mark.parametrize("n", [2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+    def test_bytes_match_row_loop_and_read_back(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        t = np.arange(n) * 0.75  # every fourth stamp integral
+        t[:2] = [-0.0, 1e-300]
+        edge = np.resize(EDGE_VALUES, n)
+        gx = np.where(rng.random(n) < 0.5, edge, rng.normal(size=n))
+        gy = np.where(rng.random(n) < 0.2, np.nan, rng.normal(size=n) * 1e3)
+        gx[0], gy[0] = 0.25, -0.0  # at least one usable sample
+        tx = np.where(np.isnan(edge), 1e22, edge)
+        ty = np.resize([-0.0, 4.0, 1e-300], n)
+        rec = make_recording(t, gx, gy, tx, ty)
+        text = recording_to_csv(rec)
+        assert text == row_loop_csv(rec)
+
+        path = tmp_path / "golden.csv"
+        write_recording(rec, path)
+        assert path.read_bytes() == text.encode("utf-8")
+        back = read_recording(path, "canonical", rec.nominal_rate_hz)
+        for name in ("timestamps_ms", "gaze_x", "gaze_y", "tgt_x", "tgt_y"):
+            got, want = getattr(back, name), getattr(rec, name)
+            assert np.array_equal(got, want, equal_nan=True), name
+            assert np.array_equal(np.signbit(got), np.signbit(want)), name
+
+
+HEADER = "t_ms,gaze_x_dva,gaze_y_dva,tgt_x_dva,tgt_y_dva\n"
+
+
+class TestReadRecordingFuzz:
+    def malformed(self, path, line):
+        return pytest.raises(ValueError,
+                             match=rf"^{re.escape(str(path))}: malformed row at line {line}:")
+
+    def test_whitespace_header_names(self, tmp_path):
+        path = tmp_path / "ws.csv"
+        path.write_text("n, x,y , xT,yT\n0,1.5,2.5,3.0,4.0\n1,1.6,2.6,3.0,4.0\n")
+        rec = read_recording(path, "eyelink-export", 1000.0)
+        assert rec.timestamps_ms.tolist() == [0.0, 1.0]
+        assert rec.gaze_x.tolist() == [1.5, 1.6]
+        assert rec.gaze_y.tolist() == [2.5, 2.6]
+
+    def test_truncated_last_row(self, tmp_path):
+        path = tmp_path / "trunc.csv"
+        path.write_text(HEADER + "0,0.1,0.2,0,0\n1,0.15,0.25,0,0\n2,0.2,0.3,0,")
+        with self.malformed(path, 4):
+            read_recording(path)
+        path.write_text(HEADER + "0,0.1,0.2,0,0\n1,0.15,0.25,0,0\n2,0.2")
+        with self.malformed(path, 4):
+            read_recording(path)
+
+    def test_short_row(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text(HEADER + "0,0.1,0.2,0,0\n1,0.15,0.25,0\n2,0.2,0.3,0,0\n")
+        with self.malformed(path, 3):
+            read_recording(path)
+
+    def test_extra_cells(self, tmp_path):
+        path = tmp_path / "extra.csv"
+        path.write_text(HEADER + "0,0.1,0.2,0,0\n1,0.15,0.25,0,0\n2,0.2,0.3,0,0,9\n")
+        with self.malformed(path, 4):
+            read_recording(path)
+
+    def test_blank_lines_skipped_but_counted(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text(HEADER + "0,0.1,0.2,0,0\n\n\n1,0.15,0.25,0,0\n\n2,0.2,0.3,0,0\n")
+        rec = read_recording(path)
+        assert rec.gaze_x.tolist() == [0.1, 0.15, 0.2]
+        path.write_text(HEADER + "0,0.1,0.2,0,0\n\n\n1,0.15,0.25,0,0\n\n2,0.2,x,0,0\n")
+        with self.malformed(path, 7):
+            read_recording(path)
+
+    def test_first_bad_row_in_file_order_across_blocks(self, tmp_path):
+        rows = [f"{i},0.1,0.2,0,0\n" for i in range(2 * _BLOCK_ROWS + 10)]
+        rows[_BLOCK_ROWS + 5] = f"{_BLOCK_ROWS + 5},0.1,0.2,0\n"
+        rows[_BLOCK_ROWS + 3] = f"{_BLOCK_ROWS + 3},0.1,oops,0,0\n"
+        rows[2 * _BLOCK_ROWS + 1] = "bad\n"
+        path = tmp_path / "blocks.csv"
+        path.write_text(HEADER + "".join(rows))
+        with self.malformed(path, _BLOCK_ROWS + 5):
+            read_recording(path)
+
+    def test_non_utf8_byte(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(HEADER.encode() + b"0,0.1,0.2,0,0\n1,0.15\xe9,0.25,0,0\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: not UTF-8"):
+            read_recording(path)
+
+    def test_whitespace_gaze_cell_is_missing(self, tmp_path):
+        path = tmp_path / "wsgaze.csv"
+        path.write_text(HEADER + "0, ,0.2,0,0\n1, 0.15 ,0.25,0,0\n")
+        rec = read_recording(path)
+        assert rec.missing.tolist() == [True, False]
+        assert rec.gaze_x[1] == 0.15
 
 
 class TestQualityTable:

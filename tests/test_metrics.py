@@ -1,11 +1,15 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gazesim.metrics import (LatencyEstimate, estimate_latency,
                              extract_fixations, fixation_accuracy,
                              fixation_precision, recording_quality,
                              reject_outliers, temporal_precision)
-from gazesim.oracle import OracleSpec, generate_recording
+from gazesim.oracle import PRESETS, OracleSpec, generate_corpus, generate_recording
 from gazesim.types import FixationWindow
 
 from conftest import make_recording, piecewise_recording
@@ -65,6 +69,176 @@ class TestEstimateLatency:
                                   latency_ms=200.0)
         est = estimate_latency(rec, step_ms=50.0)
         assert est.shift_ms == 200.0
+
+
+def brute_force_latency(rec, search_range_ms=(0.0, 400.0), step_ms=None):
+    """Reference latency search: the exhaustive per-shift mean that
+    estimate_latency must reproduce exactly."""
+    lo, hi = float(search_range_ms[0]), float(search_range_ms[1])
+    period = 1000.0 / rec.nominal_rate_hz
+    k_lo = int(np.ceil(lo / period - 1e-9))
+    k_hi = int(np.floor(hi / period + 1e-9))
+    if k_hi < k_lo:
+        raise ValueError(f"empty latency search range {search_range_ms} at period {period} ms")
+    k_step = 1 if step_ms is None else max(1, int(round(step_ms / period)))
+    gx, gy = rec.gaze_x, rec.gaze_y
+    tx, ty = rec.tgt_x, rec.tgt_y
+    n = rec.n_samples
+    best_k = None
+    best_d = np.inf
+    for k in range(k_lo, k_hi + 1, k_step):
+        if n - k < 2:
+            break
+        d = np.hypot(gx[k:] - tx[:n - k], gy[k:] - ty[:n - k])
+        valid = ~np.isnan(d)
+        if not valid.any():
+            continue
+        mean_d = float(d[valid].mean())
+        if mean_d < best_d:
+            best_d = mean_d
+            best_k = k
+    if best_k is None:
+        raise ValueError("all samples missing: cannot estimate latency")
+    return LatencyEstimate(shift_ms=best_k * period, distance_at_shift=best_d)
+
+
+def assert_matches_oracle(rec, search_range_ms=(0.0, 400.0), step_ms=None):
+    expected = brute_force_latency(rec, search_range_ms, step_ms)
+    got = estimate_latency(rec, search_range_ms, step_ms)
+    assert got.shift_ms == expected.shift_ms
+    assert got.distance_at_shift == expected.distance_at_shift
+
+
+def with_missing_runs(rec, seed, n_runs=12, max_len=200):
+    rng = np.random.default_rng(seed)
+    gx, gy = rec.gaze_x.copy(), rec.gaze_y.copy()
+    for start in rng.integers(0, rec.n_samples, n_runs):
+        stop = start + int(rng.integers(1, max_len))
+        gx[start:stop] = np.nan
+        gy[start:stop:2] = np.nan
+    return rec.replace(gaze_x=gx, gaze_y=gy)
+
+
+class TestLatencyOracle:
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_presets(self, preset, seed):
+        for rec, _ in generate_corpus(PRESETS[preset], 2, seed=seed):
+            assert_matches_oracle(rec)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_missing_runs(self, preset):
+        for i, (rec, _) in enumerate(generate_corpus(PRESETS[preset], 2, seed=7)):
+            assert_matches_oracle(with_missing_runs(rec, seed=i))
+
+    @pytest.mark.parametrize("preset,step_ms", [("eyelink-like", 7.0),
+                                                ("eyelink-like", 50.0),
+                                                ("vr-like", 10.0)])
+    def test_step_larger_than_period(self, preset, step_ms):
+        rec, _ = generate_corpus(PRESETS[preset], 1, seed=3)[0]
+        assert_matches_oracle(rec, step_ms=step_ms)
+        assert_matches_oracle(with_missing_runs(rec, seed=3), (30.0, 370.0), step_ms)
+
+    @pytest.mark.parametrize("search_range_ms", [(0.0, 500.0), (150.0, 500.0),
+                                                 (290.0, 500.0)])
+    def test_search_range_past_end(self, search_range_ms):
+        # 300 samples: shifts beyond n - 2 = 298 are never scored
+        rec = piecewise_recording([100, 100], [(0, 0), (3, -1)], latency_ms=30.0,
+                                  noise=0.2, seed=4, tail_ms=69.0)
+        assert rec.n_samples == 300
+        assert_matches_oracle(rec, search_range_ms)
+
+    def test_range_starting_past_end_raises_like_oracle(self):
+        rec = piecewise_recording([100, 100], [(0, 0), (3, -1)], tail_ms=69.0)
+        for search in (brute_force_latency, estimate_latency):
+            with pytest.raises(ValueError, match="all samples missing"):
+                search(rec, (299.0, 500.0))
+
+    def test_all_missing_raises_like_oracle(self):
+        rec = piecewise_recording([100, 100], [(0, 0), (3, -1)])
+        for gaze in (np.full(rec.n_samples, np.nan),
+                     np.where(np.arange(rec.n_samples) < 5, 0.0, np.nan)):
+            missing = rec.replace(gaze_x=gaze)
+            for search in (brute_force_latency, estimate_latency):
+                with pytest.raises(ValueError, match="all samples missing"):
+                    search(missing, (10.0, 50.0))
+
+    def test_exact_tie_resolves_to_smallest_shift(self):
+        # target steps 0 -> 2 at index 100; gaze steps through 1 at index 110
+        # and is missing at index 10. Shifts 10 and 11 both see one pair at
+        # distance 1 over n - 11 valid pairs; every other shift sees more.
+        n = 300
+        tgt = np.where(np.arange(n) < 100, 0.0, 2.0)
+        gaze = np.where(np.arange(n) < 110, 0.0, 2.0)
+        gaze[110] = 1.0
+        gaze[10] = np.nan
+        rec = make_recording(np.arange(n) * 1.0, gaze, np.zeros(n), tgt, np.zeros(n))
+        est = estimate_latency(rec, (0.0, 50.0))
+        assert est == LatencyEstimate(shift_ms=10.0, distance_at_shift=1.0 / (n - 11))
+        assert_matches_oracle(rec, (0.0, 50.0))
+
+    @pytest.mark.parametrize("n", [300, 1000])
+    @pytest.mark.parametrize("offset", [0.1, 1 / 3, 1.1])
+    def test_ties_broken_by_rounding(self, n, offset):
+        # every shift sees the same distance, so the shifts tie in exact
+        # arithmetic and only the rounding of each mean picks the winner
+        rec = make_recording(np.arange(n) * 1.0, np.full(n, offset), np.zeros(n))
+        assert_matches_oracle(rec)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_near_zero_minimum_under_cancellation(self, seed):
+        # a target repeating every 80 samples makes shifts 7 and 87 both match
+        # up to 1e-12 noise, while the prefix sums carry 1000-dva distances
+        # from the mismatched shifts
+        tgt = np.tile(np.repeat([0.0, 1000.0], 40), 6)
+        n = tgt.size
+        gaze = np.roll(tgt, 7) + np.random.default_rng(seed).normal(0.0, 1e-12, n)
+        rec = make_recording(np.arange(n) * 1.0, gaze, np.zeros(n), tgt, np.zeros(n))
+        assert_matches_oracle(rec, (0.0, 200.0))
+
+    def test_infinite_gaze_sample(self):
+        rec = piecewise_recording([300, 300, 300], [(0, 0), (4, 1), (-2, 3)],
+                                  latency_ms=60.0, noise=0.1, seed=2)
+        gx = rec.gaze_x.copy()
+        gx[10] = np.inf  # every shift up to 10 ms has an infinite mean
+        assert_matches_oracle(rec.replace(gaze_x=gx), (0.0, 200.0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_piecewise_target_matches_oracle(self, data):
+        n_dwells = data.draw(st.integers(1, 6))
+        lengths = data.draw(st.lists(st.integers(1, 60), min_size=n_dwells,
+                                     max_size=n_dwells))
+        values = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
+        targets = data.draw(st.lists(st.tuples(values, values), min_size=n_dwells,
+                                     max_size=n_dwells))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        missing_p = data.draw(st.sampled_from([0.0, 0.1, 0.5, 0.95]))
+        rate_hz = data.draw(st.sampled_from([250.0, 1000.0]))
+        search_hi = data.draw(st.floats(0.0, 500.0))
+        search_lo = data.draw(st.floats(0.0, search_hi))
+        step_ms = data.draw(st.sampled_from([None, 4.0, 9.0]))
+
+        idx = np.repeat(np.arange(n_dwells), lengths)
+        pos = np.asarray(targets)
+        n = idx.size
+        rng = np.random.default_rng(seed)
+        lag = int(rng.integers(0, n))
+        tx, ty = pos[idx, 0], pos[idx, 1]
+        gx = np.roll(tx, lag) + rng.normal(0.0, 0.3, n)
+        gy = np.roll(ty, lag) + rng.normal(0.0, 0.3, n)
+        gx[rng.random(n) < missing_p] = np.nan
+        rec = make_recording(np.arange(n) * (1000.0 / rate_hz), gx, gy, tx, ty,
+                             rate_hz=rate_hz)
+        try:
+            expected = brute_force_latency(rec, (search_lo, search_hi), step_ms)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                estimate_latency(rec, (search_lo, search_hi), step_ms)
+            return
+        got = estimate_latency(rec, (search_lo, search_hi), step_ms)
+        assert (got.shift_ms, got.distance_at_shift) == (expected.shift_ms,
+                                                         expected.distance_at_shift)
 
 
 class TestExtractFixations:

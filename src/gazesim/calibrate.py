@@ -2,7 +2,8 @@
 
 Sweeping a variance grid through the baseline pipeline over a source corpus
 yields measured horizontal precision per grid point; a least-squares line
-through those points gives the invertible tuning curve used by both models.
+through those points gives the tuning curve used by both models, which
+CalibrationCurve.invert inverts.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from .degrade import DegradeConfig, degrade_benchmark
 from .io import atomic_write_text, format_float
-from .metrics import MetricsConfig, recording_quality
+from .metrics import recording_quality
 from .seeding import derive_seed
 from .types import CalibrationCurve, DegradationPlan
 
@@ -24,8 +25,7 @@ class NonMonotoneSweepWarning(UserWarning):
 
 
 def sweep_sigma(corpus, sigma0_sq_grid, target_rate_hz: float, seed: int,
-                config: DegradeConfig = DegradeConfig(),
-                metrics_config: MetricsConfig = MetricsConfig()) -> CalibrationCurve:
+                config: DegradeConfig = DegradeConfig()) -> CalibrationCurve:
     """Measure corpus-median horizontal precision for each grid variance.
 
     Per-recording seeds depend only on (seed, recording_id), so every grid
@@ -50,7 +50,7 @@ def sweep_sigma(corpus, sigma0_sq_grid, target_rate_hz: float, seed: int,
                 rng_seed=derive_seed(seed, rec.recording_id),
             )
             degraded = degrade_benchmark(rec, plan, config)
-            values.append(recording_quality(degraded, metrics_config).prec_h)
+            values.append(recording_quality(degraded).prec_h)
         medians.append(float(np.median(values)))
 
     if any(b < a for a, b in zip(medians, medians[1:])):
@@ -59,14 +59,6 @@ def sweep_sigma(corpus, sigma0_sq_grid, target_rate_hz: float, seed: int,
     slope, intercept = np.polyfit(grid, medians, 1)
     return CalibrationCurve(samples=tuple(zip(grid, medians)),
                             slope=float(slope), intercept=float(intercept))
-
-
-def invert_curve(calib: CalibrationCurve, desired_mad_h: float) -> float:
-    """Noise variance whose fitted precision equals `desired_mad_h`, clamped
-    to the swept range (clamping is reported with a warning)."""
-    if not calib.slope > 0:
-        raise ValueError(f"calibration slope must be positive, got {calib.slope}")
-    return calib.invert(desired_mad_h)
 
 
 def calibration_to_dict(calib: CalibrationCurve, provenance: dict | None = None) -> dict:

@@ -44,20 +44,21 @@ def _hash_quality_rows(rows) -> str:
     return h.hexdigest()[:16]
 
 
-def _load_corpus(manifest_path, skip_bad: bool) -> list:
-    """Read every recording in a manifest; with skip_bad, log and drop the
-    unreadable ones instead of failing."""
-    recordings = []
+def _map_corpus(manifest_path, skip_bad: bool, fn=lambda rec: rec) -> list:
+    """fn(recording) for every recording in a manifest, reading one at a
+    time; with skip_bad, log and drop the recordings whose read or fn fails
+    instead of failing."""
+    results = []
     for entry in read_manifest(manifest_path):
         try:
-            recordings.append(read_recording_from_entry(entry))
+            results.append(fn(read_recording_from_entry(entry)))
         except (OSError, ValueError) as exc:
             if not skip_bad:
                 raise
             logger.warning("skipping %s: %s", entry.recording_id, exc)
-    if not recordings:
-        raise ValueError(f"{manifest_path}: no readable recordings")
-    return recordings
+    if not results:
+        raise ValueError(f"{manifest_path}: no usable recordings")
+    return results
 
 
 def _write_run_manifest(out_dir: Path, payload: dict) -> None:
@@ -96,17 +97,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    rows = []
-    for entry in read_manifest(args.manifest):
-        try:
-            rec = read_recording_from_entry(entry)
-            rows.append((entry.recording_id, recording_quality(rec)))
-        except (OSError, ValueError) as exc:
-            if not args.skip_bad:
-                raise
-            logger.warning("skipping %s: %s", entry.recording_id, exc)
-    if not rows:
-        raise ValueError("no recordings produced quality rows")
+    rows = _map_corpus(args.manifest, args.skip_bad,
+                       lambda rec: (rec.recording_id, recording_quality(rec)))
     write_quality_table(rows, args.out)
     print(f"wrote quality table with {len(rows)} rows to {args.out}")
     return 0
@@ -129,7 +121,7 @@ def _parse_grid(text: str) -> list:
 
 
 def cmd_calibrate(args) -> int:
-    corpus = _load_corpus(args.manifest, args.skip_bad)
+    corpus = _map_corpus(args.manifest, args.skip_bad)
     config = DegradeConfig(noise_order=args.noise_order)
     curve = sweep_sigma(corpus, _parse_grid(args.grid), args.rate_hz, args.seed,
                         config=config)
@@ -149,7 +141,7 @@ def cmd_calibrate(args) -> int:
 def cmd_degrade(args) -> int:
     config = DegradeConfig(noise_order=args.noise_order,
                            jitter_correction=(args.jitter_correction == "on"))
-    corpus = _load_corpus(args.manifest, args.skip_bad)
+    corpus = _map_corpus(args.manifest, args.skip_bad)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -268,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--skip-bad", action="store_true",
-                   help="log and skip unreadable recordings instead of failing")
+                   help="log and skip recordings that cannot be read or measured "
+                        "instead of failing")
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("calibrate", help="sweep noise variance against measured precision")

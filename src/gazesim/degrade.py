@@ -1,14 +1,18 @@
 """Synthetic degradation of high-rate gaze recordings.
 
-Two transform models are provided. The baseline model reduces bandwidth
-(zero-phase Butterworth low-pass, then first-order-spline resampling onto the
-target grid) and adds stationary Gaussian position noise with one variance
-for the whole corpus. The modified model additionally matches the target
-corpus distribution per recording: the noise variance comes from a
-percentile match of combined spatial precision inverted through a
-calibration curve, spatial accuracy is degraded with per-fixation signed
-step offsets, and the output timestamps are jittered to mimic the target's
-temporal precision.
+Both transform models run one staged pipeline:
+
+    [accuracy steps] -> noise if "pre" -> zero-phase low-pass
+    -> nominal target grid -> [jitter + clip] -> resample -> noise if "post"
+
+The baseline model (degrade_benchmark) runs the unbracketed stages: Gaussian
+position noise, a Butterworth low-pass at 0.8 of the target Nyquist
+frequency, and first-order-spline resampling onto the uniform target grid.
+The modified model (degrade_modified) adds the bracketed ones: per-fixation
+signed accuracy step offsets, and timestamp jitter that mimics the target's
+temporal precision. Its per-recording plan (plan_modified) percentile-matches
+the target corpus, inverting the needed precision through a calibration
+curve.
 
 Noise is injected before the low-pass by default; that ordering is the one
 consistent with calibrating the noise variance against post-pipeline
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal as _signal
 
-from .metrics import LatencyEstimate, MetricsConfig, estimate_latency, extract_fixations
+from .metrics import LatencyEstimate, estimate_latency, extract_fixations
 from .quantiles import percentile_rank, quantile
 from .types import (DegradationPlan, EccentricityWeighting, FixationWindow,
                     GazeRecording, QualityVector, CalibrationCurve,
@@ -38,7 +42,7 @@ __all__ = [
     "FilterSpec", "DegradeConfig", "AccuracyStep", "AccuracyStepSignal",
     "lowpass_zero_phase", "resample_spline", "nominal_target_timestamps",
     "jitter_timestamps", "add_precision_noise", "degrade_benchmark",
-    "percentile_rank", "quantile", "plan_modified", "build_accuracy_signal",
+    "plan_modified", "build_accuracy_signal",
     "apply_accuracy_signal", "degrade_modified", "zero_noise_pass",
     "save_plan", "load_plan",
 ]
@@ -48,6 +52,11 @@ __all__ = [
 # receives 1/sqrt(2) of the combined requirement
 _CHANNEL_SHARE = 1.0 / math.sqrt(2.0)
 
+# bandwidth reduction: Butterworth order of one pass, and the cutoff as a
+# fraction of the target Nyquist frequency
+_FILTER_ORDER = 2
+_CUTOFF_FRACTION = 0.8
+
 
 @dataclass(frozen=True)
 class FilterSpec:
@@ -56,7 +65,6 @@ class FilterSpec:
 
     cutoff_hz: float
     order: int = 2
-    zero_phase: bool = True
 
     def __post_init__(self) -> None:
         if not self.cutoff_hz > 0:
@@ -69,8 +77,6 @@ class FilterSpec:
 class DegradeConfig:
     """Pipeline switches shared by both transform models."""
 
-    filter_order: int = 2
-    cutoff_fraction: float = 0.8  # times the target Nyquist frequency
     noise_order: str = "pre"      # inject noise before ("pre") or after ("post") bandwidth reduction
     jitter_correction: bool = False  # divide jitter std by sqrt(2) so ISI std matches the target
 
@@ -95,9 +101,9 @@ def lowpass_zero_phase(rec: GazeRecording, spec: FilterSpec) -> GazeRecording:
     """Butterworth low-pass of the gaze channels; targets and timestamps pass
     through untouched.
 
-    Zero-phase mode filters forward and backward with even (reflective)
-    padding of three filter time constants, so the effective magnitude
-    response is the squared single-pass response and the delay is zero.
+    The filter runs forward and backward with even (reflective) padding of
+    three filter time constants, so the effective magnitude response is the
+    squared single-pass response and the delay is zero.
     Missing samples are bridged for filtering and restored to missing after.
     """
     fs = rec.nominal_rate_hz
@@ -121,11 +127,8 @@ def lowpass_zero_phase(rec: GazeRecording, spec: FilterSpec) -> GazeRecording:
         if miss.all():
             filtered[name] = x
             continue
-        if spec.zero_phase:
-            y = _signal.sosfiltfilt(sos, finite, padtype="even", padlen=padlen)
-        else:
-            y = _signal.sosfilt(sos, finite)
-        y = np.asarray(y, dtype=float)
+        y = np.asarray(_signal.sosfiltfilt(sos, finite, padtype="even", padlen=padlen),
+                       dtype=float)
         y[miss] = np.nan
         filtered[name] = y
     return rec.replace(**filtered)
@@ -230,9 +233,39 @@ def add_precision_noise(rec: GazeRecording, sigma0_sq: float, rng: np.random.Gen
     return rec.replace(gaze_x=rec.gaze_x + noise_x, gaze_y=rec.gaze_y + noise_y)
 
 
-def _bandwidth_filter_spec(target_rate_hz: float, config: DegradeConfig) -> FilterSpec:
-    return FilterSpec(cutoff_hz=config.cutoff_fraction * target_rate_hz / 2.0,
-                      order=config.filter_order)
+def _degrade(rec: GazeRecording, plan: DegradationPlan, config: DegradeConfig,
+             rng: np.random.Generator | None, modified: bool) -> GazeRecording:
+    """The staged pipeline behind both models (see the module docstring);
+    `modified` adds the accuracy-step and timestamp-jitter stages."""
+    validate_recording(rec)
+    if not plan.target_rate_hz < rec.nominal_rate_hz:
+        raise ValueError(
+            f"target rate {plan.target_rate_hz} Hz must be below the source rate "
+            f"{rec.nominal_rate_hz} Hz"
+        )
+    if rng is None:
+        rng = np.random.default_rng(plan.rng_seed)
+    out = rec
+    if modified:
+        # steps align on the latency-shifted fixation grid of the source
+        sig = build_accuracy_signal(rec, plan, estimate_latency(rec), rng)
+        out = apply_accuracy_signal(rec, sig)
+    if config.noise_order == "pre":
+        out = add_precision_noise(out, plan.sigma0_sq, rng, plan.eccentricity_weighting)
+    out = lowpass_zero_phase(out, FilterSpec(
+        cutoff_hz=_CUTOFF_FRACTION * plan.target_rate_hz / 2.0, order=_FILTER_ORDER))
+    stamps = nominal_target_timestamps(rec.span_ms, plan.target_rate_hz,
+                                       start_ms=float(rec.timestamps_ms[0]))
+    if modified:
+        stamps = jitter_timestamps(stamps, plan.jitter_sigma_ms, rng,
+                                   correction=config.jitter_correction)
+        # endpoint jitter may poke past the source span; clip (interior stamps
+        # cannot reach the bounds because perturbations are clamped)
+        stamps = np.clip(stamps, rec.timestamps_ms[0], rec.timestamps_ms[-1])
+    out = resample_spline(out, stamps, nominal_rate_hz=plan.target_rate_hz)
+    if config.noise_order == "post":
+        out = add_precision_noise(out, plan.sigma0_sq, rng, plan.eccentricity_weighting)
+    return out
 
 
 def degrade_benchmark(rec: GazeRecording, plan: DegradationPlan,
@@ -244,26 +277,7 @@ def degrade_benchmark(rec: GazeRecording, plan: DegradationPlan,
     baseline model has no mechanism for them. Deterministic given
     plan.rng_seed.
     """
-    validate_recording(rec)
-    if not plan.target_rate_hz < rec.nominal_rate_hz:
-        raise ValueError(
-            f"target rate {plan.target_rate_hz} Hz must be below the source rate "
-            f"{rec.nominal_rate_hz} Hz"
-        )
-    if rng is None:
-        rng = np.random.default_rng(plan.rng_seed)
-    spec = _bandwidth_filter_spec(plan.target_rate_hz, config)
-    stamps = nominal_target_timestamps(rec.span_ms, plan.target_rate_hz,
-                                       start_ms=float(rec.timestamps_ms[0]))
-    if config.noise_order == "pre":
-        out = add_precision_noise(rec, plan.sigma0_sq, rng, plan.eccentricity_weighting)
-        out = lowpass_zero_phase(out, spec)
-        out = resample_spline(out, stamps, nominal_rate_hz=plan.target_rate_hz)
-    else:
-        out = lowpass_zero_phase(rec, spec)
-        out = resample_spline(out, stamps, nominal_rate_hz=plan.target_rate_hz)
-        out = add_precision_noise(out, plan.sigma0_sq, rng, plan.eccentricity_weighting)
-    return out
+    return _degrade(rec, plan, config, rng, modified=False)
 
 
 def zero_noise_pass(rec: GazeRecording, target_rate_hz: float,
@@ -347,8 +361,7 @@ class AccuracyStepSignal:
 
 
 def build_accuracy_signal(rec: GazeRecording, plan: DegradationPlan,
-                          latency: LatencyEstimate, rng: np.random.Generator,
-                          metrics_config: MetricsConfig = MetricsConfig()) -> AccuracyStepSignal:
+                          latency: LatencyEstimate, rng: np.random.Generator) -> AccuracyStepSignal:
     """Draw the marginal accuracy degradation signal for one recording.
 
     For every fixation and channel independently, a magnitude is drawn from
@@ -357,8 +370,7 @@ def build_accuracy_signal(rec: GazeRecording, plan: DegradationPlan,
     uniform random sign. Draw order: all magnitudes (x then y), then all
     signs (x then y).
     """
-    windows = extract_fixations(rec, latency, metrics_config.discard_ms,
-                                metrics_config.keep_ms)
+    windows = extract_fixations(rec, latency)
     if not windows:
         raise ValueError(f"{rec.recording_id or 'recording'}: zero fixations for accuracy signal")
     n = len(windows)
@@ -380,7 +392,6 @@ def apply_accuracy_signal(rec: GazeRecording, sig: AccuracyStepSignal) -> GazeRe
 
 def degrade_modified(rec: GazeRecording, plan: DegradationPlan,
                      config: DegradeConfig = DegradeConfig(),
-                     metrics_config: MetricsConfig = MetricsConfig(),
                      rng: np.random.Generator | None = None) -> GazeRecording:
     """Modified transform: accuracy steps, position noise, bandwidth
     reduction, and resampling onto a jittered target grid.
@@ -390,38 +401,7 @@ def degrade_modified(rec: GazeRecording, plan: DegradationPlan,
     result exhibits the planned temporal imprecision. Deterministic given
     plan.rng_seed.
     """
-    validate_recording(rec)
-    if not plan.target_rate_hz < rec.nominal_rate_hz:
-        raise ValueError(
-            f"target rate {plan.target_rate_hz} Hz must be below the source rate "
-            f"{rec.nominal_rate_hz} Hz"
-        )
-    if rng is None:
-        rng = np.random.default_rng(plan.rng_seed)
-
-    latency = estimate_latency(rec, metrics_config.latency_search_ms,
-                               metrics_config.latency_step_ms)
-    sig = build_accuracy_signal(rec, plan, latency, rng, metrics_config)
-    out = apply_accuracy_signal(rec, sig)
-
-    spec = _bandwidth_filter_spec(plan.target_rate_hz, config)
-    if config.noise_order == "pre":
-        out = add_precision_noise(out, plan.sigma0_sq, rng, plan.eccentricity_weighting)
-        out = lowpass_zero_phase(out, spec)
-    else:
-        out = lowpass_zero_phase(out, spec)
-
-    nominal = nominal_target_timestamps(rec.span_ms, plan.target_rate_hz,
-                                        start_ms=float(rec.timestamps_ms[0]))
-    stamps = jitter_timestamps(nominal, plan.jitter_sigma_ms, rng,
-                               correction=config.jitter_correction)
-    # endpoint jitter may poke past the source span; clip (interior stamps
-    # cannot reach the bounds because perturbations are clamped)
-    stamps = np.clip(stamps, rec.timestamps_ms[0], rec.timestamps_ms[-1])
-    out = resample_spline(out, stamps, nominal_rate_hz=plan.target_rate_hz)
-    if config.noise_order == "post":
-        out = add_precision_noise(out, plan.sigma0_sq, rng, plan.eccentricity_weighting)
-    return out
+    return _degrade(rec, plan, config, rng, modified=True)
 
 
 def plan_to_dict(plan: DegradationPlan, provenance: dict | None = None) -> dict:

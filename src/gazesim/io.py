@@ -14,6 +14,7 @@ import csv
 import io as _io
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
@@ -62,6 +63,17 @@ def atomic_write_text(path, text) -> None:
         raise
 
 
+@contextmanager
+def _open_csv(path):
+    """Open a UTF-8 CSV file for reading; a byte that is not UTF-8, met
+    anywhere in the with-block, raises ValueError naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 # rows formatted or parsed per step: the per-cell str and list objects live
 # for one block, not the whole recording. Larger blocks bought no speed and
 # raised peak memory (reading four 17k-row files: +4.6 MB at 1024, +8.3 MB at
@@ -97,7 +109,7 @@ def _parse_rows(rows, width: int, columns) -> list:
 def _malformed_row_error(path, width: int, columns) -> ValueError:
     """Rescan the file row by row for the first row _parse_rows rejects and
     name its 1-based line."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _open_csv(path) as fh:
         reader = csv.reader(fh)
         next(reader)
         for row in reader:
@@ -124,28 +136,25 @@ def read_recording(path, format_tag: str = "canonical", nominal_rate_hz: float =
     if recording_id is None:
         recording_id = path.stem
 
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ValueError(f"{path}: empty file")
-            index = {name.strip(): i for i, name in enumerate(header)}
-            for col in (layout["gx"], layout["gy"], layout["tx"], layout["ty"]):
-                if col not in index:
-                    raise ValueError(f"{path}: missing column {col!r} for format {format_tag!r}")
-            has_time = layout["time"] in index
-            columns = ([(index[layout["time"]], False)] if has_time else []) + [
-                (index[layout["gx"]], True), (index[layout["gy"]], True),
-                (index[layout["tx"]], False), (index[layout["ty"]], False)]
-            blocks = []
-            while rows := list(islice(reader, _BLOCK_ROWS)):
-                try:
-                    blocks.append(_parse_rows(rows, len(header), columns))
-                except ValueError:
-                    raise _malformed_row_error(path, len(header), columns) from None
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+    with _open_csv(path) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        index = {name.strip(): i for i, name in enumerate(header)}
+        for col in (layout["gx"], layout["gy"], layout["tx"], layout["ty"]):
+            if col not in index:
+                raise ValueError(f"{path}: missing column {col!r} for format {format_tag!r}")
+        has_time = layout["time"] in index
+        columns = ([(index[layout["time"]], False)] if has_time else []) + [
+            (index[layout["gx"]], True), (index[layout["gy"]], True),
+            (index[layout["tx"]], False), (index[layout["ty"]], False)]
+        blocks = []
+        while rows := list(islice(reader, _BLOCK_ROWS)):
+            try:
+                blocks.append(_parse_rows(rows, len(header), columns))
+            except ValueError:
+                raise _malformed_row_error(path, len(header), columns) from None
 
     data = [np.concatenate(parts) for parts in zip(*blocks)]
     if not data or data[0].size == 0:
@@ -220,7 +229,7 @@ def write_quality_table(rows, path) -> None:
 def read_quality_table(path) -> list:
     """Read a quality table back as a list of (recording_id, QualityVector)."""
     out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _open_csv(path) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or tuple(reader.fieldnames) != QUALITY_HEADER:
             raise ValueError(f"{path}: unexpected quality table header {reader.fieldnames}")
@@ -255,7 +264,7 @@ def read_manifest(path) -> list:
     path = Path(path)
     entries = []
     seen = set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _open_csv(path) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or tuple(reader.fieldnames) != MANIFEST_HEADER:
             raise ValueError(f"{path}: unexpected manifest header {reader.fieldnames}")

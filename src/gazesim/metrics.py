@@ -20,6 +20,10 @@ logger = logging.getLogger(__name__)
 
 _EPS_MS = 1e-9
 
+# fewest usable samples a fixation window needs: recording_quality drops a
+# window below it with a warning, and reject_outliers refuses one
+_MIN_WINDOW_SAMPLES = 4
+
 
 @dataclass(frozen=True)
 class LatencyEstimate:
@@ -28,23 +32,6 @@ class LatencyEstimate:
 
     shift_ms: float
     distance_at_shift: float
-
-
-@dataclass(frozen=True)
-class MetricsConfig:
-    """Knobs for the metric pipeline.
-
-    A latency step of None means one sample period of the recording under
-    analysis. Windows with fewer than `min_window_samples` usable samples
-    are dropped with a warning.
-    """
-
-    latency_search_ms: tuple = (0.0, 400.0)
-    latency_step_ms: float | None = None
-    discard_ms: float = 400.0
-    keep_ms: float = 500.0
-    outlier_max_dist_dva: float = 2.0
-    min_window_samples: int = 4
 
 
 def estimate_latency(rec: GazeRecording, search_range_ms=(0.0, 400.0),
@@ -191,9 +178,9 @@ def reject_outliers(win: FixationWindow, rec: GazeRecording,
     missing = rec.missing[sl]
     valid = ~missing
     n_valid = int(valid.sum())
-    if n_valid < 4:
+    if n_valid < _MIN_WINDOW_SAMPLES:
         raise ValueError(
-            f"{win.recording_id}: fewer than 4 usable samples in window "
+            f"{win.recording_id}: fewer than {_MIN_WINDOW_SAMPLES} usable samples in window "
             f"[{win.sample_start}, {win.sample_end}) ({n_valid})"
         )
     cx = float(np.median(gx[valid]))
@@ -242,26 +229,29 @@ def temporal_precision(rec: GazeRecording) -> float:
     return float(np.std(np.diff(rec.timestamps_ms)))
 
 
-def recording_quality(rec: GazeRecording, config: MetricsConfig = MetricsConfig()) -> QualityVector:
+def recording_quality(rec: GazeRecording) -> QualityVector:
     """Full per-recording quality summary.
 
-    Accuracy aggregates as the mean of per-fixation values; precision as the
-    per-channel median of per-fixation values, with the combined precision
-    recomputed from the aggregated channels so the quadrature identity holds
-    at the recording level too.
+    Latency is searched over 0-400 ms in one-sample steps, and fixation
+    windows keep 500 ms after a 400 ms discard; a window with fewer than 4
+    usable samples is dropped with a warning. Accuracy aggregates as the
+    mean of per-fixation values; precision as the per-channel median of
+    per-fixation values, with the combined precision recomputed from the
+    aggregated channels so the quadrature identity holds at the recording
+    level too.
     """
     validate_recording(rec)
-    latency = estimate_latency(rec, config.latency_search_ms, config.latency_step_ms)
-    windows = extract_fixations(rec, latency, config.discard_ms, config.keep_ms)
+    latency = estimate_latency(rec)
+    windows = extract_fixations(rec, latency)
 
     accs, precs = [], []
     for i, win in enumerate(windows):
         usable = int((~rec.missing[win.sample_slice]).sum())
-        if usable < config.min_window_samples:
+        if usable < _MIN_WINDOW_SAMPLES:
             logger.warning("%s: dropping fixation %d (%d usable samples)",
                            rec.recording_id, i, usable)
             continue
-        masked = reject_outliers(win, rec, config.outlier_max_dist_dva)
+        masked = reject_outliers(win, rec)
         if not (~masked.outlier_mask).any():
             logger.warning("%s: dropping fixation %d (all samples masked)",
                            rec.recording_id, i)

@@ -2,8 +2,7 @@ import pytest
 
 import gazesim.calibrate as calibrate_mod
 from gazesim.calibrate import (NonMonotoneSweepWarning, describe_curve,
-                               invert_curve, load_calibration,
-                               save_calibration, sweep_sigma)
+                               load_calibration, save_calibration, sweep_sigma)
 from gazesim.oracle import OracleSpec, generate_recording
 from gazesim.types import CalibrationClampWarning, CalibrationCurve, QualityVector
 
@@ -44,7 +43,7 @@ class TestSweepSigma:
         residuals = [abs(m - swept_curve.predict(s)) for s, m in swept_curve.samples]
         tol = 2.0 * max(residuals) / swept_curve.slope + 1e-12
         s_mid, m_mid = swept_curve.samples[1]
-        assert abs(invert_curve(swept_curve, m_mid) - s_mid) <= tol
+        assert abs(swept_curve.invert(m_mid) - s_mid) <= tol
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -57,13 +56,12 @@ class TestSweepSigma:
     def test_non_monotone_sweep_warns(self, small_corpus, monkeypatch):
         canned = iter([0.05, 0.04, 0.06] * len(small_corpus) * 3)
 
-        def fake_quality(rec, config=None):
+        def fake_quality(rec):
             v = next(canned)
             return QualityVector(acc_h=0, acc_v=0, acc_c=0, prec_h=v, prec_v=0,
                                  prec_c=v, temporal_prec_ms=0, n_fixations_used=1)
 
-        monkeypatch.setattr(calibrate_mod, "recording_quality",
-                            lambda rec, cfg: fake_quality(rec))
+        monkeypatch.setattr(calibrate_mod, "recording_quality", fake_quality)
         monkeypatch.setattr(calibrate_mod, "degrade_benchmark",
                             lambda rec, plan, cfg: rec)
         with pytest.warns(NonMonotoneSweepWarning):
@@ -74,18 +72,18 @@ class TestInvertCurve:
     def test_linear_inverse(self):
         curve = CalibrationCurve(samples=((0.0, 0.02), (0.1, 0.05), (0.2, 0.08)),
                                  slope=0.3, intercept=0.02)
-        assert invert_curve(curve, 0.05) == pytest.approx(0.1, rel=1e-12)
+        assert curve.invert(0.05) == pytest.approx(0.1, rel=1e-12)
 
     def test_desired_at_intercept_clamps_to_zero(self):
         curve = CalibrationCurve(samples=((0.0, 0.02), (0.1, 0.05), (0.2, 0.08)),
                                  slope=0.3, intercept=0.02)
-        assert invert_curve(curve, 0.02) == 0.0
+        assert curve.invert(0.02) == 0.0
 
     def test_beyond_max_clamped_with_warning(self):
         curve = CalibrationCurve(samples=((0.0, 0.02), (0.1, 0.05), (0.2, 0.08)),
                                  slope=0.3, intercept=0.02)
         with pytest.warns(CalibrationClampWarning):
-            assert invert_curve(curve, 1.0) == 0.2
+            assert curve.invert(1.0) == 0.2
 
 
 class TestCalibrationIO:

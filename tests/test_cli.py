@@ -5,11 +5,23 @@ import numpy as np
 import pytest
 
 from gazesim.cli import main
-from gazesim.io import read_quality_table
+from gazesim.io import (ManifestEntry, read_manifest, read_quality_table,
+                        write_manifest, write_recording)
+
+from conftest import make_recording
 
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def manifest_plus(tiny_source, tmp_path, recording_id, path, rate_hz=1000.0):
+    """The tiny source manifest with one more entry appended."""
+    entries = read_manifest(tiny_source / "manifest.csv")  # resolves to absolute
+    entries.append(ManifestEntry(recording_id, str(path), "canonical", rate_hz))
+    manifest = tmp_path / "manifest.csv"
+    write_manifest(entries, manifest)
+    return manifest
 
 
 def tree_bytes(root):
@@ -104,6 +116,30 @@ class TestMetrics:
         assert len(read_quality_table(table)) == 4
         assert "skipping broken" in caplog.text
 
+    def test_skip_bad_skips_recording_that_fails_metrics(self, tiny_source, tmp_path,
+                                                          caplog):
+        # reads fine, but a target that never moves gives no fixations
+        n = 3000
+        flat = tmp_path / "flat.csv"
+        write_recording(make_recording(np.arange(float(n)), np.zeros(n), np.zeros(n)), flat)
+        manifest = manifest_plus(tiny_source, tmp_path, "flat", flat)
+        table = tmp_path / "q.csv"
+        assert run(["metrics", "--manifest", manifest, "--out", table]) == 1
+        assert not table.exists()
+        with caplog.at_level("WARNING"):
+            assert run(["metrics", "--manifest", manifest, "--out", table,
+                        "--skip-bad"]) == 0
+        assert len(read_quality_table(table)) == 4
+        assert "skipping flat: no target transitions" in caplog.text
+
+    def test_non_utf8_manifest_names_path(self, tmp_path, caplog):
+        manifest = tmp_path / "m.csv"
+        manifest.write_bytes(b"recording_id,path,format_tag,rate_hz\n"
+                             b"caf\xe9,x.csv,canonical,1000\n")
+        with caplog.at_level("ERROR"):
+            assert run(["metrics", "--manifest", manifest, "--out", tmp_path / "q.csv"]) == 1
+        assert f"{manifest}: not UTF-8 text" in caplog.text
+
     def test_deterministic_output(self, tiny_source, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run(["metrics", "--manifest", tiny_source / "manifest.csv", "--out", a])
@@ -117,6 +153,16 @@ class TestCalibrate:
         assert payload["slope"] > 0
         assert len(payload["sigma0_sq_grid"]) == 3
         assert payload["provenance"]["grid"] == "0.05:0.45:0.2"
+
+    def test_skip_bad_skips_unreadable_entry(self, tiny_source, tmp_path, caplog):
+        manifest = manifest_plus(tiny_source, tmp_path, "broken", tmp_path / "missing.csv")
+        argv = ["calibrate", "--manifest", manifest, "--rate-hz", 250,
+                "--grid", "0.05:0.45:0.2", "--seed", 3, "--out", tmp_path / "c.json"]
+        assert run(argv) == 1
+        with caplog.at_level("WARNING"):
+            assert run(argv + ["--skip-bad"]) == 0
+        assert "skipping broken" in caplog.text
+        assert json.loads((tmp_path / "c.json").read_text())["slope"] > 0
 
     def test_bad_grid_rejected(self, tiny_source, tmp_path):
         assert run(["calibrate", "--manifest", tiny_source / "manifest.csv",
@@ -135,6 +181,20 @@ class TestDegrade:
         plan = json.loads(next(iter(sorted(out.glob("*.plan.json")))).read_text())
         assert plan["sigma0_sq"] == 0.13
         assert plan["acc_offset_h"] == 0.0
+
+    def test_skip_bad_skips_unreadable_entry(self, tiny_source, tmp_path, caplog):
+        bad = tmp_path / "corrupt.csv"
+        bad.write_text("t_ms,gaze_x_dva,gaze_y_dva,tgt_x_dva,tgt_y_dva\n0,zz,0,0,0\n")
+        manifest = manifest_plus(tiny_source, tmp_path, "broken", bad)
+        out = tmp_path / "deg"
+        argv = ["degrade", "--manifest", manifest, "--model", "baseline",
+                "--sigma0-sq", 0.13, "--rate-hz", 250, "--seed", 5, "--out", out]
+        assert run(argv) == 1
+        with caplog.at_level("WARNING"):
+            assert run(argv + ["--skip-bad"]) == 0
+        assert "skipping broken" in caplog.text
+        assert len(list(out.glob("*.plan.json"))) == 4
+        assert not (out / "broken.csv").exists()
 
     def test_baseline_requires_sigma_or_calibration(self, tiny_source, tmp_path):
         with pytest.raises(SystemExit):

@@ -275,6 +275,13 @@ class TestQualityTable:
         with pytest.raises(ValueError, match="at least one"):
             write_quality_table([], tmp_path / "q.csv")
 
+    def test_non_utf8_byte(self, tmp_path):
+        path = tmp_path / "q.csv"
+        write_quality_table([("a", qv()), ("b", qv())], path)
+        path.write_bytes(path.read_bytes().replace(b"b,", b"\xe9,"))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: not UTF-8"):
+            read_quality_table(path)
+
     def test_header(self, tmp_path):
         path = tmp_path / "q.csv"
         write_quality_table([("a", qv())], path)
@@ -299,6 +306,13 @@ class TestManifest:
         path.write_text("recording_id,path,format_tag,rate_hz\n"
                         "a,x.csv,canonical,1000\na,y.csv,canonical,1000\n")
         with pytest.raises(ValueError, match="duplicate"):
+            read_manifest(path)
+
+    def test_non_utf8_byte(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"recording_id,path,format_tag,rate_hz\n"
+                         b"caf\xe9,x.csv,canonical,1000\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: not UTF-8"):
             read_manifest(path)
 
     def test_unknown_tag(self, tmp_path):

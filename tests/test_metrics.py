@@ -504,3 +504,16 @@ class TestRecordingQuality:
             prec = fixation_precision(win, rec)
             assert prec[2] ** 2 == pytest.approx(prec[0] ** 2 + prec[1] ** 2, rel=1e-12)
             assert max(acc[0], acc[1]) - 1e-12 <= acc[2] <= acc[0] + acc[1] + 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_targets=st.integers(3, 6), rate_hz=st.sampled_from([250.0, 500.0, 1000.0]),
+       noise=st.floats(0.0, 0.3), bias=st.floats(0.0, 0.5),
+       latency_ms=st.floats(100.0, 300.0), seed=st.integers(0, 2**31 - 1))
+def test_recording_prec_c_is_quadrature_of_channels(n_targets, rate_hz, noise, bias,
+                                                     latency_ms, seed):
+    spec = OracleSpec(n_targets=n_targets, dwell_ms=1000.0, rate_hz=rate_hz,
+                      latency_ms=latency_ms, noise_sigma_dva=noise,
+                      bias_sigma_dva=bias, seed=seed)
+    qv = recording_quality(generate_recording(spec)[0])
+    assert qv.prec_c == np.hypot(qv.prec_h, qv.prec_v)

@@ -3,7 +3,9 @@
 Two views: per-feature distribution summaries (the numeric substrate of
 distribution plots) and a leave-one-sample-out 1-nearest-neighbor two-sample
 test over the 7-feature quality vectors. Combined accuracy near 50% means
-the classifier cannot tell real from synthetic.
+the classifier cannot tell real from synthetic. The 1-NN search is an exact
+KD-tree query, linear in memory, with the lowest-index tie rule of an argmin
+over the dense distance matrix.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .io import atomic_write_text, format_float
@@ -26,6 +29,11 @@ SUMMARY_HEADER = ("feature", "min", "d10", "d20", "d30", "d40", "d50", "d60",
                   "d70", "d80", "d90", "median", "mean", "max")
 
 _DECILES = tuple(i / 10.0 for i in range(1, 10))
+
+# KD-tree and cdist distances differ only in summation order (a few ulps), so
+# two neighbours farther apart than this relative gap rank the same under
+# both; closer ones are rescored with cdist
+_TIE_RTOL = 1e-9
 
 
 class ZeroVarianceWarning(UserWarning):
@@ -111,12 +119,35 @@ class TwoSampleResult:
         return max(values) - min(values)
 
 
+def _nearest_other(pooled: np.ndarray) -> np.ndarray:
+    """Index of each row's nearest other row, ties to the lowest index.
+
+    Equal to argmin over the rows of cdist(pooled, pooled) with an infinite
+    diagonal, in O(rows) memory: a k=3 KD-tree query gives each row itself
+    and its two nearest others. A row whose two nearest others lie within a
+    relative _TIE_RTOL of each other is rescored exactly against every row;
+    that includes a row that did not get itself back, as then all three
+    results lie at distance 0.
+    """
+    m = pooled.shape[0]
+    dist, idx = cKDTree(pooled).query(pooled, k=3)
+    # columns of the two nearest non-self results, in distance order
+    keep = np.argsort(idx == np.arange(m)[:, None], axis=1, kind="stable")[:, :2]
+    neighbor = np.take_along_axis(idx, keep[:, :1], axis=1)[:, 0]
+    d1, d2 = np.take_along_axis(dist, keep, axis=1).T
+    for r in np.flatnonzero(d2 <= d1 * (1.0 + _TIE_RTOL)):
+        d = cdist(pooled[r:r + 1], pooled)[0]
+        d[r] = np.inf
+        neighbor[r] = np.argmin(d)  # first (lowest) index on ties
+    return neighbor
+
+
 def one_nn_two_sample(real: np.ndarray, synth: np.ndarray, seed: int = 0) -> TwoSampleResult:
     """Leave-one-sample-out 1-NN classification of pooled feature rows.
 
     Each of the 2n points takes the label of its nearest Euclidean neighbor
     among the other 2n-1; distance ties resolve to the lowest row index in
-    the real-then-synthetic concatenation.
+    the real-then-synthetic concatenation. Non-finite features are rejected.
     """
     real = np.asarray(real, dtype=float)
     synth = np.asarray(synth, dtype=float)
@@ -127,9 +158,9 @@ def one_nn_two_sample(real: np.ndarray, synth: np.ndarray, seed: int = 0) -> Two
     if n < 2:
         raise ValueError(f"need at least 2 rows per class, got {n}")
     pooled = np.vstack([real, synth])
-    dist = cdist(pooled, pooled)
-    np.fill_diagonal(dist, np.inf)
-    neighbor = np.argmin(dist, axis=1)  # argmin takes the first (lowest) index on ties
+    if not np.isfinite(pooled).all():
+        raise ValueError("feature matrices must be finite")
+    neighbor = _nearest_other(pooled)
     is_real = np.arange(2 * n) < n
     correct = is_real[neighbor] == is_real
     repeat = RepeatAccuracy(

@@ -55,7 +55,9 @@ def _map_corpus(manifest_path, skip_bad: bool, fn=lambda rec: rec) -> list:
         except (OSError, ValueError) as exc:
             if not skip_bad:
                 raise
-            logger.warning("skipping %s: %s", entry.recording_id, exc)
+            # the log line names the recording once
+            reason = str(exc).removeprefix(f"{entry.recording_id}: ")
+            logger.warning("skipping %s: %s", entry.recording_id, reason)
     if not results:
         raise ValueError(f"{manifest_path}: no usable recordings")
     return results
@@ -120,8 +122,16 @@ def _parse_grid(text: str) -> list:
     return grid
 
 
+def _measurable(rec):
+    """The recording itself, once the metric pass accepts it."""
+    recording_quality(rec)
+    return rec
+
+
 def cmd_calibrate(args) -> int:
-    corpus = _map_corpus(args.manifest, args.skip_bad)
+    # --skip-bad also drops the recordings the metric pass rejects
+    corpus = _map_corpus(args.manifest, args.skip_bad,
+                         _measurable if args.skip_bad else (lambda rec: rec))
     config = DegradeConfig(noise_order=args.noise_order)
     curve = sweep_sigma(corpus, _parse_grid(args.grid), args.rate_hz, args.seed,
                         config=config)
@@ -141,7 +151,14 @@ def cmd_calibrate(args) -> int:
 def cmd_degrade(args) -> int:
     config = DegradeConfig(noise_order=args.noise_order,
                            jitter_correction=(args.jitter_correction == "on"))
-    corpus = _map_corpus(args.manifest, args.skip_bad)
+    modified = args.model == "modified"
+    if modified and not (args.calibration and args.target_table):
+        raise SystemExit("modified model needs both --calibration and --target-table")
+    # the modified planner needs each source's quality: measured as it is
+    # read, so --skip-bad also drops the recordings the metric pass rejects
+    measured = _map_corpus(args.manifest, args.skip_bad, lambda rec: (
+        rec, recording_quality(rec) if modified else None))
+    corpus = [rec for rec, _ in measured]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -156,7 +173,7 @@ def cmd_degrade(args) -> int:
         "target_corpus_hash": _hash_quality_rows(target_rows) if target_rows else None,
     }
 
-    if args.model == "baseline":
+    if not modified:
         if args.sigma0_sq is not None:
             sigma0_sq = args.sigma0_sq
         elif calib is not None and target_rows is not None:
@@ -173,9 +190,7 @@ def cmd_degrade(args) -> int:
         ) for rec in corpus}
         transform = degrade_benchmark
     else:
-        if calib is None or target_rows is None:
-            raise SystemExit("modified model needs both --calibration and --target-table")
-        source_qvs = {rec.recording_id: recording_quality(rec) for rec in corpus}
+        source_qvs = {rec.recording_id: qv for rec, qv in measured}
         provenance["source_corpus_hash"] = _hash_quality_rows(source_qvs.items())
         source_corpus = list(source_qvs.values())
         target_corpus = [qv for _, qv in target_rows]
@@ -271,7 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--noise-order", choices=("pre", "post"), default="pre")
-    p.add_argument("--skip-bad", action="store_true")
+    p.add_argument("--skip-bad", action="store_true",
+                   help="log and skip recordings that cannot be read or measured "
+                        "instead of failing")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("degrade", help="transform a corpus toward a target device")
@@ -286,7 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calibration", default=None, help="calibration JSON from 'calibrate'")
     p.add_argument("--noise-order", choices=("pre", "post"), default="pre")
     p.add_argument("--jitter-correction", choices=("on", "off"), default="off")
-    p.add_argument("--skip-bad", action="store_true")
+    p.add_argument("--skip-bad", action="store_true",
+                   help="log and skip recordings that cannot be read (or, for the "
+                        "modified model, measured) instead of failing")
     p.set_defaults(func=cmd_degrade)
 
     p = sub.add_parser("assess", help="1-NN two-sample realism test")

@@ -303,7 +303,9 @@ def plan_modified(source_qv: QualityVector, source_post_prec_c: float,
     evenly between channels (isotropic noise), and inverted through the
     calibration curve. Accuracy: per-channel rank match, with negative
     requirements clamped to zero (the model only degrades). Jitter: the
-    median temporal precision of the target corpus.
+    median temporal precision of the target corpus, which must stay below
+    the 0.45-period clamp of jitter_timestamps at the target rate; a larger
+    one raises ValueError here rather than in the transform.
     """
     source_corpus_qv = list(source_corpus_qv)
     target_corpus_qv = list(target_corpus_qv)
@@ -325,6 +327,13 @@ def plan_modified(source_qv: QualityVector, source_post_prec_c: float,
         offsets[channel] = max(tgt_value - src_value, 0.0)
 
     jitter = float(np.median([q.temporal_prec_ms for q in target_corpus_qv]))
+    # the uncorrected sigma, as jitter_timestamps checks it
+    limit = 0.45 * 1000.0 / target_rate_hz
+    if jitter >= limit:
+        raise ValueError(
+            f"target corpus median temporal precision {jitter} ms reaches the jitter "
+            f"limit of 0.45 periods ({limit} ms) at {target_rate_hz} Hz"
+        )
     return DegradationPlan(
         target_rate_hz=target_rate_hz,
         sigma0_sq=sigma0_sq,

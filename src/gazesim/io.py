@@ -170,7 +170,10 @@ def read_recording(path, format_tag: str = "canonical", nominal_rate_hz: float =
     )
     if rec.missing.all():
         raise ValueError(f"{path}: zero usable samples (all gaze missing)")
-    return validate_recording(rec)
+    try:
+        return validate_recording(rec)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _format_column(values: np.ndarray, blank_nan: bool = False) -> list:

@@ -135,7 +135,7 @@ def extract_fixations(rec: GazeRecording, latency: LatencyEstimate,
     changed = (np.diff(rec.tgt_x) != 0) | (np.diff(rec.tgt_y) != 0)
     transitions = np.flatnonzero(changed) + 1
     if transitions.size == 0:
-        raise ValueError("no target transitions found")
+        raise ValueError(f"{rec.recording_id or 'recording'}: no target transitions found")
     starts = np.concatenate(([0], transitions))
     dwell_ends = np.concatenate((t[transitions], [t[-1]]))
 

@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import cdist
 
 from gazesim.assess import (FEATURE_COLUMNS, ZeroVarianceWarning,
                             assessment_report_dict, distribution_summary,
                             feature_matrix, fit_standardizer, one_nn_two_sample,
                             quality_features, repeated_assessment,
-                            summary_rows_to_csv)
+                            summary_rows_to_csv, _nearest_other)
 from gazesim.quantiles import quantile
 from gazesim.types import QualityVector
 
@@ -55,6 +60,103 @@ class TestFeatureMatrix:
         raw = quality_features([v])
         assert raw[0].tolist() == [1, 2, 2.5, 0.1, 0.2, np.hypot(0.1, 0.2), 7]
         assert FEATURE_COLUMNS[0] == "acc_h" and FEATURE_COLUMNS[-1] == "temporal_prec_ms"
+
+
+def dense_neighbors(real, synth):
+    """The dense oracle: argmin over the full pooled distance matrix with an
+    infinite diagonal (ties to the lowest index)."""
+    pooled = np.vstack([real, synth])
+    dist = cdist(pooled, pooled)
+    np.fill_diagonal(dist, np.inf)
+    return np.argmin(dist, axis=1)
+
+
+def dense_accuracy(real, synth):
+    n = real.shape[0]
+    is_real = np.arange(2 * n) < n
+    correct = is_real[dense_neighbors(real, synth)] == is_real
+    return float(correct.mean()), float(correct[:n].mean()), float(correct[n:].mean())
+
+
+def kd_neighbors(real, synth):
+    return _nearest_other(np.vstack([real, synth]))
+
+
+def _random_case(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, 7)), rng.normal(size=(n, 7))
+
+
+def _duplicates_case(n, seed):
+    # every row drawn from a few distinct ones: many rows with 3+ exact copies
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(3, 7))
+    return base[rng.integers(0, 3, size=n)], base[rng.integers(0, 3, size=n)]
+
+
+def _exact_copy_case(n, seed):
+    real = np.random.default_rng(seed).normal(size=(n, 7))
+    return real, real.copy()
+
+
+def _grid_case(n, seed):
+    # small integer grid: many exactly equal distances between distinct rows
+    rng = np.random.default_rng(seed)
+    return (rng.integers(-1, 2, size=(n, 3)).astype(float),
+            rng.integers(-1, 2, size=(n, 3)).astype(float))
+
+
+def _identical_case(n, seed):
+    # every row at distance 0 from every other: the lowest other index wins
+    return np.ones((n, 7)), np.ones((n, 7))
+
+
+def _overflow_case(n, seed):
+    # finite features whose squared distances overflow to inf
+    real, synth = _random_case(n, seed)
+    return real * 1e200, synth * 1e200
+
+
+class TestKDTreeOracle:
+    @pytest.mark.parametrize("make", [_random_case, _duplicates_case,
+                                      _exact_copy_case, _grid_case, _identical_case,
+                                      _overflow_case])
+    @pytest.mark.parametrize("n", [2, 3, 7, 40])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_neighbors_equal_dense_argmin(self, make, n, seed):
+        real, synth = make(n, seed)
+        np.testing.assert_array_equal(kd_neighbors(real, synth),
+                                      dense_neighbors(real, synth))
+        r = one_nn_two_sample(real, synth)
+        assert (r.combined_accuracy, r.real_accuracy,
+                r.synthetic_accuracy) == dense_accuracy(real, synth)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 25).flatmap(lambda n: st.tuples(
+        arrays(float, (n, 4), elements=st.integers(-3, 3).map(float)),
+        arrays(float, (n, 4), elements=st.integers(-3, 3).map(float)))))
+    def test_integer_features_match_dense(self, pair):
+        real, synth = pair
+        np.testing.assert_array_equal(kd_neighbors(real, synth),
+                                      dense_neighbors(real, synth))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        real, synth = _random_case(5, 0)
+        synth[3, 2] = bad
+        with pytest.raises(ValueError, match="^feature matrices must be finite$"):
+            one_nn_two_sample(real, synth)
+
+    def test_memory_linear_in_rows(self):
+        # the dense (2n)^2 float64 matrix would take 800 MB at n = 5000
+        real, synth = _random_case(5000, 1)
+        tracemalloc.start()
+        try:
+            one_nn_two_sample(real, synth)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestOneNN:

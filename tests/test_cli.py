@@ -6,7 +6,8 @@ import pytest
 
 from gazesim.cli import main
 from gazesim.io import (ManifestEntry, read_manifest, read_quality_table,
-                        write_manifest, write_recording)
+                        write_manifest, write_quality_table, write_recording)
+from gazesim.types import QualityVector
 
 from conftest import make_recording
 
@@ -22,6 +23,15 @@ def manifest_plus(tiny_source, tmp_path, recording_id, path, rate_hz=1000.0):
     manifest = tmp_path / "manifest.csv"
     write_manifest(entries, manifest)
     return manifest
+
+
+def manifest_plus_flat(tiny_source, tmp_path):
+    """The tiny source manifest plus "flat", a recording that reads fine but
+    whose target never moves, so the metric pass finds no fixations."""
+    n = 3000
+    flat = tmp_path / "flat.csv"
+    write_recording(make_recording(np.arange(float(n)), np.zeros(n), np.zeros(n)), flat)
+    return manifest_plus(tiny_source, tmp_path, "flat", flat)
 
 
 def tree_bytes(root):
@@ -118,11 +128,7 @@ class TestMetrics:
 
     def test_skip_bad_skips_recording_that_fails_metrics(self, tiny_source, tmp_path,
                                                           caplog):
-        # reads fine, but a target that never moves gives no fixations
-        n = 3000
-        flat = tmp_path / "flat.csv"
-        write_recording(make_recording(np.arange(float(n)), np.zeros(n), np.zeros(n)), flat)
-        manifest = manifest_plus(tiny_source, tmp_path, "flat", flat)
+        manifest = manifest_plus_flat(tiny_source, tmp_path)
         table = tmp_path / "q.csv"
         assert run(["metrics", "--manifest", manifest, "--out", table]) == 1
         assert not table.exists()
@@ -163,6 +169,21 @@ class TestCalibrate:
             assert run(argv + ["--skip-bad"]) == 0
         assert "skipping broken" in caplog.text
         assert json.loads((tmp_path / "c.json").read_text())["slope"] > 0
+
+    def test_skip_bad_skips_recording_that_fails_metrics(self, tiny_source, tmp_path,
+                                                          caplog):
+        manifest = manifest_plus_flat(tiny_source, tmp_path)
+        out = tmp_path / "c.json"
+        argv = ["calibrate", "--manifest", manifest, "--rate-hz", 250,
+                "--grid", "0.05:0.45:0.2", "--seed", 3, "--out", out]
+        with caplog.at_level("ERROR"):
+            assert run(argv) == 1
+        assert "flat: no target transitions found" in caplog.text
+        assert not out.exists()
+        with caplog.at_level("WARNING"):
+            assert run(argv + ["--skip-bad"]) == 0
+        assert "skipping flat: no target transitions" in caplog.text
+        assert json.loads(out.read_text())["slope"] > 0
 
     def test_bad_grid_rejected(self, tiny_source, tmp_path):
         assert run(["calibrate", "--manifest", tiny_source / "manifest.csv",
@@ -232,6 +253,76 @@ class TestDegrade:
         assert plan["jitter_sigma_ms"] > 0
         assert plan["calibration_id"]
         assert plan["source_corpus_hash"] and plan["target_corpus_hash"]
+
+    def modified_argv(self, manifest, target_table, calibration, out):
+        return ["degrade", "--manifest", manifest, "--model", "modified",
+                "--rate-hz", 250, "--seed", 5, "--calibration", calibration,
+                "--target-table", target_table, "--out", out]
+
+    def test_modified_skip_bad_skips_recording_that_fails_metrics(
+            self, tiny_source, tiny_target_table, tiny_calibration, tmp_path, caplog):
+        manifest = manifest_plus_flat(tiny_source, tmp_path)
+        out = tmp_path / "deg"
+        argv = self.modified_argv(manifest, tiny_target_table, tiny_calibration, out)
+        assert run(argv) == 1
+        assert not (out / "manifest.csv").exists()
+        with caplog.at_level("WARNING"):
+            assert run(argv + ["--skip-bad"]) == 0
+        assert "skipping flat: no target transitions" in caplog.text
+        assert len(list(out.glob("*.plan.json"))) == 4
+        assert not (out / "flat.csv").exists()
+
+    def test_modified_rejects_target_jitter_at_clamp_limit(
+            self, tiny_source, tiny_calibration, tmp_path, caplog):
+        # median temporal precision 2.0 ms >= 0.45 x 4 ms at 250 Hz
+        qv = QualityVector(acc_h=0.5, acc_v=0.4, acc_c=0.7, prec_h=0.1, prec_v=0.1,
+                           prec_c=float(np.hypot(0.1, 0.1)), temporal_prec_ms=2.0,
+                           n_fixations_used=5)
+        table = tmp_path / "jittery.csv"
+        write_quality_table([(f"t{i}", qv) for i in range(3)], table)
+        out = tmp_path / "deg"
+        with caplog.at_level("ERROR"):
+            assert run(self.modified_argv(tiny_source / "manifest.csv", table,
+                                          tiny_calibration, out)) == 1
+        assert ("median temporal precision 2.0 ms reaches the jitter limit of "
+                "0.45 periods (1.8 ms) at 250.0 Hz") in caplog.text
+        assert not list(out.glob("*.csv"))
+
+
+class TestSeedOrderIndependence:
+    """Per-recording seeds derive from the master seed and the recording id,
+    so the order of the manifest rows changes no output."""
+
+    def outputs(self, manifest, out):
+        deg = out / "deg"
+        assert run(["degrade", "--manifest", manifest, "--model", "baseline",
+                    "--sigma0-sq", 0.1, "--rate-hz", 250, "--seed", 4,
+                    "--out", deg]) == 0
+        calib = out / "calib.json"
+        assert run(["calibrate", "--manifest", manifest, "--rate-hz", 250,
+                    "--grid", "0.05:0.45:0.2", "--seed", 4, "--out", calib]) == 0
+        per_recording = {p.name: p.read_bytes() for p in deg.iterdir()
+                         if p.name.endswith((".plan.json", ".csv"))
+                         and p.name != "manifest.csv"}
+        return per_recording, calib.read_bytes()
+
+    def test_shuffled_manifest_changes_no_output(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        spec = tmp_path / "short.json"
+        spec.write_text(json.dumps({
+            "rate_hz": 500.0, "n_targets": 6, "dwell_ms": [1000.0, 1200.0],
+            "latency": 150.0, "noise_sigma": 0.05}))
+        assert run(["synth", "--spec-file", spec, "--n", 3, "--seed", 8,
+                    "--out", corpus]) == 0
+        entries = read_manifest(corpus / "manifest.csv")
+        # one manifest path for both orders: the commands record the path
+        manifest = tmp_path / "manifest.csv"
+        write_manifest(entries, manifest)
+        forward = self.outputs(manifest, tmp_path / "forward")
+        write_manifest([entries[i] for i in (2, 0, 1)], manifest)
+        shuffled = self.outputs(manifest, tmp_path / "shuffled")
+        assert len(forward[0]) == 6
+        assert shuffled == forward
 
 
 class TestAssessAndReport:

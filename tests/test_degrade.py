@@ -383,6 +383,19 @@ class TestPlanModified:
                              self.curve(), 250.0, 0)
         assert plan.jitter_sigma_ms == 0.7
 
+    def test_jitter_at_clamp_limit_rejected(self):
+        # 0.45 periods at 250 Hz is 1.8 ms; the median reaching it fails the plan
+        source_corpus = [qv(0.1, 0.1, 0.03)]
+        target_corpus = [qv(0.4, 0.4, 0.15, temporal=t) for t in (1.0, 1.8, 2.5)]
+        with pytest.raises(ValueError, match=r"median temporal precision 1\.8 ms "
+                                             r"reaches .*\(1\.8 ms\) at 250\.0 Hz"):
+            plan_modified(source_corpus[0], 0.03, source_corpus, target_corpus,
+                          self.curve(), 250.0, 0)
+        target_corpus[1] = qv(0.4, 0.4, 0.15, temporal=1.79)
+        plan = plan_modified(source_corpus[0], 0.03, source_corpus, target_corpus,
+                             self.curve(), 250.0, 0)
+        assert plan.jitter_sigma_ms == 1.79
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             plan_modified(qv(0.1, 0.1, 0.05), 0.03, [], [qv(0.1, 0.1, 0.05)],

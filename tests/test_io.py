@@ -250,6 +250,14 @@ class TestReadRecordingFuzz:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: not UTF-8"):
             read_recording(path)
 
+    def test_non_monotone_names_path_and_sample_index(self, tmp_path):
+        path = tmp_path / "backwards.csv"
+        path.write_text(HEADER + "0,0.1,0.2,0,0\n1,0.15,0.25,0,0\n"
+                                 "0.5,0.2,0.3,0,0\n3,0.2,0.3,0,0\n")
+        with pytest.raises(ValueError,
+                           match=rf"^{re.escape(str(path))}: non-monotone at index 2$"):
+            read_recording(path)
+
     def test_whitespace_gaze_cell_is_missing(self, tmp_path):
         path = tmp_path / "wsgaze.csv"
         path.write_text(HEADER + "0, ,0.2,0,0\n1, 0.15 ,0.25,0,0\n")

@@ -286,7 +286,7 @@ class TestExtractFixations:
             assert a.sample_end <= b.sample_start
 
     def test_no_transitions_raises(self, four_sample_recording):
-        with pytest.raises(ValueError, match="no target transitions"):
+        with pytest.raises(ValueError, match="^test: no target transitions found$"):
             extract_fixations(four_sample_recording, LatencyEstimate(0.0, 0.0))
 
     def test_window_past_recording_end_skipped(self):

@@ -16,7 +16,7 @@ import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -74,14 +74,18 @@ def _open_csv(path):
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
 
 
-# rows formatted or parsed per step: the per-cell str and list objects live
-# for one block, not the whole recording. Larger blocks bought no speed and
-# raised peak memory (reading four 17k-row files: +4.6 MB at 1024, +8.3 MB at
-# 4096).
+# rows formatted or lines parsed per step: the per-cell and per-line str
+# objects live for one block, not the whole recording. Larger blocks bought no
+# speed and raised peak memory (csv.reader parse, reading four 17k-row files:
+# +4.6 MB at 1024, +8.3 MB at 4096).
 _BLOCK_ROWS = 1024
 
 # float() already parses "nan" in any case; only blank gaze cells need mapping
 _NAN_IF_BLANK = {"": "nan"}.get
+
+# numpy's parser strips these four ASCII separators around a cell as
+# whitespace; float() rejects them
+_NOT_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"
 
 
 def _parse_rows(rows, width: int, columns) -> list:
@@ -104,6 +108,55 @@ def _parse_rows(rows, width: int, columns) -> list:
         # converts each str with float(), so values and errors match it
         out.append(np.asarray(cells, dtype=float))
     return out
+
+
+def _parse_lines_c(lines, width: int, columns):
+    """Parse a block of lines with numpy's C tokenizer, which converts each
+    cell as float() does, or return None where its result could differ from
+    _parse_rows over csv.reader's rows.
+
+    It rejects what it cannot parse (a blank cell, a quote, `1_0`, a
+    non-ASCII digit, rows of unequal width); None also covers a block of
+    blank lines (loadtxt warns on no data), the four separators float()
+    will not strip, and a line long enough to trip csv's field size limit.
+    """
+    text = "".join(lines)
+    limit = csv.field_size_limit()
+    if (not text.strip("\r\n") or any(ch in text for ch in _NOT_FLOAT_SPACE)
+            or (len(text) > limit and max(map(len, lines)) > limit)):
+        return None
+    try:
+        arr = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if arr.shape[1] != width:
+        return None
+    return [arr[:, index] for index, _ in columns]
+
+
+def _csv_rows(lines, rest) -> list:
+    """csv.reader's rows for a block of lines; a quoted cell still open at
+    the block's last line continues into the lines of `rest`."""
+    reader = csv.reader(chain(lines, rest))
+    rows = []
+    for row in reader:
+        rows.append(row)
+        if reader.line_num >= len(lines):
+            break
+    return rows
+
+
+def _read_columns(fh, width: int, columns) -> list:
+    """Parse the lines left in `fh` into one float array per (cell index,
+    is_gaze) column, as _parse_rows would over csv.reader's rows, one block
+    of lines at a time; raises _parse_rows' ValueError."""
+    blocks = []
+    while lines := list(islice(fh, _BLOCK_ROWS)):
+        block = _parse_lines_c(lines, width, columns)
+        if block is None:
+            block = _parse_rows(_csv_rows(lines, fh), width, columns)
+        blocks.append(block)
+    return [np.concatenate(parts) for parts in zip(*blocks)]
 
 
 def _malformed_row_error(path, width: int, columns) -> ValueError:
@@ -149,14 +202,11 @@ def read_recording(path, format_tag: str = "canonical", nominal_rate_hz: float =
         columns = ([(index[layout["time"]], False)] if has_time else []) + [
             (index[layout["gx"]], True), (index[layout["gy"]], True),
             (index[layout["tx"]], False), (index[layout["ty"]], False)]
-        blocks = []
-        while rows := list(islice(reader, _BLOCK_ROWS)):
-            try:
-                blocks.append(_parse_rows(rows, len(header), columns))
-            except ValueError:
-                raise _malformed_row_error(path, len(header), columns) from None
+        try:
+            data = _read_columns(fh, len(header), columns)
+        except ValueError:
+            raise _malformed_row_error(path, len(header), columns) from None
 
-    data = [np.concatenate(parts) for parts in zip(*blocks)]
     if not data or data[0].size == 0:
         raise ValueError(f"{path}: zero usable samples")
     gx, gy, tx, ty = data[-4:]
@@ -177,12 +227,21 @@ def read_recording(path, format_tag: str = "canonical", nominal_rate_hz: float =
 
 
 def _format_column(values: np.ndarray, blank_nan: bool = False) -> list:
-    """format_float text of each value; NaN as an empty cell if blank_nan."""
-    cells = list(map(repr, values.tolist()))
+    """format_float text of each value; NaN as an empty cell if blank_nan.
+
+    Each run of bit-identical values (so -0.0 and 0.0 differ) is formatted
+    once: target channels are piecewise constant.
+    """
+    bits = values.view(np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    texts = list(map(repr, values[starts].tolist()))
     if blank_nan:
-        for i in np.flatnonzero(np.isnan(values)).tolist():
-            cells[i] = ""
-    return cells
+        for i in np.flatnonzero(np.isnan(values[starts])).tolist():
+            texts[i] = ""
+    if starts.size == values.size:
+        return texts
+    runs = np.diff(starts, append=values.size)
+    return np.repeat(np.array(texts, dtype=object), runs).tolist()
 
 
 def _csv_chunks(rec: GazeRecording):
@@ -229,25 +288,34 @@ def write_quality_table(rows, path) -> None:
     atomic_write_text(path, buf.getvalue())
 
 
+def _table_rows(path, header: tuple, what: str):
+    """Yield (line number, row) for each non-blank data row of a CSV whose
+    first row must be `header`; a row with another cell count raises
+    ValueError naming its line."""
+    with _open_csv(path) as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None or tuple(first) != header:
+            raise ValueError(f"{path}: unexpected {what} header {first}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"{path}: malformed row at line {reader.line_num}: "
+                                 f"expected {len(header)} cells, got {len(row)}")
+            yield reader.line_num, row
+
+
 def read_quality_table(path) -> list:
     """Read a quality table back as a list of (recording_id, QualityVector)."""
     out = []
-    with _open_csv(path) as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != QUALITY_HEADER:
-            raise ValueError(f"{path}: unexpected quality table header {reader.fieldnames}")
-        for row in reader:
-            try:
-                qv = QualityVector(
-                    acc_h=float(row["acc_h"]), acc_v=float(row["acc_v"]),
-                    acc_c=float(row["acc_c"]), prec_h=float(row["prec_h"]),
-                    prec_v=float(row["prec_v"]), prec_c=float(row["prec_c"]),
-                    temporal_prec_ms=float(row["temporal_prec_ms"]),
-                    n_fixations_used=int(row["n_fixations_used"]),
-                )
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: malformed row at line {reader.line_num}: {exc}") from None
-            out.append((row["recording_id"], qv))
+    for line, row in _table_rows(path, QUALITY_HEADER, "quality table"):
+        try:
+            # QUALITY_HEADER[1:8] lists the float fields in QualityVector order
+            qv = QualityVector(*map(float, row[1:8]), n_fixations_used=int(row[8]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed row at line {line}: {exc}") from None
+        out.append((row[0], qv))
     if not out:
         raise ValueError(f"{path}: empty quality table")
     return out
@@ -267,22 +335,16 @@ def read_manifest(path) -> list:
     path = Path(path)
     entries = []
     seen = set()
-    with _open_csv(path) as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != MANIFEST_HEADER:
-            raise ValueError(f"{path}: unexpected manifest header {reader.fieldnames}")
-        for row in reader:
-            rid = row["recording_id"]
-            if rid in seen:
-                raise ValueError(f"{path}: duplicate recording_id {rid!r}")
-            seen.add(rid)
-            tag = row["format_tag"]
-            if tag not in FORMAT_TAGS:
-                raise ValueError(f"{path}: unknown format_tag {tag!r} for {rid!r}")
-            entry_path = Path(row["path"])
-            if not entry_path.is_absolute():
-                entry_path = path.parent / entry_path
-            entries.append(ManifestEntry(rid, str(entry_path), tag, float(row["rate_hz"])))
+    for _, (rid, entry_path, tag, rate_hz) in _table_rows(path, MANIFEST_HEADER, "manifest"):
+        if rid in seen:
+            raise ValueError(f"{path}: duplicate recording_id {rid!r}")
+        seen.add(rid)
+        if tag not in FORMAT_TAGS:
+            raise ValueError(f"{path}: unknown format_tag {tag!r} for {rid!r}")
+        entry_path = Path(entry_path)
+        if not entry_path.is_absolute():
+            entry_path = path.parent / entry_path
+        entries.append(ManifestEntry(rid, str(entry_path), tag, float(rate_hz)))
     if not entries:
         raise ValueError(f"{path}: empty manifest")
     return entries

@@ -8,6 +8,7 @@ always finite. All types are immutable value objects after construction.
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -145,7 +146,7 @@ class QualityVector:
                      "temporal_prec_ms"):
             v = float(getattr(self, name))
             object.__setattr__(self, name, v)
-            if not (np.isfinite(v) and v >= 0.0):
+            if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
         combined_sq = self.prec_h ** 2 + self.prec_v ** 2
         if abs(self.prec_c ** 2 - combined_sq) > 1e-12 * max(combined_sq, 1e-300):

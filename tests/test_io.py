@@ -1,11 +1,15 @@
 import csv
 import io
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gazesim.io import (_BLOCK_ROWS, RECORDING_HEADER, ManifestEntry,
+from gazesim.io import (_BLOCK_ROWS, QUALITY_HEADER, RECORDING_HEADER, ManifestEntry,
+                        _parse_lines_c, _parse_rows, _read_columns,
                         format_float, read_manifest, read_quality_table,
                         read_recording, recording_to_csv, write_manifest,
                         write_quality_table, write_recording)
@@ -162,9 +166,11 @@ EDGE_VALUES = [np.nan, -0.0, 0.0, 1e-300, -1e-300, 1e22, -1e22, 5e-324,
                3.0, -17.0, 0.1, 2.5e-7, 123456789.0, 1.7976931348623157e308]
 
 
-class TestCsvGolden:
-    @pytest.mark.parametrize("n", [2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
-    def test_bytes_match_row_loop_and_read_back(self, tmp_path, n):
+def golden_recording(case):
+    """An int case is a mixed recording of that many rows; a str case names
+    an input the run-length writer must also format exactly."""
+    if isinstance(case, int):
+        n = case
         rng = np.random.default_rng(n)
         t = np.arange(n) * 0.75  # every fourth stamp integral
         t[:2] = [-0.0, 1e-300]
@@ -174,7 +180,38 @@ class TestCsvGolden:
         gx[0], gy[0] = 0.25, -0.0  # at least one usable sample
         tx = np.where(np.isnan(edge), 1e22, edge)
         ty = np.resize([-0.0, 4.0, 1e-300], n)
-        rec = make_recording(t, gx, gy, tx, ty)
+        return make_recording(t, gx, gy, tx, ty)
+    n = 2 * _BLOCK_ROWS + 7
+    t = np.arange(n) * 4.0
+    if case == "constant":
+        return make_recording(t, np.full(n, 0.1), np.full(n, -0.0),
+                              np.full(n, 1e22), np.full(n, 0.0))
+    if case == "signed-zeros":
+        zeros = np.resize([0.0, -0.0], n)
+        return make_recording(t, zeros, -zeros, zeros, np.resize([-0.0, -0.0, 0.0], n))
+    if case == "run-across-blocks":
+        tx = np.full(n, 3.0)
+        tx[_BLOCK_ROWS - 20:2 * _BLOCK_ROWS + 1] = -12.5  # spans two boundaries
+        gx = np.sin(t)
+        gx[_BLOCK_ROWS - 3:_BLOCK_ROWS + 3] = np.nan
+        return make_recording(t, gx, np.cos(t), tx, tx[::-1])
+    if case == "nan-gaze-run":
+        gx, gy = np.sin(t), np.cos(t)
+        gx[100:400] = np.nan
+        gx[200:220] = np.array(0x7FF8000000000001, dtype=np.uint64).view(float)  # another NaN payload
+        gy[150:300] = np.nan
+        return make_recording(t, gx, gy, np.full(n, 2.0), np.full(n, 2.0))
+    if case == "two-rows":
+        return make_recording([0.0, 1.0], [np.nan, 0.5], [7.0, 7.0], [1.0, 1.0], [-0.0, 0.0])
+    raise ValueError(case)
+
+
+class TestCsvGolden:
+    @pytest.mark.parametrize("case", [2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                      "constant", "signed-zeros", "run-across-blocks",
+                                      "nan-gaze-run", "two-rows"])
+    def test_bytes_match_row_loop_and_read_back(self, tmp_path, case):
+        rec = golden_recording(case)
         text = recording_to_csv(rec)
         assert text == row_loop_csv(rec)
 
@@ -225,6 +262,19 @@ class TestReadRecordingFuzz:
         with self.malformed(path, 4):
             read_recording(path)
 
+    def test_every_row_has_an_extra_cell(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text(HEADER + "0,0.1,0.2,0,0,9\n1,0.15,0.25,0,0,9\n")
+        with self.malformed(path, 2):
+            read_recording(path)
+
+    def test_cell_over_csv_field_limit_fails_as_csv_does(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text(HEADER + "0,0.1,0.2,0,0\n1,0.15,0.25," + " " * csv.field_size_limit()
+                        + "0,0\n")
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            read_recording(path)
+
     def test_blank_lines_skipped_but_counted(self, tmp_path):
         path = tmp_path / "blank.csv"
         path.write_text(HEADER + "0,0.1,0.2,0,0\n\n\n1,0.15,0.25,0,0\n\n2,0.2,0.3,0,0\n")
@@ -266,6 +316,134 @@ class TestReadRecordingFuzz:
         assert rec.gaze_x[1] == 0.15
 
 
+# the canonical layout's (cell index, is_gaze) columns
+CANONICAL_COLUMNS = [(0, False), (1, True), (2, True), (3, False), (4, False)]
+
+
+def csv_oracle(text):
+    """The csv.reader + _parse_rows parse of data lines: the reference the
+    C tokenizer path must reproduce bit for bit, or reject as it does."""
+    return _parse_rows(list(csv.reader(io.StringIO(text, newline=""))), 5,
+                       CANONICAL_COLUMNS)
+
+
+def parse_or_error(parse, *args):
+    try:
+        return parse(*args)
+    except ValueError:
+        return "error"
+
+
+def assert_bit_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.float64
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
+bits64 = st.integers(0, 2 ** 64 - 1).map(
+    lambda b: np.array(b, dtype=np.uint64).view(np.float64).item())
+number_text = st.one_of(
+    st.tuples(bits64, st.sampled_from([repr, "%.17g".__mod__, "%.3e".__mod__]))
+    .map(lambda p: p[1](p[0])),
+    st.sampled_from(["NaN", "nan", "inf", "-Infinity", "+inf", "-nan", "-0", "0",
+                     "1e400", "-1e-400", "1E5", ".5", "5.", "17"]))
+signed_text = st.tuples(st.booleans(), number_text).map(
+    lambda p: "+" + p[1] if p[0] and p[1][0] not in "+-" else p[1])
+# padding float() and numpy both strip, ASCII and not
+clean_cell = st.tuples(st.sampled_from(["", " ", "\t", "\x0c", "\u2003"]), signed_text,
+                       st.sampled_from(["", " ", "  ", "\xa0"])).map("".join)
+# cells only float() or csv accepts, or neither; '"1\n"' continues a row onto
+# the next line
+odd_cell = st.sampled_from(["", " ", "1_0", "\u0661", '"1.0"', '"1,5"', '"1\n"',
+                            '"\n2"', "\x1c1", "2\x1f", "oops", "0x1p3", "nan(1)"])
+ending = st.sampled_from(["\n", "\r\n"])
+clean_line = st.tuples(st.lists(clean_cell, min_size=5, max_size=5), ending).map(
+    lambda p: ",".join(p[0]) + p[1])
+any_line = st.one_of(
+    clean_line, ending, st.just("\r"),
+    st.tuples(st.sampled_from([5, 5, 5, 4, 6]).flatmap(
+        lambda k: st.lists(st.one_of(clean_cell, clean_cell, odd_cell), min_size=k,
+                           max_size=k)), st.sampled_from(["\n", "\r\n", "\r"]))
+    .map(lambda p: ",".join(p[0]) + p[1]))
+
+
+class TestCParserMatchesCsv:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(clean_line, clean_line, clean_line, ending), min_size=1,
+                    max_size=12).filter(lambda ls: any(len(x) > 2 for x in ls)))
+    def test_clean_block_takes_c_path_bit_equal(self, lines):
+        got = _parse_lines_c(lines, 5, CANONICAL_COLUMNS)
+        assert got is not None
+        assert_bit_equal(got, csv_oracle("".join(lines)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(_BLOCK_ROWS - 10, _BLOCK_ROWS),
+           st.lists(any_line, min_size=1, max_size=14))
+    def test_read_columns_matches_csv_across_blocks(self, n_pad, lines):
+        # clean rows before the generated ones put a block boundary among them
+        text = "0,1.5,-2,3e-5,4\n" * n_pad + "".join(lines)
+        got = parse_or_error(_read_columns, io.StringIO(text, newline=""), 5,
+                             CANONICAL_COLUMNS)
+        want = parse_or_error(csv_oracle, text)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert_bit_equal(got, want)
+
+    def test_cells_only_float_or_csv_accepts_read_as_before(self, tmp_path):
+        path = tmp_path / "odd.csv"
+        path.write_text(HEADER + '0,0.1,0.2,0,0\n1_0,\x1c0.5,0.2,\u0661,"1.0"\n',
+                        encoding="utf-8")
+        rec = read_recording(path)
+        assert rec.timestamps_ms.tolist() == [0.0, 10.0]
+        assert rec.gaze_x.tolist() == [0.1, 0.5]  # gaze cells are str.strip()ped
+        assert rec.tgt_x.tolist() == [0.0, 1.0]
+        assert rec.tgt_y.tolist() == [0.0, 1.0]
+
+    def test_separator_around_target_cell_still_malformed(self, tmp_path):
+        path = tmp_path / "sep.csv"
+        path.write_text(HEADER + "0,0.1,0.2,0,0\n1,0.1,0.2,0\x1d,0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"malformed row at line 3: could not convert"):
+            read_recording(path)
+
+    def test_quoted_cell_spanning_a_block_boundary(self, tmp_path):
+        rows = [f"{i},0.1,0.2,0,0\n" for i in range(_BLOCK_ROWS + 2)]
+        rows[_BLOCK_ROWS - 1] = f'{_BLOCK_ROWS - 1},0.1,"0.2\n",0,0\n'
+        path = tmp_path / "quoted.csv"
+        path.write_text(HEADER + "".join(rows))
+        rec = read_recording(path)
+        assert rec.n_samples == _BLOCK_ROWS + 2
+        assert rec.gaze_y.tolist() == [0.2] * (_BLOCK_ROWS + 2)
+
+    @pytest.mark.parametrize("body", ["", "\n\r\n\n"])
+    def test_no_data_raises_without_numpy_warning(self, tmp_path, body):
+        path = tmp_path / "empty.csv"
+        path.write_text(HEADER + body, newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="zero usable samples"):
+                read_recording(path)
+
+    def test_read_peak_memory_stays_near_the_arrays(self, tmp_path):
+        n = 17_221
+        rng = np.random.default_rng(3)
+        t = np.arange(n) * 1.0
+        tgt = np.repeat(rng.normal(size=17) * 10, -(-n // 17))[:n]
+        rec = make_recording(t, rng.normal(size=n), rng.normal(size=n), tgt, -tgt)
+        path = tmp_path / "big.csv"
+        write_recording(rec, path)
+        tracemalloc.start()
+        try:
+            read_recording(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the five arrays are 0.69 MB and the file 1.45 MB; reading it through
+        # one whole-file text copy peaks far above this bound
+        assert peak < 3 * 5 * n * 8
+
+
 class TestQualityTable:
     def test_round_trip(self, tmp_path):
         rows = [("b", qv(acc_h=0.3)), ("a", qv(acc_h=0.1))]
@@ -288,6 +466,22 @@ class TestQualityTable:
         write_quality_table([("a", qv()), ("b", qv())], path)
         path.write_bytes(path.read_bytes().replace(b"b,", b"\xe9,"))
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: not UTF-8"):
+            read_quality_table(path)
+
+    @pytest.mark.parametrize("cells, got", [
+        ("r1,0.3,0.4,0.5,0.3,0.4,0.5,0.7,15,EXTRA,9", 11),
+        ("r1,0.3,0.4,0.5,0.3,0.4,0.5,0.7", 8)])
+    def test_cell_count_must_match_header(self, tmp_path, cells, got):
+        path = tmp_path / "q.csv"
+        path.write_text(",".join(QUALITY_HEADER) + "\n" + cells + "\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: malformed row "
+                                             rf"at line 2: expected 9 cells, got {got}$"):
+            read_quality_table(path)
+
+    def test_bad_row_after_blank_lines_names_its_line(self, tmp_path):
+        path = tmp_path / "q.csv"
+        path.write_text(",".join(QUALITY_HEADER) + "\n\n\nr1,x,0,0,0,0,0,0,1\n")
+        with pytest.raises(ValueError, match=r"malformed row at line 4: could not convert"):
             read_quality_table(path)
 
     def test_header(self, tmp_path):
@@ -321,6 +515,16 @@ class TestManifest:
         path.write_bytes(b"recording_id,path,format_tag,rate_hz\n"
                          b"caf\xe9,x.csv,canonical,1000\n")
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: not UTF-8"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize("cells, got", [("a,x.csv,canonical,1000,EXTRA", 5),
+                                            ("a,x.csv,canonical", 3)])
+    def test_cell_count_must_match_header(self, tmp_path, cells, got):
+        path = tmp_path / "m.csv"
+        path.write_text("recording_id,path,format_tag,rate_hz\nb,y.csv,canonical,1000\n"
+                        + cells + "\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: malformed row "
+                                             rf"at line 3: expected 4 cells, got {got}$"):
             read_manifest(path)
 
     def test_unknown_tag(self, tmp_path):

@@ -110,28 +110,58 @@ def _parse_rows(rows, width: int, columns) -> list:
     return out
 
 
+def _fill_blank_cells(text: str):
+    """`text` with "nan" in each empty cell next to a comma (the cells
+    write_recording leaves for missing gaze), or None if there is none.
+
+    Works on the UTF-8 bytes, where ",", "\\n" and "\\r" never occur inside
+    a multi-byte character: one pass, where six str.replace calls cost half
+    a loadtxt call on a clean block.
+    """
+    b = np.frombuffer(text.encode(), np.uint8)
+    # entry k is the byte before offset k, entry k + 1 the byte after it; a
+    # line end stands before the text and after it
+    comma = np.concatenate(([False], b == ord(","), [False]))
+    eol = np.concatenate(([True], (b == ord("\n")) | (b == ord("\r")), [True]))
+    at = np.flatnonzero((comma[:-1] & (comma[1:] | eol[1:])) | (eol[:-1] & comma[1:]))
+    if not at.size:
+        return None
+    nan = np.tile(np.frombuffer(b"nan", np.uint8), at.size)
+    return np.insert(b, np.repeat(at, 3), nan).tobytes().decode()
+
+
 def _parse_lines_c(lines, width: int, columns):
     """Parse a block of lines with numpy's C tokenizer, which converts each
     cell as float() does, or return None where its result could differ from
     _parse_rows over csv.reader's rows.
 
-    It rejects what it cannot parse (a blank cell, a quote, `1_0`, a
-    non-ASCII digit, rows of unequal width); None also covers a block of
-    blank lines (loadtxt warns on no data), the four separators float()
-    will not strip, and a line long enough to trip csv's field size limit.
+    Empty cells are read as "nan", as _parse_rows reads a blank gaze cell;
+    an empty cell in a used non-gaze column (NaN there) returns None, so
+    the csv path raises its error. loadtxt rejects what else it cannot
+    parse (a quote, `1_0`, a non-ASCII digit, a blank cell with spaces,
+    rows of unequal width); None also covers a block of blank lines
+    (loadtxt warns on no data), the four separators float() will not strip,
+    and a line long enough to trip csv's field size limit.
     """
     text = "".join(lines)
     limit = csv.field_size_limit()
     if (not text.strip("\r\n") or any(ch in text for ch in _NOT_FLOAT_SPACE)
             or (len(text) > limit and max(map(len, lines)) > limit)):
         return None
+    filled = _fill_blank_cells(text)
+    if filled is not None:
+        lines = _io.StringIO(filled, newline="").readlines()
     try:
         arr = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
     if arr.shape[1] != width:
         return None
-    return [arr[:, index] for index, _ in columns]
+    out = [arr[:, index] for index, _ in columns]
+    if filled is not None and any(
+            np.isnan(col).any() for col, (_, is_gaze) in zip(out, columns) if not is_gaze):
+        return None
+    return out
 
 
 def _csv_rows(lines, rest) -> list:
@@ -204,6 +234,8 @@ def read_recording(path, format_tag: str = "canonical", nominal_rate_hz: float =
             (index[layout["tx"]], False), (index[layout["ty"]], False)]
         try:
             data = _read_columns(fh, len(header), columns)
+        except UnicodeDecodeError:
+            raise  # _open_csv names the path; no rescan
         except ValueError:
             raise _malformed_row_error(path, len(header), columns) from None
 
@@ -335,7 +367,8 @@ def read_manifest(path) -> list:
     path = Path(path)
     entries = []
     seen = set()
-    for _, (rid, entry_path, tag, rate_hz) in _table_rows(path, MANIFEST_HEADER, "manifest"):
+    for line, (rid, entry_path, tag, rate_hz) in _table_rows(path, MANIFEST_HEADER,
+                                                              "manifest"):
         if rid in seen:
             raise ValueError(f"{path}: duplicate recording_id {rid!r}")
         seen.add(rid)
@@ -344,7 +377,11 @@ def read_manifest(path) -> list:
         entry_path = Path(entry_path)
         if not entry_path.is_absolute():
             entry_path = path.parent / entry_path
-        entries.append(ManifestEntry(rid, str(entry_path), tag, float(rate_hz)))
+        try:
+            rate_hz = float(rate_hz)
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed row at line {line}: {exc}") from None
+        entries.append(ManifestEntry(rid, str(entry_path), tag, rate_hz))
     if not entries:
         raise ValueError(f"{path}: empty manifest")
     return entries

@@ -300,6 +300,18 @@ class TestReadRecordingFuzz:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: not UTF-8"):
             read_recording(path)
 
+    def test_non_utf8_byte_past_the_first_read_is_not_rescanned(self, tmp_path,
+                                                                monkeypatch):
+        rows = [f"{i},0.1,0.2,0,0\n" for i in range(2 * _BLOCK_ROWS)]
+        path = tmp_path / "latin1.csv"
+        path.write_bytes((HEADER + "".join(rows)).encode() + b"9,0.15\xe9,0.25,0,0\n")
+
+        def no_rescan(*args):
+            raise AssertionError("a decode error is not a malformed row")
+        monkeypatch.setattr("gazesim.io._malformed_row_error", no_rescan)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: not UTF-8"):
+            read_recording(path)
+
     def test_non_monotone_names_path_and_sample_index(self, tmp_path):
         path = tmp_path / "backwards.csv"
         path.write_text(HEADER + "0,0.1,0.2,0,0\n1,0.15,0.25,0,0\n"
@@ -320,11 +332,10 @@ class TestReadRecordingFuzz:
 CANONICAL_COLUMNS = [(0, False), (1, True), (2, True), (3, False), (4, False)]
 
 
-def csv_oracle(text):
+def csv_oracle(text, columns=CANONICAL_COLUMNS):
     """The csv.reader + _parse_rows parse of data lines: the reference the
     C tokenizer path must reproduce bit for bit, or reject as it does."""
-    return _parse_rows(list(csv.reader(io.StringIO(text, newline=""))), 5,
-                       CANONICAL_COLUMNS)
+    return _parse_rows(list(csv.reader(io.StringIO(text, newline=""))), 5, columns)
 
 
 def parse_or_error(parse, *args):
@@ -377,6 +388,47 @@ class TestCParserMatchesCsv:
         assert got is not None
         assert_bit_equal(got, csv_oracle("".join(lines)))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.booleans(), min_size=5, max_size=5),
+           st.lists(st.tuples(st.lists(st.one_of(clean_cell, st.just("")), min_size=5,
+                                       max_size=5), st.sampled_from(["\n", "\r\n", "\r"])),
+                    min_size=1, max_size=12),
+           st.booleans(), st.booleans())
+    def test_blank_cells_take_c_path_only_in_gaze_columns(self, gaze, rows, blank_outside,
+                                                          last_newline):
+        # every column used, gaze where the mask says, so a blank first or
+        # last cell is filled too
+        columns = list(enumerate(gaze))
+        if not blank_outside:
+            rows = [([c or ("" if gaze[i] else "0") for i, c in enumerate(cells)], end)
+                    for cells, end in rows]
+        text = "".join(",".join(cells) + end for cells, end in rows)
+        if not last_newline:
+            text = text.rstrip("\r\n")
+        lines = io.StringIO(text, newline="").readlines()
+        got = _parse_lines_c(lines, 5, columns)
+        want = parse_or_error(csv_oracle, text, columns)
+        if any(cell == "" and not gaze[i] for cells, _ in rows for i, cell in enumerate(cells)):
+            assert got is None and want == "error"
+        elif got is None:
+            # left to the csv path only for a NaN cell in a non-gaze column,
+            # which a filled blank cell there would also read as
+            assert any(cell == "" for cells, _ in rows for cell in cells)
+            assert any(np.isnan(col).any() for col, is_gaze in zip(want, gaze)
+                       if not is_gaze)
+        else:
+            assert_bit_equal(got, want)
+
+    @pytest.mark.parametrize("text", [
+        ",1,2,3,4\n5,6,7,8,9\n", "1,2,,3,4\n5,6,7,8,9\n", "1,2,3,4,\n5,6,7,8,9\n",
+        "1,2,3,4,\r\n5,6,7,8,9\r\n", "1,2,3,4,\r5,6,7,8,9\r", "1,2,3,4,5\n,6,7,8,9\n",
+        "1,2,3,4,5\r\n,6,7,8,9\r\n", "1,2,3,4,5\r,6,7,8,9\r", "1,2,3,4,5\n6,7,8,9,"])
+    def test_single_blank_gaze_cell_takes_c_path(self, text):
+        columns = [(i, True) for i in range(5)]
+        got = _parse_lines_c(io.StringIO(text, newline="").readlines(), 5, columns)
+        assert got is not None
+        assert_bit_equal(got, csv_oracle(text, columns))
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(_BLOCK_ROWS - 10, _BLOCK_ROWS),
            st.lists(any_line, min_size=1, max_size=14))
@@ -406,6 +458,25 @@ class TestCParserMatchesCsv:
         path.write_text(HEADER + "0,0.1,0.2,0,0\n1,0.1,0.2,0\x1d,0\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"malformed row at line 3: could not convert"):
             read_recording(path)
+
+    def test_missing_gaze_in_every_block_skips_csv_path(self, tmp_path, monkeypatch):
+        n = 3 * _BLOCK_ROWS + 100
+        rng = np.random.default_rng(5)
+        gx, gy = rng.normal(size=n), rng.normal(size=n)
+        for lo in range(50, n, _BLOCK_ROWS):
+            gx[lo:lo + 20] = np.nan
+            gy[lo + 10:lo + 30] = np.nan
+        gx[-1] = gy[-1] = np.nan
+        rec = make_recording(np.arange(n) * 1.0, gx, gy, np.zeros(n), np.ones(n))
+        path = tmp_path / "blinks.csv"
+        write_recording(rec, path)
+
+        def no_csv(*args):
+            raise AssertionError("block left to the csv path")
+        monkeypatch.setattr("gazesim.io._csv_rows", no_csv)
+        back = read_recording(path)
+        for name in ("timestamps_ms", "gaze_x", "gaze_y", "tgt_x", "tgt_y"):
+            assert np.array_equal(getattr(back, name), getattr(rec, name), equal_nan=True)
 
     def test_quoted_cell_spanning_a_block_boundary(self, tmp_path):
         rows = [f"{i},0.1,0.2,0,0\n" for i in range(_BLOCK_ROWS + 2)]
@@ -525,6 +596,15 @@ class TestManifest:
                         + cells + "\n")
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: malformed row "
                                              rf"at line 3: expected 4 cells, got {got}$"):
+            read_manifest(path)
+
+    def test_non_numeric_rate_names_line(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("recording_id,path,format_tag,rate_hz\nb,y.csv,canonical,1000\n"
+                        "a,a.csv,canonical,fast\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: malformed row "
+                                             r"at line 3: could not convert string to "
+                                             r"float: 'fast'$"):
             read_manifest(path)
 
     def test_unknown_tag(self, tmp_path):

@@ -75,18 +75,6 @@ def fit_standardizer(matrix: np.ndarray) -> Standardizer:
     return Standardizer(mean=tuple(mean), std=tuple(std))
 
 
-def feature_matrix(qvs, standardizer: Standardizer | None = None) -> tuple:
-    """Standardized feature matrix plus the standardizer that produced it.
-
-    With no standardizer given, one is fitted on the input itself; pooled
-    comparisons should fit on the concatenation of both sets and pass it in.
-    """
-    raw = quality_features(qvs)
-    if standardizer is None:
-        standardizer = fit_standardizer(raw)
-    return standardizer.apply(raw), standardizer
-
-
 @dataclass(frozen=True)
 class RepeatAccuracy:
     combined: float
@@ -265,10 +253,6 @@ def summary_rows_to_csv(summaries, extra_column: tuple | None = None) -> str:
             row.insert(0, extra_column[1])
         writer.writerow(row)
     return buf.getvalue()
-
-
-def write_distribution_summary(summaries, path) -> None:
-    atomic_write_text(path, summary_rows_to_csv(summaries))
 
 
 def assessment_report_dict(result: TwoSampleResult, repeats: int) -> dict:

@@ -18,8 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .assess import (distribution_summary, repeated_assessment,
-                     summary_rows_to_csv, write_assessment_report,
-                     write_distribution_summary)
+                     summary_rows_to_csv, write_assessment_report)
 from .calibrate import (describe_curve, load_calibration, save_calibration,
                         sweep_sigma)
 from .degrade import (DegradeConfig, degrade_benchmark, degrade_modified,

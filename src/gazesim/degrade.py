@@ -33,18 +33,15 @@ from scipy import signal as _signal
 
 from .metrics import LatencyEstimate, estimate_latency, extract_fixations
 from .quantiles import percentile_rank, quantile
-from .types import (DegradationPlan, EccentricityWeighting, FixationWindow,
-                    GazeRecording, QualityVector, CalibrationCurve,
-                    validate_recording)
+from .types import (DegradationPlan, GazeRecording, QualityVector,
+                    CalibrationCurve, validate_recording)
 from .io import atomic_write_text
 
 __all__ = [
-    "FilterSpec", "DegradeConfig", "AccuracyStep", "AccuracyStepSignal",
-    "lowpass_zero_phase", "resample_spline", "nominal_target_timestamps",
-    "jitter_timestamps", "add_precision_noise", "degrade_benchmark",
-    "plan_modified", "build_accuracy_signal",
-    "apply_accuracy_signal", "degrade_modified", "zero_noise_pass",
-    "save_plan", "load_plan",
+    "DegradeConfig", "lowpass_zero_phase", "resample_spline",
+    "nominal_target_timestamps", "jitter_timestamps", "add_precision_noise",
+    "degrade_benchmark", "plan_modified", "build_accuracy_signal",
+    "degrade_modified", "zero_noise_pass", "save_plan", "load_plan",
 ]
 
 # fraction of combined marginal dispersion carried by each channel when the
@@ -56,21 +53,6 @@ _CHANNEL_SHARE = 1.0 / math.sqrt(2.0)
 # fraction of the target Nyquist frequency
 _FILTER_ORDER = 2
 _CUTOFF_FRACTION = 0.8
-
-
-@dataclass(frozen=True)
-class FilterSpec:
-    """Low-pass filter parameters. Order counts one pass; the zero-phase
-    forward-backward run squares the magnitude response."""
-
-    cutoff_hz: float
-    order: int = 2
-
-    def __post_init__(self) -> None:
-        if not self.cutoff_hz > 0:
-            raise ValueError(f"cutoff_hz must be positive, got {self.cutoff_hz}")
-        if self.order < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
 
 
 @dataclass(frozen=True)
@@ -97,8 +79,9 @@ def _fill_missing_linear(x: np.ndarray) -> tuple:
     return filled, miss
 
 
-def lowpass_zero_phase(rec: GazeRecording, spec: FilterSpec) -> GazeRecording:
-    """Butterworth low-pass of the gaze channels; targets and timestamps pass
+def lowpass_zero_phase(rec: GazeRecording, cutoff_hz: float) -> GazeRecording:
+    """Butterworth low-pass, of order _FILTER_ORDER per pass, of the gaze
+    channels at 0 < cutoff_hz < source Nyquist; targets and timestamps pass
     through untouched.
 
     The filter runs forward and backward with even (reflective) padding of
@@ -107,18 +90,20 @@ def lowpass_zero_phase(rec: GazeRecording, spec: FilterSpec) -> GazeRecording:
     Missing samples are bridged for filtering and restored to missing after.
     """
     fs = rec.nominal_rate_hz
-    if not spec.cutoff_hz < fs / 2:
+    if not cutoff_hz > 0:
+        raise ValueError(f"cutoff_hz must be positive, got {cutoff_hz}")
+    if not cutoff_hz < fs / 2:
         raise ValueError(
-            f"cutoff {spec.cutoff_hz} Hz must be below the source Nyquist {fs / 2} Hz"
+            f"cutoff {cutoff_hz} Hz must be below the source Nyquist {fs / 2} Hz"
         )
-    tau_samples = fs / (2.0 * math.pi * spec.cutoff_hz)
-    padlen = max(int(np.ceil(3.0 * tau_samples)), 3 * (2 * spec.order + 1))
+    tau_samples = fs / (2.0 * math.pi * cutoff_hz)
+    padlen = max(int(np.ceil(3.0 * tau_samples)), 3 * (2 * _FILTER_ORDER + 1))
     if rec.n_samples <= padlen:
         raise ValueError(
             f"recording shorter than 3x filter warm-up length "
             f"({rec.n_samples} samples <= pad {padlen})"
         )
-    sos = _signal.butter(spec.order, spec.cutoff_hz, btype="lowpass", fs=fs, output="sos")
+    sos = _signal.butter(_FILTER_ORDER, cutoff_hz, btype="lowpass", fs=fs, output="sos")
 
     filtered = {}
     for name in ("gaze_x", "gaze_y"):
@@ -210,31 +195,26 @@ def jitter_timestamps(timestamps, jitter_sigma_ms: float, rng: np.random.Generat
     return t + eps
 
 
-def add_precision_noise(rec: GazeRecording, sigma0_sq: float, rng: np.random.Generator,
-                        eccentricity_weighting: EccentricityWeighting | None = None) -> GazeRecording:
-    """Add independent zero-mean Gaussian noise to both gaze channels.
+def add_precision_noise(rec: GazeRecording, sigma0_sq: float,
+                        rng: np.random.Generator) -> GazeRecording:
+    """Add independent zero-mean Gaussian noise of variance sigma0_sq to
+    both gaze channels, the same stationary variance for every sample.
 
-    The per-sample variance is sigma0_sq, optionally scaled by the Gaussian
-    eccentricity weighting evaluated at the source gaze position. Targets are
-    untouched and missing samples stay missing. Draws are consumed for every
-    sample (x channel first, then y) regardless of the missing mask, so the
-    stream position is independent of the data.
+    Targets are untouched and missing samples stay missing. Draws are
+    consumed for every sample (x channel first, then y) regardless of the
+    missing mask, so the stream position is independent of the data.
     """
     if sigma0_sq < 0:
         raise ValueError(f"sigma0_sq must be >= 0, got {sigma0_sq}")
     n = rec.n_samples
-    if eccentricity_weighting is None:
-        std = math.sqrt(sigma0_sq)
-    else:
-        with np.errstate(invalid="ignore"):
-            std = np.sqrt(sigma0_sq * eccentricity_weighting.alpha(rec.gaze_x, rec.gaze_y))
+    std = math.sqrt(sigma0_sq)
     noise_x = rng.standard_normal(n) * std
     noise_y = rng.standard_normal(n) * std
     return rec.replace(gaze_x=rec.gaze_x + noise_x, gaze_y=rec.gaze_y + noise_y)
 
 
 def _degrade(rec: GazeRecording, plan: DegradationPlan, config: DegradeConfig,
-             rng: np.random.Generator | None, modified: bool) -> GazeRecording:
+             modified: bool) -> GazeRecording:
     """The staged pipeline behind both models (see the module docstring);
     `modified` adds the accuracy-step and timestamp-jitter stages."""
     validate_recording(rec)
@@ -243,17 +223,15 @@ def _degrade(rec: GazeRecording, plan: DegradationPlan, config: DegradeConfig,
             f"target rate {plan.target_rate_hz} Hz must be below the source rate "
             f"{rec.nominal_rate_hz} Hz"
         )
-    if rng is None:
-        rng = np.random.default_rng(plan.rng_seed)
+    rng = np.random.default_rng(plan.rng_seed)
     out = rec
     if modified:
         # steps align on the latency-shifted fixation grid of the source
-        sig = build_accuracy_signal(rec, plan, estimate_latency(rec), rng)
-        out = apply_accuracy_signal(rec, sig)
+        off_x, off_y = build_accuracy_signal(rec, plan, estimate_latency(rec), rng)
+        out = rec.replace(gaze_x=rec.gaze_x + off_x, gaze_y=rec.gaze_y + off_y)
     if config.noise_order == "pre":
-        out = add_precision_noise(out, plan.sigma0_sq, rng, plan.eccentricity_weighting)
-    out = lowpass_zero_phase(out, FilterSpec(
-        cutoff_hz=_CUTOFF_FRACTION * plan.target_rate_hz / 2.0, order=_FILTER_ORDER))
+        out = add_precision_noise(out, plan.sigma0_sq, rng)
+    out = lowpass_zero_phase(out, _CUTOFF_FRACTION * plan.target_rate_hz / 2.0)
     stamps = nominal_target_timestamps(rec.span_ms, plan.target_rate_hz,
                                        start_ms=float(rec.timestamps_ms[0]))
     if modified:
@@ -264,20 +242,19 @@ def _degrade(rec: GazeRecording, plan: DegradationPlan, config: DegradeConfig,
         stamps = np.clip(stamps, rec.timestamps_ms[0], rec.timestamps_ms[-1])
     out = resample_spline(out, stamps, nominal_rate_hz=plan.target_rate_hz)
     if config.noise_order == "post":
-        out = add_precision_noise(out, plan.sigma0_sq, rng, plan.eccentricity_weighting)
+        out = add_precision_noise(out, plan.sigma0_sq, rng)
     return out
 
 
 def degrade_benchmark(rec: GazeRecording, plan: DegradationPlan,
-                      config: DegradeConfig = DegradeConfig(),
-                      rng: np.random.Generator | None = None) -> GazeRecording:
+                      config: DegradeConfig = DegradeConfig()) -> GazeRecording:
     """Baseline transform: position noise plus bandwidth reduction.
 
     Accuracy offsets and timestamp jitter in the plan are ignored; the
     baseline model has no mechanism for them. Deterministic given
     plan.rng_seed.
     """
-    return _degrade(rec, plan, config, rng, modified=False)
+    return _degrade(rec, plan, config, modified=False)
 
 
 def zero_noise_pass(rec: GazeRecording, target_rate_hz: float,
@@ -344,40 +321,17 @@ def plan_modified(source_qv: QualityVector, source_post_prec_c: float,
     )
 
 
-@dataclass(frozen=True)
-class AccuracyStep:
-    window: FixationWindow
-    offset_x: float
-    offset_y: float
-
-
-@dataclass(frozen=True)
-class AccuracyStepSignal:
-    """Per-fixation signed accuracy offsets, held piecewise-constant from
-    each fixation onset until the next one (zero before the first)."""
-
-    steps: tuple
-
-    def offsets_per_sample(self, n_samples: int) -> tuple:
-        off_x = np.zeros(n_samples)
-        off_y = np.zeros(n_samples)
-        for i, step in enumerate(self.steps):
-            start = step.window.sample_start
-            end = self.steps[i + 1].window.sample_start if i + 1 < len(self.steps) else n_samples
-            off_x[start:end] = step.offset_x
-            off_y[start:end] = step.offset_y
-        return off_x, off_y
-
-
 def build_accuracy_signal(rec: GazeRecording, plan: DegradationPlan,
-                          latency: LatencyEstimate, rng: np.random.Generator) -> AccuracyStepSignal:
-    """Draw the marginal accuracy degradation signal for one recording.
+                          latency: LatencyEstimate, rng: np.random.Generator) -> tuple:
+    """Draw the marginal accuracy degradation signal for one recording, as
+    per-sample (off_x, off_y) arrays to add to the gaze channels.
 
     For every fixation and channel independently, a magnitude is drawn from
     a normal distribution centered on the plan's requisite offset with std
     chosen so 99.7% of draws fall within 20% of it, then weighted by a
     uniform random sign. Draw order: all magnitudes (x then y), then all
-    signs (x then y).
+    signs (x then y). Each signed offset holds from its fixation's onset
+    until the next onset; samples before the first onset get zero.
     """
     windows = extract_fixations(rec, latency)
     if not windows:
@@ -387,21 +341,13 @@ def build_accuracy_signal(rec: GazeRecording, plan: DegradationPlan,
     mag_y = rng.normal(plan.acc_offset_v, 0.2 * plan.acc_offset_v / 3.0, n)
     sign_x = rng.integers(0, 2, n) * 2 - 1
     sign_y = rng.integers(0, 2, n) * 2 - 1
-    steps = tuple(
-        AccuracyStep(window=w, offset_x=float(sx * mx), offset_y=float(sy * my))
-        for w, mx, my, sx, sy in zip(windows, mag_x, mag_y, sign_x, sign_y)
-    )
-    return AccuracyStepSignal(steps=steps)
-
-
-def apply_accuracy_signal(rec: GazeRecording, sig: AccuracyStepSignal) -> GazeRecording:
-    off_x, off_y = sig.offsets_per_sample(rec.n_samples)
-    return rec.replace(gaze_x=rec.gaze_x + off_x, gaze_y=rec.gaze_y + off_y)
+    runs = np.diff([0] + [w.sample_start for w in windows] + [rec.n_samples])
+    return (np.repeat(np.append(0.0, sign_x * mag_x), runs),
+            np.repeat(np.append(0.0, sign_y * mag_y), runs))
 
 
 def degrade_modified(rec: GazeRecording, plan: DegradationPlan,
-                     config: DegradeConfig = DegradeConfig(),
-                     rng: np.random.Generator | None = None) -> GazeRecording:
+                     config: DegradeConfig = DegradeConfig()) -> GazeRecording:
     """Modified transform: accuracy steps, position noise, bandwidth
     reduction, and resampling onto a jittered target grid.
 
@@ -410,7 +356,7 @@ def degrade_modified(rec: GazeRecording, plan: DegradationPlan,
     result exhibits the planned temporal imprecision. Deterministic given
     plan.rng_seed.
     """
-    return _degrade(rec, plan, config, rng, modified=True)
+    return _degrade(rec, plan, config, modified=True)
 
 
 def plan_to_dict(plan: DegradationPlan, provenance: dict | None = None) -> dict:
@@ -422,10 +368,6 @@ def plan_to_dict(plan: DegradationPlan, provenance: dict | None = None) -> dict:
         "acc_offset_v": plan.acc_offset_v,
         "jitter_sigma_ms": plan.jitter_sigma_ms,
         "rng_seed": plan.rng_seed,
-        "eccentricity_sigma_s_dva": (None if plan.eccentricity_weighting is None
-                                     else plan.eccentricity_weighting.sigma_s_dva),
-        "eccentricity_r_max_dva": (None if plan.eccentricity_weighting is None
-                                   else plan.eccentricity_weighting.r_max_dva),
     }
     for key, value in (provenance or {}).items():
         payload[str(key)] = value
@@ -438,14 +380,13 @@ def save_plan(plan: DegradationPlan, path, provenance: dict | None = None) -> No
 
 
 def load_plan(path) -> DegradationPlan:
+    """Read a plan file. An older file's eccentricity-weighting keys load
+    only when null: a weighted plan is never read as unweighted."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    weighting = None
-    if payload.get("eccentricity_sigma_s_dva") is not None:
-        weighting = EccentricityWeighting(
-            sigma_s_dva=payload["eccentricity_sigma_s_dva"],
-            r_max_dva=payload["eccentricity_r_max_dva"],
-        )
+    for key in ("eccentricity_sigma_s_dva", "eccentricity_r_max_dva"):
+        if payload.get(key) is not None:
+            raise ValueError(f"{path}: eccentricity weighting ({key}) is no longer supported")
     return DegradationPlan(
         target_rate_hz=payload["target_rate_hz"],
         sigma0_sq=payload["sigma0_sq"],
@@ -453,5 +394,4 @@ def load_plan(path) -> DegradationPlan:
         acc_offset_v=payload.get("acc_offset_v", 0.0),
         jitter_sigma_ms=payload.get("jitter_sigma_ms", 0.0),
         rng_seed=payload.get("rng_seed", 0),
-        eccentricity_weighting=weighting,
     )

@@ -65,13 +65,17 @@ def atomic_write_text(path, text) -> None:
 
 @contextmanager
 def _open_csv(path):
-    """Open a UTF-8 CSV file for reading; a byte that is not UTF-8, met
-    anywhere in the with-block, raises ValueError naming the path."""
+    """Open a UTF-8 CSV file for reading. A byte that is not UTF-8, or a
+    csv.Error (not a ValueError, such as a cell over csv's field size
+    limit), met anywhere in the with-block raises ValueError naming the
+    path, so a corpus loop can skip the file."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # rows formatted or lines parsed per step: the per-cell and per-line str
@@ -246,6 +250,8 @@ def read_recording(path, format_tag: str = "canonical", nominal_rate_hz: float =
         t = data[0] * layout["time_scale"]
     else:
         t = np.arange(gx.size) * (1000.0 / nominal_rate_hz)
+    for arr in (t, gx, gy, tx, ty):
+        arr.flags.writeable = False  # fresh arrays: the recording shares them
     rec = GazeRecording(
         timestamps_ms=t, gaze_x=gx, gaze_y=gy, tgt_x=tx, tgt_y=ty,
         nominal_rate_hz=nominal_rate_hz, recording_id=recording_id,

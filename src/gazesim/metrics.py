@@ -20,6 +20,13 @@ logger = logging.getLogger(__name__)
 
 _EPS_MS = 1e-9
 
+# a fixation window skips _DISCARD_MS after the latency-shifted dwell onset
+# and keeps _KEEP_MS; reject_outliers masks samples farther than
+# _MAX_DIST_DVA from the window centroid
+_DISCARD_MS = 400.0
+_KEEP_MS = 500.0
+_MAX_DIST_DVA = 2.0
+
 # fewest usable samples a fixation window needs: recording_quality drops a
 # window below it with a warning, and reject_outliers refuses one
 _MIN_WINDOW_SAMPLES = 4
@@ -120,14 +127,13 @@ def _candidate_shifts(gx, gy, tx, ty, shifts: np.ndarray) -> np.ndarray:
     return shifts[has][mean - tol <= np.min(mean + tol)]
 
 
-def extract_fixations(rec: GazeRecording, latency: LatencyEstimate,
-                      discard_ms: float = 400.0, keep_ms: float = 500.0) -> list:
+def extract_fixations(rec: GazeRecording, latency: LatencyEstimate) -> list:
     """Partition the recording into one candidate fixation per target dwell.
 
     A dwell starts at the recording start or a target transition and must
-    last at least discard_ms + keep_ms; shorter dwells are skipped, never
-    truncated. The window covers gaze timestamps in
-    [dwell_start + latency + discard_ms, dwell_start + latency + discard_ms + keep_ms],
+    last at least _DISCARD_MS + _KEEP_MS (900 ms); shorter dwells are
+    skipped, never truncated. The window covers gaze timestamps in
+    [dwell_start + latency + 400 ms, dwell_start + latency + 900 ms],
     i.e. the fixation is read from the latency-shifted gaze signal. Windows
     reaching past the end of the recording are skipped.
     """
@@ -143,10 +149,10 @@ def extract_fixations(rec: GazeRecording, latency: LatencyEstimate,
     windows = []
     for start_idx, dwell_end in zip(starts, dwell_ends):
         dwell_start = t[start_idx]
-        if dwell_end - dwell_start < discard_ms + keep_ms - _EPS_MS:
+        if dwell_end - dwell_start < _DISCARD_MS + _KEEP_MS - _EPS_MS:
             continue
-        w_lo = dwell_start + latency.shift_ms + discard_ms
-        w_hi = w_lo + keep_ms
+        w_lo = dwell_start + latency.shift_ms + _DISCARD_MS
+        w_hi = w_lo + _KEEP_MS
         if w_hi > t[-1] + _EPS_MS:
             continue
         a = int(np.searchsorted(t, w_lo - _EPS_MS, side="left"))
@@ -164,10 +170,9 @@ def extract_fixations(rec: GazeRecording, latency: LatencyEstimate,
     return windows
 
 
-def reject_outliers(win: FixationWindow, rec: GazeRecording,
-                    max_dist_dva: float = 2.0) -> FixationWindow:
+def reject_outliers(win: FixationWindow, rec: GazeRecording) -> FixationWindow:
     """Mask samples whose distance to the window centroid is strictly outside
-    Tukey's fences or strictly greater than `max_dist_dva`.
+    Tukey's fences or strictly greater than _MAX_DIST_DVA (2 dva).
 
     The centroid is the per-channel median over non-missing samples, and the
     fences use linear-interpolation quartiles of the distance distribution.
@@ -190,7 +195,7 @@ def reject_outliers(win: FixationWindow, rec: GazeRecording,
     q3 = quantile(dist[valid], 0.75)
     iqr = q3 - q1
     with np.errstate(invalid="ignore"):
-        outlier = (dist > q3 + 1.5 * iqr) | (dist < q1 - 1.5 * iqr) | (dist > max_dist_dva)
+        outlier = (dist > q3 + 1.5 * iqr) | (dist < q1 - 1.5 * iqr) | (dist > _MAX_DIST_DVA)
     return win.with_mask(outlier | missing)
 
 

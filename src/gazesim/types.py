@@ -16,6 +16,11 @@ import numpy as np
 
 
 def _readonly_f64(values) -> np.ndarray:
+    """A read-only float64 array that owns its memory is shared (replace()
+    shares untouched channels); anything else is copied read-only."""
+    if (isinstance(values, np.ndarray) and values.dtype == np.float64
+            and not values.flags.writeable and values.base is None):
+        return values
     arr = np.array(values, dtype=float, copy=True)
     arr.flags.writeable = False
     return arr
@@ -165,29 +170,9 @@ class QualityVector:
 
 
 @dataclass(frozen=True)
-class EccentricityWeighting:
-    """Gaussian weighting of noise variance toward the screen edges."""
-
-    sigma_s_dva: float
-    r_max_dva: float
-
-    def __post_init__(self) -> None:
-        if not self.sigma_s_dva > 0:
-            raise ValueError(f"sigma_s_dva must be positive, got {self.sigma_s_dva}")
-
-    def alpha(self, x, y):
-        """Variance scale at gaze position (x, y)."""
-        r = np.hypot(x, y)
-        return np.exp(-((r - self.r_max_dva) ** 2) / (2.0 * self.sigma_s_dva ** 2))
-
-
-@dataclass(frozen=True)
 class DegradationPlan:
-    """Per-recording degradation parameters.
-
-    The eccentricity weighting is absent by default: the noise variance is
-    then a single stationary value per recording.
-    """
+    """Per-recording degradation parameters. The noise variance is a single
+    stationary value per recording."""
 
     target_rate_hz: float
     sigma0_sq: float
@@ -195,7 +180,6 @@ class DegradationPlan:
     acc_offset_v: float = 0.0
     jitter_sigma_ms: float = 0.0
     rng_seed: int = 0
-    eccentricity_weighting: EccentricityWeighting | None = None
 
     def __post_init__(self) -> None:
         if not self.target_rate_hz > 0:

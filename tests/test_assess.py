@@ -8,7 +8,7 @@ from scipy.spatial.distance import cdist
 
 from gazesim.assess import (FEATURE_COLUMNS, ZeroVarianceWarning,
                             assessment_report_dict, distribution_summary,
-                            feature_matrix, fit_standardizer, one_nn_two_sample,
+                            fit_standardizer, one_nn_two_sample,
                             quality_features, repeated_assessment,
                             summary_rows_to_csv, _nearest_other)
 from gazesim.quantiles import quantile
@@ -35,23 +35,22 @@ def random_qv(rng):
 class TestFeatureMatrix:
     def test_requires_two_rows(self):
         with pytest.raises(ValueError, match=">= 2 rows"):
-            feature_matrix([random_qv(np.random.default_rng(0))])
+            fit_standardizer(quality_features([random_qv(np.random.default_rng(0))]))
 
     def test_identical_vectors_warn_zero_variance(self):
         v = random_qv(np.random.default_rng(1))
+        raw = quality_features([v, v])
         with pytest.warns(ZeroVarianceWarning):
-            matrix, _ = feature_matrix([v, v])
-        assert np.allclose(matrix, 0.0)
+            scaler = fit_standardizer(raw)
+        assert np.allclose(scaler.apply(raw), 0.0)
 
     def test_pooled_standardization_centers_union(self):
         rng = np.random.default_rng(2)
         a = [random_qv(rng) for _ in range(20)]
         b = [random_qv(rng) for _ in range(30)]
-        pooled = np.vstack([quality_features(a), quality_features(b)])
-        scaler = fit_standardizer(pooled)
-        za, _ = feature_matrix(a, scaler)
-        zb, _ = feature_matrix(b, scaler)
-        union = np.vstack([za, zb])
+        raw_a, raw_b = quality_features(a), quality_features(b)
+        scaler = fit_standardizer(np.vstack([raw_a, raw_b]))
+        union = np.vstack([scaler.apply(raw_a), scaler.apply(raw_b)])
         np.testing.assert_allclose(union.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(union.std(axis=0), 1.0, atol=1e-12)
 

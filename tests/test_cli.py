@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -137,6 +138,24 @@ class TestMetrics:
                         "--skip-bad"]) == 0
         assert len(read_quality_table(table)) == 4
         assert "skipping flat: no target transitions" in caplog.text
+
+    def test_skip_bad_skips_cell_over_csv_field_limit(self, tiny_source, tmp_path, caplog):
+        bad = tmp_path / "long.csv"
+        bad.write_text("t_ms,gaze_x_dva,gaze_y_dva,tgt_x_dva,tgt_y_dva\n0,0.1,0.2,0,0\n"
+                       "1,0.15,0.25," + " " * csv.field_size_limit() + "0,0\n")
+        manifest = self.manifest_with_bad_entry(tiny_source, tmp_path, bad)
+        table = tmp_path / "q.csv"
+        with caplog.at_level("ERROR"):
+            assert run(["metrics", "--manifest", manifest, "--out", table]) == 1
+        assert f"{bad}: field larger than field limit" in caplog.text
+        assert not table.exists()
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            assert run(["metrics", "--manifest", manifest, "--out", table,
+                        "--skip-bad"]) == 0
+        assert len(read_quality_table(table)) == 4
+        assert "skipping broken: " in caplog.text
+        assert "field larger than field limit" in caplog.text
 
     def test_non_utf8_manifest_names_path(self, tmp_path, caplog):
         manifest = tmp_path / "m.csv"

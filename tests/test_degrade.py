@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal as sp_signal
 
-from gazesim.degrade import (DegradeConfig, FilterSpec,
-                             add_precision_noise, apply_accuracy_signal,
+from gazesim.degrade import (DegradeConfig, add_precision_noise,
                              build_accuracy_signal, degrade_benchmark,
                              degrade_modified, jitter_timestamps, load_plan,
                              lowpass_zero_phase, nominal_target_timestamps,
@@ -18,8 +18,7 @@ from gazesim.io import recording_to_csv
 from gazesim.metrics import (LatencyEstimate, extract_fixations,
                              temporal_precision)
 from gazesim.oracle import OracleSpec, generate_recording
-from gazesim.types import (CalibrationCurve, DegradationPlan,
-                           EccentricityWeighting, QualityVector)
+from gazesim.types import CalibrationCurve, DegradationPlan, QualityVector
 
 from conftest import make_recording
 
@@ -42,7 +41,7 @@ class TestLowpassZeroPhase:
     def test_constant_signal_unchanged(self):
         t = np.arange(2000.0)
         rec = make_recording(t, np.full(2000, 3.5), np.full(2000, -1.25))
-        out = lowpass_zero_phase(rec, FilterSpec(cutoff_hz=100.0))
+        out = lowpass_zero_phase(rec, 100.0)
         np.testing.assert_allclose(out.gaze_x, 3.5, atol=1e-9)
         np.testing.assert_allclose(out.gaze_y, -1.25, atol=1e-9)
 
@@ -54,7 +53,7 @@ class TestLowpassZeroPhase:
         t_s = t_ms / 1000.0
         x = np.sin(2 * np.pi * fc * t_s)
         rec = make_recording(t_ms, x, np.zeros(n), rate_hz=fs)
-        out = lowpass_zero_phase(rec, FilterSpec(cutoff_hz=fc, order=2))
+        out = lowpass_zero_phase(rec, fc)
         mid = slice(2000, 4000)
         a = 2.0 * np.mean(out.gaze_x[mid] * np.sin(2 * np.pi * fc * t_s[mid]))
         b = 2.0 * np.mean(out.gaze_x[mid] * np.cos(2 * np.pi * fc * t_s[mid]))
@@ -64,7 +63,7 @@ class TestLowpassZeroPhase:
         # independent oracle: numerically integrate |H(f)|^4 over the band
         fs, fc = 1000.0, 100.0
         rec = self.white_noise_recording(fs=fs)
-        out = lowpass_zero_phase(rec, FilterSpec(cutoff_hz=fc, order=2))
+        out = lowpass_zero_phase(rec, fc)
         sos = sp_signal.butter(2, fc, btype="lowpass", fs=fs, output="sos")
         _, h = sp_signal.sosfreqz(sos, worN=8192, fs=fs)
         expected = np.mean(np.abs(h) ** 4)
@@ -73,7 +72,7 @@ class TestLowpassZeroPhase:
 
     def test_zero_phase_cross_correlation_peak_at_lag_zero(self):
         rec = self.white_noise_recording(n=20_000)
-        out = lowpass_zero_phase(rec, FilterSpec(cutoff_hz=100.0, order=2))
+        out = lowpass_zero_phase(rec, 100.0)
         x = rec.gaze_x[5000:15000] - rec.gaze_x[5000:15000].mean()
         y = out.gaze_x[5000:15000] - out.gaze_x[5000:15000].mean()
         lags = range(-5, 6)
@@ -86,7 +85,7 @@ class TestLowpassZeroPhase:
         t = np.arange(3000.0)
         rec = make_recording(t, rng.standard_normal(3000), rng.standard_normal(3000),
                              np.repeat([1.0, 2.0, 3.0], 1000), np.zeros(3000))
-        out = lowpass_zero_phase(rec, FilterSpec(cutoff_hz=100.0))
+        out = lowpass_zero_phase(rec, 100.0)
         assert np.array_equal(out.tgt_x, rec.tgt_x)
         assert np.array_equal(out.timestamps_ms, rec.timestamps_ms)
 
@@ -95,19 +94,25 @@ class TestLowpassZeroPhase:
         gx = rng.standard_normal(3000)
         gx[100:150] = np.nan
         rec = make_recording(np.arange(3000.0), gx, rng.standard_normal(3000))
-        out = lowpass_zero_phase(rec, FilterSpec(cutoff_hz=100.0))
+        out = lowpass_zero_phase(rec, 100.0)
         assert np.isnan(out.gaze_x[100:150]).all()
         assert np.isfinite(out.gaze_x[200:]).all()
 
     def test_cutoff_must_be_below_nyquist(self):
         rec = self.white_noise_recording(n=2000)
         with pytest.raises(ValueError, match="Nyquist"):
-            lowpass_zero_phase(rec, FilterSpec(cutoff_hz=500.0))
+            lowpass_zero_phase(rec, 500.0)
+
+    @pytest.mark.parametrize("cutoff_hz", [0.0, -10.0])
+    def test_cutoff_must_be_positive(self, cutoff_hz):
+        rec = self.white_noise_recording(n=2000)
+        with pytest.raises(ValueError, match="cutoff_hz must be positive"):
+            lowpass_zero_phase(rec, cutoff_hz)
 
     def test_recording_shorter_than_warmup_rejected(self):
         rec = make_recording(np.arange(10.0), np.zeros(10), np.zeros(10))
         with pytest.raises(ValueError, match="warm-up"):
-            lowpass_zero_phase(rec, FilterSpec(cutoff_hz=1.0))
+            lowpass_zero_phase(rec, 1.0)
 
 
 class TestResampleSpline:
@@ -245,16 +250,6 @@ class TestAddPrecisionNoise:
         out = add_precision_noise(rec, 0.04, np.random.default_rng(1))
         assert np.var(out.gaze_x) == pytest.approx(0.04, rel=0.03)
         assert np.var(out.gaze_y) == pytest.approx(0.04, rel=0.03)
-
-    def test_eccentricity_weighting_scales_variance(self):
-        n = 100_000
-        w = EccentricityWeighting(sigma_s_dva=10.0, r_max_dva=20.0)
-        center = make_recording(np.arange(float(n)), np.zeros(n), np.zeros(n))
-        out = add_precision_noise(center, 0.04, np.random.default_rng(2), w)
-        assert np.var(out.gaze_x) == pytest.approx(0.04 * np.exp(-2.0), rel=0.03)
-        edge = make_recording(np.arange(float(n)), np.full(n, 12.0), np.full(n, 16.0))
-        out = add_precision_noise(edge, 0.04, np.random.default_rng(3), w)
-        assert np.var(out.gaze_x) == pytest.approx(0.04, rel=0.03)
 
     def test_targets_untouched_missing_stays_missing(self):
         gx = np.array([0.1, np.nan, 0.3, 0.4, 0.5])
@@ -402,17 +397,41 @@ class TestPlanModified:
                           self.curve(), 250.0, 0)
 
 
+def per_step_offsets(rec, plan, latency, rng):
+    """The per-fixation step loop build_accuracy_signal replaced, kept as its
+    oracle: the same draws, one offset per fixation, held by slice
+    assignment from each onset to the next (zero before the first)."""
+    windows = extract_fixations(rec, latency)
+    n = len(windows)
+    mag_x = rng.normal(plan.acc_offset_h, 0.2 * plan.acc_offset_h / 3.0, n)
+    mag_y = rng.normal(plan.acc_offset_v, 0.2 * plan.acc_offset_v / 3.0, n)
+    sign_x = rng.integers(0, 2, n) * 2 - 1
+    sign_y = rng.integers(0, 2, n) * 2 - 1
+    off_x = np.zeros(rec.n_samples)
+    off_y = np.zeros(rec.n_samples)
+    for i, w in enumerate(windows):
+        end = windows[i + 1].sample_start if i + 1 < n else rec.n_samples
+        off_x[w.sample_start:end] = float(sign_x[i] * mag_x[i])
+        off_y[w.sample_start:end] = float(sign_y[i] * mag_y[i])
+    return off_x, off_y
+
+
 class TestAccuracySignal:
     def fixated_recording(self, seed=0):
         spec = OracleSpec(n_targets=6, dwell_ms=1000.0, latency_ms=200.0, seed=seed)
         return generate_recording(spec)[0]
 
+    @staticmethod
+    def onsets(rec, latency_ms):
+        return [w.sample_start for w in extract_fixations(rec, LatencyEstimate(latency_ms, 0.0))]
+
     def test_zero_offsets_give_exact_zero_signal(self):
         rec = self.fixated_recording()
         plan = DegradationPlan(250.0, 0.0, acc_offset_h=0.0, acc_offset_v=0.0)
-        sig = build_accuracy_signal(rec, plan, LatencyEstimate(200.0, 0.0),
-                                    np.random.default_rng(0))
-        assert all(s.offset_x == 0.0 and s.offset_y == 0.0 for s in sig.steps)
+        off_x, off_y = build_accuracy_signal(rec, plan, LatencyEstimate(200.0, 0.0),
+                                             np.random.default_rng(0))
+        assert off_x.shape == off_y.shape == (rec.n_samples,)
+        assert (off_x == 0.0).all() and (off_y == 0.0).all()
 
     def test_magnitude_spread_within_20_percent(self):
         # std = 0.2 m / 3, so 99.7% of draws lie within +/- 20% of m
@@ -425,12 +444,13 @@ class TestAccuracySignal:
     def test_signs_balance_and_magnitudes_center(self):
         rec = self.fixated_recording()
         plan = DegradationPlan(250.0, 0.0, acc_offset_h=1.0, acc_offset_v=0.5)
+        onsets = self.onsets(rec, 200.0)
         rng = np.random.default_rng(2)
         offs_x, offs_y = [], []
         for _ in range(2000):
-            sig = build_accuracy_signal(rec, plan, LatencyEstimate(200.0, 0.0), rng)
-            offs_x.extend(s.offset_x for s in sig.steps)
-            offs_y.extend(s.offset_y for s in sig.steps)
+            off_x, off_y = build_accuracy_signal(rec, plan, LatencyEstimate(200.0, 0.0), rng)
+            offs_x.extend(off_x[onsets])
+            offs_y.extend(off_y[onsets])
         assert np.mean(offs_x) == pytest.approx(0.0, abs=0.02)
         assert np.mean(np.abs(offs_x)) == pytest.approx(1.0, rel=0.01)
         assert np.mean(np.abs(offs_y)) == pytest.approx(0.5, rel=0.01)
@@ -438,26 +458,46 @@ class TestAccuracySignal:
     def test_step_signal_persists_between_fixations(self):
         rec = self.fixated_recording()
         plan = DegradationPlan(250.0, 0.0, acc_offset_h=1.0, acc_offset_v=1.0)
-        sig = build_accuracy_signal(rec, plan, LatencyEstimate(200.0, 0.0),
-                                    np.random.default_rng(3))
-        off_x, _ = sig.offsets_per_sample(rec.n_samples)
-        first = sig.steps[0].window.sample_start
-        second = sig.steps[1].window.sample_start
+        off_x, _ = build_accuracy_signal(rec, plan, LatencyEstimate(200.0, 0.0),
+                                         np.random.default_rng(3))
+        first, second = self.onsets(rec, 200.0)[:2]
+        assert first > 0
         assert (off_x[:first] == 0.0).all()
-        assert (off_x[first:second] == sig.steps[0].offset_x).all()
-        assert (off_x[second:second + 10] == sig.steps[1].offset_x).all()
-        assert off_x[-1] == sig.steps[-1].offset_x
+        assert (off_x[first:second] == off_x[first]).all() and off_x[first] != 0.0
+        assert (off_x[second:second + 10] == off_x[second]).all()
+        assert off_x[second] != off_x[first]
 
     def test_apply_adds_to_gaze_only(self):
+        # zero noise and jitter isolate the accuracy stage of the modified
+        # model: only the channel with an offset moves
         rec = self.fixated_recording()
-        plan = DegradationPlan(250.0, 0.0, acc_offset_h=2.0, acc_offset_v=0.0)
-        sig = build_accuracy_signal(rec, plan, LatencyEstimate(200.0, 0.0),
-                                    np.random.default_rng(4))
-        out = apply_accuracy_signal(rec, sig)
-        assert np.array_equal(out.tgt_x, rec.tgt_x)
-        changed = out.gaze_x != rec.gaze_x
-        assert changed.any()
-        assert np.array_equal(out.gaze_y, rec.gaze_y)
+        plan = DegradationPlan(250.0, 0.0, acc_offset_h=2.0, acc_offset_v=0.0, rng_seed=4)
+        out = degrade_modified(rec, plan)
+        ref = degrade_benchmark(rec, plan)
+        assert np.array_equal(out.tgt_x, ref.tgt_x)
+        assert np.array_equal(out.timestamps_ms, ref.timestamps_ms)
+        assert (out.gaze_x != ref.gaze_x).any()
+        assert np.array_equal(out.gaze_y, ref.gaze_y)
+
+    @pytest.mark.parametrize("seed,latency_ms,missing", [
+        (0, 200.0, None), (5, 0.0, None), (7, 137.0, (900, 1200)),
+        (11, 351.0, (3000, 3400)), (13, 200.0, (0, 2500)),
+    ])
+    def test_matches_per_step_oracle(self, seed, latency_ms, missing):
+        spec = OracleSpec(n_targets=7, dwell_ms=1000.0, latency_ms=200.0,
+                          noise_sigma_dva=0.02, bias_sigma_dva=0.1, seed=seed)
+        rec = generate_recording(spec)[0]
+        if missing is not None:
+            gx = rec.gaze_x.copy()
+            gx[slice(*missing)] = np.nan
+            rec = rec.replace(gaze_x=gx, gaze_y=np.where(np.isnan(gx), np.nan, rec.gaze_y))
+        plan = DegradationPlan(250.0, 0.0, acc_offset_h=0.37, acc_offset_v=0.21)
+        latency = LatencyEstimate(latency_ms, 0.0)
+        got = build_accuracy_signal(rec, plan, latency, np.random.default_rng(seed))
+        want = per_step_offsets(rec, plan, latency, np.random.default_rng(seed))
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
 
 
 class TestDegradeModified:
@@ -506,8 +546,7 @@ class TestDegradeModified:
 class TestPlanSerialization:
     def test_round_trip(self, tmp_path):
         plan = DegradationPlan(250.0, 0.2, acc_offset_h=0.4, acc_offset_v=0.1,
-                               jitter_sigma_ms=0.6, rng_seed=999,
-                               eccentricity_weighting=EccentricityWeighting(10.0, 20.0))
+                               jitter_sigma_ms=0.6, rng_seed=999)
         path = tmp_path / "plan.json"
         save_plan(plan, path, provenance={"calibration_id": "abc123"})
         assert load_plan(path) == plan
@@ -515,13 +554,30 @@ class TestPlanSerialization:
         assert payload["calibration_id"] == "abc123"
         assert payload["sigma0_sq"] == 0.2
 
+    @staticmethod
+    def with_weighting_keys(path, sigma_s, r_max):
+        """Rewrite a plan file in the older layout, which also carried the
+        two keys of the removed eccentricity weighting."""
+        payload = json.loads(path.read_text())
+        payload.update(eccentricity_sigma_s_dva=sigma_s, eccentricity_r_max_dva=r_max)
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
     def test_no_weighting_serializes_null(self, tmp_path):
+        # save_plan writes no weighting keys; an older file, which wrote them
+        # as null, loads to the same plan
         plan = DegradationPlan(250.0, 0.2, rng_seed=1)
         path = tmp_path / "plan.json"
         save_plan(plan, path)
-        payload = json.loads(path.read_text())
-        assert payload["eccentricity_sigma_s_dva"] is None
+        assert not any(key.startswith("eccentricity") for key in json.loads(path.read_text()))
+        self.with_weighting_keys(path, None, None)
         assert load_plan(path) == plan
+
+    def test_weighted_old_file_rejected(self, tmp_path):
+        path = tmp_path / "plan.json"
+        save_plan(DegradationPlan(250.0, 0.2, rng_seed=1), path)
+        self.with_weighting_keys(path, 10.0, 20.0)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: eccentricity weighting"):
+            load_plan(path)
 
 
 class TestGoldenDigests:
@@ -530,14 +586,14 @@ class TestGoldenDigests:
     pipeline cannot change a single output byte."""
 
     BENCHMARK = {
-        "pre": "fbf581226d656bd85c3a8abc8d27cbde274019de4322051c9877f9d97a9b57a4",
-        "post": "42d82881dd4d8cc575ba0f2cd6d2db1adcfd6133abe78a85026c58b1f5bbadb3",
+        "pre": "c45e17c00bac94813b73dcdd4617239288df9350fa9b69b1b4cc09893d6c1f97",
+        "post": "4968ae6c163c05dfc948e6252af17ae17aa2997e9a364378b87486a7dd9bce52",
     }
     MODIFIED = {
-        ("pre", False): "5cfd3410ae36467fd03c655a2bd76629da94007580f2ea2bb507756e1a2bd80c",
-        ("pre", True): "520433a0f655f215c2b86465bcff195f6c87ec48120cedc385289f0cb8aeba73",
-        ("post", False): "ee61235926304559d55f44c6289c9b3a020e5d77142600fe2351625d324c1264",
-        ("post", True): "46a2689c95db1612c3e3053226b7a9d88fd4a1947f93206dd558a4dc7edc52b3",
+        ("pre", False): "544aca89e385a359561be8584409b3e104c2bd6173813bf2830bd31b41f97e92",
+        ("pre", True): "5a6eb7dedd3a26a98ce8f59b8aa868561327cc1f0e3d635f2ef5d1314978355c",
+        ("post", False): "de6c453d0dbbf83bcbd0d54cb6384169955dfbc5df010e4d1465f1d0cb2627bd",
+        ("post", True): "f8c47459d922a92afa4c6bc1de5fba310d41db9a66f83ad8dfcf4558e58980da",
     }
     ZERO_NOISE = "5cdd918c8289d9eccbf6005e7a936c05163a6a0e9c9dce6dc8e0f2b3d5902fcd"
 
@@ -558,11 +614,11 @@ class TestGoldenDigests:
     @pytest.mark.parametrize("jitter_correction", [False, True])
     def test_outputs_unchanged(self, rec, noise_order, jitter_correction):
         plan = DegradationPlan(250.0, 0.1, acc_offset_h=0.3, acc_offset_v=0.2,
-                               jitter_sigma_ms=0.5, rng_seed=77,
-                               eccentricity_weighting=EccentricityWeighting(10.0, 20.0))
+                               jitter_sigma_ms=0.5, rng_seed=77)
         config = DegradeConfig(noise_order=noise_order,
                                jitter_correction=jitter_correction)
-        assert self.digest(degrade_benchmark(rec, plan, config)) == self.BENCHMARK[noise_order]
+        assert (self.digest(degrade_benchmark(rec, plan, config))
+                == self.BENCHMARK[noise_order])
         assert (self.digest(degrade_modified(rec, plan, config))
                 == self.MODIFIED[(noise_order, jitter_correction)])
         assert self.digest(zero_noise_pass(rec, 250.0, config)) == self.ZERO_NOISE

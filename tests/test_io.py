@@ -269,10 +269,13 @@ class TestReadRecordingFuzz:
             read_recording(path)
 
     def test_cell_over_csv_field_limit_fails_as_csv_does(self, tmp_path):
+        # csv.Error is not a ValueError: it comes out as one naming the path,
+        # so a corpus loop with skip-bad skips the file
         path = tmp_path / "long.csv"
         path.write_text(HEADER + "0,0.1,0.2,0,0\n1,0.15,0.25," + " " * csv.field_size_limit()
                         + "0,0\n")
-        with pytest.raises(csv.Error, match="field larger than field limit"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: "
+                                             r"field larger than field limit"):
             read_recording(path)
 
     def test_blank_lines_skipped_but_counted(self, tmp_path):
@@ -514,6 +517,22 @@ class TestCParserMatchesCsv:
         # one whole-file text copy peaks far above this bound
         assert peak < 3 * 5 * n * 8
 
+    def test_recording_takes_the_parsed_arrays_without_a_copy(self, tmp_path, monkeypatch):
+        import gazesim.types
+        path = tmp_path / "r.csv"
+        write_recording(make_recording(np.arange(50.0), np.zeros(50), np.ones(50)), path)
+        shared = []
+        readonly_f64 = gazesim.types._readonly_f64
+
+        def spy(values):
+            out = readonly_f64(values)
+            shared.append(out is values)
+            return out
+
+        monkeypatch.setattr(gazesim.types, "_readonly_f64", spy)
+        read_recording(path)
+        assert shared == [True] * 5
+
 
 class TestQualityTable:
     def test_round_trip(self, tmp_path):
@@ -547,6 +566,14 @@ class TestQualityTable:
         path.write_text(",".join(QUALITY_HEADER) + "\n" + cells + "\n")
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: malformed row "
                                              rf"at line 2: expected 9 cells, got {got}$"):
+            read_quality_table(path)
+
+    def test_cell_over_csv_field_limit_names_path(self, tmp_path):
+        path = tmp_path / "q.csv"
+        path.write_text(",".join(QUALITY_HEADER) + "\nr1," + "0" * (csv.field_size_limit() + 1)
+                        + ",0,0,0,0,0,0,1\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: "
+                                             r"field larger than field limit"):
             read_quality_table(path)
 
     def test_bad_row_after_blank_lines_names_its_line(self, tmp_path):
@@ -605,6 +632,14 @@ class TestManifest:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: malformed row "
                                              r"at line 3: could not convert string to "
                                              r"float: 'fast'$"):
+            read_manifest(path)
+
+    def test_cell_over_csv_field_limit_names_path(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("recording_id,path,format_tag,rate_hz\na,"
+                        + "x" * (csv.field_size_limit() + 1) + ",canonical,1000\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: "
+                                             r"field larger than field limit"):
             read_manifest(path)
 
     def test_unknown_tag(self, tmp_path):

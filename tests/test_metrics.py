@@ -328,6 +328,18 @@ class TestRejectOutliers:
         out = reject_outliers(window_for(rec, 0, 40), rec)
         assert not out.outlier_mask.any()
 
+    def test_distance_cap_masks_beyond_2dva_inside_the_fences(self):
+        # radii 0.5, 1, 1.5, 1.99, 2.01 and 3 dva on four symmetric arms: the
+        # centroid is (0, 0) and the fences [-0.515, 3.525] keep every sample,
+        # so only the strict 2 dva cap masks the 2.01 and 3 dva samples
+        radii = np.array([0.5, 1.0, 1.5, 1.99, 2.01, 3.0])
+        zeros = np.zeros(radii.size)
+        gx = np.concatenate([radii, -radii, zeros, zeros])
+        gy = np.concatenate([zeros, zeros, radii, -radii])
+        rec = make_recording(np.arange(float(gx.size)), gx, gy)
+        out = reject_outliers(window_for(rec, 0, gx.size), rec)
+        np.testing.assert_array_equal(out.outlier_mask, np.hypot(gx, gy) > 2.0)
+
     def test_missing_samples_always_masked(self):
         gx = np.array([0.0, 0.1, np.nan, -0.1, 0.05, 0.0])
         gy = np.zeros(6)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from gazesim.types import (CalibrationClampWarning, CalibrationCurve,
-                           DegradationPlan, EccentricityWeighting,
-                           QualityVector, validate_recording)
+                           DegradationPlan, GazeRecording, QualityVector,
+                           validate_recording)
 
 from conftest import make_recording
 
@@ -67,6 +67,36 @@ class TestGazeRecording:
         assert np.array_equal(out.timestamps_ms, four_sample_recording.timestamps_ms)
         assert out.gaze_x.tolist() == [1.0] * 4
 
+    def test_replace_shares_untouched_channels(self, four_sample_recording):
+        out = four_sample_recording.replace(gaze_x=[1.0, 1.0, 1.0, 1.0])
+        assert np.shares_memory(out.timestamps_ms, four_sample_recording.timestamps_ms)
+        assert np.shares_memory(out.tgt_y, four_sample_recording.tgt_y)
+        assert not np.shares_memory(out.gaze_x, four_sample_recording.gaze_x)
+
+    def test_writeable_caller_array_is_copied(self):
+        t = np.arange(4.0)
+        gx = np.array([0.1, 0.2, 0.3, 0.4])
+        rec = make_recording(t, gx, np.zeros(4))
+        t[0] = 99.0
+        gx[:] = -1.0
+        assert rec.timestamps_ms.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert rec.gaze_x.tolist() == [0.1, 0.2, 0.3, 0.4]
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.arange(8.0)[::2],                              # a view
+        lambda: np.arange(4, dtype=np.float32),                   # not float64
+        lambda: np.arange(4.0).astype(">f8"),                     # not native order
+        lambda: [0.0, 1.0, 2.0, 3.0],                             # not an array
+    ])
+    def test_read_only_view_or_other_type_is_copied(self, make):
+        values = make()
+        if isinstance(values, np.ndarray):
+            values.flags.writeable = False
+        rec = GazeRecording(values, values, values, values, values, 1000.0)
+        assert rec.timestamps_ms.dtype == np.float64
+        assert not rec.timestamps_ms.flags.writeable
+        assert not np.shares_memory(rec.timestamps_ms, values)
+
 
 class TestQualityVector:
     def test_combined_precision_identity_enforced(self):
@@ -97,7 +127,6 @@ class TestDegradationPlan:
     def test_defaults(self):
         plan = DegradationPlan(target_rate_hz=250.0, sigma0_sq=0.13)
         assert plan.acc_offset_h == 0.0
-        assert plan.eccentricity_weighting is None
 
     @pytest.mark.parametrize("field,value", [
         ("sigma0_sq", -0.1), ("acc_offset_h", -1.0),
@@ -107,17 +136,6 @@ class TestDegradationPlan:
         kwargs = {"target_rate_hz": 250.0, "sigma0_sq": 0.1, field: value}
         with pytest.raises(ValueError, match=field):
             DegradationPlan(**kwargs)
-
-
-class TestEccentricityWeighting:
-    def test_alpha_at_screen_center(self):
-        # r_s = 0, r_max = 20, sigma_s = 10: exp(-400/200) = e^-2
-        w = EccentricityWeighting(sigma_s_dva=10.0, r_max_dva=20.0)
-        assert w.alpha(0.0, 0.0) == pytest.approx(np.exp(-2.0), rel=1e-12)
-
-    def test_alpha_at_max_radius_is_one(self):
-        w = EccentricityWeighting(sigma_s_dva=10.0, r_max_dva=20.0)
-        assert w.alpha(12.0, 16.0) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestCalibrationCurve:

@@ -19,4 +19,18 @@ from .assess import (distribution_summary, one_nn_two_sample,
 from .oracle import CorpusSpec, OracleSpec, PRESETS, generate_corpus, generate_recording
 from .seeding import derive_seed
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "CalibrationCurve", "DegradationPlan", "FixationWindow", "GazeRecording",
+    "QualityVector", "validate_recording",
+    "LatencyEstimate", "estimate_latency", "extract_fixations", "fixation_accuracy",
+    "fixation_precision", "recording_quality", "reject_outliers", "temporal_precision",
+    "percentile_rank", "quantile",
+    "DegradeConfig", "add_precision_noise", "build_accuracy_signal",
+    "degrade_benchmark", "degrade_modified", "jitter_timestamps",
+    "lowpass_zero_phase", "nominal_target_timestamps", "plan_modified",
+    "resample_spline", "zero_noise_pass",
+    "sweep_sigma",
+    "distribution_summary", "one_nn_two_sample", "repeated_assessment", "TwoSampleResult",
+    "CorpusSpec", "OracleSpec", "PRESETS", "generate_corpus", "generate_recording",
+    "derive_seed",
+]

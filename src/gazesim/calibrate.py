@@ -83,15 +83,44 @@ def save_calibration(calib: CalibrationCurve, path, provenance: dict | None = No
     return payload["calibration_id"]
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def load_calibration(path) -> tuple:
-    """Read a curve back; returns (CalibrationCurve, full payload dict)."""
+    """Read a curve back; returns (CalibrationCurve, full payload dict).
+
+    A file that is not a JSON object, lacks one of the curve's keys, holds a
+    non-numeric value there, or describes no valid curve raises ValueError
+    naming the file.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    curve = CalibrationCurve(
-        samples=tuple(zip(payload["sigma0_sq_grid"], payload["mad_h"])),
-        slope=payload["slope"],
-        intercept=payload["intercept"],
-    )
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: calibration file is not a JSON object")
+    for key in ("sigma0_sq_grid", "mad_h", "slope", "intercept"):
+        if key not in payload:
+            raise ValueError(f"{path}: calibration file lacks key {key!r}")
+    for key in ("sigma0_sq_grid", "mad_h"):
+        value = payload[key]
+        if not (isinstance(value, list) and all(map(_is_number, value))):
+            raise ValueError(f"{path}: calibration key {key!r} is not a list of numbers: {value!r}")
+    for key in ("slope", "intercept"):
+        if not _is_number(payload[key]):
+            raise ValueError(f"{path}: calibration key {key!r} is not a number: {payload[key]!r}")
+    if len(payload["sigma0_sq_grid"]) != len(payload["mad_h"]):
+        raise ValueError(f"{path}: calibration keys 'sigma0_sq_grid' and 'mad_h' differ in length")
+    try:
+        curve = CalibrationCurve(
+            samples=tuple(zip(payload["sigma0_sq_grid"], payload["mad_h"])),
+            slope=payload["slope"],
+            intercept=payload["intercept"],
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return curve, payload
 
 

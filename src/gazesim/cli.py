@@ -26,7 +26,7 @@ from .degrade import (DegradeConfig, degrade_benchmark, degrade_modified,
 from .io import (ManifestEntry, atomic_write_text, read_manifest,
                  read_quality_table, read_recording_from_entry,
                  write_manifest, write_quality_table, write_recording)
-from .metrics import recording_quality
+from .metrics import analyse_recording, recording_quality
 from .oracle import (PRESETS, corpus_spec_from_json, generate_corpus,
                      write_ground_truth)
 from .quantiles import quantile
@@ -147,17 +147,24 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
+def _measure_source(rec):
+    """(recording, quality, latency) of one source of the modified model."""
+    analysis = analyse_recording(rec)
+    return rec, recording_quality(rec, analysis), analysis.latency
+
+
 def cmd_degrade(args) -> int:
     config = DegradeConfig(noise_order=args.noise_order,
                            jitter_correction=(args.jitter_correction == "on"))
     modified = args.model == "modified"
     if modified and not (args.calibration and args.target_table):
         raise SystemExit("modified model needs both --calibration and --target-table")
-    # the modified planner needs each source's quality: measured as it is
-    # read, so --skip-bad also drops the recordings the metric pass rejects
-    measured = _map_corpus(args.manifest, args.skip_bad, lambda rec: (
-        rec, recording_quality(rec) if modified else None))
-    corpus = [rec for rec, _ in measured]
+    # the modified planner needs each source's quality, and its transform the
+    # source's latency: both from one analysis as the recording is read, so
+    # --skip-bad also drops the recordings the metric pass rejects
+    measured = _map_corpus(args.manifest, args.skip_bad,
+                           _measure_source if modified else (lambda rec: (rec, None, None)))
+    corpus = [rec for rec, _, _ in measured]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -187,9 +194,9 @@ def cmd_degrade(args) -> int:
             target_rate_hz=args.rate_hz, sigma0_sq=sigma0_sq,
             rng_seed=derive_seed(args.seed, rec.recording_id),
         ) for rec in corpus}
-        transform = degrade_benchmark
     else:
-        source_qvs = {rec.recording_id: qv for rec, qv in measured}
+        source_qvs = {rec.recording_id: qv for rec, qv, _ in measured}
+        latencies = {rec.recording_id: latency for rec, _, latency in measured}
         provenance["source_corpus_hash"] = _hash_quality_rows(source_qvs.items())
         source_corpus = list(source_qvs.values())
         target_corpus = [qv for _, qv in target_rows]
@@ -201,12 +208,14 @@ def cmd_degrade(args) -> int:
                 source_corpus, target_corpus, calib,
                 args.rate_hz, derive_seed(args.seed, rec.recording_id),
             )
-        transform = degrade_modified
 
     entries = []
     for rec in corpus:
         plan = plans[rec.recording_id]
-        degraded = transform(rec, plan, config)
+        if modified:
+            degraded = degrade_modified(rec, plan, config, latencies[rec.recording_id])
+        else:
+            degraded = degrade_benchmark(rec, plan, config)
         write_recording(degraded, out_dir / f"{rec.recording_id}.csv")
         save_plan(plan, out_dir / f"{rec.recording_id}.plan.json", provenance)
         entries.append(ManifestEntry(rec.recording_id, rec.recording_id + ".csv",

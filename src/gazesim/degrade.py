@@ -214,9 +214,10 @@ def add_precision_noise(rec: GazeRecording, sigma0_sq: float,
 
 
 def _degrade(rec: GazeRecording, plan: DegradationPlan, config: DegradeConfig,
-             modified: bool) -> GazeRecording:
+             modified: bool, latency: LatencyEstimate | None = None) -> GazeRecording:
     """The staged pipeline behind both models (see the module docstring);
-    `modified` adds the accuracy-step and timestamp-jitter stages."""
+    `modified` adds the accuracy-step and timestamp-jitter stages, aligned
+    on `latency`, which is searched here when not given."""
     validate_recording(rec)
     if not plan.target_rate_hz < rec.nominal_rate_hz:
         raise ValueError(
@@ -227,7 +228,9 @@ def _degrade(rec: GazeRecording, plan: DegradationPlan, config: DegradeConfig,
     out = rec
     if modified:
         # steps align on the latency-shifted fixation grid of the source
-        off_x, off_y = build_accuracy_signal(rec, plan, estimate_latency(rec), rng)
+        if latency is None:
+            latency = estimate_latency(rec)
+        off_x, off_y = build_accuracy_signal(rec, plan, latency, rng)
         out = rec.replace(gaze_x=rec.gaze_x + off_x, gaze_y=rec.gaze_y + off_y)
     if config.noise_order == "pre":
         out = add_precision_noise(out, plan.sigma0_sq, rng)
@@ -347,16 +350,18 @@ def build_accuracy_signal(rec: GazeRecording, plan: DegradationPlan,
 
 
 def degrade_modified(rec: GazeRecording, plan: DegradationPlan,
-                     config: DegradeConfig = DegradeConfig()) -> GazeRecording:
+                     config: DegradeConfig = DegradeConfig(),
+                     latency: LatencyEstimate | None = None) -> GazeRecording:
     """Modified transform: accuracy steps, position noise, bandwidth
     reduction, and resampling onto a jittered target grid.
 
     The accuracy step signal is aligned on the latency-shifted fixation grid
-    of the source recording. Output timestamps are the jittered ones, so the
-    result exhibits the planned temporal imprecision. Deterministic given
-    plan.rng_seed.
+    of the source recording. `latency` is the source's estimate_latency
+    result, for a caller that already has it; it is searched here otherwise.
+    Output timestamps are the jittered ones, so the result exhibits the
+    planned temporal imprecision. Deterministic given plan.rng_seed.
     """
-    return _degrade(rec, plan, config, modified=True)
+    return _degrade(rec, plan, config, modified=True, latency=latency)
 
 
 def plan_to_dict(plan: DegradationPlan, provenance: dict | None = None) -> dict:

@@ -5,6 +5,11 @@ rejection, then per-fixation spatial accuracy and precision, and finally a
 per-recording aggregate. Fixation bounds come from the stimulus transition
 times, not from an event classifier. Missing gaze samples are excluded from
 every computation, never interpolated.
+
+extract_fixations, reject_outliers, fixation_accuracy and fixation_precision
+define the steps for one window. analyse_recording runs them for every
+window of a recording at once, with the same results, and recording_quality
+reduces its output.
 """
 from __future__ import annotations
 
@@ -27,7 +32,7 @@ _DISCARD_MS = 400.0
 _KEEP_MS = 500.0
 _MAX_DIST_DVA = 2.0
 
-# fewest usable samples a fixation window needs: recording_quality drops a
+# fewest usable samples a fixation window needs: analyse_recording drops a
 # window below it with a warning, and reject_outliers refuses one
 _MIN_WINDOW_SAMPLES = 4
 
@@ -137,37 +142,32 @@ def extract_fixations(rec: GazeRecording, latency: LatencyEstimate) -> list:
     i.e. the fixation is read from the latency-shifted gaze signal. Windows
     reaching past the end of the recording are skipped.
     """
+    starts, ends, dwells = _window_bounds(rec, latency)
+    missing = rec.missing
+    return [FixationWindow(recording_id=rec.recording_id, sample_start=a, sample_end=b,
+                           tgt_x=float(rec.tgt_x[d]), tgt_y=float(rec.tgt_y[d]),
+                           outlier_mask=missing[a:b])
+            for a, b, d in zip(starts.tolist(), ends.tolist(), dwells.tolist())]
+
+
+def _window_bounds(rec: GazeRecording, latency: LatencyEstimate) -> tuple:
+    """(first sample, end sample, dwell onset sample) arrays of the fixation
+    windows extract_fixations describes, in recording order."""
     t = rec.timestamps_ms
     changed = (np.diff(rec.tgt_x) != 0) | (np.diff(rec.tgt_y) != 0)
     transitions = np.flatnonzero(changed) + 1
     if transitions.size == 0:
         raise ValueError(f"{rec.recording_id or 'recording'}: no target transitions found")
-    starts = np.concatenate(([0], transitions))
-    dwell_ends = np.concatenate((t[transitions], [t[-1]]))
-
-    missing = rec.missing
-    windows = []
-    for start_idx, dwell_end in zip(starts, dwell_ends):
-        dwell_start = t[start_idx]
-        if dwell_end - dwell_start < _DISCARD_MS + _KEEP_MS - _EPS_MS:
-            continue
-        w_lo = dwell_start + latency.shift_ms + _DISCARD_MS
-        w_hi = w_lo + _KEEP_MS
-        if w_hi > t[-1] + _EPS_MS:
-            continue
-        a = int(np.searchsorted(t, w_lo - _EPS_MS, side="left"))
-        b = int(np.searchsorted(t, w_hi + _EPS_MS, side="right"))
-        if b - a < 1:
-            continue
-        windows.append(FixationWindow(
-            recording_id=rec.recording_id,
-            sample_start=a,
-            sample_end=b,
-            tgt_x=float(rec.tgt_x[start_idx]),
-            tgt_y=float(rec.tgt_y[start_idx]),
-            outlier_mask=missing[a:b],
-        ))
-    return windows
+    dwells = np.concatenate(([0], transitions))
+    dwell_start = t[dwells]
+    dwell_end = np.concatenate((t[transitions], [t[-1]]))
+    w_lo = dwell_start + latency.shift_ms + _DISCARD_MS
+    w_hi = w_lo + _KEEP_MS
+    starts = np.searchsorted(t, w_lo - _EPS_MS, side="left")
+    ends = np.searchsorted(t, w_hi + _EPS_MS, side="right")
+    ok = ((dwell_end - dwell_start >= _DISCARD_MS + _KEEP_MS - _EPS_MS)
+          & (w_hi <= t[-1] + _EPS_MS) & (ends > starts))
+    return starts[ok], ends[ok], dwells[ok]
 
 
 def reject_outliers(win: FixationWindow, rec: GazeRecording) -> FixationWindow:
@@ -234,7 +234,146 @@ def temporal_precision(rec: GazeRecording) -> float:
     return float(np.std(np.diff(rec.timestamps_ms)))
 
 
-def recording_quality(rec: GazeRecording) -> QualityVector:
+@dataclass(frozen=True, eq=False)
+class RecordingAnalysis:
+    """One pass over a recording: its latency, its fixation windows, and the
+    per-window values recording_quality reduces.
+
+    Window arrays follow extract_fixations order. A window is used when it
+    has at least _MIN_WINDOW_SAMPLES usable samples and keeps one after
+    outlier rejection; the drop counts give the other windows by reason.
+    `kept` is True for the recording samples that enter the metrics: inside
+    a used window, neither missing nor an outlier. `accuracy` and
+    `precision` hold one (horizontal, vertical, combined) row per used
+    window, in window order, as fixation_accuracy and fixation_precision
+    would compute them.
+    """
+
+    latency: LatencyEstimate
+    window_start: np.ndarray
+    window_end: np.ndarray
+    dropped_few_samples: int
+    dropped_all_masked: int
+    kept: np.ndarray
+    accuracy: np.ndarray
+    precision: np.ndarray
+
+    @property
+    def n_used(self) -> int:
+        return len(self.accuracy)
+
+
+def analyse_recording(rec: GazeRecording) -> RecordingAnalysis:
+    """Latency, fixation windows, outlier rejection, and per-fixation
+    accuracy and precision of one recording, every window at once.
+
+    The windows are gathered into one padded (window x sample) array, and
+    the centroid medians, Tukey quartiles, kept-sample medians and median
+    absolute deviations are read from row-sorted copies of it (invalid
+    entries as NaN, which sorts last). The results equal, bit for bit,
+    reject_outliers, fixation_accuracy and fixation_precision applied one
+    window at a time, and the drop warnings name the same windows in the
+    same order.
+    """
+    validate_recording(rec)
+    latency = estimate_latency(rec)
+    starts, ends, dwells = _window_bounds(rec, latency)
+    lengths = ends - starts
+    offsets = np.arange(lengths.max(initial=0))
+    inside = offsets < lengths[:, None]
+    idx = np.where(inside, starts[:, None] + offsets, starts[:, None])
+    gaze = np.stack((rec.gaze_x[idx], rec.gaze_y[idx]))        # (2, windows, width)
+    valid = inside & ~np.isnan(gaze).any(axis=0)
+    usable = valid.sum(axis=1)
+    gaze[:, ~valid] = np.nan
+
+    with np.errstate(invalid="ignore"):
+        centroid = _sorted_median(np.sort(gaze, axis=-1), usable)
+        dist = np.hypot(gaze[0] - centroid[0][:, None], gaze[1] - centroid[1][:, None])
+        sorted_dist = np.sort(dist, axis=-1)
+        q1 = _sorted_quantile(sorted_dist, usable, 0.25)
+        q3 = _sorted_quantile(sorted_dist, usable, 0.75)
+        iqr = q3 - q1
+        outlier = ((dist > (q3 + 1.5 * iqr)[:, None]) | (dist < (q1 - 1.5 * iqr)[:, None])
+                   | (dist > _MAX_DIST_DVA))
+    kept = valid & ~outlier & (usable >= _MIN_WINDOW_SAMPLES)[:, None]
+    n_kept = kept.sum(axis=1)
+    used = n_kept > 0
+
+    for i in np.flatnonzero(~used).tolist():
+        if usable[i] < _MIN_WINDOW_SAMPLES:
+            logger.warning("%s: dropping fixation %d (%d usable samples)",
+                           rec.recording_id, i, int(usable[i]))
+        else:
+            logger.warning("%s: dropping fixation %d (all samples masked)",
+                           rec.recording_id, i)
+
+    kept_gaze = np.where(kept, gaze, np.nan)
+    with np.errstate(invalid="ignore"):
+        middle = _sorted_median(np.sort(kept_gaze, axis=-1), n_kept)
+        mad = _sorted_median(np.sort(np.abs(kept_gaze - middle[..., None]), axis=-1), n_kept)
+    precision = np.stack((mad[0], mad[1], np.hypot(mad[0], mad[1])), axis=1)[used]
+
+    # the accuracy means stay one pairwise sum per window: each window's kept
+    # terms are moved, in order, to the front of its row, and reduced along
+    # that contiguous stretch exactly as a 1-D np.mean would
+    dx = gaze[0] - rec.tgt_x[dwells][:, None]
+    dy = gaze[1] - rec.tgt_y[dwells][:, None]
+    front = np.argsort(~kept, axis=1, kind="stable")
+    terms = np.take_along_axis(np.stack((np.abs(dx), np.abs(dy), np.hypot(dx, dy))),
+                               front[None], axis=-1)
+    accuracy = np.array([np.mean(terms[:, i, :n_kept[i]], axis=-1)
+                         for i in np.flatnonzero(used).tolist()]).reshape(-1, 3)
+
+    kept_samples = np.zeros(rec.n_samples, dtype=bool)
+    kept_samples[idx[kept]] = True
+    few = usable < _MIN_WINDOW_SAMPLES
+    return RecordingAnalysis(
+        latency=latency, window_start=starts, window_end=ends,
+        dropped_few_samples=int(few.sum()), dropped_all_masked=int((~used & ~few).sum()),
+        kept=kept_samples, accuracy=accuracy, precision=precision,
+    )
+
+
+def _take(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """rows[..., index] per row, the index broadcast over the leading axes.
+    The helpers below index a row of count entries within [0, count - 1],
+    and an empty row at -1, which reads its padding."""
+    index = np.broadcast_to(index, rows.shape[:-1])
+    return np.take_along_axis(rows, index[..., None], axis=-1)[..., 0]
+
+
+def _sorted_median(rows: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """np.median of the first `count` entries of each ascending row (NaN
+    padding sorts after them): the mean of the middle entry or pair, summed
+    as numpy's add.reduce does (lo + (0.0 + hi), so a zero comes out +0.0),
+    and NaN when a counted entry is NaN."""
+    lo = _take(rows, (count - 1) // 2)
+    hi = _take(rows, count // 2)
+    median = np.where(count % 2 == 1, lo + 0.0, (lo + (0.0 + hi)) / 2)
+    return np.where(np.isnan(_take(rows, count - 1)), np.nan, median)
+
+
+def _sorted_quantile(rows: np.ndarray, count: np.ndarray, p: float) -> np.ndarray:
+    """np.quantile(row[:count], p, method="linear") of each ascending row
+    of non-negative values: numpy's virtual index (count - 1) * p, its
+    last-entry rule at the top, and its _lerp, which interpolates down from
+    the upper neighbour when the weight t >= 0.5. (With -0.0 among the
+    values, which of two equal zeros numpy's partition picks can set the
+    sign of a zero result.)"""
+    virtual = (count - 1) * p
+    lower = np.floor(virtual)
+    top = virtual >= count - 1
+    t = virtual - np.where(top, -1, lower)
+    a = _take(rows, np.where(top, count - 1, lower).astype(np.intp))
+    b = _take(rows, np.where(top, count - 1, lower + 1).astype(np.intp))
+    diff = b - a
+    q = np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+    return np.where(np.isnan(_take(rows, count - 1)), np.nan, q)
+
+
+def recording_quality(rec: GazeRecording,
+                      analysis: RecordingAnalysis | None = None) -> QualityVector:
     """Full per-recording quality summary.
 
     Latency is searched over 0-400 ms in one-sample steps, and fixation
@@ -244,34 +383,21 @@ def recording_quality(rec: GazeRecording) -> QualityVector:
     per-fixation values, with the combined precision recomputed from the
     aggregated channels so the quadrature identity holds at the recording
     level too.
-    """
-    validate_recording(rec)
-    latency = estimate_latency(rec)
-    windows = extract_fixations(rec, latency)
 
-    accs, precs = [], []
-    for i, win in enumerate(windows):
-        usable = int((~rec.missing[win.sample_slice]).sum())
-        if usable < _MIN_WINDOW_SAMPLES:
-            logger.warning("%s: dropping fixation %d (%d usable samples)",
-                           rec.recording_id, i, usable)
-            continue
-        masked = reject_outliers(win, rec)
-        if not (~masked.outlier_mask).any():
-            logger.warning("%s: dropping fixation %d (all samples masked)",
-                           rec.recording_id, i)
-            continue
-        accs.append(fixation_accuracy(masked, rec))
-        precs.append(fixation_precision(masked, rec))
-    if not accs:
+    `analysis` is analyse_recording(rec), for a caller that keeps it for
+    other uses; it is computed here otherwise.
+    """
+    if analysis is None:
+        analysis = analyse_recording(rec)
+    if not analysis.n_used:
         raise ValueError(f"{rec.recording_id or 'recording'}: zero usable fixations")
 
-    acc = np.mean(accs, axis=0)
-    prec_h = float(np.median([p[0] for p in precs]))
-    prec_v = float(np.median([p[1] for p in precs]))
+    acc = np.mean(analysis.accuracy, axis=0)
+    prec_h = float(np.median(analysis.precision[:, 0]))
+    prec_v = float(np.median(analysis.precision[:, 1]))
     return QualityVector(
         acc_h=float(acc[0]), acc_v=float(acc[1]), acc_c=float(acc[2]),
         prec_h=prec_h, prec_v=prec_v, prec_c=float(np.hypot(prec_h, prec_v)),
         temporal_prec_ms=temporal_precision(rec),
-        n_fixations_used=len(accs),
+        n_fixations_used=analysis.n_used,
     )

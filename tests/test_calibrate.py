@@ -1,3 +1,6 @@
+import json
+import re
+
 import pytest
 
 import gazesim.calibrate as calibrate_mod
@@ -99,6 +102,35 @@ class TestCalibrationIO:
         id_a = save_calibration(swept_curve, tmp_path / "a.json")
         id_b = save_calibration(swept_curve, tmp_path / "b.json")
         assert id_a == id_b
+
+    @pytest.mark.parametrize("change,message", [
+        (lambda p: p.pop("mad_h"), "calibration file lacks key 'mad_h'"),
+        (lambda p: p.update(slope="steep"), "calibration key 'slope' is not a number: 'steep'"),
+        (lambda p: p.update(intercept=None), "calibration key 'intercept' is not a number"),
+        (lambda p: p.update(slope=True), "calibration key 'slope' is not a number"),
+        (lambda p: p["mad_h"].__setitem__(1, "x"),
+         "calibration key 'mad_h' is not a list of numbers"),
+        (lambda p: p.update(sigma0_sq_grid=0.1),
+         "calibration key 'sigma0_sq_grid' is not a list of numbers"),
+        (lambda p: p["mad_h"].pop(),
+         "calibration keys 'sigma0_sq_grid' and 'mad_h' differ in length"),
+        (lambda p: p.update(slope=-1.0), "fitted slope must be positive"),
+    ])
+    def test_bad_payload_names_file(self, tmp_path, swept_curve, change, message):
+        path = tmp_path / "calib.json"
+        save_calibration(swept_curve, path)
+        payload = json.loads(path.read_text())
+        change(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_calibration(path)
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "{not json"])
+    def test_not_a_calibration_object_names_file(self, tmp_path, text):
+        path = tmp_path / "calib.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+            load_calibration(path)
 
     def test_describe_mentions_fit(self, swept_curve):
         text = describe_curve(swept_curve)

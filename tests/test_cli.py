@@ -291,6 +291,35 @@ class TestDegrade:
         assert len(list(out.glob("*.plan.json"))) == 4
         assert not (out / "flat.csv").exists()
 
+    def test_modified_searches_latency_once_per_signal(
+            self, tiny_source, tiny_target_table, tiny_calibration, tmp_path, monkeypatch):
+        import gazesim.degrade
+        import gazesim.metrics
+        searched = []
+        original = gazesim.metrics.estimate_latency
+
+        def counting(rec, *args, **kwargs):
+            searched.append(rec.recording_id)
+            return original(rec, *args, **kwargs)
+
+        monkeypatch.setattr(gazesim.metrics, "estimate_latency", counting)
+        monkeypatch.setattr(gazesim.degrade, "estimate_latency", counting)
+        assert run(self.modified_argv(tiny_source / "manifest.csv", tiny_target_table,
+                                      tiny_calibration, tmp_path / "deg")) == 0
+        # one search per source and one per zero-noise pass of it; none more
+        # for the transform, which reuses the source's
+        sources = [e.recording_id for e in read_manifest(tiny_source / "manifest.csv")]
+        assert sorted(searched) == sorted(sources * 2)
+
+    def test_calibration_missing_key_names_file(self, tiny_source, tiny_target_table,
+                                                tmp_path, caplog):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"slope": 0.3}))
+        with caplog.at_level("ERROR"):
+            assert run(self.modified_argv(tiny_source / "manifest.csv", tiny_target_table,
+                                          bad, tmp_path / "deg")) == 1
+        assert f"{bad}: calibration file lacks key 'sigma0_sq_grid'" in caplog.text
+
     def test_modified_rejects_target_jitter_at_clamp_limit(
             self, tiny_source, tiny_calibration, tmp_path, caplog):
         # median temporal precision 2.0 ms >= 0.45 x 4 ms at 250 Hz

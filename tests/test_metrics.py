@@ -1,3 +1,4 @@
+import logging
 import re
 
 import numpy as np
@@ -5,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gazesim.metrics import (LatencyEstimate, estimate_latency,
+from gazesim.degrade import degrade_benchmark
+from gazesim.metrics import (LatencyEstimate, _sorted_median, _sorted_quantile,
+                             analyse_recording, estimate_latency,
                              extract_fixations, fixation_accuracy,
                              fixation_precision, recording_quality,
                              reject_outliers, temporal_precision)
 from gazesim.oracle import PRESETS, OracleSpec, generate_corpus, generate_recording
-from gazesim.types import FixationWindow
+from gazesim.quantiles import quantile
+from gazesim.types import DegradationPlan, FixationWindow, QualityVector
 
 from conftest import make_recording, piecewise_recording
 
@@ -529,3 +533,243 @@ def test_recording_prec_c_is_quadrature_of_channels(n_targets, rate_hz, noise, b
                       bias_sigma_dva=bias, seed=seed)
     qv = recording_quality(generate_recording(spec)[0])
     assert qv.prec_c == np.hypot(qv.prec_h, qv.prec_v)
+
+
+def per_window_fixations(rec, latency):
+    """The fixation windows as the original per-dwell loop found them."""
+    t = rec.timestamps_ms
+    changed = (np.diff(rec.tgt_x) != 0) | (np.diff(rec.tgt_y) != 0)
+    transitions = np.flatnonzero(changed) + 1
+    if transitions.size == 0:
+        raise ValueError(f"{rec.recording_id or 'recording'}: no target transitions found")
+    starts = np.concatenate(([0], transitions))
+    dwell_ends = np.concatenate((t[transitions], [t[-1]]))
+    windows = []
+    for start_idx, dwell_end in zip(starts, dwell_ends):
+        dwell_start = t[start_idx]
+        if dwell_end - dwell_start < 900.0 - 1e-9:
+            continue
+        w_lo = dwell_start + latency.shift_ms + 400.0
+        w_hi = w_lo + 500.0
+        if w_hi > t[-1] + 1e-9:
+            continue
+        a = int(np.searchsorted(t, w_lo - 1e-9, side="left"))
+        b = int(np.searchsorted(t, w_hi + 1e-9, side="right"))
+        if b - a < 1:
+            continue
+        windows.append(FixationWindow(rec.recording_id, a, b, float(rec.tgt_x[start_idx]),
+                                      float(rec.tgt_y[start_idx]), rec.missing[a:b]))
+    return windows
+
+
+def per_window_quality(rec):
+    """Reference recording_quality: the original loop over fixation windows
+    through reject_outliers, fixation_accuracy and fixation_precision.
+    Returns (QualityVector, windows, masked windows used)."""
+    latency = estimate_latency(rec)
+    windows = per_window_fixations(rec, latency)
+    accs, precs, used = [], [], []
+    for i, win in enumerate(windows):
+        usable = int((~rec.missing[win.sample_slice]).sum())
+        if usable < 4:
+            logging.getLogger("gazesim.metrics").warning(
+                "%s: dropping fixation %d (%d usable samples)", rec.recording_id, i, usable)
+            continue
+        masked = reject_outliers(win, rec)
+        if not (~masked.outlier_mask).any():
+            logging.getLogger("gazesim.metrics").warning(
+                "%s: dropping fixation %d (all samples masked)", rec.recording_id, i)
+            continue
+        accs.append(fixation_accuracy(masked, rec))
+        precs.append(fixation_precision(masked, rec))
+        used.append(masked)
+    if not accs:
+        raise ValueError(f"{rec.recording_id or 'recording'}: zero usable fixations")
+    acc = np.mean(accs, axis=0)
+    prec_h = float(np.median([p[0] for p in precs]))
+    prec_v = float(np.median([p[1] for p in precs]))
+    qv = QualityVector(
+        acc_h=float(acc[0]), acc_v=float(acc[1]), acc_c=float(acc[2]),
+        prec_h=prec_h, prec_v=prec_v, prec_c=float(np.hypot(prec_h, prec_v)),
+        temporal_prec_ms=temporal_precision(rec), n_fixations_used=len(accs))
+    return qv, windows, used
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def logged(fn, rec):
+    """(result or the ValueError's text, warning messages in order)."""
+    handler = _Messages()
+    log = logging.getLogger("gazesim.metrics")
+    log.addHandler(handler)
+    try:
+        try:
+            return fn(rec), handler.messages
+        except ValueError as exc:
+            return str(exc), handler.messages
+    finally:
+        log.removeHandler(handler)
+
+
+def hex_fields(qv):
+    return [float(v).hex() for v in qv.as_tuple()] + [qv.n_fixations_used]
+
+
+def assert_batched_matches_per_window(rec):
+    """recording_quality equals the per-window loop bit for bit, with the
+    same warnings in the same order; the analysis names the same windows,
+    drops and kept samples."""
+    expected, expected_log = logged(per_window_quality, rec)
+    got, got_log = logged(recording_quality, rec)
+    assert got_log == expected_log
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    qv, windows, used = expected
+    assert hex_fields(got) == hex_fields(qv)
+
+    analysis = analyse_recording(rec)
+    assert analysis.window_start.tolist() == [w.sample_start for w in windows]
+    assert analysis.window_end.tolist() == [w.sample_end for w in windows]
+    assert analysis.n_used == len(used)
+    assert analysis.dropped_few_samples + analysis.dropped_all_masked == len(windows) - len(used)
+    assert analysis.dropped_few_samples == sum("usable samples" in m for m in expected_log)
+    kept = np.zeros(rec.n_samples, dtype=bool)
+    for win in used:
+        kept[win.sample_slice] = ~win.outlier_mask
+    assert np.array_equal(analysis.kept, kept)
+
+
+def baseline_degraded(rec, seed):
+    return degrade_benchmark(rec, DegradationPlan(target_rate_hz=250.0, sigma0_sq=0.13,
+                                                  rng_seed=seed))
+
+
+def window_pattern_recording(kinds, rate_hz, seed):
+    """A piecewise recording, one 1000 ms dwell per entry of `kinds`, whose
+    gaze follows the target except over the 400-900 ms of each dwell, where
+    the kind sets it: "noise" (Gaussian), "ties" (three values), "split"
+    (two equal clusters 6 dva apart, which masks every sample), "sparse" (at most three usable samples), or "gap" (noise
+    with a missing run of random length)."""
+    rng = np.random.default_rng(seed)
+    period = 1000.0 / rate_hz
+    per_dwell = int(round(1000.0 / period))
+    n = per_dwell * len(kinds) + int(round(300.0 / period))
+    targets = rng.integers(-8, 9, size=(len(kinds), 2)).astype(float)
+    targets[:, 0] += 20.0 * np.arange(len(kinds))     # consecutive targets differ
+    dwell = np.minimum(np.arange(n) // per_dwell, len(kinds) - 1)
+    tx, ty = targets[dwell, 0], targets[dwell, 1]
+    gx, gy = tx.copy(), ty.copy()
+    lo, hi = int(round(400.0 / period)), int(round(900.0 / period)) + 1
+    for d, kind in enumerate(kinds):
+        sl = slice(d * per_dwell + lo, d * per_dwell + hi)
+        m = hi - lo
+        if kind == "ties":
+            gx[sl] += rng.choice([-0.5, 0.0, 0.25], m)
+            gy[sl] += rng.choice([-0.25, 0.0, 0.5], m)
+        elif kind == "split":
+            gx[sl] += np.where(np.arange(m) % 2 == 0, -3.0, 3.0)
+            if m % 2:
+                gx[sl.stop - 1] = np.nan
+        else:
+            gx[sl] += rng.normal(0.0, rng.uniform(0.01, 1.5), m)
+            gy[sl] += rng.normal(0.0, rng.uniform(0.01, 1.5), m)
+        if kind == "sparse":
+            keep = rng.choice(m, int(rng.integers(0, 4)), replace=False)
+            gap = np.ones(m, dtype=bool)
+            gap[keep] = False
+            gx[sl] = np.where(gap, np.nan, gx[sl])
+        elif kind == "gap":
+            start = int(rng.integers(0, m))
+            run = int(rng.integers(0, m + 1))
+            gy[sl][start:start + run] = np.nan
+    return make_recording(np.arange(n) * period, gx, gy, tx, ty, rate_hz=rate_hz,
+                          recording_id="pattern")
+
+
+class TestBatchedWindowsOracle:
+    """analyse_recording and recording_quality against the per-window loop
+    kept here as the reference."""
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_presets(self, preset, seed):
+        for rec, _ in generate_corpus(PRESETS[preset], 2, seed=seed):
+            assert_batched_matches_per_window(rec)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_baseline_degraded_250hz(self, seed):
+        for i, (rec, _) in enumerate(generate_corpus(PRESETS["eyelink-like"], 2, seed=seed)):
+            assert_batched_matches_per_window(baseline_degraded(rec, seed * 10 + i))
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_missing_runs(self, preset):
+        for i, (rec, _) in enumerate(generate_corpus(PRESETS[preset], 2, seed=5)):
+            assert_batched_matches_per_window(with_missing_runs(rec, seed=i, max_len=400))
+
+    def test_every_drop_reason_and_order(self):
+        kinds = ["noise", "sparse", "split", "ties", "sparse", "gap", "split"]
+        rec = window_pattern_recording(kinds, 250.0, seed=3)
+        assert_batched_matches_per_window(rec)
+        analysis = analyse_recording(rec)
+        assert analysis.dropped_few_samples == 2
+        assert analysis.dropped_all_masked >= 1
+
+    def test_every_window_dropped(self):
+        rec = window_pattern_recording(["sparse", "split", "sparse"], 100.0, seed=1)
+        assert_batched_matches_per_window(rec)
+        with pytest.raises(ValueError, match="pattern: zero usable fixations"):
+            recording_quality(rec)
+
+    def test_no_windows(self):
+        rec = piecewise_recording([300, 300, 300], [(0, 0), (4, 1), (-2, 3)],
+                                  latency_ms=0.0, tail_ms=300.0)
+        assert_batched_matches_per_window(rec)
+        assert analyse_recording(rec).window_start.size == 0
+
+    def test_infinite_gaze_sample(self):
+        rec, _ = generate_corpus(PRESETS["vr-like"], 1, seed=4)[0]
+        analysis = analyse_recording(rec)
+        gx = rec.gaze_x.copy()
+        gx[analysis.window_start[1] + 3] = np.inf
+        gx[analysis.window_start[2]:analysis.window_start[2] + 2] = [np.inf, -np.inf]
+        with np.errstate(invalid="ignore"):
+            assert_batched_matches_per_window(rec.replace(gaze_x=gx))
+
+    @settings(max_examples=60, deadline=None)
+    @given(kinds=st.lists(st.sampled_from(["noise", "ties", "split", "sparse", "gap"]),
+                          min_size=2, max_size=6),
+           rate_hz=st.sampled_from([100.0, 250.0]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_window_patterns(self, kinds, rate_hz, seed):
+        assert_batched_matches_per_window(window_pattern_recording(kinds, rate_hz, seed))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_sorted_order_statistics_match_numpy(self, data):
+        # the quartiles are taken of distances, so of non-negative values
+        lowest = data.draw(st.sampled_from([-1e3, 0.0]))
+        values = st.floats(lowest, 1e3, allow_nan=False, allow_infinity=False)
+        rows = data.draw(st.lists(st.lists(values, min_size=1, max_size=40),
+                                  min_size=1, max_size=6))
+        if data.draw(st.booleans()):
+            rows = [np.round(np.asarray(r), 1).tolist() for r in rows]   # ties
+        count = np.array([len(r) for r in rows])
+        padded = np.full((len(rows), count.max()), np.nan)
+        for i, r in enumerate(rows):
+            padded[i, :len(r)] = r
+        padded = np.sort(padded, axis=-1)
+        got = {"median": _sorted_median(padded, count),
+               0.25: _sorted_quantile(padded, count, 0.25),
+               0.75: _sorted_quantile(padded, count, 0.75)}
+        for i, r in enumerate(rows):
+            assert float(got["median"][i]).hex() == float(np.median(r)).hex()
+            if lowest == 0.0:
+                for p in (0.25, 0.75):
+                    assert float(got[p][i]).hex() == quantile(r, p).hex()

@@ -16,8 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .io import atomic_write_text, format_float
 from .quantiles import quantile
@@ -115,8 +113,12 @@ def _nearest_other(pooled: np.ndarray) -> np.ndarray:
     and its two nearest others. A row whose two nearest others lie within a
     relative _TIE_RTOL of each other is rescored exactly against every row;
     that includes a row that did not get itself back, as then all three
-    results lie at distance 0.
+    results lie at distance 0. scipy.spatial loads here, not when gazesim
+    is imported.
     """
+    from scipy.spatial import cKDTree
+    from scipy.spatial.distance import cdist
+
     m = pooled.shape[0]
     dist, idx = cKDTree(pooled).query(pooled, k=3)
     # columns of the two nearest non-self results, in distance order

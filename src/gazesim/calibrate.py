@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .degrade import DegradeConfig, degrade_benchmark
-from .io import atomic_write_text, format_float
+from .io import atomic_write_text, format_float, is_json_number, read_json_object
 from .metrics import recording_quality
 from .seeding import derive_seed
 from .types import CalibrationCurve, DegradationPlan
@@ -83,10 +83,6 @@ def save_calibration(calib: CalibrationCurve, path, provenance: dict | None = No
     return payload["calibration_id"]
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def load_calibration(path) -> tuple:
     """Read a curve back; returns (CalibrationCurve, full payload dict).
 
@@ -94,22 +90,16 @@ def load_calibration(path) -> tuple:
     non-numeric value there, or describes no valid curve raises ValueError
     naming the file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: calibration file is not a JSON object")
+    payload = read_json_object(path, "calibration")
     for key in ("sigma0_sq_grid", "mad_h", "slope", "intercept"):
         if key not in payload:
             raise ValueError(f"{path}: calibration file lacks key {key!r}")
     for key in ("sigma0_sq_grid", "mad_h"):
         value = payload[key]
-        if not (isinstance(value, list) and all(map(_is_number, value))):
+        if not (isinstance(value, list) and all(map(is_json_number, value))):
             raise ValueError(f"{path}: calibration key {key!r} is not a list of numbers: {value!r}")
     for key in ("slope", "intercept"):
-        if not _is_number(payload[key]):
+        if not is_json_number(payload[key]):
             raise ValueError(f"{path}: calibration key {key!r} is not a number: {payload[key]!r}")
     if len(payload["sigma0_sq_grid"]) != len(payload["mad_h"]):
         raise ValueError(f"{path}: calibration keys 'sigma0_sq_grid' and 'mad_h' differ in length")

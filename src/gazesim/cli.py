@@ -13,6 +13,7 @@ import argparse
 import json
 import hashlib
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -111,6 +112,8 @@ def _parse_grid(text: str) -> list:
     if len(parts) != 3:
         raise ValueError(f"grid must be 'a:b:step', got {text!r}")
     a, b, step = (float(p) for p in parts)
+    if not all(map(math.isfinite, (a, b, step))):
+        raise ValueError(f"grid must be finite 'a:b:step', got {text!r}")
     if step <= 0 or b < a:
         raise ValueError(f"grid must have b >= a and step > 0, got {text!r}")
     grid = []

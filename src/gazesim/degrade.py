@@ -24,18 +24,18 @@ position noise, then timestamp jitter.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
-from scipy import signal as _signal
 
 from .metrics import LatencyEstimate, estimate_latency, extract_fixations
 from .quantiles import percentile_rank, quantile
 from .types import (DegradationPlan, GazeRecording, QualityVector,
                     CalibrationCurve, validate_recording)
-from .io import atomic_write_text
+from .io import atomic_write_text, is_json_number, read_json_object
 
 __all__ = [
     "DegradeConfig", "lowpass_zero_phase", "resample_spline",
@@ -79,6 +79,17 @@ def _fill_missing_linear(x: np.ndarray) -> tuple:
     return filled, miss
 
 
+@functools.lru_cache(maxsize=16)
+def _lowpass_sos(cutoff_hz: float, fs: float) -> np.ndarray:
+    """Read-only second-order sections of the low-pass, designed once per
+    (cutoff, rate). scipy.signal loads here, at the first filter design, so
+    importing gazesim does not pay for it."""
+    from scipy import signal
+    sos = signal.butter(_FILTER_ORDER, cutoff_hz, btype="lowpass", fs=fs, output="sos")
+    sos.flags.writeable = False
+    return sos
+
+
 def lowpass_zero_phase(rec: GazeRecording, cutoff_hz: float) -> GazeRecording:
     """Butterworth low-pass, of order _FILTER_ORDER per pass, of the gaze
     channels at 0 < cutoff_hz < source Nyquist; targets and timestamps pass
@@ -103,7 +114,10 @@ def lowpass_zero_phase(rec: GazeRecording, cutoff_hz: float) -> GazeRecording:
             f"recording shorter than 3x filter warm-up length "
             f"({rec.n_samples} samples <= pad {padlen})"
         )
-    sos = _signal.butter(_FILTER_ORDER, cutoff_hz, btype="lowpass", fs=fs, output="sos")
+    # sosfilt's compiled core takes a writable buffer only: filter with a
+    # private copy of the shared design (one section, 48 bytes)
+    sos = _lowpass_sos(cutoff_hz, fs).copy()
+    from scipy.signal import sosfiltfilt
 
     filtered = {}
     for name in ("gaze_x", "gaze_y"):
@@ -112,8 +126,7 @@ def lowpass_zero_phase(rec: GazeRecording, cutoff_hz: float) -> GazeRecording:
         if miss.all():
             filtered[name] = x
             continue
-        y = np.asarray(_signal.sosfiltfilt(sos, finite, padtype="even", padlen=padlen),
-                       dtype=float)
+        y = np.asarray(sosfiltfilt(sos, finite, padtype="even", padlen=padlen), dtype=float)
         y[miss] = np.nan
         filtered[name] = y
     return rec.replace(**filtered)
@@ -386,17 +399,29 @@ def save_plan(plan: DegradationPlan, path, provenance: dict | None = None) -> No
 
 def load_plan(path) -> DegradationPlan:
     """Read a plan file. An older file's eccentricity-weighting keys load
-    only when null: a weighted plan is never read as unweighted."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    only when null: a weighted plan is never read as unweighted.
+
+    A file that is not a JSON object, lacks target_rate_hz or sigma0_sq, or
+    holds a non-numeric value (a non-integer rng_seed) raises ValueError
+    naming the file; the other keys default as in DegradationPlan.
+    """
+    payload = read_json_object(path, "plan")
     for key in ("eccentricity_sigma_s_dva", "eccentricity_r_max_dva"):
         if payload.get(key) is not None:
             raise ValueError(f"{path}: eccentricity weighting ({key}) is no longer supported")
-    return DegradationPlan(
-        target_rate_hz=payload["target_rate_hz"],
-        sigma0_sq=payload["sigma0_sq"],
-        acc_offset_h=payload.get("acc_offset_h", 0.0),
-        acc_offset_v=payload.get("acc_offset_v", 0.0),
-        jitter_sigma_ms=payload.get("jitter_sigma_ms", 0.0),
-        rng_seed=payload.get("rng_seed", 0),
-    )
+    values = {}
+    for field in fields(DegradationPlan):
+        key = field.name
+        if key not in payload:
+            if field.default is MISSING:
+                raise ValueError(f"{path}: plan file lacks key {key!r}")
+            continue
+        value = values[key] = payload[key]
+        if key == "rng_seed" and not (is_json_number(value) and isinstance(value, int)):
+            raise ValueError(f"{path}: plan key {key!r} is not an integer: {value!r}")
+        if not is_json_number(value):
+            raise ValueError(f"{path}: plan key {key!r} is not a number: {value!r}")
+    try:
+        return DegradationPlan(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io as _io
+import json
 import os
 import tempfile
 from contextlib import contextmanager
@@ -61,6 +62,24 @@ def atomic_write_text(path, text) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def is_json_number(value) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def read_json_object(path, kind: str) -> dict:
+    """The JSON object a `kind` file holds. Text that is not UTF-8 JSON, or a
+    payload that is not an object, raises ValueError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: {kind} file is not a JSON object")
+    return payload
 
 
 @contextmanager

@@ -209,6 +209,14 @@ class TestCalibrate:
                     "--rate-hz", 250, "--grid", "0.4:0.1:0.1",
                     "--out", tmp_path / "c.json"]) == 1
 
+    @pytest.mark.parametrize("grid", ["0:inf:0.1", "nan:1:0.1"])
+    def test_non_finite_grid_rejected(self, tiny_source, tmp_path, caplog, grid):
+        with caplog.at_level("ERROR"):
+            assert run(["calibrate", "--manifest", tiny_source / "manifest.csv",
+                        "--rate-hz", 250, "--grid", grid,
+                        "--out", tmp_path / "c.json"]) == 1
+        assert f"grid must be finite 'a:b:step', got '{grid}'" in caplog.text
+
 
 class TestDegrade:
     def test_baseline_with_explicit_sigma(self, tiny_source, tmp_path):

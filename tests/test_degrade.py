@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal as sp_signal
 
-from gazesim.degrade import (DegradeConfig, add_precision_noise,
+from gazesim.degrade import (DegradeConfig, _lowpass_sos, add_precision_noise,
                              build_accuracy_signal, degrade_benchmark,
                              degrade_modified, jitter_timestamps, load_plan,
                              lowpass_zero_phase, nominal_target_timestamps,
@@ -113,6 +113,28 @@ class TestLowpassZeroPhase:
         rec = make_recording(np.arange(10.0), np.zeros(10), np.zeros(10))
         with pytest.raises(ValueError, match="warm-up"):
             lowpass_zero_phase(rec, 1.0)
+
+    def test_equals_direct_scipy_filter_bit_for_bit(self):
+        # padlen max(ceil(3 * 1000 / (2 pi 100)), 15) = 15
+        rec = self.white_noise_recording(n=5000)
+        out = lowpass_zero_phase(rec, 100.0)
+        sos = sp_signal.butter(2, 100.0, btype="lowpass", fs=1000.0, output="sos")
+        for name in ("gaze_x", "gaze_y"):
+            direct = sp_signal.sosfiltfilt(sos, getattr(rec, name), padtype="even", padlen=15)
+            assert getattr(out, name).tobytes() == direct.tobytes()
+
+    def test_filter_designed_once_per_rate_and_read_only(self):
+        _lowpass_sos.cache_clear()
+        rec = self.white_noise_recording(n=2000)
+        first = lowpass_zero_phase(rec, 100.0)
+        second = lowpass_zero_phase(rec, 100.0)
+        info = _lowpass_sos.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert first.gaze_x.tobytes() == second.gaze_x.tobytes()
+        sos = _lowpass_sos(100.0, 1000.0)
+        assert not sos.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            sos[0, 0] = 0.0
 
 
 class TestResampleSpline:
@@ -571,6 +593,32 @@ class TestPlanSerialization:
         assert not any(key.startswith("eccentricity") for key in json.loads(path.read_text()))
         self.with_weighting_keys(path, None, None)
         assert load_plan(path) == plan
+
+    def test_required_keys_only_take_the_defaults(self, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"target_rate_hz": 250, "sigma0_sq": 0.2}))
+        assert load_plan(path) == DegradationPlan(250.0, 0.2)
+
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "Expecting property name"),
+        ("[250.0, 0.2]", "plan file is not a JSON object"),
+        ('{"sigma0_sq": 0.2}', "plan file lacks key 'target_rate_hz'"),
+        ('{"target_rate_hz": 250.0}', "plan file lacks key 'sigma0_sq'"),
+        ('{"target_rate_hz": "250", "sigma0_sq": 0.2}',
+         "plan key 'target_rate_hz' is not a number: '250'"),
+        ('{"target_rate_hz": 250.0, "sigma0_sq": true}',
+         "plan key 'sigma0_sq' is not a number: True"),
+        ('{"target_rate_hz": 250.0, "sigma0_sq": 0.2, "jitter_sigma_ms": null}',
+         "plan key 'jitter_sigma_ms' is not a number: None"),
+        ('{"target_rate_hz": 250.0, "sigma0_sq": 0.2, "rng_seed": 1.5}',
+         "plan key 'rng_seed' is not an integer: 1.5"),
+        ('{"target_rate_hz": 250.0, "sigma0_sq": -0.2}', "sigma0_sq must be >= 0"),
+    ])
+    def test_bad_file_names_path(self, tmp_path, text, message):
+        path = tmp_path / "plan.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
+            load_plan(path)
 
     def test_weighted_old_file_rejected(self, tmp_path):
         path = tmp_path / "plan.json"

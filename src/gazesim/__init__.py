@@ -9,7 +9,7 @@ from .metrics import (LatencyEstimate, estimate_latency, extract_fixations,
                       fixation_accuracy, fixation_precision, recording_quality,
                       reject_outliers, temporal_precision)
 from .quantiles import percentile_rank, quantile
-from .degrade import (DegradeConfig, add_precision_noise, build_accuracy_signal,
+from .degrade import (add_precision_noise, build_accuracy_signal,
                       degrade_benchmark, degrade_modified, jitter_timestamps,
                       lowpass_zero_phase, nominal_target_timestamps,
                       plan_modified, resample_spline, zero_noise_pass)
@@ -25,7 +25,7 @@ __all__ = [
     "LatencyEstimate", "estimate_latency", "extract_fixations", "fixation_accuracy",
     "fixation_precision", "recording_quality", "reject_outliers", "temporal_precision",
     "percentile_rank", "quantile",
-    "DegradeConfig", "add_precision_noise", "build_accuracy_signal",
+    "add_precision_noise", "build_accuracy_signal",
     "degrade_benchmark", "degrade_modified", "jitter_timestamps",
     "lowpass_zero_phase", "nominal_target_timestamps", "plan_modified",
     "resample_spline", "zero_noise_pass",

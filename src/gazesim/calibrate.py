@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 
-from .degrade import DegradeConfig, degrade_benchmark
+from .degrade import degrade_benchmark
 from .io import atomic_write_text, format_float, is_json_number, read_json_object
 from .metrics import recording_quality
 from .seeding import derive_seed
@@ -24,8 +24,8 @@ class NonMonotoneSweepWarning(UserWarning):
     """Raw sweep points decreased somewhere; the linear fit proceeds."""
 
 
-def sweep_sigma(corpus, sigma0_sq_grid, target_rate_hz: float, seed: int,
-                config: DegradeConfig = DegradeConfig()) -> CalibrationCurve:
+def sweep_sigma(corpus, sigma0_sq_grid, target_rate_hz: float,
+                seed: int) -> CalibrationCurve:
     """Measure corpus-median horizontal precision for each grid variance.
 
     Per-recording seeds depend only on (seed, recording_id), so every grid
@@ -49,7 +49,7 @@ def sweep_sigma(corpus, sigma0_sq_grid, target_rate_hz: float, seed: int,
                 sigma0_sq=sigma_sq,
                 rng_seed=derive_seed(seed, rec.recording_id),
             )
-            degraded = degrade_benchmark(rec, plan, config)
+            degraded = degrade_benchmark(rec, plan)
             values.append(recording_quality(degraded).prec_h)
         medians.append(float(np.median(values)))
 
@@ -87,10 +87,14 @@ def load_calibration(path) -> tuple:
     """Read a curve back; returns (CalibrationCurve, full payload dict).
 
     A file that is not a JSON object, lacks one of the curve's keys, holds a
-    non-numeric value there, or describes no valid curve raises ValueError
-    naming the file.
+    non-numeric value there, describes no valid curve, or was swept with a
+    noise order other than "pre" raises ValueError naming the file.
     """
     payload = read_json_object(path, "calibration")
+    provenance = payload.get("provenance")
+    if isinstance(provenance, dict) and provenance.get("noise_order", "pre") != "pre":
+        raise ValueError(f"{path}: calibration was swept with noise_order "
+                         f"{provenance['noise_order']!r}, not 'pre' (before the low-pass)")
     for key in ("sigma0_sq_grid", "mad_h", "slope", "intercept"):
         if key not in payload:
             raise ValueError(f"{path}: calibration file lacks key {key!r}")

@@ -22,10 +22,10 @@ from .assess import (distribution_summary, repeated_assessment,
                      summary_rows_to_csv, write_assessment_report)
 from .calibrate import (describe_curve, load_calibration, save_calibration,
                         sweep_sigma)
-from .degrade import (DegradeConfig, degrade_benchmark, degrade_modified,
-                      plan_modified, save_plan, zero_noise_pass)
-from .io import (ManifestEntry, atomic_write_text, read_manifest,
-                 read_quality_table, read_recording_from_entry,
+from .degrade import (degrade_benchmark, degrade_modified, plan_modified,
+                      save_plan, zero_noise_pass)
+from .io import (ManifestEntry, atomic_write_text, read_json_object,
+                 read_manifest, read_quality_table, read_recording_from_entry,
                  write_manifest, write_quality_table, write_recording)
 from .metrics import analyse_recording, recording_quality
 from .oracle import (PRESETS, corpus_spec_from_json, generate_corpus,
@@ -73,8 +73,11 @@ def cmd_synth(args) -> int:
         spec = PRESETS[args.preset]
         spec_label = args.preset
     elif args.spec_file is not None:
-        with open(args.spec_file, "r", encoding="utf-8") as fh:
-            spec = corpus_spec_from_json(json.load(fh))
+        payload = read_json_object(args.spec_file, "corpus spec")
+        try:
+            spec = corpus_spec_from_json(payload)
+        except ValueError as exc:
+            raise ValueError(f"{args.spec_file}: {exc}") from None
         spec_label = Path(args.spec_file).stem
     else:
         raise SystemExit("synth needs --preset or --spec-file")
@@ -134,14 +137,11 @@ def cmd_calibrate(args) -> int:
     # --skip-bad also drops the recordings the metric pass rejects
     corpus = _map_corpus(args.manifest, args.skip_bad,
                          _measurable if args.skip_bad else (lambda rec: rec))
-    config = DegradeConfig(noise_order=args.noise_order)
-    curve = sweep_sigma(corpus, _parse_grid(args.grid), args.rate_hz, args.seed,
-                        config=config)
+    curve = sweep_sigma(corpus, _parse_grid(args.grid), args.rate_hz, args.seed)
     calibration_id = save_calibration(curve, args.out, provenance={
         "manifest": str(args.manifest),
         "target_rate_hz": args.rate_hz,
         "seed": args.seed,
-        "noise_order": args.noise_order,
         "grid": args.grid,
         "version": __version__,
     })
@@ -157,8 +157,6 @@ def _measure_source(rec):
 
 
 def cmd_degrade(args) -> int:
-    config = DegradeConfig(noise_order=args.noise_order,
-                           jitter_correction=(args.jitter_correction == "on"))
     modified = args.model == "modified"
     if modified and not (args.calibration and args.target_table):
         raise SystemExit("modified model needs both --calibration and --target-table")
@@ -199,13 +197,12 @@ def cmd_degrade(args) -> int:
         ) for rec in corpus}
     else:
         source_qvs = {rec.recording_id: qv for rec, qv, _ in measured}
-        latencies = {rec.recording_id: latency for rec, _, latency in measured}
         provenance["source_corpus_hash"] = _hash_quality_rows(source_qvs.items())
         source_corpus = list(source_qvs.values())
         target_corpus = [qv for _, qv in target_rows]
         plans = {}
         for rec in corpus:
-            post_qv = recording_quality(zero_noise_pass(rec, args.rate_hz, config))
+            post_qv = recording_quality(zero_noise_pass(rec, args.rate_hz))
             plans[rec.recording_id] = plan_modified(
                 source_qvs[rec.recording_id], post_qv.prec_c,
                 source_corpus, target_corpus, calib,
@@ -213,12 +210,13 @@ def cmd_degrade(args) -> int:
             )
 
     entries = []
-    for rec in corpus:
+    for rec, _, latency in measured:
         plan = plans[rec.recording_id]
         if modified:
-            degraded = degrade_modified(rec, plan, config, latencies[rec.recording_id])
+            degraded = degrade_modified(rec, plan, latency,
+                                        jitter_correction=args.jitter_correction == "on")
         else:
-            degraded = degrade_benchmark(rec, plan, config)
+            degraded = degrade_benchmark(rec, plan)
         write_recording(degraded, out_dir / f"{rec.recording_id}.csv")
         save_plan(plan, out_dir / f"{rec.recording_id}.plan.json", provenance)
         entries.append(ManifestEntry(rec.recording_id, rec.recording_id + ".csv",
@@ -230,7 +228,7 @@ def cmd_degrade(args) -> int:
         "manifest": str(args.manifest),
         "target_table": str(args.target_table) if args.target_table else None,
         "calibration": str(args.calibration) if args.calibration else None,
-        "noise_order": args.noise_order, "jitter_correction": args.jitter_correction,
+        "jitter_correction": args.jitter_correction,
         "version": __version__,
     })
     print(f"wrote {len(corpus)} degraded recordings to {out_dir}")
@@ -296,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help="sigma0_sq grid as a:b:step")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--noise-order", choices=("pre", "post"), default="pre")
     p.add_argument("--skip-bad", action="store_true",
                    help="log and skip recordings that cannot be read or measured "
                         "instead of failing")
@@ -312,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="baseline noise variance (otherwise inverted from calibration)")
     p.add_argument("--target-table", default=None, help="target corpus quality table")
     p.add_argument("--calibration", default=None, help="calibration JSON from 'calibrate'")
-    p.add_argument("--noise-order", choices=("pre", "post"), default="pre")
     p.add_argument("--jitter-correction", choices=("on", "off"), default="off")
     p.add_argument("--skip-bad", action="store_true",
                    help="log and skip recordings that cannot be read (or, for the "

@@ -2,8 +2,8 @@
 
 Both transform models run one staged pipeline:
 
-    [accuracy steps] -> noise if "pre" -> zero-phase low-pass
-    -> nominal target grid -> [jitter + clip] -> resample -> noise if "post"
+    [accuracy steps] -> noise -> zero-phase low-pass
+    -> nominal target grid -> [jitter + clip] -> resample
 
 The baseline model (degrade_benchmark) runs the unbracketed stages: Gaussian
 position noise, a Butterworth low-pass at 0.8 of the target Nyquist
@@ -14,9 +14,8 @@ temporal precision. Its per-recording plan (plan_modified) percentile-matches
 the target corpus, inverting the needed precision through a calibration
 curve.
 
-Noise is injected before the low-pass by default; that ordering is the one
-consistent with calibrating the noise variance against post-pipeline
-precision, and it can be switched via DegradeConfig.noise_order.
+Noise is injected before the low-pass: that ordering is the one consistent
+with calibrating the noise variance against post-pipeline precision.
 
 Every operation is a pure function of (recording, plan, seed). Random draws
 happen in a fixed order per recording: accuracy magnitudes, then signs, then
@@ -27,7 +26,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from .types import (DegradationPlan, GazeRecording, QualityVector,
 from .io import atomic_write_text, is_json_number, read_json_object
 
 __all__ = [
-    "DegradeConfig", "lowpass_zero_phase", "resample_spline",
+    "lowpass_zero_phase", "resample_spline",
     "nominal_target_timestamps", "jitter_timestamps", "add_precision_noise",
     "degrade_benchmark", "plan_modified", "build_accuracy_signal",
     "degrade_modified", "zero_noise_pass", "save_plan", "load_plan",
@@ -53,18 +52,6 @@ _CHANNEL_SHARE = 1.0 / math.sqrt(2.0)
 # fraction of the target Nyquist frequency
 _FILTER_ORDER = 2
 _CUTOFF_FRACTION = 0.8
-
-
-@dataclass(frozen=True)
-class DegradeConfig:
-    """Pipeline switches shared by both transform models."""
-
-    noise_order: str = "pre"      # inject noise before ("pre") or after ("post") bandwidth reduction
-    jitter_correction: bool = False  # divide jitter std by sqrt(2) so ISI std matches the target
-
-    def __post_init__(self) -> None:
-        if self.noise_order not in ("pre", "post"):
-            raise ValueError(f"noise_order must be 'pre' or 'post', got {self.noise_order!r}")
 
 
 def _fill_missing_linear(x: np.ndarray) -> tuple:
@@ -226,8 +213,9 @@ def add_precision_noise(rec: GazeRecording, sigma0_sq: float,
     return rec.replace(gaze_x=rec.gaze_x + noise_x, gaze_y=rec.gaze_y + noise_y)
 
 
-def _degrade(rec: GazeRecording, plan: DegradationPlan, config: DegradeConfig,
-             modified: bool, latency: LatencyEstimate | None = None) -> GazeRecording:
+def _degrade(rec: GazeRecording, plan: DegradationPlan, modified: bool,
+             latency: LatencyEstimate | None = None,
+             jitter_correction: bool = False) -> GazeRecording:
     """The staged pipeline behind both models (see the module docstring);
     `modified` adds the accuracy-step and timestamp-jitter stages, aligned
     on `latency`, which is searched here when not given."""
@@ -245,36 +233,30 @@ def _degrade(rec: GazeRecording, plan: DegradationPlan, config: DegradeConfig,
             latency = estimate_latency(rec)
         off_x, off_y = build_accuracy_signal(rec, plan, latency, rng)
         out = rec.replace(gaze_x=rec.gaze_x + off_x, gaze_y=rec.gaze_y + off_y)
-    if config.noise_order == "pre":
-        out = add_precision_noise(out, plan.sigma0_sq, rng)
+    out = add_precision_noise(out, plan.sigma0_sq, rng)
     out = lowpass_zero_phase(out, _CUTOFF_FRACTION * plan.target_rate_hz / 2.0)
     stamps = nominal_target_timestamps(rec.span_ms, plan.target_rate_hz,
                                        start_ms=float(rec.timestamps_ms[0]))
     if modified:
         stamps = jitter_timestamps(stamps, plan.jitter_sigma_ms, rng,
-                                   correction=config.jitter_correction)
+                                   correction=jitter_correction)
         # endpoint jitter may poke past the source span; clip (interior stamps
         # cannot reach the bounds because perturbations are clamped)
         stamps = np.clip(stamps, rec.timestamps_ms[0], rec.timestamps_ms[-1])
-    out = resample_spline(out, stamps, nominal_rate_hz=plan.target_rate_hz)
-    if config.noise_order == "post":
-        out = add_precision_noise(out, plan.sigma0_sq, rng)
-    return out
+    return resample_spline(out, stamps, nominal_rate_hz=plan.target_rate_hz)
 
 
-def degrade_benchmark(rec: GazeRecording, plan: DegradationPlan,
-                      config: DegradeConfig = DegradeConfig()) -> GazeRecording:
+def degrade_benchmark(rec: GazeRecording, plan: DegradationPlan) -> GazeRecording:
     """Baseline transform: position noise plus bandwidth reduction.
 
     Accuracy offsets and timestamp jitter in the plan are ignored; the
     baseline model has no mechanism for them. Deterministic given
     plan.rng_seed.
     """
-    return _degrade(rec, plan, config, modified=False)
+    return _degrade(rec, plan, modified=False)
 
 
-def zero_noise_pass(rec: GazeRecording, target_rate_hz: float,
-                    config: DegradeConfig = DegradeConfig()) -> GazeRecording:
+def zero_noise_pass(rec: GazeRecording, target_rate_hz: float) -> GazeRecording:
     """Bandwidth reduction alone: the baseline pipeline with zero noise.
 
     Used to measure how much precision the source recording retains after
@@ -282,7 +264,7 @@ def zero_noise_pass(rec: GazeRecording, target_rate_hz: float,
     quadrature from the percentile-matched target precision.
     """
     plan = DegradationPlan(target_rate_hz=target_rate_hz, sigma0_sq=0.0)
-    return degrade_benchmark(rec, plan, config)
+    return degrade_benchmark(rec, plan)
 
 
 def plan_modified(source_qv: QualityVector, source_post_prec_c: float,
@@ -363,8 +345,8 @@ def build_accuracy_signal(rec: GazeRecording, plan: DegradationPlan,
 
 
 def degrade_modified(rec: GazeRecording, plan: DegradationPlan,
-                     config: DegradeConfig = DegradeConfig(),
-                     latency: LatencyEstimate | None = None) -> GazeRecording:
+                     latency: LatencyEstimate | None = None,
+                     jitter_correction: bool = False) -> GazeRecording:
     """Modified transform: accuracy steps, position noise, bandwidth
     reduction, and resampling onto a jittered target grid.
 
@@ -372,9 +354,11 @@ def degrade_modified(rec: GazeRecording, plan: DegradationPlan,
     of the source recording. `latency` is the source's estimate_latency
     result, for a caller that already has it; it is searched here otherwise.
     Output timestamps are the jittered ones, so the result exhibits the
-    planned temporal imprecision. Deterministic given plan.rng_seed.
+    planned temporal imprecision; `jitter_correction` is jitter_timestamps'
+    sqrt(2) correction. Deterministic given plan.rng_seed.
     """
-    return _degrade(rec, plan, config, modified=True, latency=latency)
+    return _degrade(rec, plan, modified=True, latency=latency,
+                    jitter_correction=jitter_correction)
 
 
 def plan_to_dict(plan: DegradationPlan, provenance: dict | None = None) -> dict:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degrade import jitter_timestamps
-from .io import atomic_write_text, format_float
+from .io import atomic_write_text, format_float, is_json_number
 from .seeding import derive_seed
 from .types import GazeRecording
 
@@ -208,32 +208,47 @@ PRESETS = {
 }
 
 
-def _dist_from_json(value) -> ParamDist:
-    if isinstance(value, (int, float)):
-        return fixed(float(value))
-    return ParamDist(kind=value["kind"], a=float(value["a"]),
-                     b=float(value.get("b", 0.0)),
-                     clip_hi=value.get("clip_hi"))
+def _number(value, key: str) -> float:
+    if not is_json_number(value):
+        raise ValueError(f"corpus spec key {key!r} is not a number: {value!r}")
+    return float(value)
+
+
+def _pair(value, key: str) -> tuple:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ValueError(f"corpus spec key {key!r} is not a pair of numbers: {value!r}")
+    return tuple(_number(v, key) for v in value)
+
+
+def _dist_from_json(value, key: str) -> ParamDist:
+    if not isinstance(value, dict):
+        return fixed(_number(value, key))
+    clip_hi = value.get("clip_hi")
+    return ParamDist(kind=value.get("kind"), a=_number(value.get("a"), f"{key}.a"),
+                     b=_number(value.get("b", 0.0), f"{key}.b"),
+                     clip_hi=None if clip_hi is None else _number(clip_hi, f"{key}.clip_hi"))
 
 
 def corpus_spec_from_json(payload: dict) -> CorpusSpec:
     """Build a CorpusSpec from a JSON mapping; distribution fields are either
-    plain numbers (fixed) or {"kind", "a", "b", "clip_hi"} objects."""
-    dwell = payload["dwell_ms"]
-    if isinstance(dwell, (list, tuple)):
-        dwell = (float(dwell[0]), float(dwell[1]))
-    else:
-        dwell = float(dwell)
+    plain numbers (fixed) or {"kind", "a", "b", "clip_hi"} objects. A missing
+    key or a bad value raises ValueError naming the key."""
+    for key in ("rate_hz", "n_targets", "dwell_ms"):
+        if key not in payload:
+            raise ValueError(f"corpus spec lacks key {key!r}")
+    n_targets, dwell = payload["n_targets"], payload["dwell_ms"]
+    if not (is_json_number(n_targets) and float(n_targets).is_integer()):
+        raise ValueError(f"corpus spec key 'n_targets' is not an integer: {n_targets!r}")
     return CorpusSpec(
-        rate_hz=float(payload["rate_hz"]),
-        n_targets=int(payload["n_targets"]),
-        dwell_ms=dwell,
-        target_extent_dva=tuple(float(v) for v in payload.get("target_extent_dva",
-                                                              (15.0, 10.0))),
-        latency=_dist_from_json(payload.get("latency", 200.0)),
-        bias_sigma=_dist_from_json(payload.get("bias_sigma", 0.0)),
-        noise_sigma=_dist_from_json(payload.get("noise_sigma", 0.0)),
-        isi_jitter=_dist_from_json(payload.get("isi_jitter", 0.0)),
+        rate_hz=_number(payload["rate_hz"], "rate_hz"),
+        n_targets=int(n_targets),
+        dwell_ms=_pair(dwell, "dwell_ms") if isinstance(dwell, list) else _number(dwell, "dwell_ms"),
+        target_extent_dva=_pair(payload.get("target_extent_dva", [15.0, 10.0]),
+                                "target_extent_dva"),
+        latency=_dist_from_json(payload.get("latency", 200.0), "latency"),
+        bias_sigma=_dist_from_json(payload.get("bias_sigma", 0.0), "bias_sigma"),
+        noise_sigma=_dist_from_json(payload.get("noise_sigma", 0.0), "noise_sigma"),
+        isi_jitter=_dist_from_json(payload.get("isi_jitter", 0.0), "isi_jitter"),
     )
 
 

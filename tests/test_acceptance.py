@@ -15,8 +15,8 @@ import pytest
 from gazesim.assess import one_nn_two_sample, repeated_assessment
 from gazesim.calibrate import sweep_sigma
 from gazesim.cli import main as cli_main
-from gazesim.degrade import (DegradeConfig, degrade_benchmark, degrade_modified,
-                             jitter_timestamps, plan_modified, zero_noise_pass)
+from gazesim.degrade import (degrade_benchmark, degrade_modified, jitter_timestamps,
+                             plan_modified, zero_noise_pass)
 from gazesim.io import read_quality_table, write_manifest, write_recording, ManifestEntry
 from gazesim.metrics import (estimate_latency, fixation_accuracy,
                              fixation_precision, recording_quality)
@@ -34,8 +34,6 @@ MODIFIED_SEED, BASELINE_SEED, ASSESS_SEED = 99, 98, 5
 # square-root dispersion law is worst
 CALIBRATION_GRID = np.sort(np.concatenate([
     np.linspace(0.125, 0.4525, 7), [0.130, 0.135, 0.4425, 0.4475]]))
-
-PIPELINE_CONFIG = DegradeConfig(noise_order="pre", jitter_correction=True)
 
 
 def report(criterion, passed, detail):
@@ -69,24 +67,24 @@ def matched_corpora():
     source_qv = {rec.recording_id: recording_quality(rec) for rec, _ in source}
     target_qv = [recording_quality(rec) for rec, _ in target]
     curve = sweep_sigma([rec for rec, _ in source], CALIBRATION_GRID, 250.0,
-                        seed=CALIB_SEED, config=PIPELINE_CONFIG)
+                        seed=CALIB_SEED)
 
     target_prec_h = [qv.prec_h for qv in target_qv]
     baseline_sigma = curve.invert(quantile(target_prec_h, 0.5))
 
     synth_qv, baseline_qv = [], []
     for rec, _ in source:
-        post = recording_quality(zero_noise_pass(rec, 250.0, PIPELINE_CONFIG))
+        post = recording_quality(zero_noise_pass(rec, 250.0))
         plan = plan_modified(source_qv[rec.recording_id], post.prec_c,
                              list(source_qv.values()), target_qv, curve, 250.0,
                              derive_seed(MODIFIED_SEED, rec.recording_id))
         synth_qv.append(recording_quality(
-            degrade_modified(rec, plan, PIPELINE_CONFIG)))
+            degrade_modified(rec, plan, jitter_correction=True)))
         baseline_plan = DegradationPlan(
             target_rate_hz=250.0, sigma0_sq=baseline_sigma,
             rng_seed=derive_seed(BASELINE_SEED, rec.recording_id))
         baseline_qv.append(recording_quality(
-            degrade_benchmark(rec, baseline_plan, PIPELINE_CONFIG)))
+            degrade_benchmark(rec, baseline_plan)))
     return dict(target_qv=target_qv, synth_qv=synth_qv, baseline_qv=baseline_qv)
 
 
@@ -104,7 +102,7 @@ def test_criterion_1_calibration_anchor(tmp_path):
     manifest = write_corpus(corpus, tmp_path / "anchor")
     out = tmp_path / "degraded"
     assert run_cli(["degrade", "--manifest", manifest, "--model", "baseline",
-                    "--sigma0-sq", 0.13, "--rate-hz", 250, "--noise-order", "pre",
+                    "--sigma0-sq", 0.13, "--rate-hz", 250,
                     "--seed", 17, "--out", out]) == 0
     table = tmp_path / "quality.csv"
     assert run_cli(["metrics", "--manifest", out / "manifest.csv",

@@ -66,7 +66,7 @@ class TestSweepSigma:
 
         monkeypatch.setattr(calibrate_mod, "recording_quality", fake_quality)
         monkeypatch.setattr(calibrate_mod, "degrade_benchmark",
-                            lambda rec, plan, cfg: rec)
+                            lambda rec, plan: rec)
         with pytest.warns(NonMonotoneSweepWarning):
             sweep_sigma(small_corpus[:1], [0.0, 0.1, 0.2], 250.0, seed=0)
 
@@ -131,6 +131,23 @@ class TestCalibrationIO:
         path.write_text(text)
         with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
             load_calibration(path)
+
+    def test_post_noise_order_file_rejected(self, tmp_path, swept_curve):
+        # a curve swept with noise added after the low-pass would mistune the
+        # pre-filter pipeline, so it must not load silently
+        path = tmp_path / "calib.json"
+        save_calibration(swept_curve, path, provenance={"noise_order": "post"})
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: calibration was swept with noise_order 'post', not 'pre'")):
+            load_calibration(path)
+
+    @pytest.mark.parametrize("provenance", [{"noise_order": "pre", "seed": 7}, {"seed": 7}])
+    def test_pre_or_absent_noise_order_loads(self, tmp_path, swept_curve, provenance):
+        path = tmp_path / "calib.json"
+        save_calibration(swept_curve, path, provenance=provenance)
+        curve, payload = load_calibration(path)
+        assert curve == swept_curve
+        assert payload["provenance"] == provenance
 
     def test_describe_mentions_fit(self, swept_curve):
         text = describe_curve(swept_curve)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from gazesim.cli import main
+from gazesim.degrade import degrade_modified, load_plan
 from gazesim.io import (ManifestEntry, read_manifest, read_quality_table,
+                        read_recording_from_entry, recording_to_csv,
                         write_manifest, write_quality_table, write_recording)
 from gazesim.types import QualityVector
 
@@ -90,6 +92,37 @@ class TestSynth:
         assert run(["synth", "--spec-file", spec_path, "--n", "2",
                     "--seed", 1, "--out", out]) == 0
         assert len(list(out.glob("custom_*.csv"))) == 2
+
+    GOOD_SPEC = {"rate_hz": 500.0, "n_targets": 3, "dwell_ms": 1000.0,
+                 "noise_sigma": {"kind": "lognormal", "a": 0.05, "b": 0.3, "clip_hi": 0.2}}
+
+    @pytest.mark.parametrize("text,message", [
+        ("{bad", "Expecting property name"),
+        ("[1]", "corpus spec file is not a JSON object"),
+        ('{"rate_hz": 250}', "corpus spec lacks key 'n_targets'"),
+        (json.dumps({**GOOD_SPEC, "rate_hz": "fast"}),
+         "corpus spec key 'rate_hz' is not a number: 'fast'"),
+        (json.dumps({**GOOD_SPEC, "n_targets": 2.5}),
+         "corpus spec key 'n_targets' is not an integer: 2.5"),
+        (json.dumps({**GOOD_SPEC, "dwell_ms": [900.0]}),
+         "corpus spec key 'dwell_ms' is not a pair of numbers"),
+        (json.dumps({**GOOD_SPEC, "latency": "slow"}),
+         "corpus spec key 'latency' is not a number: 'slow'"),
+        (json.dumps({**GOOD_SPEC, "noise_sigma": {"kind": "lognormal", "a": 0.05, "b": 0.3,
+                                                   "clip_hi": "high"}}),
+         "corpus spec key 'noise_sigma.clip_hi' is not a number: 'high'"),
+        (json.dumps({**GOOD_SPEC, "bias_sigma": {"kind": "gamma", "a": 1.0}}),
+         "unknown distribution kind 'gamma'"),
+    ], ids=["not-json", "not-object", "missing-key", "rate", "n-targets", "dwell",
+            "latency", "clip-hi", "kind"])
+    def test_bad_spec_file_names_path(self, tmp_path, caplog, text, message):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(text)
+        out = tmp_path / "corpus"
+        with caplog.at_level("ERROR"):
+            assert run(["synth", "--spec-file", spec_path, "--n", 1, "--out", out]) == 1
+        assert f"{spec_path}: " in caplog.text and message in caplog.text
+        assert not out.exists()
 
     def test_synth_needs_preset_or_spec_file(self, tmp_path):
         with pytest.raises(SystemExit, match="preset or"):
@@ -281,6 +314,21 @@ class TestDegrade:
         assert plan["calibration_id"]
         assert plan["source_corpus_hash"] and plan["target_corpus_hash"]
 
+    @pytest.mark.parametrize("switch", ["on", "off"])
+    def test_jitter_correction_reaches_the_transform(self, tiny_source, tiny_target_table,
+                                                     tiny_calibration, tmp_path, switch):
+        out = tmp_path / "deg"
+        assert run(self.modified_argv(tiny_source / "manifest.csv", tiny_target_table,
+                                      tiny_calibration, out)
+                   + ["--jitter-correction", switch]) == 0
+        entry = read_manifest(tiny_source / "manifest.csv")[0]
+        rec = read_recording_from_entry(entry)
+        plan = load_plan(out / f"{entry.recording_id}.plan.json")
+        expected = degrade_modified(rec, plan, jitter_correction=switch == "on")
+        # compared as one bool: a failing diff of two whole CSV texts is very slow
+        same = (out / f"{entry.recording_id}.csv").read_text() == recording_to_csv(expected)
+        assert same, f"--jitter-correction {switch} output differs from the transform's"
+
     def modified_argv(self, manifest, target_table, calibration, out):
         return ["degrade", "--manifest", manifest, "--model", "modified",
                 "--rate-hz", 250, "--seed", 5, "--calibration", calibration,
@@ -327,6 +375,19 @@ class TestDegrade:
             assert run(self.modified_argv(tiny_source / "manifest.csv", tiny_target_table,
                                           bad, tmp_path / "deg")) == 1
         assert f"{bad}: calibration file lacks key 'sigma0_sq_grid'" in caplog.text
+
+    def test_post_noise_order_calibration_rejected(self, tiny_source, tiny_target_table,
+                                                  tiny_calibration, tmp_path, caplog):
+        payload = json.loads(tiny_calibration.read_text())
+        payload["provenance"]["noise_order"] = "post"
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps(payload))
+        out = tmp_path / "deg"
+        with caplog.at_level("ERROR"):
+            assert run(self.modified_argv(tiny_source / "manifest.csv", tiny_target_table,
+                                          legacy, out)) == 1
+        assert f"{legacy}: calibration was swept with noise_order 'post'" in caplog.text
+        assert not list(out.glob("*.csv"))
 
     def test_modified_rejects_target_jitter_at_clamp_limit(
             self, tiny_source, tiny_calibration, tmp_path, caplog):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal as sp_signal
 
-from gazesim.degrade import (DegradeConfig, _lowpass_sos, add_precision_noise,
+from gazesim.degrade import (_lowpass_sos, add_precision_noise,
                              build_accuracy_signal, degrade_benchmark,
                              degrade_modified, jitter_timestamps, load_plan,
                              lowpass_zero_phase, nominal_target_timestamps,
@@ -334,18 +334,14 @@ class TestDegradeBenchmark:
         # resampled targets at aligned stamps equal the source values
         np.testing.assert_allclose(out.tgt_x, rec.tgt_x[::4], atol=1e-12)
 
-    def test_post_noise_order_skips_filter_attenuation(self):
-        # constant gaze isolates the injected noise: noise-before-filter is
-        # attenuated by the low-pass, noise-after-resample is not
+    def test_noise_goes_in_before_the_low_pass(self):
+        # constant gaze isolates the injected noise: added before the filter,
+        # its variance is attenuated well below sigma0_sq
         n = 40_000
         rec = make_recording(np.arange(float(n)), np.full(n, 1.0), np.full(n, 1.0),
                              np.full(n, 1.0), np.full(n, 1.0))
-        pre = degrade_benchmark(rec, DegradationPlan(250.0, 0.09, rng_seed=9),
-                                DegradeConfig(noise_order="pre"))
-        post = degrade_benchmark(rec, DegradationPlan(250.0, 0.09, rng_seed=9),
-                                 DegradeConfig(noise_order="post"))
-        assert np.var(post.gaze_x - 1.0) == pytest.approx(0.09, rel=0.05)
-        assert np.var(pre.gaze_x - 1.0) < 0.3 * 0.09
+        out = degrade_benchmark(rec, DegradationPlan(250.0, 0.09, rng_seed=9))
+        assert np.var(out.gaze_x - 1.0) < 0.3 * 0.09
 
 
 class TestPlanModified:
@@ -548,9 +544,9 @@ class TestDegradeModified:
     def test_jittered_output_isi_follows_sqrt2_law(self):
         rec = self.source_recording(n_targets=42)
         plan = DegradationPlan(250.0, 0.0, jitter_sigma_ms=0.5, rng_seed=6)
-        out = degrade_modified(rec, plan, DegradeConfig(jitter_correction=False))
+        out = degrade_modified(rec, plan, jitter_correction=False)
         assert temporal_precision(out) == pytest.approx(np.sqrt(2) * 0.5, rel=0.05)
-        out2 = degrade_modified(rec, plan, DegradeConfig(jitter_correction=True))
+        out2 = degrade_modified(rec, plan, jitter_correction=True)
         assert temporal_precision(out2) == pytest.approx(0.5, rel=0.05)
 
     def test_accuracy_offsets_degrade_accuracy(self):
@@ -633,15 +629,10 @@ class TestGoldenDigests:
     small oracle recording with a missing run, so a restructuring of the
     pipeline cannot change a single output byte."""
 
-    BENCHMARK = {
-        "pre": "c45e17c00bac94813b73dcdd4617239288df9350fa9b69b1b4cc09893d6c1f97",
-        "post": "4968ae6c163c05dfc948e6252af17ae17aa2997e9a364378b87486a7dd9bce52",
-    }
+    BENCHMARK = "c45e17c00bac94813b73dcdd4617239288df9350fa9b69b1b4cc09893d6c1f97"
     MODIFIED = {
-        ("pre", False): "544aca89e385a359561be8584409b3e104c2bd6173813bf2830bd31b41f97e92",
-        ("pre", True): "5a6eb7dedd3a26a98ce8f59b8aa868561327cc1f0e3d635f2ef5d1314978355c",
-        ("post", False): "de6c453d0dbbf83bcbd0d54cb6384169955dfbc5df010e4d1465f1d0cb2627bd",
-        ("post", True): "f8c47459d922a92afa4c6bc1de5fba310d41db9a66f83ad8dfcf4558e58980da",
+        False: "544aca89e385a359561be8584409b3e104c2bd6173813bf2830bd31b41f97e92",
+        True: "5a6eb7dedd3a26a98ce8f59b8aa868561327cc1f0e3d635f2ef5d1314978355c",
     }
     ZERO_NOISE = "5cdd918c8289d9eccbf6005e7a936c05163a6a0e9c9dce6dc8e0f2b3d5902fcd"
 
@@ -658,15 +649,14 @@ class TestGoldenDigests:
     def digest(rec):
         return hashlib.sha256(recording_to_csv(rec).encode("utf-8")).hexdigest()
 
-    @pytest.mark.parametrize("noise_order", ["pre", "post"])
-    @pytest.mark.parametrize("jitter_correction", [False, True])
-    def test_outputs_unchanged(self, rec, noise_order, jitter_correction):
+    # the ids keep the "-pre" suffix the cases had while a post-filter noise
+    # order also existed, so each digest stays under its original test name
+    @pytest.mark.parametrize("jitter_correction", [False, True],
+                             ids=["False-pre", "True-pre"])
+    def test_outputs_unchanged(self, rec, jitter_correction):
         plan = DegradationPlan(250.0, 0.1, acc_offset_h=0.3, acc_offset_v=0.2,
                                jitter_sigma_ms=0.5, rng_seed=77)
-        config = DegradeConfig(noise_order=noise_order,
-                               jitter_correction=jitter_correction)
-        assert (self.digest(degrade_benchmark(rec, plan, config))
-                == self.BENCHMARK[noise_order])
-        assert (self.digest(degrade_modified(rec, plan, config))
-                == self.MODIFIED[(noise_order, jitter_correction)])
-        assert self.digest(zero_noise_pass(rec, 250.0, config)) == self.ZERO_NOISE
+        assert self.digest(degrade_benchmark(rec, plan)) == self.BENCHMARK
+        assert (self.digest(degrade_modified(rec, plan, jitter_correction=jitter_correction))
+                == self.MODIFIED[jitter_correction])
+        assert self.digest(zero_noise_pass(rec, 250.0)) == self.ZERO_NOISE

@@ -20,9 +20,9 @@ import numpy as np
 from .io import atomic_write_text, format_float
 from .quantiles import quantile
 from .seeding import derive_seed
+from .types import QUALITY_FEATURES
 
-FEATURE_COLUMNS = ("acc_h", "acc_v", "acc_c", "prec_h", "prec_v", "prec_c",
-                   "temporal_prec_ms")
+FEATURE_COLUMNS = QUALITY_FEATURES
 SUMMARY_HEADER = ("feature", "min", "d10", "d20", "d30", "d40", "d50", "d60",
                   "d70", "d80", "d90", "median", "mean", "max")
 

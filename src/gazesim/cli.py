@@ -160,62 +160,55 @@ def cmd_degrade(args) -> int:
     modified = args.model == "modified"
     if modified and not (args.calibration and args.target_table):
         raise SystemExit("modified model needs both --calibration and --target-table")
+    # every input but the corpus is read first, so a bad one fails before
+    # any recording is read
+    target_rows = read_quality_table(args.target_table) if args.target_table else None
+    calib = calib_payload = None
+    if args.calibration:
+        calib, calib_payload = load_calibration(args.calibration)
+    if modified:
+        target_corpus = [qv for _, qv in target_rows]
+    elif args.sigma0_sq is not None:
+        sigma0_sq = args.sigma0_sq
+    elif calib is not None and target_rows is not None:
+        desired = quantile([qv.prec_h for _, qv in target_rows], 0.5)
+        sigma0_sq = calib.invert(desired)
+        logger.info("baseline sigma0_sq=%.6g from calibration inverse of "
+                    "target median prec_h=%.6g", sigma0_sq, desired)
+    else:
+        raise SystemExit("baseline model needs --sigma0-sq, or --calibration "
+                         "with --target-table")
+
     # the modified planner needs each source's quality, and its transform the
     # source's latency: both from one analysis as the recording is read, so
     # --skip-bad also drops the recordings the metric pass rejects
     measured = _map_corpus(args.manifest, args.skip_bad,
                            _measure_source if modified else (lambda rec: (rec, None, None)))
-    corpus = [rec for rec, _, _ in measured]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    target_rows = read_quality_table(args.target_table) if args.target_table else None
-    calib = calib_payload = None
-    if args.calibration:
-        calib, calib_payload = load_calibration(args.calibration)
 
     provenance = {
         "model": args.model,
         "calibration_id": calib_payload.get("calibration_id") if calib_payload else None,
         "target_corpus_hash": _hash_quality_rows(target_rows) if target_rows else None,
     }
-
-    if not modified:
-        if args.sigma0_sq is not None:
-            sigma0_sq = args.sigma0_sq
-        elif calib is not None and target_rows is not None:
-            desired = quantile([qv.prec_h for _, qv in target_rows], 0.5)
-            sigma0_sq = calib.invert(desired)
-            logger.info("baseline sigma0_sq=%.6g from calibration inverse of "
-                        "target median prec_h=%.6g", sigma0_sq, desired)
-        else:
-            raise SystemExit("baseline model needs --sigma0-sq, or --calibration "
-                             "with --target-table")
-        plans = {rec.recording_id: DegradationPlan(
-            target_rate_hz=args.rate_hz, sigma0_sq=sigma0_sq,
-            rng_seed=derive_seed(args.seed, rec.recording_id),
-        ) for rec in corpus}
-    else:
-        source_qvs = {rec.recording_id: qv for rec, qv, _ in measured}
-        provenance["source_corpus_hash"] = _hash_quality_rows(source_qvs.items())
-        source_corpus = list(source_qvs.values())
-        target_corpus = [qv for _, qv in target_rows]
-        plans = {}
-        for rec in corpus:
-            post_qv = recording_quality(zero_noise_pass(rec, args.rate_hz))
-            plans[rec.recording_id] = plan_modified(
-                source_qvs[rec.recording_id], post_qv.prec_c,
-                source_corpus, target_corpus, calib,
-                args.rate_hz, derive_seed(args.seed, rec.recording_id),
-            )
+    if modified:
+        source_corpus = [qv for _, qv, _ in measured]
+        provenance["source_corpus_hash"] = _hash_quality_rows(
+            (rec.recording_id, qv) for rec, qv, _ in measured)
 
     entries = []
-    for rec, _, latency in measured:
-        plan = plans[rec.recording_id]
+    for rec, qv, latency in measured:
+        seed = derive_seed(args.seed, rec.recording_id)
         if modified:
+            post_qv = recording_quality(zero_noise_pass(rec, args.rate_hz))
+            plan = plan_modified(qv, post_qv.prec_c, source_corpus, target_corpus, calib,
+                                 args.rate_hz, seed)
             degraded = degrade_modified(rec, plan, latency,
                                         jitter_correction=args.jitter_correction == "on")
         else:
+            plan = DegradationPlan(target_rate_hz=args.rate_hz, sigma0_sq=sigma0_sq,
+                                   rng_seed=seed)
             degraded = degrade_benchmark(rec, plan)
         write_recording(degraded, out_dir / f"{rec.recording_id}.csv")
         save_plan(plan, out_dir / f"{rec.recording_id}.plan.json", provenance)
@@ -231,7 +224,7 @@ def cmd_degrade(args) -> int:
         "jitter_correction": args.jitter_correction,
         "version": __version__,
     })
-    print(f"wrote {len(corpus)} degraded recordings to {out_dir}")
+    print(f"wrote {len(entries)} degraded recordings to {out_dir}")
     return 0
 
 

@@ -32,8 +32,7 @@ import numpy as np
 
 from .metrics import LatencyEstimate, estimate_latency, extract_fixations
 from .quantiles import percentile_rank, quantile
-from .types import (DegradationPlan, GazeRecording, QualityVector,
-                    CalibrationCurve, validate_recording)
+from .types import DegradationPlan, GazeRecording, QualityVector, CalibrationCurve
 from .io import atomic_write_text, is_json_number, read_json_object
 
 __all__ = [
@@ -138,8 +137,6 @@ def resample_spline(rec: GazeRecording, new_timestamps_ms,
     t_new = np.asarray(new_timestamps_ms, dtype=float)
     if t_new.size < 2:
         raise ValueError("need at least 2 output timestamps")
-    if np.any(np.diff(t_new) <= 0):
-        raise ValueError("new timestamps must be strictly increasing")
     t_src = rec.timestamps_ms
     if t_new[0] < t_src[0] or t_new[-1] > t_src[-1]:
         raise ValueError(
@@ -219,7 +216,6 @@ def _degrade(rec: GazeRecording, plan: DegradationPlan, modified: bool,
     """The staged pipeline behind both models (see the module docstring);
     `modified` adds the accuracy-step and timestamp-jitter stages, aligned
     on `latency`, which is searched here when not given."""
-    validate_recording(rec)
     if not plan.target_rate_hz < rec.nominal_rate_hz:
         raise ValueError(
             f"target rate {plan.target_rate_hz} Hz must be below the source rate "

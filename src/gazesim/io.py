@@ -23,11 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .types import GazeRecording, QualityVector, validate_recording
+from .types import QUALITY_FEATURES, GazeRecording, QualityVector
 
 RECORDING_HEADER = ("t_ms", "gaze_x_dva", "gaze_y_dva", "tgt_x_dva", "tgt_y_dva")
-QUALITY_HEADER = ("recording_id", "acc_h", "acc_v", "acc_c", "prec_h", "prec_v",
-                  "prec_c", "temporal_prec_ms", "n_fixations_used")
+QUALITY_HEADER = ("recording_id", *QUALITY_FEATURES, "n_fixations_used")
 MANIFEST_HEADER = ("recording_id", "path", "format_tag", "rate_hz")
 
 # column names and time unit per supported layout; a None time column means
@@ -228,7 +227,7 @@ def _malformed_row_error(path, width: int, columns) -> ValueError:
 
 def read_recording(path, format_tag: str = "canonical", nominal_rate_hz: float = 1000.0,
                    recording_id: str | None = None) -> GazeRecording:
-    """Parse one recording file into a validated GazeRecording.
+    """Parse one recording file into a GazeRecording.
 
     Empty or NaN gaze cells are flagged missing, not dropped. Columns are
     matched by their whitespace-stripped header names. Malformed rows abort
@@ -271,16 +270,16 @@ def read_recording(path, format_tag: str = "canonical", nominal_rate_hz: float =
         t = np.arange(gx.size) * (1000.0 / nominal_rate_hz)
     for arr in (t, gx, gy, tx, ty):
         arr.flags.writeable = False  # fresh arrays: the recording shares them
-    rec = GazeRecording(
-        timestamps_ms=t, gaze_x=gx, gaze_y=gy, tgt_x=tx, tgt_y=ty,
-        nominal_rate_hz=nominal_rate_hz, recording_id=recording_id,
-    )
-    if rec.missing.all():
-        raise ValueError(f"{path}: zero usable samples (all gaze missing)")
     try:
-        return validate_recording(rec)
+        rec = GazeRecording(
+            timestamps_ms=t, gaze_x=gx, gaze_y=gy, tgt_x=tx, tgt_y=ty,
+            nominal_rate_hz=nominal_rate_hz, recording_id=recording_id,
+        )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    if rec.missing.all():
+        raise ValueError(f"{path}: zero usable samples (all gaze missing)")
+    return rec
 
 
 def _format_column(values: np.ndarray, blank_nan: bool = False) -> list:
@@ -321,9 +320,8 @@ def recording_to_csv(rec: GazeRecording) -> str:
 
 
 def write_recording(rec: GazeRecording, path) -> None:
-    """Write a validated recording as canonical CSV (atomic replace), one
-    block of rows at a time."""
-    validate_recording(rec)
+    """Write a recording as canonical CSV (atomic replace), one block of rows
+    at a time."""
     atomic_write_text(path, _csv_chunks(rec))
 
 
@@ -368,8 +366,8 @@ def read_quality_table(path) -> list:
     out = []
     for line, row in _table_rows(path, QUALITY_HEADER, "quality table"):
         try:
-            # QUALITY_HEADER[1:8] lists the float fields in QualityVector order
-            qv = QualityVector(*map(float, row[1:8]), n_fixations_used=int(row[8]))
+            # the middle cells are the QUALITY_FEATURES, QualityVector's first fields
+            qv = QualityVector(*map(float, row[1:-1]), n_fixations_used=int(row[-1]))
         except ValueError as exc:
             raise ValueError(f"{path}: malformed row at line {line}: {exc}") from None
         out.append((row[0], qv))

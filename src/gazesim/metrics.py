@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quantiles import quantile
-from .types import FixationWindow, GazeRecording, QualityVector, validate_recording
+from .types import FixationWindow, GazeRecording, QualityVector
 
 logger = logging.getLogger(__name__)
 
@@ -99,7 +99,7 @@ def _candidate_shifts(gx, gy, tx, ty, shifts: np.ndarray) -> np.ndarray:
     instead of O(shifts * n). A shift is kept when its prefix-sum mean is
     within the summation error bound, plus a relative 1e-9, of the smallest.
     """
-    if shifts.size == 0 or any(np.isinf(ch).any() for ch in (gx, gy, tx, ty)):
+    if shifts.size == 0 or np.isinf(gx).any() or np.isinf(gy).any():
         return shifts  # an infinite distance breaks the differences: rescore all
     n = gx.size
     k_lo, k_hi = int(shifts[0]), int(shifts[-1])
@@ -275,7 +275,6 @@ def analyse_recording(rec: GazeRecording) -> RecordingAnalysis:
     window at a time, and the drop warnings name the same windows in the
     same order.
     """
-    validate_recording(rec)
     latency = estimate_latency(rec)
     starts, ends, dwells = _window_bounds(rec, latency)
     lengths = ends - starts

@@ -136,7 +136,8 @@ def generate_recording(spec: OracleSpec, recording_id: str = "oracle") -> tuple:
 @dataclass(frozen=True)
 class ParamDist:
     """Per-recording parameter distribution: fixed value, uniform range, or
-    lognormal given (median, sigma of log), optionally clipped above."""
+    lognormal given (median, sigma of log), optionally clipped above. Every
+    draw is >= 0."""
 
     kind: str
     a: float
@@ -146,6 +147,15 @@ class ParamDist:
     def __post_init__(self) -> None:
         if self.kind not in ("fixed", "uniform", "lognormal"):
             raise ValueError(f"unknown distribution kind {self.kind!r}")
+        if not self.a >= 0:
+            raise ValueError(f"{self.kind} a must be >= 0, got {self.a}")
+        if self.kind == "uniform" and not self.b >= self.a:
+            raise ValueError(f"uniform b must be >= a ({self.a}), got {self.b}")
+        if self.kind == "lognormal" and not (self.a > 0 and self.b >= 0):
+            raise ValueError(f"lognormal needs median a > 0 and sigma b >= 0, "
+                             f"got a={self.a}, b={self.b}")
+        if self.clip_hi is not None and not self.clip_hi >= 0:
+            raise ValueError(f"clip_hi must be >= 0, got {self.clip_hi}")
 
     def draw(self, rng: np.random.Generator) -> float:
         if self.kind == "fixed":
@@ -184,6 +194,11 @@ class CorpusSpec:
     noise_sigma: ParamDist
     isi_jitter: ParamDist
 
+    def __post_init__(self) -> None:
+        # the fixed fields pass OracleSpec's checks; the drawn ones are >= 0
+        OracleSpec(n_targets=self.n_targets, dwell_ms=self.dwell_ms,
+                   target_extent_dva=self.target_extent_dva, rate_hz=self.rate_hz)
+
 
 # Named corpus shapes used by tests and the CLI. The numbers are scaffolding
 # chosen to look like a high-grade lab tracker and a noisier headset tracker;
@@ -211,6 +226,8 @@ PRESETS = {
 def _number(value, key: str) -> float:
     if not is_json_number(value):
         raise ValueError(f"corpus spec key {key!r} is not a number: {value!r}")
+    if not math.isfinite(value):  # json reads NaN and Infinity
+        raise ValueError(f"corpus spec key {key!r} is not finite: {value!r}")
     return float(value)
 
 
@@ -221,18 +238,23 @@ def _pair(value, key: str) -> tuple:
 
 
 def _dist_from_json(value, key: str) -> ParamDist:
-    if not isinstance(value, dict):
-        return fixed(_number(value, key))
-    clip_hi = value.get("clip_hi")
-    return ParamDist(kind=value.get("kind"), a=_number(value.get("a"), f"{key}.a"),
-                     b=_number(value.get("b", 0.0), f"{key}.b"),
-                     clip_hi=None if clip_hi is None else _number(clip_hi, f"{key}.clip_hi"))
+    if isinstance(value, dict):
+        clip_hi = value.get("clip_hi")
+        args = (value.get("kind"), _number(value.get("a"), f"{key}.a"),
+                _number(value.get("b", 0.0), f"{key}.b"),
+                None if clip_hi is None else _number(clip_hi, f"{key}.clip_hi"))
+    else:
+        args = ("fixed", _number(value, key))
+    try:
+        return ParamDist(*args)
+    except ValueError as exc:
+        raise ValueError(f"corpus spec key {key!r}: {exc}") from None
 
 
 def corpus_spec_from_json(payload: dict) -> CorpusSpec:
     """Build a CorpusSpec from a JSON mapping; distribution fields are either
     plain numbers (fixed) or {"kind", "a", "b", "clip_hi"} objects. A missing
-    key or a bad value raises ValueError naming the key."""
+    key, a bad value or one out of range raises ValueError naming the key."""
     for key in ("rate_hz", "n_targets", "dwell_ms"):
         if key not in payload:
             raise ValueError(f"corpus spec lacks key {key!r}")

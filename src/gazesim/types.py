@@ -3,7 +3,9 @@
 Unit conventions used everywhere in this package: positions in degrees of
 visual angle (dva), times in milliseconds, rates in Hz. Missing gaze samples
 are carried as NaN in the gaze channels; timestamps and target channels are
-always finite. All types are immutable value objects after construction.
+always finite. All types are immutable value objects that check their
+invariants when built, so a GazeRecording that exists is a valid one,
+whether it was read, generated, replaced or resampled.
 """
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -28,7 +31,9 @@ def _readonly_f64(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GazeRecording:
-    """One recording: timestamped gaze and stimulus-target traces."""
+    """One recording: timestamped gaze and stimulus-target traces, checked
+    when built (replace() too); a failed check raises ValueError naming the
+    first offending index. Gaze may hold NaN (missing) and inf."""
 
     timestamps_ms: np.ndarray
     gaze_x: np.ndarray
@@ -42,6 +47,29 @@ class GazeRecording:
         for name in ("timestamps_ms", "gaze_x", "gaze_y", "tgt_x", "tgt_y"):
             object.__setattr__(self, name, _readonly_f64(getattr(self, name)))
         object.__setattr__(self, "nominal_rate_hz", float(self.nominal_rate_hz))
+        n = self.timestamps_ms.size
+        for name in ("gaze_x", "gaze_y", "tgt_x", "tgt_y"):
+            m = getattr(self, name).size
+            if m != n:
+                raise ValueError(
+                    f"length mismatch: {name} has {m} samples, timestamps_ms has {n}"
+                )
+        if n < 2:
+            raise ValueError(f"recording needs at least 2 samples, got {n}")
+        finite_t = np.isfinite(self.timestamps_ms)
+        if not finite_t.all():
+            i = int(np.flatnonzero(~finite_t)[0])
+            raise ValueError(f"non-finite timestamp at index {i}")
+        bad = np.flatnonzero(np.diff(self.timestamps_ms) <= 0)
+        if bad.size:
+            raise ValueError(f"non-monotone at index {int(bad[0]) + 1}")
+        for name in ("tgt_x", "tgt_y"):
+            finite = np.isfinite(getattr(self, name))
+            if not finite.all():
+                i = int(np.flatnonzero(~finite)[0])
+                raise ValueError(f"non-finite target {name} at index {i}")
+        if not self.nominal_rate_hz > 0:
+            raise ValueError(f"nominal_rate_hz must be positive, got {self.nominal_rate_hz}")
 
     @property
     def n_samples(self) -> int:
@@ -58,38 +86,6 @@ class GazeRecording:
 
     def replace(self, **changes) -> "GazeRecording":
         return dataclasses.replace(self, **changes)
-
-
-def validate_recording(rec: GazeRecording) -> GazeRecording:
-    """Check recording invariants; return the recording unchanged if valid.
-
-    Idempotent. Raises ValueError naming the first offending index.
-    """
-    n = rec.timestamps_ms.size
-    for name in ("gaze_x", "gaze_y", "tgt_x", "tgt_y"):
-        m = getattr(rec, name).size
-        if m != n:
-            raise ValueError(
-                f"length mismatch: {name} has {m} samples, timestamps_ms has {n}"
-            )
-    if n < 2:
-        raise ValueError(f"recording needs at least 2 samples, got {n}")
-    finite_t = np.isfinite(rec.timestamps_ms)
-    if not finite_t.all():
-        i = int(np.flatnonzero(~finite_t)[0])
-        raise ValueError(f"non-finite timestamp at index {i}")
-    bad = np.flatnonzero(np.diff(rec.timestamps_ms) <= 0)
-    if bad.size:
-        raise ValueError(f"non-monotone at index {int(bad[0]) + 1}")
-    for name in ("tgt_x", "tgt_y"):
-        ch = getattr(rec, name)
-        finite = np.isfinite(ch)
-        if not finite.all():
-            i = int(np.flatnonzero(~finite)[0])
-            raise ValueError(f"non-finite target {name} at index {i}")
-    if not rec.nominal_rate_hz > 0:
-        raise ValueError(f"nominal_rate_hz must be positive, got {rec.nominal_rate_hz}")
-    return rec
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,6 +128,13 @@ class FixationWindow:
         return dataclasses.replace(self, outlier_mask=mask)
 
 
+# the float features of a QualityVector, in field order: quality tables and
+# the assessment's feature matrix use this column order
+QUALITY_FEATURES = ("acc_h", "acc_v", "acc_c", "prec_h", "prec_v", "prec_c",
+                    "temporal_prec_ms")
+_feature_values = attrgetter(*QUALITY_FEATURES)
+
+
 @dataclass(frozen=True)
 class QualityVector:
     """Per-recording signal-quality summary: spatial accuracy and precision
@@ -147,8 +150,7 @@ class QualityVector:
     n_fixations_used: int
 
     def __post_init__(self) -> None:
-        for name in ("acc_h", "acc_v", "acc_c", "prec_h", "prec_v", "prec_c",
-                     "temporal_prec_ms"):
+        for name in QUALITY_FEATURES:
             v = float(getattr(self, name))
             object.__setattr__(self, name, v)
             if not (math.isfinite(v) and v >= 0.0):
@@ -165,8 +167,7 @@ class QualityVector:
             raise ValueError("acc_c above acc_h + acc_v")
 
     def as_tuple(self) -> tuple:
-        return (self.acc_h, self.acc_v, self.acc_c, self.prec_h, self.prec_v,
-                self.prec_c, self.temporal_prec_ms)
+        return _feature_values(self)
 
 
 @dataclass(frozen=True)

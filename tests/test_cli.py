@@ -113,8 +113,18 @@ class TestSynth:
          "corpus spec key 'noise_sigma.clip_hi' is not a number: 'high'"),
         (json.dumps({**GOOD_SPEC, "bias_sigma": {"kind": "gamma", "a": 1.0}}),
          "unknown distribution kind 'gamma'"),
+        # ranges are checked before the output directory is made
+        (json.dumps({"rate_hz": -1, "n_targets": 3, "dwell_ms": 1000}),
+         "rate_hz must be positive, got -1.0"),
+        (json.dumps({**GOOD_SPEC, "latency": {"kind": "lognormal", "a": 0, "b": 0.1}}),
+         "corpus spec key 'latency': lognormal needs median a > 0"),
+        ('{"rate_hz": 500, "n_targets": 3, "dwell_ms": NaN}',
+         "corpus spec key 'dwell_ms' is not finite: nan"),
+        (json.dumps({**GOOD_SPEC, "target_extent_dva": [float("inf"), 5.0]}),
+         "corpus spec key 'target_extent_dva' is not finite: inf"),
     ], ids=["not-json", "not-object", "missing-key", "rate", "n-targets", "dwell",
-            "latency", "clip-hi", "kind"])
+            "latency", "clip-hi", "kind", "negative-rate", "zero-lognormal-median",
+            "nan-dwell", "infinite-extent"])
     def test_bad_spec_file_names_path(self, tmp_path, caplog, text, message):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(text)
@@ -366,6 +376,41 @@ class TestDegrade:
         # for the transform, which reuses the source's
         sources = [e.recording_id for e in read_manifest(tiny_source / "manifest.csv")]
         assert sorted(searched) == sorted(sources * 2)
+
+    @pytest.mark.parametrize("model,bad_input", [
+        ("modified", "missing-target-table"), ("modified", "bad-calibration"),
+        ("baseline", "missing-target-table"), ("baseline", "bad-calibration"),
+    ])
+    def test_other_inputs_fail_before_any_recording_is_read(
+            self, tiny_source, tiny_target_table, tiny_calibration, tmp_path, monkeypatch,
+            caplog, model, bad_input):
+        import gazesim.cli
+        calls = {"read": 0, "analyse": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(gazesim.cli, "read_recording_from_entry",
+                            counting("read", gazesim.cli.read_recording_from_entry))
+        monkeypatch.setattr(gazesim.cli, "analyse_recording",
+                            counting("analyse", gazesim.cli.analyse_recording))
+        table, calib = tiny_target_table, tiny_calibration
+        if bad_input == "missing-target-table":
+            table = bad = tmp_path / "absent.csv"
+        else:
+            calib = bad = tmp_path / "bad.json"
+            bad.write_text("{bad")
+        argv = self.modified_argv(tiny_source / "manifest.csv", table, calib,
+                                  tmp_path / "deg")
+        argv[argv.index("--model") + 1] = model
+        with caplog.at_level("ERROR"):
+            assert run(argv) == 1
+        assert str(bad) in caplog.text
+        assert calls == {"read": 0, "analyse": 0}
+        assert not (tmp_path / "deg").exists()
 
     def test_calibration_missing_key_names_file(self, tiny_source, tiny_target_table,
                                                 tmp_path, caplog):

@@ -211,8 +211,9 @@ class TestLatencyOracle:
     @given(data=st.data())
     def test_random_piecewise_target_matches_oracle(self, data):
         n_dwells = data.draw(st.integers(1, 6))
+        # a GazeRecording needs at least 2 samples
         lengths = data.draw(st.lists(st.integers(1, 60), min_size=n_dwells,
-                                     max_size=n_dwells))
+                                     max_size=n_dwells).filter(lambda ls: sum(ls) >= 2))
         values = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
         targets = data.draw(st.lists(st.tuples(values, values), min_size=n_dwells,
                                      max_size=n_dwells))

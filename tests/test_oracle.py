@@ -3,7 +3,7 @@ import pytest
 
 from gazesim.io import recording_to_csv
 from gazesim.metrics import estimate_latency, recording_quality
-from gazesim.oracle import (PRESETS, OracleSpec, ParamDist, fixed,
+from gazesim.oracle import (PRESETS, CorpusSpec, OracleSpec, ParamDist, fixed,
                             generate_corpus, generate_recording, lognormal,
                             uniform, write_ground_truth)
 
@@ -89,6 +89,29 @@ class TestParamDist:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             ParamDist("beta", 1.0)
+
+    @pytest.mark.parametrize("args,message", [
+        (("fixed", -1.0), "fixed a must be >= 0"),
+        (("uniform", -0.5, 1.0), "uniform a must be >= 0"),
+        (("uniform", 2.0, 1.0), "uniform b must be >= a"),
+        (("lognormal", 0.0, 0.1), "lognormal needs median a > 0"),
+        (("lognormal", 0.5, -0.1), "sigma b >= 0"),
+        (("fixed", float("nan")), "fixed a must be >= 0"),
+        (("lognormal", 0.5, 0.1, -1.0), "clip_hi must be >= 0"),
+    ], ids=["fixed-negative", "uniform-negative", "uniform-reversed", "lognormal-zero-median",
+            "lognormal-negative-sigma", "fixed-nan", "clip-negative"])
+    def test_out_of_range_rejected(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            ParamDist(*args)
+
+    def test_corpus_spec_runs_oracle_spec_checks(self):
+        fields = dict(PRESETS["vr-like"].__dict__)
+        with pytest.raises(ValueError, match="rate_hz must be positive"):
+            CorpusSpec(**{**fields, "rate_hz": -5.0})
+        with pytest.raises(ValueError, match="n_targets must be >= 1"):
+            CorpusSpec(**{**fields, "n_targets": 0})
+        with pytest.raises(ValueError, match="dwell range"):
+            CorpusSpec(**{**fields, "dwell_ms": (900.0, 100.0)})
 
 
 class TestGenerateCorpus:

@@ -1,59 +1,113 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gazesim.types import (CalibrationClampWarning, CalibrationCurve,
-                           DegradationPlan, GazeRecording, QualityVector,
-                           validate_recording)
+from gazesim.types import (QUALITY_FEATURES, CalibrationClampWarning, CalibrationCurve,
+                           DegradationPlan, GazeRecording, QualityVector)
 
 from conftest import make_recording
 
 
 class TestValidateRecording:
-    def test_accepts_minimal_recording(self, four_sample_recording):
-        assert validate_recording(four_sample_recording) is four_sample_recording
-
-    def test_idempotent(self, four_sample_recording):
-        once = validate_recording(four_sample_recording)
-        twice = validate_recording(once)
-        assert twice is once
-        assert np.array_equal(twice.timestamps_ms, four_sample_recording.timestamps_ms)
+    """A GazeRecording checks its invariants when built."""
 
     def test_non_monotone_reports_first_offending_index(self):
-        rec = make_recording([0.0, 2.0, 1.0, 3.0], np.zeros(4), np.zeros(4))
         with pytest.raises(ValueError, match="non-monotone at index 2"):
-            validate_recording(rec)
+            make_recording([0.0, 2.0, 1.0, 3.0], np.zeros(4), np.zeros(4))
 
     def test_length_mismatch(self):
-        rec = make_recording([0.0, 1.0, 2.0, 3.0], np.zeros(5), np.zeros(4),
-                             np.zeros(4), np.zeros(4))
         with pytest.raises(ValueError, match="length mismatch"):
-            validate_recording(rec)
+            make_recording([0.0, 1.0, 2.0, 3.0], np.zeros(5), np.zeros(4),
+                           np.zeros(4), np.zeros(4))
 
     def test_rate_must_be_positive(self):
-        rec = make_recording([0.0, 1.0], np.zeros(2), np.zeros(2), rate_hz=0.0)
         with pytest.raises(ValueError, match="nominal_rate_hz"):
-            validate_recording(rec)
+            make_recording([0.0, 1.0], np.zeros(2), np.zeros(2), rate_hz=0.0)
 
     def test_too_short(self):
-        rec = make_recording([0.0], [0.0], [0.0])
         with pytest.raises(ValueError, match="at least 2 samples"):
-            validate_recording(rec)
+            make_recording([0.0], [0.0], [0.0])
 
     def test_nan_timestamp_rejected(self):
-        rec = make_recording([0.0, np.nan, 2.0], np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError, match="non-finite timestamp at index 1"):
-            validate_recording(rec)
+            make_recording([0.0, np.nan, 2.0], np.zeros(3), np.zeros(3))
 
     def test_nan_target_rejected(self):
-        rec = make_recording([0.0, 1.0, 2.0], np.zeros(3), np.zeros(3),
-                             [0.0, np.nan, 0.0], np.zeros(3))
         with pytest.raises(ValueError, match="non-finite target tgt_x at index 1"):
-            validate_recording(rec)
+            make_recording([0.0, 1.0, 2.0], np.zeros(3), np.zeros(3),
+                           [0.0, np.nan, 0.0], np.zeros(3))
 
     def test_missing_gaze_allowed_and_flagged(self):
         rec = make_recording([0.0, 1.0, 2.0], [0.1, np.nan, 0.3], [0.0, 0.0, 0.0])
-        validate_recording(rec)
         assert rec.missing.tolist() == [False, True, False]
+
+    def test_infinite_gaze_allowed(self):
+        rec = make_recording([0.0, 1.0, 2.0], [0.1, np.inf, 0.3], [-np.inf, 0.0, 0.0])
+        assert rec.missing.tolist() == [False, False, False]
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(2, 40), data=st.data())
+    def test_replace_with_swapped_stamps_raises(self, n, data):
+        i = data.draw(st.integers(0, n - 2))
+        t = np.arange(n, dtype=float)
+        rec = make_recording(t, np.zeros(n), np.zeros(n))
+        t[[i, i + 1]] = t[[i + 1, i]]
+        with pytest.raises(ValueError, match=f"non-monotone at index {i + 1}$"):
+            rec.replace(timestamps_ms=t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 9),
+           steps=st.lists(st.floats(0.01, 10.0), min_size=9, max_size=9),
+           stamp_fault=st.sampled_from([None, "swap", "repeat", np.nan, np.inf, -np.inf]),
+           target_fault=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+           channel=st.sampled_from(["tgt_x", "tgt_y"]),
+           tgt_length=st.one_of(st.none(), st.integers(0, 9)),
+           rate=st.sampled_from([250.0, 1e-3, 0.0, -5.0, np.nan]))
+    def test_builds_exactly_when_invariants_hold(self, data, n, steps, stamp_fault,
+                                                 target_fault, channel, tgt_length, rate):
+        t = np.cumsum(steps[:n]) - 3.0
+        if stamp_fault is not None and n >= 2:
+            i = data.draw(st.integers(0, n - 2), label="stamp index")
+            if stamp_fault == "swap":
+                t[[i, i + 1]] = t[[i + 1, i]]
+            elif stamp_fault == "repeat":
+                t[i + 1] = t[i]
+            else:
+                t[i + 1] = stamp_fault
+        m = n if tgt_length is None else tgt_length
+        tgt = np.linspace(-1.0, 1.0, m)
+        if target_fault is not None and m:
+            tgt[data.draw(st.integers(0, m - 1), label="target index")] = target_fault
+
+        # the first broken invariant, in the order the checks run
+        non_finite = np.flatnonzero(~np.isfinite(t))
+        with np.errstate(invalid="ignore"):
+            non_increasing = np.flatnonzero(np.diff(t) <= 0)
+        bad_target = np.flatnonzero(~np.isfinite(tgt))
+        if m != n:
+            expected = f"length mismatch: {channel} has {m} samples, timestamps_ms has {n}$"
+        elif n < 2:
+            expected = f"at least 2 samples, got {n}$"
+        elif non_finite.size:
+            expected = f"non-finite timestamp at index {non_finite[0]}$"
+        elif non_increasing.size:
+            expected = f"non-monotone at index {non_increasing[0] + 1}$"
+        elif bad_target.size:
+            expected = f"non-finite target {channel} at index {bad_target[0]}$"
+        elif not rate > 0:
+            expected = "nominal_rate_hz must be positive"
+        else:
+            expected = None
+        targets = {"tgt_x": np.zeros(n), "tgt_y": np.zeros(n), channel: tgt}
+        build = lambda: make_recording(t, np.zeros(n), np.full(n, np.nan), rate_hz=rate,
+                                       **targets)
+        if expected is None:
+            assert build().n_samples == n
+        else:
+            with pytest.raises(ValueError, match=expected):
+                build()
 
 
 class TestGazeRecording:
@@ -121,6 +175,16 @@ class TestQualityVector:
         with pytest.raises(ValueError):
             QualityVector(acc_h=-1, acc_v=0, acc_c=0, prec_h=0, prec_v=0,
                           prec_c=0, temporal_prec_ms=0, n_fixations_used=0)
+
+    def test_one_feature_list(self):
+        from gazesim.assess import FEATURE_COLUMNS
+        from gazesim.io import QUALITY_HEADER
+        names = [f.name for f in dataclasses.fields(QualityVector)]
+        assert names == [*QUALITY_FEATURES, "n_fixations_used"]
+        assert QUALITY_HEADER == ("recording_id", *QUALITY_FEATURES, "n_fixations_used")
+        assert FEATURE_COLUMNS == QUALITY_FEATURES
+        qv = QualityVector(0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 3)
+        assert qv.as_tuple() == (0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6)
 
 
 class TestDegradationPlan:

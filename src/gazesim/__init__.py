@@ -4,7 +4,7 @@ lower-quality target device, and realism assessment."""
 __version__ = "0.1.0"
 
 from .types import (CalibrationCurve, DegradationPlan, FixationWindow,
-                    GazeRecording, QualityVector)
+                    GazeRecording, QualityTable, QualityVector)
 from .metrics import (LatencyEstimate, estimate_latency, extract_fixations,
                       fixation_accuracy, fixation_precision, recording_quality,
                       reject_outliers, temporal_precision)
@@ -21,7 +21,7 @@ from .seeding import derive_seed
 
 __all__ = [
     "CalibrationCurve", "DegradationPlan", "FixationWindow", "GazeRecording",
-    "QualityVector",
+    "QualityTable", "QualityVector",
     "LatencyEstimate", "estimate_latency", "extract_fixations", "fixation_accuracy",
     "fixation_precision", "recording_quality", "reject_outliers", "temporal_precision",
     "percentile_rank", "quantile",

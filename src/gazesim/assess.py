@@ -39,11 +39,21 @@ class ZeroVarianceWarning(UserWarning):
 
 
 def quality_features(qvs) -> np.ndarray:
-    """Raw (n, 7) feature matrix in FEATURE_COLUMNS order."""
+    """Raw (n, 7) feature matrix in FEATURE_COLUMNS order of a list of
+    QualityVector (a QualityTable holds one as `features`)."""
     qvs = list(qvs)
     if not qvs:
         raise ValueError("need at least one quality vector")
     return np.array([qv.as_tuple() for qv in qvs], dtype=float)
+
+
+def _feature_matrix(features, what: str) -> np.ndarray:
+    """`features` as a float (n, 7) array, n >= 1, or ValueError."""
+    features = np.asarray(features, dtype=float)
+    if features.ndim != 2 or features.shape[0] < 1 or features.shape[1] != len(FEATURE_COLUMNS):
+        raise ValueError(f"{what} must be an (n, {len(FEATURE_COLUMNS)}) feature matrix "
+                         f"with n >= 1, got shape {features.shape}")
+    return features
 
 
 @dataclass(frozen=True)
@@ -168,28 +178,29 @@ def one_nn_two_sample(real: np.ndarray, synth: np.ndarray, seed: int = 0) -> Two
     )
 
 
-def repeated_assessment(real_qvs, synth_qvs, repeats: int = 5, seed: int = 0) -> TwoSampleResult:
+def repeated_assessment(real: np.ndarray, synth: np.ndarray, repeats: int = 5,
+                        seed: int = 0) -> TwoSampleResult:
     """Run the 1-NN test `repeats` times on random real subsets.
 
-    Each repeat samples |synth| rows from the real set without replacement
-    (draws depend only on seed and repeat index), standardizes with pooled
-    statistics of the two sets being compared, and classifies. Aggregates
-    are medians across repeats; ranges are available per attribute.
+    `real` and `synth` are raw (n, 7) feature matrices in FEATURE_COLUMNS
+    order, such as QualityTable.features. Each repeat samples |synth| rows
+    from the real set without replacement (draws depend only on seed and
+    repeat index), standardizes with pooled statistics of the two sets being
+    compared, and classifies. Aggregates are medians across repeats; ranges
+    are available per attribute.
     """
-    real_qvs = list(real_qvs)
-    synth_qvs = list(synth_qvs)
+    real_raw = _feature_matrix(real, "real")
+    synth_raw = _feature_matrix(synth, "synth")
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    if len(synth_qvs) < 2:
-        raise ValueError(f"need at least 2 synthetic rows, got {len(synth_qvs)}")
-    if len(real_qvs) < len(synth_qvs):
-        raise ValueError(
-            f"real set ({len(real_qvs)}) must be at least as large as the "
-            f"synthetic set ({len(synth_qvs)})"
-        )
-    real_raw = quality_features(real_qvs)
-    synth_raw = quality_features(synth_qvs)
     n = synth_raw.shape[0]
+    if n < 2:
+        raise ValueError(f"need at least 2 synthetic rows, got {n}")
+    if real_raw.shape[0] < n:
+        raise ValueError(
+            f"real set ({real_raw.shape[0]}) must be at least as large as the "
+            f"synthetic set ({n})"
+        )
 
     results = []
     for r in range(repeats):
@@ -221,9 +232,10 @@ class FeatureSummary:
     maximum: float
 
 
-def distribution_summary(qvs) -> list:
-    """Per-feature min, deciles, median, mean, max over a corpus."""
-    raw = quality_features(qvs)
+def distribution_summary(features: np.ndarray) -> list:
+    """Per-feature min, deciles, median, mean, max over a corpus's raw
+    (n, 7) feature matrix, such as QualityTable.features."""
+    raw = _feature_matrix(features, "features")
     out = []
     for j, name in enumerate(FEATURE_COLUMNS):
         col = raw[:, j]

@@ -162,16 +162,16 @@ def cmd_degrade(args) -> int:
         raise SystemExit("modified model needs both --calibration and --target-table")
     # every input but the corpus is read first, so a bad one fails before
     # any recording is read
-    target_rows = read_quality_table(args.target_table) if args.target_table else None
+    target = read_quality_table(args.target_table) if args.target_table else None
     calib = calib_payload = None
     if args.calibration:
         calib, calib_payload = load_calibration(args.calibration)
     if modified:
-        target_corpus = [qv for _, qv in target_rows]
+        target_corpus = [qv for _, qv in target.rows()]
     elif args.sigma0_sq is not None:
         sigma0_sq = args.sigma0_sq
-    elif calib is not None and target_rows is not None:
-        desired = quantile([qv.prec_h for _, qv in target_rows], 0.5)
+    elif calib is not None and target is not None:
+        desired = quantile(target.column("prec_h"), 0.5)
         sigma0_sq = calib.invert(desired)
         logger.info("baseline sigma0_sq=%.6g from calibration inverse of "
                     "target median prec_h=%.6g", sigma0_sq, desired)
@@ -190,7 +190,7 @@ def cmd_degrade(args) -> int:
     provenance = {
         "model": args.model,
         "calibration_id": calib_payload.get("calibration_id") if calib_payload else None,
-        "target_corpus_hash": _hash_quality_rows(target_rows) if target_rows else None,
+        "target_corpus_hash": _hash_quality_rows(target.rows()) if target is not None else None,
     }
     if modified:
         source_corpus = [qv for _, qv, _ in measured]
@@ -229,8 +229,8 @@ def cmd_degrade(args) -> int:
 
 
 def cmd_assess(args) -> int:
-    real = [qv for _, qv in read_quality_table(args.real_table)]
-    synth = [qv for _, qv in read_quality_table(args.synth_table)]
+    real = read_quality_table(args.real_table).features
+    synth = read_quality_table(args.synth_table).features
     result = repeated_assessment(real, synth, repeats=args.repeats, seed=args.seed)
     write_assessment_report(result, args.repeats, args.out)
     print(f"combined 1-NN accuracy: {100 * result.combined_accuracy:.1f}% "
@@ -243,8 +243,7 @@ def cmd_assess(args) -> int:
 def cmd_report(args) -> int:
     chunks = []
     for i, table in enumerate(args.tables):
-        rows = read_quality_table(table)
-        summaries = distribution_summary([qv for _, qv in rows])
+        summaries = distribution_summary(read_quality_table(table).features)
         if len(args.tables) == 1:
             chunks.append(summary_rows_to_csv(summaries))
         else:

@@ -15,7 +15,7 @@ import io as _io
 import json
 import os
 import tempfile
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice
 from operator import itemgetter
@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .types import QUALITY_FEATURES, GazeRecording, QualityVector
+from .types import QUALITY_FEATURES, GazeRecording, QualityTable, QualityVector
 
 RECORDING_HEADER = ("t_ms", "gaze_x_dva", "gaze_y_dva", "tgt_x_dva", "tgt_y_dva")
 QUALITY_HEADER = ("recording_id", *QUALITY_FEATURES, "n_fixations_used")
@@ -361,19 +361,59 @@ def _table_rows(path, header: tuple, what: str):
             yield reader.line_num, row
 
 
-def read_quality_table(path) -> list:
-    """Read a quality table back as a list of (recording_id, QualityVector)."""
-    out = []
-    for line, row in _table_rows(path, QUALITY_HEADER, "quality table"):
-        try:
-            # the middle cells are the QUALITY_FEATURES, QualityVector's first fields
-            qv = QualityVector(*map(float, row[1:-1]), n_fixations_used=int(row[-1]))
-        except ValueError as exc:
-            raise ValueError(f"{path}: malformed row at line {line}: {exc}") from None
-        out.append((row[0], qv))
-    if not out:
-        raise ValueError(f"{path}: empty quality table")
-    return out
+# a quality table row's feature cells: the QUALITY_FEATURES, in column order
+_FEATURE_CELLS = itemgetter(*range(1, 1 + len(QUALITY_FEATURES)))
+
+
+def _quality_columns(path) -> QualityTable:
+    """Read a quality table's rows into a QualityTable a block at a time, so
+    only one block's cell strings are alive at once. Cells convert with
+    float() and int(), so values and errors are theirs."""
+    ids, blocks, counts = [], [], []
+    width = len(QUALITY_FEATURES)
+    with closing(_table_rows(path, QUALITY_HEADER, "quality table")) as lines:
+        while block := [row for _, row in islice(lines, _BLOCK_ROWS)]:
+            ids += map(itemgetter(0), block)
+            cells = chain.from_iterable(map(_FEATURE_CELLS, block))
+            blocks.append(np.fromiter(map(float, cells), float, width * len(block)))
+            counts += map(int, map(itemgetter(-1), block))
+    features = np.concatenate(blocks or [np.empty(0)]).reshape(-1, width)
+    features.flags.writeable = False  # a fresh array: the table shares it
+    return QualityTable(ids, features, counts)
+
+
+def _malformed_quality_row_error(path) -> ValueError:
+    """Rescan the table row by row, building a QualityVector per row, for
+    the first row that fails and name its line."""
+    seen = set()
+    try:
+        for line, row in _table_rows(path, QUALITY_HEADER, "quality table"):
+            if row[0] in seen:
+                return ValueError(f"{path}: duplicate recording_id {row[0]!r} at line {line}")
+            seen.add(row[0])
+            try:
+                QualityVector(*map(float, row[1:-1]), n_fixations_used=int(row[-1]))
+            except ValueError as exc:
+                return ValueError(f"{path}: malformed row at line {line}: {exc}")
+    except ValueError as exc:  # header, cell count, UTF-8 or csv error
+        return exc
+    if not seen:
+        return ValueError(f"{path}: empty quality table")
+    return ValueError(f"{path}: malformed row (file changed while reading)")
+
+
+def read_quality_table(path) -> QualityTable:
+    """Read a quality table into a checked QualityTable, in file order.
+
+    A row that fails a check (a cell float() or int() rejects, a
+    QualityVector check, a repeated recording_id) aborts the read with a
+    message naming its 1-based file line; blank lines are skipped but
+    counted.
+    """
+    try:
+        return _quality_columns(path)
+    except ValueError:
+        raise _malformed_quality_row_error(path) from None
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ visual angle (dva), times in milliseconds, rates in Hz. Missing gaze samples
 are carried as NaN in the gaze channels; timestamps and target channels are
 always finite. All types are immutable value objects that check their
 invariants when built, so a GazeRecording that exists is a valid one,
-whether it was read, generated, replaced or resampled.
+whether it was read, generated, replaced or resampled, and a QualityTable
+holds only rows that would pass as QualityVectors.
 """
 from __future__ import annotations
 
@@ -155,8 +156,10 @@ class QualityVector:
             object.__setattr__(self, name, v)
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
-        combined_sq = self.prec_h ** 2 + self.prec_v ** 2
-        if abs(self.prec_c ** 2 - combined_sq) > 1e-12 * max(combined_sq, 1e-300):
+        # products, not ** 2: QualityTable's column check does the same
+        # arithmetic, so the two accept exactly the same rows
+        combined_sq = self.prec_h * self.prec_h + self.prec_v * self.prec_v
+        if abs(self.prec_c * self.prec_c - combined_sq) > 1e-12 * max(combined_sq, 1e-300):
             raise ValueError(
                 f"prec_c={self.prec_c} violates prec_c^2 == prec_h^2 + prec_v^2"
             )
@@ -165,9 +168,85 @@ class QualityVector:
             raise ValueError("acc_c below max(acc_h, acc_v)")
         if self.acc_c > self.acc_h + self.acc_v + slack:
             raise ValueError("acc_c above acc_h + acc_v")
+        if not _is_count(self.n_fixations_used):
+            raise ValueError(
+                f"n_fixations_used must be an int >= 1, got {self.n_fixations_used!r}")
+        object.__setattr__(self, "n_fixations_used", int(self.n_fixations_used))
 
     def as_tuple(self) -> tuple:
         return _feature_values(self)
+
+
+def _is_count(n) -> bool:
+    """An int (a numpy integer too, a bool not) that is at least 1."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
+
+
+def _valid_quality_rows(features: np.ndarray) -> np.ndarray:
+    """True for each row of an (n, 7) feature matrix in QUALITY_FEATURES
+    order that passes QualityVector's feature checks, with its arithmetic."""
+    acc_h, acc_v, acc_c, prec_h, prec_v, prec_c, _ = features.T
+    with np.errstate(invalid="ignore", over="ignore"):
+        ok = (np.isfinite(features) & (features >= 0.0)).all(axis=1)
+        combined_sq = prec_h * prec_h + prec_v * prec_v
+        ok &= ~(np.abs(prec_c * prec_c - combined_sq)
+                > 1e-12 * np.maximum(combined_sq, 1e-300))
+        slack = 1e-9 * (1.0 + acc_c)
+        ok &= ~(acc_c < np.maximum(acc_h, acc_v) - slack)
+        ok &= ~(acc_c > acc_h + acc_v + slack)
+    return ok
+
+
+@dataclass(frozen=True, eq=False)
+class QualityTable:
+    """A quality table as columns: recording ids, an (n, 7) read-only
+    feature matrix in QUALITY_FEATURES order and each row's fixation count.
+    Checked when built: at least one row, distinct ids, and every row
+    passes QualityVector's checks, tested a whole column at a time. A
+    failed check raises ValueError naming the first offending row."""
+
+    ids: tuple
+    features: np.ndarray
+    n_fixations_used: tuple
+
+    def __post_init__(self) -> None:
+        ids = tuple(self.ids)
+        features = _readonly_f64(self.features)
+        counts = tuple(self.n_fixations_used)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "features", features)
+        n = len(ids)
+        if n < 1:
+            raise ValueError("quality table needs at least one row")
+        if features.shape != (n, len(QUALITY_FEATURES)) or len(counts) != n:
+            raise ValueError(
+                f"{n} ids need a ({n}, {len(QUALITY_FEATURES)}) feature matrix and {n} "
+                f"fixation counts, got {features.shape} and {len(counts)}")
+        if len(set(ids)) != n:
+            seen = set()
+            for i, rid in enumerate(ids):
+                if rid in seen:
+                    raise ValueError(f"duplicate recording_id {rid!r} at row {i}")
+                seen.add(rid)
+        valid = _valid_quality_rows(features) & np.fromiter(map(_is_count, counts), bool, n)
+        bad = np.flatnonzero(~valid)
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"row {i} ({ids[i]!r}) fails QualityVector's checks")
+        object.__setattr__(self, "n_fixations_used", tuple(map(int, counts)))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def column(self, name: str) -> np.ndarray:
+        """The read-only column of one of the QUALITY_FEATURES."""
+        return self.features[:, QUALITY_FEATURES.index(name)]
+
+    def rows(self) -> list:
+        """(recording_id, QualityVector) per row, in table order."""
+        return [(rid, QualityVector(*values, n_fixations_used=count))
+                for rid, values, count in zip(self.ids, self.features.tolist(),
+                                              self.n_fixations_used)]
 
 
 @dataclass(frozen=True)

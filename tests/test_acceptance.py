@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gazesim.assess import one_nn_two_sample, repeated_assessment
+from gazesim.assess import one_nn_two_sample, quality_features, repeated_assessment
 from gazesim.calibrate import sweep_sigma
 from gazesim.cli import main as cli_main
 from gazesim.degrade import (degrade_benchmark, degrade_modified, jitter_timestamps,
@@ -107,7 +107,7 @@ def test_criterion_1_calibration_anchor(tmp_path):
     table = tmp_path / "quality.csv"
     assert run_cli(["metrics", "--manifest", out / "manifest.csv",
                     "--out", table]) == 0
-    med = float(np.median([qv.prec_h for _, qv in read_quality_table(table)]))
+    med = float(np.median(read_quality_table(table).column("prec_h")))
     report(1, 0.08 <= med <= 0.12,
            f"benchmark at sigma0_sq=0.13 gives corpus-median prec_h={med:.4f} "
            f"(required within [0.08, 0.12])")
@@ -211,11 +211,10 @@ def test_criterion_6_one_nn_harness():
 
 
 def test_criterion_7_table_1_direction(matched_corpora):
-    baseline = repeated_assessment(matched_corpora["target_qv"],
-                                   matched_corpora["baseline_qv"],
+    target = quality_features(matched_corpora["target_qv"])
+    baseline = repeated_assessment(target, quality_features(matched_corpora["baseline_qv"]),
                                    repeats=5, seed=ASSESS_SEED)
-    modified = repeated_assessment(matched_corpora["target_qv"],
-                                   matched_corpora["synth_qv"],
+    modified = repeated_assessment(target, quality_features(matched_corpora["synth_qv"]),
                                    repeats=5, seed=ASSESS_SEED)
     drop = baseline.combined_accuracy - modified.combined_accuracy
     report(7, drop >= 0.20,

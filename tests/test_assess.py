@@ -222,7 +222,8 @@ class TestRepeatedAssessment:
     def test_identical_sets_identical_repeats(self):
         rng = np.random.default_rng(8)
         qvs = [random_qv(rng) for _ in range(15)]
-        result = repeated_assessment(qvs, list(qvs), repeats=5, seed=3)
+        result = repeated_assessment(quality_features(qvs), quality_features(qvs),
+                                     repeats=5, seed=3)
         combos = {r.combined for r in result.per_repeat}
         assert len(combos) == 1
         assert result.range_of("combined") == 0.0
@@ -230,37 +231,44 @@ class TestRepeatedAssessment:
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(9)
-        real = [random_qv(rng) for _ in range(30)]
-        synth = [random_qv(rng) for _ in range(20)]
+        real = quality_features([random_qv(rng) for _ in range(30)])
+        synth = quality_features([random_qv(rng) for _ in range(20)])
         a = repeated_assessment(real, synth, repeats=5, seed=11)
         b = repeated_assessment(real, synth, repeats=5, seed=11)
         assert a == b
 
     def test_seed_changes_subsamples(self):
         rng = np.random.default_rng(10)
-        real = [random_qv(rng) for _ in range(40)]
-        synth = [random_qv(rng) for _ in range(20)]
+        real = quality_features([random_qv(rng) for _ in range(40)])
+        synth = quality_features([random_qv(rng) for _ in range(20)])
         a = repeated_assessment(real, synth, repeats=5, seed=1)
         b = repeated_assessment(real, synth, repeats=5, seed=2)
         assert a.per_repeat != b.per_repeat
 
     def test_synth_larger_than_real_rejected(self):
         rng = np.random.default_rng(11)
-        real = [random_qv(rng) for _ in range(5)]
-        synth = [random_qv(rng) for _ in range(6)]
+        real = quality_features([random_qv(rng) for _ in range(5)])
+        synth = quality_features([random_qv(rng) for _ in range(6)])
         with pytest.raises(ValueError, match="at least as large"):
             repeated_assessment(real, synth)
 
     def test_repeats_must_be_positive(self):
         rng = np.random.default_rng(12)
-        qvs = [random_qv(rng) for _ in range(5)]
+        qvs = quality_features([random_qv(rng) for _ in range(5)])
         with pytest.raises(ValueError, match="repeats"):
             repeated_assessment(qvs, qvs, repeats=0)
 
+    @pytest.mark.parametrize("shape", [(10,), (10, 6), (0, 7)])
+    def test_feature_matrix_shape_checked(self, shape):
+        with pytest.raises(ValueError, match=r"^synth must be an \(n, 7\) feature matrix"):
+            repeated_assessment(np.ones((10, 7)), np.ones(shape))
+        with pytest.raises(ValueError, match=r"^features must be an \(n, 7\) feature matrix"):
+            distribution_summary(np.ones(shape))
+
     def test_report_dict_layout(self):
         rng = np.random.default_rng(13)
-        real = [random_qv(rng) for _ in range(20)]
-        synth = [random_qv(rng) for _ in range(10)]
+        real = quality_features([random_qv(rng) for _ in range(20)])
+        synth = quality_features([random_qv(rng) for _ in range(10)])
         result = repeated_assessment(real, synth, repeats=3, seed=0)
         report = assessment_report_dict(result, repeats=3)
         assert report["n_per_class"] == 10
@@ -274,7 +282,7 @@ class TestRepeatedAssessment:
 class TestDistributionSummary:
     def test_constant_feature_all_equal(self):
         v = random_qv(np.random.default_rng(14))
-        summaries = distribution_summary([v] * 8)
+        summaries = distribution_summary(quality_features([v] * 8))
         acc_h = summaries[0]
         assert acc_h.minimum == acc_h.median == acc_h.maximum == v.acc_h
         assert all(d == v.acc_h for d in acc_h.deciles)
@@ -283,7 +291,7 @@ class TestDistributionSummary:
         qvs = [qv_from_features([float(i), 0.2, max(float(i), 0.2) + 0.01,
                                  0.1, 0.1, float(np.hypot(0.1, 0.1)), 0.5])
                for i in range(1, 11)]
-        summary = distribution_summary(qvs)[0]
+        summary = distribution_summary(quality_features(qvs))[0]
         values = np.arange(1.0, 11.0)
         assert summary.median == 5.5
         assert summary.deciles[0] == pytest.approx(quantile(values, 0.1)) == 1.9
@@ -293,14 +301,14 @@ class TestDistributionSummary:
 
     def test_csv_header(self):
         v = random_qv(np.random.default_rng(15))
-        text = summary_rows_to_csv(distribution_summary([v, v, v]))
+        text = summary_rows_to_csv(distribution_summary(quality_features([v, v, v])))
         assert text.splitlines()[0] == ("feature,min,d10,d20,d30,d40,d50,d60,d70,"
                                         "d80,d90,median,mean,max")
         assert len(text.splitlines()) == 1 + len(FEATURE_COLUMNS)
 
     def test_csv_with_table_column(self):
         v = random_qv(np.random.default_rng(16))
-        text = summary_rows_to_csv(distribution_summary([v, v]),
+        text = summary_rows_to_csv(distribution_summary(quality_features([v, v])),
                                    extra_column=("table", "runA"))
         assert text.splitlines()[0].startswith("table,feature,")
         assert text.splitlines()[1].startswith("runA,acc_h,")

@@ -1,15 +1,18 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gazesim.calibrate import load_calibration
 from gazesim.cli import main
 from gazesim.degrade import degrade_modified, load_plan
 from gazesim.io import (ManifestEntry, read_manifest, read_quality_table,
                         read_recording_from_entry, recording_to_csv,
                         write_manifest, write_quality_table, write_recording)
+from gazesim.quantiles import quantile
 from gazesim.types import QualityVector
 
 from conftest import make_recording
@@ -301,6 +304,10 @@ class TestDegrade:
                     "--target-table", tiny_target_table, "--out", out]) == 0
         plan = json.loads(next(iter(sorted(out.glob("*.plan.json")))).read_text())
         assert plan["sigma0_sq"] > 0
+        # the inverse of the target table's median horizontal precision
+        prec_h = [qv.prec_h for _, qv in read_quality_table(tiny_target_table).rows()]
+        assert plan["sigma0_sq"] == load_calibration(tiny_calibration)[0].invert(
+            quantile(prec_h, 0.5))
 
     def test_modified_requires_inputs(self, tiny_source, tmp_path):
         with pytest.raises(SystemExit):
@@ -511,3 +518,66 @@ class TestAssessAndReport:
 
     def test_missing_input_returns_error_code(self, tmp_path):
         assert run(["report", tmp_path / "nope.csv", "--out", tmp_path / "s.csv"]) == 1
+
+    def test_bad_table_row_names_file_and_line(self, tmp_path, caplog):
+        table = tmp_path / "q.csv"
+        table.write_text("recording_id,acc_h,acc_v,acc_c,prec_h,prec_v,prec_c,"
+                         "temporal_prec_ms,n_fixations_used\n"
+                         "a,0.3,0.4,0.5,0.3,0.4,0.5,0.7,15\n"
+                         "a,0.3,0.4,0.5,0.3,0.4,0.5,0.7,15\n")
+        assert run(["report", table, "--out", tmp_path / "s.csv"]) == 1
+        assert f"{table}: duplicate recording_id 'a' at line 3" in caplog.text
+        assert not (tmp_path / "s.csv").exists()
+
+
+class TestGoldenDigests:
+    """SHA-256 of the assess JSON and the report CSV on a fixed pair of small
+    quality tables, pinned so that a change to how tables are read and fed
+    to the assessment cannot move a single output byte."""
+
+    TABLES = {"real": "84a513a19a9be329a0944ca12d2c688bde62d54f5f99b8804703b752f0beeb47",
+              "synth": "743129d61adae3ce8e2b3e555e734f4ecb57be898630de3ec4216d55c1b24d11"}
+    ASSESS = "871e0359cc26ad2ca3c069914935e76b3c978f358907d33205826a329b619d07"
+    REPORT = "6670281f1a0f95d4d17cc062bda636f186665e9f60b7bbb209c6b52f0c9ade5d"
+
+    @staticmethod
+    def table_text(rng, name, n, scale):
+        """A quality table written without gazesim, its ids out of order."""
+        lines = ["recording_id,acc_h,acc_v,acc_c,prec_h,prec_v,prec_c,"
+                 "temporal_prec_ms,n_fixations_used"]
+        for i in rng.permutation(n):
+            acc_h, acc_v = rng.uniform(0.05, 1.0, 2) * scale
+            prec_h, prec_v = rng.uniform(0.01, 0.3, 2) / scale
+            values = [acc_h, acc_v, rng.uniform(max(acc_h, acc_v), acc_h + acc_v),
+                      prec_h, prec_v, np.hypot(prec_h, prec_v), rng.uniform(0.0, 2.0)]
+            lines.append(",".join([f"{name}_{i:02d}", *(repr(float(v)) for v in values),
+                                   str(rng.integers(1, 30))]))
+        return "\n".join(lines) + "\n"
+
+    @pytest.fixture(scope="class")
+    def tables(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("golden_tables")
+        rng = np.random.default_rng(2024)
+        paths = {}
+        for name, n, scale in (("real", 24, 1.0), ("synth", 12, 0.8)):
+            paths[name] = root / f"{name}.csv"
+            paths[name].write_text(self.table_text(rng, name, n, scale))
+        return paths
+
+    @staticmethod
+    def digest(path):
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+    def test_inputs_unchanged(self, tables):
+        assert {name: self.digest(path) for name, path in tables.items()} == self.TABLES
+
+    def test_assess_json_unchanged(self, tables, tmp_path):
+        out = tmp_path / "assess.json"
+        assert run(["assess", "--real-table", tables["real"], "--synth-table", tables["synth"],
+                    "--repeats", 3, "--seed", 7, "--out", out]) == 0
+        assert self.digest(out) == self.ASSESS
+
+    def test_report_csv_unchanged(self, tables, tmp_path):
+        out = tmp_path / "summary.csv"
+        assert run(["report", tables["real"], tables["synth"], "--out", out]) == 0
+        assert self.digest(out) == self.REPORT

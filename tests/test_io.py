@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gazesim.io import (_BLOCK_ROWS, QUALITY_HEADER, RECORDING_HEADER, ManifestEntry,
-                        _parse_lines_c, _parse_rows, _read_columns,
+                        _parse_lines_c, _parse_rows, _read_columns, _table_rows,
                         format_float, read_manifest, read_quality_table,
                         read_recording, recording_to_csv, write_manifest,
                         write_quality_table, write_recording)
 from gazesim.metrics import temporal_precision
-from gazesim.types import QualityVector
+from gazesim.types import QualityTable, QualityVector, _valid_quality_rows
 
 from conftest import make_recording
 
@@ -534,18 +534,98 @@ class TestCParserMatchesCsv:
         assert shared == [True] * 5
 
 
+def quality_table_text(rows) -> str:
+    """A quality table file's text: the header, then one line per list of
+    cells (a str row is written as it is)."""
+    return "".join(line + "\n" for line in [",".join(QUALITY_HEADER)] + [
+        row if isinstance(row, str) else ",".join(row) for row in rows])
+
+
+def per_row_read(path) -> list:
+    """The quality-table reader that builds one QualityVector per row: the
+    oracle for which tables read_quality_table accepts, what it reads and
+    the message it raises."""
+    out, seen = [], set()
+    for line, row in _table_rows(path, QUALITY_HEADER, "quality table"):
+        if row[0] in seen:
+            raise ValueError(f"{path}: duplicate recording_id {row[0]!r} at line {line}")
+        seen.add(row[0])
+        try:
+            vector = QualityVector(*map(float, row[1:-1]), n_fixations_used=int(row[-1]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed row at line {line}: {exc}") from None
+        out.append((row[0], vector))
+    if not out:
+        raise ValueError(f"{path}: empty quality table")
+    return out
+
+
 class TestQualityTable:
     def test_round_trip(self, tmp_path):
-        rows = [("b", qv(acc_h=0.3)), ("a", qv(acc_h=0.1))]
+        rows = [("b", qv(acc_h=0.3)), ("a", qv(acc_h=0.1, n=4))]
         path = tmp_path / "q.csv"
         write_quality_table(rows, path)
         back = read_quality_table(path)
-        assert [rid for rid, _ in back] == ["a", "b"]  # sorted by id
-        assert back[0][1] == qv(acc_h=0.1)
+        assert back.ids == ("a", "b")  # sorted by id
+        assert back.rows() == [("a", qv(acc_h=0.1, n=4)), ("b", qv(acc_h=0.3))]
+        assert back.n_fixations_used == (4, 10)
+        assert back.features.tolist() == [list(qv(acc_h=0.1).as_tuple()),
+                                          list(qv(acc_h=0.3).as_tuple())]
+        assert not back.features.flags.writeable
 
     def test_duplicate_id_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="duplicate"):
             write_quality_table([("a", qv()), ("a", qv())], tmp_path / "q.csv")
+
+    def test_duplicate_id_on_read_names_second_line(self, tmp_path):
+        cells = ["0.3", "0.4", "0.5", "0.3", "0.4", "0.5", "0.7", "15"]
+        path = tmp_path / "q.csv"
+        path.write_text(quality_table_text([["a", *cells], ["b", *cells], "", ["a", *cells]]))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: duplicate "
+                                             r"recording_id 'a' at line 5$"):
+            read_quality_table(path)
+
+    @pytest.mark.parametrize("count", ["0", "-4"])
+    def test_fixation_count_below_one_names_line(self, tmp_path, count):
+        path = tmp_path / "q.csv"
+        path.write_text(quality_table_text([
+            ["a", "0.3", "0.4", "0.5", "0.3", "0.4", "0.5", "0.7", "15"],
+            ["b", "0.3", "0.4", "0.5", "0.3", "0.4", "0.5", "0.7", count]]))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: malformed row at "
+                                             rf"line 3: n_fixations_used must be an int "
+                                             rf">= 1, got {count}$"):
+            read_quality_table(path)
+
+    def test_empty_table_on_read(self, tmp_path):
+        path = tmp_path / "q.csv"
+        path.write_text(quality_table_text(["", ""]))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: empty quality table$"):
+            read_quality_table(path)
+
+    def test_first_bad_row_in_file_order_across_blocks(self, tmp_path):
+        good = ["0.3", "0.4", "0.5", "0.3", "0.4", "0.5", "0.7", "15"]
+        rows = [[f"r{i}", *good] for i in range(_BLOCK_ROWS + 5)]
+        rows[_BLOCK_ROWS + 2] = f"r{_BLOCK_ROWS + 2},x," + ",".join(good[1:])
+        rows[_BLOCK_ROWS + 3] = "short,row"
+        path = tmp_path / "q.csv"
+        path.write_text(quality_table_text(rows))
+        with pytest.raises(ValueError, match=rf"malformed row at line {_BLOCK_ROWS + 4}: "
+                                             r"could not convert"):
+            read_quality_table(path)
+
+    def test_read_peak_memory_stays_near_the_table(self, tmp_path):
+        n = 20_000
+        path = tmp_path / "q.csv"
+        write_quality_table([(f"rec_{i:05d}", qv(acc_h=0.1 + i * 1e-6)) for i in range(n)], path)
+        tracemalloc.start()
+        try:
+            read_quality_table(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # read a block of rows at a time this peaked at 6.7 MB (the table
+        # keeps 2.6 MB); holding every row's cells at once peaked at 18 MB
+        assert peak < 10_000_000
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="at least one"):
@@ -588,6 +668,108 @@ class TestQualityTable:
         assert path.read_text().splitlines()[0] == (
             "recording_id,acc_h,acc_v,acc_c,prec_h,prec_v,prec_c,"
             "temporal_prec_ms,n_fixations_used")
+
+
+# QualityVector's tolerances: the relative quadrature tolerance on prec_c^2
+# and the slack on the acc_c bounds, 1e-9 * (1 + acc_c)
+_QUADRATURE_TOL = 1e-12
+_SLACK = 1e-9
+
+_edge_values = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-9, 0.25, 1.0, 1e300,
+                                -1e-300, -1.0, np.nan, np.inf, -np.inf])
+_feature_value = st.one_of(st.floats(0.0, 5.0), _edge_values)
+
+
+def _ulps(x: float, k: int) -> float:
+    """`x` moved `k` representable doubles up (k > 0) or down."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, np.inf if k > 0 else -np.inf)
+    return float(x)
+
+
+@st.composite
+def quality_values(draw) -> list:
+    """Seven features in QUALITY_FEATURES order, each at or a few doubles
+    from one of QualityVector's boundaries: NaN, +-inf, -0.0, acc_c at
+    max(acc_h, acc_v) - slack or at acc_h + acc_v + slack, prec_c on the
+    quadrature tolerance."""
+    acc_h, acc_v, prec_h, prec_v, temporal = (draw(_feature_value) for _ in range(5))
+    with np.errstate(all="ignore"):
+        # acc_c solves acc_c = bound -+ 1e-9 * (1 + acc_c) at each bound
+        lo, hi = max(acc_h, acc_v), acc_h + acc_v
+        acc_c = draw(st.sampled_from([(lo - _SLACK) / (1 + _SLACK),
+                                      (hi + _SLACK) / (1 - _SLACK),
+                                      (lo + hi) / 2]) | _feature_value)
+        root = float(np.sqrt(prec_h * prec_h + prec_v * prec_v))
+        prec_c = draw(st.sampled_from([root, root * np.sqrt(1 + _QUADRATURE_TOL),
+                                       root * np.sqrt(1 - _QUADRATURE_TOL)]) | _feature_value)
+    shift = st.integers(-8, 8)
+    return [acc_h, acc_v, _ulps(acc_c, draw(shift)), prec_h, prec_v,
+            _ulps(float(prec_c), draw(shift)), temporal]
+
+
+def _cell(value) -> str:
+    return repr(float(value))
+
+
+_count = st.one_of(st.integers(-3, 40), st.sampled_from([2.5, True, np.int64(3)]))
+_count_cell = st.one_of(st.integers(-3, 40).map(str),
+                        st.sampled_from(["2.5", "x", "", " 3", "+2", "1_0"]))
+_odd_feature_cell = st.sampled_from(["x", "", "1_0", " 0.5 ", "nan", "-inf"])
+_table_line = st.one_of(
+    st.builds(lambda rid, values, odd, count: [rid, *(odd or map(_cell, values)), count],
+              st.sampled_from("abcdef"), quality_values(),
+              st.none() | st.lists(_odd_feature_cell, min_size=7, max_size=7), _count_cell),
+    st.sampled_from(["", "short,row"]))
+
+
+class TestQualityTableChecks:
+    """QualityTable checks QualityVector's invariants a column at a time;
+    the reader names a failing line by re-running the per-row loop."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(st.lists(quality_values(), min_size=1, max_size=40))
+    def test_column_check_accepts_exactly_what_quality_vector_accepts(self, rows):
+        def accepted(values):
+            try:
+                QualityVector(*values, n_fixations_used=1)
+            except ValueError:
+                return False
+            return True
+
+        expected = [accepted(values) for values in rows]
+        assert _valid_quality_rows(np.array(rows)).tolist() == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(quality_values(), _count), min_size=1, max_size=6))
+    def test_table_builds_exactly_when_every_row_would(self, rows):
+        def builds(make):
+            try:
+                make()
+            except ValueError:
+                return False
+            return True
+
+        expected = all(builds(lambda: QualityVector(*values, n_fixations_used=count))
+                       for values, count in rows)
+        ids = [f"r{i}" for i in range(len(rows))]
+        assert builds(lambda: QualityTable(ids, [v for v, _ in rows],
+                                           [c for _, c in rows])) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_table_line, max_size=6))
+    def test_reader_matches_per_row_loop(self, tmp_path_factory, lines):
+        path = tmp_path_factory.getbasetemp() / "property_quality.csv"
+        path.write_text(quality_table_text(lines))
+
+        def outcome(read):
+            try:
+                table = read(path)
+            except ValueError as exc:
+                return "error", str(exc)
+            return "read", table.rows() if isinstance(table, QualityTable) else table
+
+        assert outcome(read_quality_table) == outcome(per_row_read)
 
 
 class TestManifest:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gazesim.types import (QUALITY_FEATURES, CalibrationClampWarning, CalibrationCurve,
-                           DegradationPlan, GazeRecording, QualityVector)
+                           DegradationPlan, GazeRecording, QualityTable, QualityVector)
 
 from conftest import make_recording
 
@@ -174,7 +174,16 @@ class TestQualityVector:
     def test_negative_fields_rejected(self):
         with pytest.raises(ValueError):
             QualityVector(acc_h=-1, acc_v=0, acc_c=0, prec_h=0, prec_v=0,
-                          prec_c=0, temporal_prec_ms=0, n_fixations_used=0)
+                          prec_c=0, temporal_prec_ms=0, n_fixations_used=1)
+
+    @pytest.mark.parametrize("count", [0, -3, 2.5, 3.0, True, "3", None])
+    def test_fixation_count_must_be_an_int_of_at_least_one(self, count):
+        with pytest.raises(ValueError, match=r"^n_fixations_used must be an int >= 1, got "):
+            QualityVector(0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, count)
+
+    def test_numpy_int_fixation_count_stored_as_int(self):
+        qv = QualityVector(0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, np.int64(3))
+        assert type(qv.n_fixations_used) is int and qv.n_fixations_used == 3
 
     def test_one_feature_list(self):
         from gazesim.assess import FEATURE_COLUMNS
@@ -185,6 +194,51 @@ class TestQualityVector:
         assert FEATURE_COLUMNS == QUALITY_FEATURES
         qv = QualityVector(0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 3)
         assert qv.as_tuple() == (0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6)
+
+
+class TestQualityTable:
+    ROW = (0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6)
+
+    def test_columns_rows_and_read_only_features(self):
+        table = QualityTable(["b", "a"], [self.ROW, self.ROW], [3, np.int64(4)])
+        assert len(table) == 2 and table.ids == ("b", "a")
+        assert table.n_fixations_used == (3, 4)
+        assert not table.features.flags.writeable
+        assert table.column("prec_v").tolist() == [0.4, 0.4]
+        assert table.rows() == [("b", QualityVector(*self.ROW, 3)),
+                                ("a", QualityVector(*self.ROW, 4))]
+
+    def test_owned_read_only_features_shared_others_copied(self):
+        owned = np.array([self.ROW])
+        owned.flags.writeable = False
+        assert QualityTable(["a"], owned, [1]).features is owned
+        writable = np.array([self.ROW])
+        table = QualityTable(["a"], writable, [1])
+        writable[0, 0] = 9.0
+        assert table.features[0, 0] == 0.1
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            QualityTable([], np.empty((0, 7)), [])
+
+    @pytest.mark.parametrize("features, counts", [
+        (np.zeros((2, 6)), [1, 1]), (np.zeros((3, 7)), [1, 1]), (np.zeros((2, 7)), [1])])
+    def test_shapes_must_agree(self, features, counts):
+        with pytest.raises(ValueError, match=r"^2 ids need a \(2, 7\) feature matrix"):
+            QualityTable(["a", "b"], features, counts)
+
+    def test_duplicate_id_names_row(self):
+        with pytest.raises(ValueError, match=r"^duplicate recording_id 'a' at row 2$"):
+            QualityTable(["a", "b", "a"], [self.ROW] * 3, [1, 1, 1])
+
+    @pytest.mark.parametrize("column, value, count", [
+        (5, 0.51, 1), (2, 0.1, 1), (0, np.nan, 1), (6, -1.0, 1),
+        (6, 0.6, 0), (6, 0.6, 2.5), (6, 0.6, True)])
+    def test_row_failing_a_quality_vector_check_named(self, column, value, count):
+        bad = list(self.ROW)
+        bad[column] = value
+        with pytest.raises(ValueError, match=r"^row 1 \('b'\) fails QualityVector's checks$"):
+            QualityTable(["a", "b"], [self.ROW, bad], [1, count])
 
 
 class TestDegradationPlan:

@@ -38,15 +38,6 @@ class ZeroVarianceWarning(UserWarning):
     """A feature column had no variance; it passes through unscaled."""
 
 
-def quality_features(qvs) -> np.ndarray:
-    """Raw (n, 7) feature matrix in FEATURE_COLUMNS order of a list of
-    QualityVector (a QualityTable holds one as `features`)."""
-    qvs = list(qvs)
-    if not qvs:
-        raise ValueError("need at least one quality vector")
-    return np.array([qv.as_tuple() for qv in qvs], dtype=float)
-
-
 def _feature_matrix(features, what: str) -> np.ndarray:
     """`features` as a float (n, 7) array, n >= 1, or ValueError."""
     features = np.asarray(features, dtype=float)

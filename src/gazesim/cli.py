@@ -10,6 +10,7 @@ byte-identical. Outputs are plain CSV/JSON written atomically.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import hashlib
 import logging
@@ -32,15 +33,15 @@ from .oracle import (PRESETS, corpus_spec_from_json, generate_corpus,
                      write_ground_truth)
 from .quantiles import quantile
 from .seeding import derive_seed
-from .types import DegradationPlan
+from .types import DegradationPlan, QualityTable
 
 logger = logging.getLogger("gazesim")
 
 
-def _hash_quality_rows(rows) -> str:
+def _hash_quality_table(table: QualityTable) -> str:
     h = hashlib.sha256()
-    for rid, qv in sorted(rows, key=lambda item: item[0]):
-        h.update(f"{rid}:{qv.as_tuple()}:{qv.n_fixations_used}\n".encode("utf-8"))
+    for rid, values, count in table.rows_by_id():
+        h.update(f"{rid}:{tuple(values)}:{count}\n".encode("utf-8"))
     return h.hexdigest()[:16]
 
 
@@ -102,10 +103,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    rows = _map_corpus(args.manifest, args.skip_bad,
-                       lambda rec: (rec.recording_id, recording_quality(rec)))
-    write_quality_table(rows, args.out)
-    print(f"wrote quality table with {len(rows)} rows to {args.out}")
+    table = QualityTable.from_rows(_map_corpus(
+        args.manifest, args.skip_bad, lambda rec: (rec.recording_id, recording_quality(rec))))
+    write_quality_table(table, args.out)
+    print(f"wrote quality table with {len(table)} rows to {args.out}")
     return 0
 
 
@@ -151,9 +152,9 @@ def cmd_calibrate(args) -> int:
 
 
 def _measure_source(rec):
-    """(recording, quality, latency) of one source of the modified model."""
+    """(recording, quality, analysis) of one source of the modified model."""
     analysis = analyse_recording(rec)
-    return rec, recording_quality(rec, analysis), analysis.latency
+    return rec, recording_quality(rec, analysis), analysis
 
 
 def cmd_degrade(args) -> int:
@@ -166,22 +167,21 @@ def cmd_degrade(args) -> int:
     calib = calib_payload = None
     if args.calibration:
         calib, calib_payload = load_calibration(args.calibration)
-    if modified:
-        target_corpus = [qv for _, qv in target.rows()]
-    elif args.sigma0_sq is not None:
-        sigma0_sq = args.sigma0_sq
-    elif calib is not None and target is not None:
+    sigma0_sq = args.sigma0_sq
+    if not modified and sigma0_sq is None:
+        if calib is None or target is None:
+            raise SystemExit("baseline model needs --sigma0-sq, or --calibration "
+                             "with --target-table")
         desired = quantile(target.column("prec_h"), 0.5)
         sigma0_sq = calib.invert(desired)
         logger.info("baseline sigma0_sq=%.6g from calibration inverse of "
                     "target median prec_h=%.6g", sigma0_sq, desired)
-    else:
-        raise SystemExit("baseline model needs --sigma0-sq, or --calibration "
-                         "with --target-table")
+    # the baseline's plan, checked before any recording is read
+    baseline = None if modified else DegradationPlan(args.rate_hz, sigma0_sq)
 
     # the modified planner needs each source's quality, and its transform the
-    # source's latency: both from one analysis as the recording is read, so
-    # --skip-bad also drops the recordings the metric pass rejects
+    # source's fixation windows: both from one analysis as the recording is
+    # read, so --skip-bad also drops the recordings the metric pass rejects
     measured = _map_corpus(args.manifest, args.skip_bad,
                            _measure_source if modified else (lambda rec: (rec, None, None)))
     out_dir = Path(args.out)
@@ -190,25 +190,23 @@ def cmd_degrade(args) -> int:
     provenance = {
         "model": args.model,
         "calibration_id": calib_payload.get("calibration_id") if calib_payload else None,
-        "target_corpus_hash": _hash_quality_rows(target.rows()) if target is not None else None,
+        "target_corpus_hash": _hash_quality_table(target) if target is not None else None,
     }
     if modified:
-        source_corpus = [qv for _, qv, _ in measured]
-        provenance["source_corpus_hash"] = _hash_quality_rows(
-            (rec.recording_id, qv) for rec, qv, _ in measured)
+        source = QualityTable.from_rows((rec.recording_id, qv) for rec, qv, _ in measured)
+        provenance["source_corpus_hash"] = _hash_quality_table(source)
 
     entries = []
-    for rec, qv, latency in measured:
+    for rec, qv, analysis in measured:
         seed = derive_seed(args.seed, rec.recording_id)
         if modified:
             post_qv = recording_quality(zero_noise_pass(rec, args.rate_hz))
-            plan = plan_modified(qv, post_qv.prec_c, source_corpus, target_corpus, calib,
+            plan = plan_modified(qv, post_qv.prec_c, source, target, calib,
                                  args.rate_hz, seed)
-            degraded = degrade_modified(rec, plan, latency,
+            degraded = degrade_modified(rec, plan, analysis,
                                         jitter_correction=args.jitter_correction == "on")
         else:
-            plan = DegradationPlan(target_rate_hz=args.rate_hz, sigma0_sq=sigma0_sq,
-                                   rng_seed=seed)
+            plan = dataclasses.replace(baseline, rng_seed=seed)
             degraded = degrade_benchmark(rec, plan)
         write_recording(degraded, out_dir / f"{rec.recording_id}.csv")
         save_plan(plan, out_dir / f"{rec.recording_id}.plan.json", provenance)

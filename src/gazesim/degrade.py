@@ -30,9 +30,10 @@ from dataclasses import MISSING, fields
 
 import numpy as np
 
-from .metrics import LatencyEstimate, estimate_latency, extract_fixations
+from .metrics import RecordingAnalysis
 from .quantiles import percentile_rank, quantile
-from .types import DegradationPlan, GazeRecording, QualityVector, CalibrationCurve
+from .types import (CalibrationCurve, DegradationPlan, GazeRecording, QualityTable,
+                    QualityVector)
 from .io import atomic_write_text, is_json_number, read_json_object
 
 __all__ = [
@@ -210,12 +211,12 @@ def add_precision_noise(rec: GazeRecording, sigma0_sq: float,
     return rec.replace(gaze_x=rec.gaze_x + noise_x, gaze_y=rec.gaze_y + noise_y)
 
 
-def _degrade(rec: GazeRecording, plan: DegradationPlan, modified: bool,
-             latency: LatencyEstimate | None = None,
+def _degrade(rec: GazeRecording, plan: DegradationPlan,
+             analysis: RecordingAnalysis | None = None,
              jitter_correction: bool = False) -> GazeRecording:
     """The staged pipeline behind both models (see the module docstring);
-    `modified` adds the accuracy-step and timestamp-jitter stages, aligned
-    on `latency`, which is searched here when not given."""
+    the source's `analysis` adds the modified model's accuracy-step and
+    timestamp-jitter stages, the steps aligned on its fixation windows."""
     if not plan.target_rate_hz < rec.nominal_rate_hz:
         raise ValueError(
             f"target rate {plan.target_rate_hz} Hz must be below the source rate "
@@ -223,17 +224,14 @@ def _degrade(rec: GazeRecording, plan: DegradationPlan, modified: bool,
         )
     rng = np.random.default_rng(plan.rng_seed)
     out = rec
-    if modified:
-        # steps align on the latency-shifted fixation grid of the source
-        if latency is None:
-            latency = estimate_latency(rec)
-        off_x, off_y = build_accuracy_signal(rec, plan, latency, rng)
+    if analysis is not None:
+        off_x, off_y = build_accuracy_signal(rec, plan, analysis, rng)
         out = rec.replace(gaze_x=rec.gaze_x + off_x, gaze_y=rec.gaze_y + off_y)
     out = add_precision_noise(out, plan.sigma0_sq, rng)
     out = lowpass_zero_phase(out, _CUTOFF_FRACTION * plan.target_rate_hz / 2.0)
     stamps = nominal_target_timestamps(rec.span_ms, plan.target_rate_hz,
                                        start_ms=float(rec.timestamps_ms[0]))
-    if modified:
+    if analysis is not None:
         stamps = jitter_timestamps(stamps, plan.jitter_sigma_ms, rng,
                                    correction=jitter_correction)
         # endpoint jitter may poke past the source span; clip (interior stamps
@@ -249,7 +247,7 @@ def degrade_benchmark(rec: GazeRecording, plan: DegradationPlan) -> GazeRecordin
     baseline model has no mechanism for them. Deterministic given
     plan.rng_seed.
     """
-    return _degrade(rec, plan, modified=False)
+    return _degrade(rec, plan)
 
 
 def zero_noise_pass(rec: GazeRecording, target_rate_hz: float) -> GazeRecording:
@@ -264,10 +262,11 @@ def zero_noise_pass(rec: GazeRecording, target_rate_hz: float) -> GazeRecording:
 
 
 def plan_modified(source_qv: QualityVector, source_post_prec_c: float,
-                  source_corpus_qv, target_corpus_qv, calib: CalibrationCurve,
+                  source: QualityTable, target: QualityTable, calib: CalibrationCurve,
                   target_rate_hz: float, rng_seed: int) -> DegradationPlan:
     """Build a per-recording plan that percentile-matches the target corpus.
 
+    `source` and `target` are the quality tables of the two corpora.
     Precision: the recording's combined precision is rank-matched from the
     source corpus into the target corpus; the marginal dispersion still
     needed after the zero-noise pipeline pass is the quadrature gap, split
@@ -278,26 +277,22 @@ def plan_modified(source_qv: QualityVector, source_post_prec_c: float,
     the 0.45-period clamp of jitter_timestamps at the target rate; a larger
     one raises ValueError here rather than in the transform.
     """
-    source_corpus_qv = list(source_corpus_qv)
-    target_corpus_qv = list(target_corpus_qv)
-    if not source_corpus_qv or not target_corpus_qv:
-        raise ValueError("source and target corpora must be non-empty")
     if source_post_prec_c < 0:
         raise ValueError(f"source_post_prec_c must be >= 0, got {source_post_prec_c}")
 
-    p = percentile_rank(source_qv.prec_c, [q.prec_c for q in source_corpus_qv])
-    target_prec = quantile([q.prec_c for q in target_corpus_qv], p)
+    p = percentile_rank(source_qv.prec_c, source.column("prec_c"))
+    target_prec = quantile(target.column("prec_c"), p)
     marginal_c = math.sqrt(max(target_prec ** 2 - source_post_prec_c ** 2, 0.0))
     sigma0_sq = calib.invert(_CHANNEL_SHARE * marginal_c)
 
     offsets = {}
     for channel in ("acc_h", "acc_v"):
         src_value = getattr(source_qv, channel)
-        p_c = percentile_rank(src_value, [getattr(q, channel) for q in source_corpus_qv])
-        tgt_value = quantile([getattr(q, channel) for q in target_corpus_qv], p_c)
+        p_c = percentile_rank(src_value, source.column(channel))
+        tgt_value = quantile(target.column(channel), p_c)
         offsets[channel] = max(tgt_value - src_value, 0.0)
 
-    jitter = float(np.median([q.temporal_prec_ms for q in target_corpus_qv]))
+    jitter = float(np.median(target.column("temporal_prec_ms")))
     # the uncorrected sigma, as jitter_timestamps checks it
     limit = 0.45 * 1000.0 / target_rate_hz
     if jitter >= limit:
@@ -316,10 +311,12 @@ def plan_modified(source_qv: QualityVector, source_post_prec_c: float,
 
 
 def build_accuracy_signal(rec: GazeRecording, plan: DegradationPlan,
-                          latency: LatencyEstimate, rng: np.random.Generator) -> tuple:
+                          analysis: RecordingAnalysis, rng: np.random.Generator) -> tuple:
     """Draw the marginal accuracy degradation signal for one recording, as
     per-sample (off_x, off_y) arrays to add to the gaze channels.
 
+    The fixations are the windows of `analysis`, the recording's
+    analyse_recording result: those extract_fixations gives at its latency.
     For every fixation and channel independently, a magnitude is drawn from
     a normal distribution centered on the plan's requisite offset with std
     chosen so 99.7% of draws fall within 20% of it, then weighted by a
@@ -327,34 +324,33 @@ def build_accuracy_signal(rec: GazeRecording, plan: DegradationPlan,
     signs (x then y). Each signed offset holds from its fixation's onset
     until the next onset; samples before the first onset get zero.
     """
-    windows = extract_fixations(rec, latency)
-    if not windows:
+    onsets = analysis.window_start
+    if not onsets.size:
         raise ValueError(f"{rec.recording_id or 'recording'}: zero fixations for accuracy signal")
-    n = len(windows)
+    n = onsets.size
     mag_x = rng.normal(plan.acc_offset_h, 0.2 * plan.acc_offset_h / 3.0, n)
     mag_y = rng.normal(plan.acc_offset_v, 0.2 * plan.acc_offset_v / 3.0, n)
     sign_x = rng.integers(0, 2, n) * 2 - 1
     sign_y = rng.integers(0, 2, n) * 2 - 1
-    runs = np.diff([0] + [w.sample_start for w in windows] + [rec.n_samples])
+    runs = np.diff(np.concatenate(([0], onsets, [rec.n_samples])))
     return (np.repeat(np.append(0.0, sign_x * mag_x), runs),
             np.repeat(np.append(0.0, sign_y * mag_y), runs))
 
 
 def degrade_modified(rec: GazeRecording, plan: DegradationPlan,
-                     latency: LatencyEstimate | None = None,
+                     analysis: RecordingAnalysis,
                      jitter_correction: bool = False) -> GazeRecording:
     """Modified transform: accuracy steps, position noise, bandwidth
     reduction, and resampling onto a jittered target grid.
 
-    The accuracy step signal is aligned on the latency-shifted fixation grid
-    of the source recording. `latency` is the source's estimate_latency
-    result, for a caller that already has it; it is searched here otherwise.
-    Output timestamps are the jittered ones, so the result exhibits the
-    planned temporal imprecision; `jitter_correction` is jitter_timestamps'
-    sqrt(2) correction. Deterministic given plan.rng_seed.
+    The accuracy step signal is aligned on the latency-shifted fixation
+    windows of the source recording, taken from `analysis`, its
+    analyse_recording result. Output timestamps are the jittered ones, so
+    the result exhibits the planned temporal imprecision;
+    `jitter_correction` is jitter_timestamps' sqrt(2) correction.
+    Deterministic given plan.rng_seed.
     """
-    return _degrade(rec, plan, modified=True, latency=latency,
-                    jitter_correction=jitter_correction)
+    return _degrade(rec, plan, analysis, jitter_correction=jitter_correction)
 
 
 def plan_to_dict(plan: DegradationPlan, provenance: dict | None = None) -> dict:

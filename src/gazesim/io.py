@@ -52,7 +52,11 @@ def atomic_write_text(path, text) -> None:
     a temp file in the same directory."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix=".part")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix=".part")
+    except OSError as exc:
+        # the error would name the random temp file: name the output instead
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.writelines([text] if isinstance(text, str) else text)
@@ -325,21 +329,13 @@ def write_recording(rec: GazeRecording, path) -> None:
     atomic_write_text(path, _csv_chunks(rec))
 
 
-def write_quality_table(rows, path) -> None:
-    """Write (recording_id, QualityVector) rows as CSV, sorted by id."""
-    rows = list(rows)
-    if not rows:
-        raise ValueError("quality table needs at least one row")
-    ids = [rid for rid, _ in rows]
-    if len(set(ids)) != len(ids):
-        dup = sorted({r for r in ids if ids.count(r) > 1})
-        raise ValueError(f"duplicate recording_id in quality table: {dup}")
+def write_quality_table(table: QualityTable, path) -> None:
+    """Write a quality table as CSV, its rows sorted by id."""
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(QUALITY_HEADER)
-    for rid, qv in sorted(rows, key=lambda item: item[0]):
-        writer.writerow([rid] + [format_float(v) for v in qv.as_tuple()]
-                        + [str(qv.n_fixations_used)])
+    for rid, values, count in table.rows_by_id():
+        writer.writerow([rid, *map(format_float, values), str(count)])
     atomic_write_text(path, buf.getvalue())
 
 

@@ -242,11 +242,20 @@ class QualityTable:
         """The read-only column of one of the QUALITY_FEATURES."""
         return self.features[:, QUALITY_FEATURES.index(name)]
 
-    def rows(self) -> list:
-        """(recording_id, QualityVector) per row, in table order."""
-        return [(rid, QualityVector(*values, n_fixations_used=count))
-                for rid, values, count in zip(self.ids, self.features.tolist(),
-                                              self.n_fixations_used)]
+    @classmethod
+    def from_rows(cls, rows) -> "QualityTable":
+        """The table of (recording_id, QualityVector) rows, in their order."""
+        rows = list(rows)
+        features = np.array([qv.as_tuple() for _, qv in rows], dtype=float)
+        return cls([rid for rid, _ in rows], features.reshape(-1, len(QUALITY_FEATURES)),
+                   [qv.n_fixations_used for _, qv in rows])
+
+    def rows_by_id(self):
+        """(recording_id, feature values, fixation count) per row, in id
+        order: the order a quality table is written and hashed in."""
+        values = self.features.tolist()
+        for i in sorted(range(len(self.ids)), key=self.ids.__getitem__):
+            yield self.ids[i], values[i], self.n_fixations_used[i]
 
 
 @dataclass(frozen=True)
@@ -262,11 +271,12 @@ class DegradationPlan:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.target_rate_hz > 0:
-            raise ValueError(f"target_rate_hz must be positive, got {self.target_rate_hz}")
+        rate = self.target_rate_hz
+        if not (math.isfinite(rate) and rate > 0):
+            raise ValueError(f"target_rate_hz must be positive and finite, got {rate}")
         for name in ("sigma0_sq", "acc_offset_h", "acc_offset_v", "jitter_sigma_ms"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
 
 
 class CalibrationClampWarning(UserWarning):
@@ -287,6 +297,10 @@ class CalibrationCurve:
         object.__setattr__(self, "samples", samples)
         if len(samples) < 3:
             raise ValueError(f"calibration needs >= 3 sample points, got {len(samples)}")
+        named = [("slope", self.slope), ("intercept", self.intercept)]
+        for name, value in named + [("sample point", v) for point in samples for v in point]:
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         grid = [s for s, _ in samples]
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("sigma0_sq sample points must be strictly increasing")

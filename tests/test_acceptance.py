@@ -12,18 +12,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gazesim.assess import one_nn_two_sample, quality_features, repeated_assessment
+from gazesim.assess import one_nn_two_sample, repeated_assessment
 from gazesim.calibrate import sweep_sigma
 from gazesim.cli import main as cli_main
 from gazesim.degrade import (degrade_benchmark, degrade_modified, jitter_timestamps,
                              plan_modified, zero_noise_pass)
 from gazesim.io import read_quality_table, write_manifest, write_recording, ManifestEntry
-from gazesim.metrics import (estimate_latency, fixation_accuracy,
+from gazesim.metrics import (analyse_recording, estimate_latency, fixation_accuracy,
                              fixation_precision, recording_quality)
 from gazesim.oracle import OracleSpec, PRESETS, generate_corpus, generate_recording
 from gazesim.quantiles import quantile
 from gazesim.seeding import derive_seed
-from gazesim.types import DegradationPlan, FixationWindow
+from gazesim.types import DegradationPlan, FixationWindow, QualityTable
 
 # pinned master seeds for the corpus-level criteria
 SOURCE_SEED, TARGET_SEED, CALIB_SEED = 11, 22, 33
@@ -64,28 +64,32 @@ def matched_corpora():
                              id_prefix="src")
     target = generate_corpus(PRESETS["vr-like"], 150, seed=TARGET_SEED,
                              id_prefix="tgt")
-    source_qv = {rec.recording_id: recording_quality(rec) for rec, _ in source}
-    target_qv = [recording_quality(rec) for rec, _ in target]
+    analyses = {rec.recording_id: analyse_recording(rec) for rec, _ in source}
+    source_qv = {rec.recording_id: recording_quality(rec, analyses[rec.recording_id])
+                 for rec, _ in source}
+    source_table = QualityTable.from_rows(source_qv.items())
+    target_table = QualityTable.from_rows((rec.recording_id, recording_quality(rec))
+                                          for rec, _ in target)
     curve = sweep_sigma([rec for rec, _ in source], CALIBRATION_GRID, 250.0,
                         seed=CALIB_SEED)
 
-    target_prec_h = [qv.prec_h for qv in target_qv]
-    baseline_sigma = curve.invert(quantile(target_prec_h, 0.5))
+    baseline_sigma = curve.invert(quantile(target_table.column("prec_h"), 0.5))
 
-    synth_qv, baseline_qv = [], []
+    synth_rows, baseline_rows = [], []
     for rec, _ in source:
+        rid = rec.recording_id
         post = recording_quality(zero_noise_pass(rec, 250.0))
-        plan = plan_modified(source_qv[rec.recording_id], post.prec_c,
-                             list(source_qv.values()), target_qv, curve, 250.0,
-                             derive_seed(MODIFIED_SEED, rec.recording_id))
-        synth_qv.append(recording_quality(
-            degrade_modified(rec, plan, jitter_correction=True)))
+        plan = plan_modified(source_qv[rid], post.prec_c, source_table, target_table,
+                             curve, 250.0, derive_seed(MODIFIED_SEED, rid))
+        synth_rows.append((rid, recording_quality(
+            degrade_modified(rec, plan, analyses[rid], jitter_correction=True))))
         baseline_plan = DegradationPlan(
             target_rate_hz=250.0, sigma0_sq=baseline_sigma,
-            rng_seed=derive_seed(BASELINE_SEED, rec.recording_id))
-        baseline_qv.append(recording_quality(
-            degrade_benchmark(rec, baseline_plan)))
-    return dict(target_qv=target_qv, synth_qv=synth_qv, baseline_qv=baseline_qv)
+            rng_seed=derive_seed(BASELINE_SEED, rid))
+        baseline_rows.append((rid, recording_quality(
+            degrade_benchmark(rec, baseline_plan))))
+    return dict(target=target_table, synth=QualityTable.from_rows(synth_rows),
+                baseline=QualityTable.from_rows(baseline_rows))
 
 
 def decile_gaps(values, reference):
@@ -179,9 +183,9 @@ def test_criterion_4_temporal_jitter_law():
 
 
 def test_criterion_5_percentile_matching(matched_corpora):
-    target_prec = [qv.prec_c for qv in matched_corpora["target_qv"]]
-    synth_prec = [qv.prec_c for qv in matched_corpora["synth_qv"]]
-    baseline_prec = [qv.prec_c for qv in matched_corpora["baseline_qv"]]
+    target_prec = matched_corpora["target"].column("prec_c")
+    synth_prec = matched_corpora["synth"].column("prec_c")
+    baseline_prec = matched_corpora["baseline"].column("prec_c")
     budget = 0.1 * (quantile(target_prec, 0.75) - quantile(target_prec, 0.25))
     synth_worst = max(decile_gaps(synth_prec, target_prec))
     baseline_worst = max(decile_gaps(baseline_prec, target_prec))
@@ -211,10 +215,10 @@ def test_criterion_6_one_nn_harness():
 
 
 def test_criterion_7_table_1_direction(matched_corpora):
-    target = quality_features(matched_corpora["target_qv"])
-    baseline = repeated_assessment(target, quality_features(matched_corpora["baseline_qv"]),
+    target = matched_corpora["target"].features
+    baseline = repeated_assessment(target, matched_corpora["baseline"].features,
                                    repeats=5, seed=ASSESS_SEED)
-    modified = repeated_assessment(target, quality_features(matched_corpora["synth_qv"]),
+    modified = repeated_assessment(target, matched_corpora["synth"].features,
                                    repeats=5, seed=ASSESS_SEED)
     drop = baseline.combined_accuracy - modified.combined_accuracy
     report(7, drop >= 0.20,

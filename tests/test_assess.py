@@ -8,8 +8,7 @@ from scipy.spatial.distance import cdist
 
 from gazesim.assess import (FEATURE_COLUMNS, ZeroVarianceWarning,
                             assessment_report_dict, distribution_summary,
-                            fit_standardizer, one_nn_two_sample,
-                            quality_features, repeated_assessment,
+                            fit_standardizer, one_nn_two_sample, repeated_assessment,
                             summary_rows_to_csv, _nearest_other)
 from gazesim.quantiles import quantile
 from gazesim.types import QualityVector
@@ -20,6 +19,11 @@ def qv_from_features(values):
     return QualityVector(acc_h=acc_h, acc_v=acc_v, acc_c=acc_c, prec_h=prec_h,
                          prec_v=prec_v, prec_c=prec_c, temporal_prec_ms=temporal,
                          n_fixations_used=5)
+
+
+def feature_rows(qvs):
+    """The (n, 7) feature matrix of QualityVectors, one row each."""
+    return np.array([qv.as_tuple() for qv in qvs], dtype=float)
 
 
 def random_qv(rng):
@@ -35,11 +39,11 @@ def random_qv(rng):
 class TestFeatureMatrix:
     def test_requires_two_rows(self):
         with pytest.raises(ValueError, match=">= 2 rows"):
-            fit_standardizer(quality_features([random_qv(np.random.default_rng(0))]))
+            fit_standardizer(feature_rows([random_qv(np.random.default_rng(0))]))
 
     def test_identical_vectors_warn_zero_variance(self):
         v = random_qv(np.random.default_rng(1))
-        raw = quality_features([v, v])
+        raw = feature_rows([v, v])
         with pytest.warns(ZeroVarianceWarning):
             scaler = fit_standardizer(raw)
         assert np.allclose(scaler.apply(raw), 0.0)
@@ -48,7 +52,7 @@ class TestFeatureMatrix:
         rng = np.random.default_rng(2)
         a = [random_qv(rng) for _ in range(20)]
         b = [random_qv(rng) for _ in range(30)]
-        raw_a, raw_b = quality_features(a), quality_features(b)
+        raw_a, raw_b = feature_rows(a), feature_rows(b)
         scaler = fit_standardizer(np.vstack([raw_a, raw_b]))
         union = np.vstack([scaler.apply(raw_a), scaler.apply(raw_b)])
         np.testing.assert_allclose(union.mean(axis=0), 0.0, atol=1e-12)
@@ -56,7 +60,7 @@ class TestFeatureMatrix:
 
     def test_column_order(self):
         v = qv_from_features([1, 2, 2.5, 0.1, 0.2, float(np.hypot(0.1, 0.2)), 7])
-        raw = quality_features([v])
+        raw = feature_rows([v])
         assert raw[0].tolist() == [1, 2, 2.5, 0.1, 0.2, np.hypot(0.1, 0.2), 7]
         assert FEATURE_COLUMNS[0] == "acc_h" and FEATURE_COLUMNS[-1] == "temporal_prec_ms"
 
@@ -203,7 +207,7 @@ class TestOneNN:
         rng = np.random.default_rng(7)
         a = [random_qv(rng) for _ in range(40)]
         b = [random_qv(rng) for _ in range(40)]
-        raw_a, raw_b = quality_features(a), quality_features(b)
+        raw_a, raw_b = feature_rows(a), feature_rows(b)
         scale = rng.uniform(0.5, 3.0, size=7)
         shift = rng.normal(size=7)
         scaler1 = fit_standardizer(np.vstack([raw_a, raw_b]))
@@ -222,7 +226,7 @@ class TestRepeatedAssessment:
     def test_identical_sets_identical_repeats(self):
         rng = np.random.default_rng(8)
         qvs = [random_qv(rng) for _ in range(15)]
-        result = repeated_assessment(quality_features(qvs), quality_features(qvs),
+        result = repeated_assessment(feature_rows(qvs), feature_rows(qvs),
                                      repeats=5, seed=3)
         combos = {r.combined for r in result.per_repeat}
         assert len(combos) == 1
@@ -231,30 +235,30 @@ class TestRepeatedAssessment:
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(9)
-        real = quality_features([random_qv(rng) for _ in range(30)])
-        synth = quality_features([random_qv(rng) for _ in range(20)])
+        real = feature_rows([random_qv(rng) for _ in range(30)])
+        synth = feature_rows([random_qv(rng) for _ in range(20)])
         a = repeated_assessment(real, synth, repeats=5, seed=11)
         b = repeated_assessment(real, synth, repeats=5, seed=11)
         assert a == b
 
     def test_seed_changes_subsamples(self):
         rng = np.random.default_rng(10)
-        real = quality_features([random_qv(rng) for _ in range(40)])
-        synth = quality_features([random_qv(rng) for _ in range(20)])
+        real = feature_rows([random_qv(rng) for _ in range(40)])
+        synth = feature_rows([random_qv(rng) for _ in range(20)])
         a = repeated_assessment(real, synth, repeats=5, seed=1)
         b = repeated_assessment(real, synth, repeats=5, seed=2)
         assert a.per_repeat != b.per_repeat
 
     def test_synth_larger_than_real_rejected(self):
         rng = np.random.default_rng(11)
-        real = quality_features([random_qv(rng) for _ in range(5)])
-        synth = quality_features([random_qv(rng) for _ in range(6)])
+        real = feature_rows([random_qv(rng) for _ in range(5)])
+        synth = feature_rows([random_qv(rng) for _ in range(6)])
         with pytest.raises(ValueError, match="at least as large"):
             repeated_assessment(real, synth)
 
     def test_repeats_must_be_positive(self):
         rng = np.random.default_rng(12)
-        qvs = quality_features([random_qv(rng) for _ in range(5)])
+        qvs = feature_rows([random_qv(rng) for _ in range(5)])
         with pytest.raises(ValueError, match="repeats"):
             repeated_assessment(qvs, qvs, repeats=0)
 
@@ -267,8 +271,8 @@ class TestRepeatedAssessment:
 
     def test_report_dict_layout(self):
         rng = np.random.default_rng(13)
-        real = quality_features([random_qv(rng) for _ in range(20)])
-        synth = quality_features([random_qv(rng) for _ in range(10)])
+        real = feature_rows([random_qv(rng) for _ in range(20)])
+        synth = feature_rows([random_qv(rng) for _ in range(10)])
         result = repeated_assessment(real, synth, repeats=3, seed=0)
         report = assessment_report_dict(result, repeats=3)
         assert report["n_per_class"] == 10
@@ -282,7 +286,7 @@ class TestRepeatedAssessment:
 class TestDistributionSummary:
     def test_constant_feature_all_equal(self):
         v = random_qv(np.random.default_rng(14))
-        summaries = distribution_summary(quality_features([v] * 8))
+        summaries = distribution_summary(feature_rows([v] * 8))
         acc_h = summaries[0]
         assert acc_h.minimum == acc_h.median == acc_h.maximum == v.acc_h
         assert all(d == v.acc_h for d in acc_h.deciles)
@@ -291,7 +295,7 @@ class TestDistributionSummary:
         qvs = [qv_from_features([float(i), 0.2, max(float(i), 0.2) + 0.01,
                                  0.1, 0.1, float(np.hypot(0.1, 0.1)), 0.5])
                for i in range(1, 11)]
-        summary = distribution_summary(quality_features(qvs))[0]
+        summary = distribution_summary(feature_rows(qvs))[0]
         values = np.arange(1.0, 11.0)
         assert summary.median == 5.5
         assert summary.deciles[0] == pytest.approx(quantile(values, 0.1)) == 1.9
@@ -301,14 +305,14 @@ class TestDistributionSummary:
 
     def test_csv_header(self):
         v = random_qv(np.random.default_rng(15))
-        text = summary_rows_to_csv(distribution_summary(quality_features([v, v, v])))
+        text = summary_rows_to_csv(distribution_summary(feature_rows([v, v, v])))
         assert text.splitlines()[0] == ("feature,min,d10,d20,d30,d40,d50,d60,d70,"
                                         "d80,d90,median,mean,max")
         assert len(text.splitlines()) == 1 + len(FEATURE_COLUMNS)
 
     def test_csv_with_table_column(self):
         v = random_qv(np.random.default_rng(16))
-        text = summary_rows_to_csv(distribution_summary(quality_features([v, v])),
+        text = summary_rows_to_csv(distribution_summary(feature_rows([v, v])),
                                    extra_column=("table", "runA"))
         assert text.splitlines()[0].startswith("table,feature,")
         assert text.splitlines()[1].startswith("runA,acc_h,")

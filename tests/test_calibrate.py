@@ -125,6 +125,23 @@ class TestCalibrationIO:
         with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             load_calibration(path)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("key", ["sigma0_sq_grid", "mad_h", "slope", "intercept"])
+    def test_non_finite_value_names_file(self, tmp_path, swept_curve, key, value):
+        # json writes and reads NaN and Infinity as floats: the curve rejects them
+        path = tmp_path / "calib.json"
+        save_calibration(swept_curve, path)
+        payload = json.loads(path.read_text())
+        if isinstance(payload[key], list):
+            payload[key][-1] = value
+        else:
+            payload[key] = value
+        path.write_text(json.dumps(payload))
+        name = key if key in ("slope", "intercept") else "sample point"
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: {name} must be finite, got {value}")):
+            load_calibration(path)
+
     @pytest.mark.parametrize("text", ["[1, 2]", "{not json"])
     def test_not_a_calibration_object_names_file(self, tmp_path, text):
         path = tmp_path / "calib.json"

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from gazesim.calibrate import load_calibration
-from gazesim.cli import main
+from gazesim.cli import _hash_quality_table, main
 from gazesim.degrade import degrade_modified, load_plan
 from gazesim.io import (ManifestEntry, read_manifest, read_quality_table,
                         read_recording_from_entry, recording_to_csv,
                         write_manifest, write_quality_table, write_recording)
+from gazesim.metrics import analyse_recording
 from gazesim.quantiles import quantile
-from gazesim.types import QualityVector
+from gazesim.types import QualityTable, QualityVector
 
 from conftest import make_recording
 
@@ -305,7 +306,7 @@ class TestDegrade:
         plan = json.loads(next(iter(sorted(out.glob("*.plan.json")))).read_text())
         assert plan["sigma0_sq"] > 0
         # the inverse of the target table's median horizontal precision
-        prec_h = [qv.prec_h for _, qv in read_quality_table(tiny_target_table).rows()]
+        prec_h = read_quality_table(tiny_target_table).column("prec_h")
         assert plan["sigma0_sq"] == load_calibration(tiny_calibration)[0].invert(
             quantile(prec_h, 0.5))
 
@@ -341,7 +342,8 @@ class TestDegrade:
         entry = read_manifest(tiny_source / "manifest.csv")[0]
         rec = read_recording_from_entry(entry)
         plan = load_plan(out / f"{entry.recording_id}.plan.json")
-        expected = degrade_modified(rec, plan, jitter_correction=switch == "on")
+        expected = degrade_modified(rec, plan, analyse_recording(rec),
+                                    jitter_correction=switch == "on")
         # compared as one bool: a failing diff of two whole CSV texts is very slow
         same = (out / f"{entry.recording_id}.csv").read_text() == recording_to_csv(expected)
         assert same, f"--jitter-correction {switch} output differs from the transform's"
@@ -376,7 +378,8 @@ class TestDegrade:
             return original(rec, *args, **kwargs)
 
         monkeypatch.setattr(gazesim.metrics, "estimate_latency", counting)
-        monkeypatch.setattr(gazesim.degrade, "estimate_latency", counting)
+        # the transform takes the source's analysis: degrade has no search
+        assert not hasattr(gazesim.degrade, "estimate_latency")
         assert run(self.modified_argv(tiny_source / "manifest.csv", tiny_target_table,
                                       tiny_calibration, tmp_path / "deg")) == 0
         # one search per source and one per zero-noise pass of it; none more
@@ -448,7 +451,7 @@ class TestDegrade:
                            prec_c=float(np.hypot(0.1, 0.1)), temporal_prec_ms=2.0,
                            n_fixations_used=5)
         table = tmp_path / "jittery.csv"
-        write_quality_table([(f"t{i}", qv) for i in range(3)], table)
+        write_quality_table(QualityTable.from_rows((f"t{i}", qv) for i in range(3)), table)
         out = tmp_path / "deg"
         with caplog.at_level("ERROR"):
             assert run(self.modified_argv(tiny_source / "manifest.csv", table,
@@ -456,6 +459,41 @@ class TestDegrade:
         assert ("median temporal precision 2.0 ms reaches the jitter limit of "
                 "0.45 periods (1.8 ms) at 250.0 Hz") in caplog.text
         assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_baseline_sigma_fails_before_any_recording_is_read(
+            self, tiny_source, tmp_path, monkeypatch, caplog, value):
+        import gazesim.cli
+        reads = []
+        monkeypatch.setattr(gazesim.cli, "read_recording_from_entry", reads.append)
+        out = tmp_path / "deg"
+        with caplog.at_level("ERROR"):
+            assert run(["degrade", "--manifest", tiny_source / "manifest.csv",
+                        "--model", "baseline", "--sigma0-sq", value, "--rate-hz", 250,
+                        "--out", out]) == 1
+        assert f"sigma0_sq must be >= 0 and finite, got {value}" in caplog.text
+        assert reads == [] and not out.exists()
+
+    @pytest.mark.parametrize("model", ["baseline", "modified"])
+    @pytest.mark.parametrize("key", ["intercept", "slope", "mad_h"])
+    def test_non_finite_calibration_names_file(self, tiny_source, tiny_target_table,
+                                               tiny_calibration, tmp_path, caplog,
+                                               model, key):
+        payload = json.loads(tiny_calibration.read_text())
+        if key == "mad_h":
+            payload[key][1] = float("nan")
+        else:
+            payload[key] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(payload))
+        argv = self.modified_argv(tiny_source / "manifest.csv", tiny_target_table, bad,
+                                  tmp_path / "deg")
+        argv[argv.index("--model") + 1] = model
+        with caplog.at_level("ERROR"):
+            assert run(argv) == 1
+        name = "sample point" if key == "mad_h" else key
+        assert f"{bad}: {name} must be finite, got nan" in caplog.text
+        assert not (tmp_path / "deg").exists()
 
 
 class TestSeedOrderIndependence:
@@ -475,7 +513,8 @@ class TestSeedOrderIndependence:
                          and p.name != "manifest.csv"}
         return per_recording, calib.read_bytes()
 
-    def test_shuffled_manifest_changes_no_output(self, tmp_path):
+    @staticmethod
+    def short_corpus(tmp_path):
         corpus = tmp_path / "corpus"
         spec = tmp_path / "short.json"
         spec.write_text(json.dumps({
@@ -483,7 +522,10 @@ class TestSeedOrderIndependence:
             "latency": 150.0, "noise_sigma": 0.05}))
         assert run(["synth", "--spec-file", spec, "--n", 3, "--seed", 8,
                     "--out", corpus]) == 0
-        entries = read_manifest(corpus / "manifest.csv")
+        return read_manifest(corpus / "manifest.csv")
+
+    def test_shuffled_manifest_changes_no_output(self, tmp_path):
+        entries = self.short_corpus(tmp_path)
         # one manifest path for both orders: the commands record the path
         manifest = tmp_path / "manifest.csv"
         write_manifest(entries, manifest)
@@ -492,6 +534,26 @@ class TestSeedOrderIndependence:
         shuffled = self.outputs(manifest, tmp_path / "shuffled")
         assert len(forward[0]) == 6
         assert shuffled == forward
+
+    def test_reversed_manifest_changes_no_modified_output(self, tmp_path, tiny_target_table):
+        entries = self.short_corpus(tmp_path)
+        manifest = tmp_path / "manifest.csv"
+        write_manifest(entries, manifest)
+        calib = tmp_path / "calib.json"
+        assert run(["calibrate", "--manifest", manifest, "--rate-hz", 250,
+                    "--grid", "0.05:0.45:0.2", "--seed", 4, "--out", calib]) == 0
+        outputs = []
+        for order in (entries, entries[::-1]):
+            write_manifest(order, manifest)
+            out = tmp_path / f"modified_{len(outputs)}"
+            assert run(["degrade", "--manifest", manifest, "--model", "modified",
+                        "--target-table", tiny_target_table, "--calibration", calib,
+                        "--rate-hz", 250, "--seed", 4, "--out", out]) == 0
+            outputs.append(tree_bytes(out))
+        manifests = [tree.pop(Path("manifest.csv")).decode().splitlines() for tree in outputs]
+        assert len(outputs[0]) == 7 and outputs[0] == outputs[1]
+        # only the manifest's rows follow the input order
+        assert manifests[1] == manifests[0][:1] + manifests[0][:0:-1]
 
 
 class TestAssessAndReport:
@@ -516,6 +578,14 @@ class TestAssessAndReport:
         assert lines[0].startswith("table,feature,")
         assert len(lines) == 1 + 2 * 7
 
+    def test_missing_output_directory_names_the_path(self, tiny_target_table, tmp_path,
+                                                     caplog):
+        out = tmp_path / "missing" / "summary.csv"
+        with caplog.at_level("ERROR"):
+            assert run(["report", tiny_target_table, "--out", out]) == 1
+        assert f"No such file or directory: {str(out)!r}" in caplog.text
+        assert ".tmp." not in caplog.text
+
     def test_missing_input_returns_error_code(self, tmp_path):
         assert run(["report", tmp_path / "nope.csv", "--out", tmp_path / "s.csv"]) == 1
 
@@ -528,6 +598,50 @@ class TestAssessAndReport:
         assert run(["report", table, "--out", tmp_path / "s.csv"]) == 1
         assert f"{table}: duplicate recording_id 'a' at line 3" in caplog.text
         assert not (tmp_path / "s.csv").exists()
+
+
+class TestGoldenCorpusHashes:
+    """The corpus hashes a plan records, pinned on the small tables of
+    TestGoldenDigests, so a change to the hashed bytes fails here."""
+
+    HASHES = {"real": "f52250d519ce57bd", "synth": "4d9b0e45423d79cd"}
+
+    @pytest.fixture(scope="class")
+    def tables(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("golden_hash_tables")
+        rng = np.random.default_rng(2024)
+        paths = {}
+        for name, n, scale in (("real", 24, 1.0), ("synth", 12, 0.8)):
+            paths[name] = root / f"{name}.csv"
+            paths[name].write_text(TestGoldenDigests.table_text(rng, name, n, scale))
+        return paths
+
+    def test_table_hashes_unchanged(self, tables):
+        assert {name: _hash_quality_table(read_quality_table(path))
+                for name, path in tables.items()} == self.HASHES
+
+    def test_plan_records_the_target_hash(self, tables, tiny_source, tmp_path):
+        out = tmp_path / "deg"
+        assert run(["degrade", "--manifest", tiny_source / "manifest.csv",
+                    "--model", "baseline", "--sigma0-sq", 0.1, "--rate-hz", 250,
+                    "--target-table", tables["real"], "--out", out]) == 0
+        for plan in out.glob("*.plan.json"):
+            assert json.loads(plan.read_text())["target_corpus_hash"] == self.HASHES["real"]
+
+    def test_source_hash_is_the_hash_of_its_metrics_table(
+            self, tiny_source, tiny_target_table, tiny_calibration, tmp_path):
+        table = tmp_path / "source_quality.csv"
+        assert run(["metrics", "--manifest", tiny_source / "manifest.csv",
+                    "--out", table]) == 0
+        out = tmp_path / "deg"
+        assert run(["degrade", "--manifest", tiny_source / "manifest.csv",
+                    "--model", "modified", "--target-table", tiny_target_table,
+                    "--calibration", tiny_calibration, "--rate-hz", 250,
+                    "--out", out]) == 0
+        plan = json.loads(next(out.glob("*.plan.json")).read_text())
+        assert plan["source_corpus_hash"] == _hash_quality_table(read_quality_table(table))
+        assert plan["target_corpus_hash"] == _hash_quality_table(
+            read_quality_table(tiny_target_table))
 
 
 class TestGoldenDigests:

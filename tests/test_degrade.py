@@ -15,10 +15,10 @@ from gazesim.degrade import (_lowpass_sos, add_precision_noise,
                              plan_modified, resample_spline, save_plan,
                              zero_noise_pass)
 from gazesim.io import recording_to_csv
-from gazesim.metrics import (LatencyEstimate, extract_fixations,
-                             temporal_precision)
+from gazesim.metrics import (LatencyEstimate, RecordingAnalysis, analyse_recording,
+                             extract_fixations, temporal_precision)
 from gazesim.oracle import OracleSpec, generate_recording
-from gazesim.types import CalibrationCurve, DegradationPlan, QualityVector
+from gazesim.types import CalibrationCurve, DegradationPlan, QualityTable, QualityVector
 
 from conftest import make_recording
 
@@ -29,6 +29,25 @@ def qv(acc_h, acc_v, prec_c, temporal=0.5):
     return QualityVector(acc_h=acc_h, acc_v=acc_v, acc_c=max(acc_h, acc_v) * 1.2,
                          prec_h=ph, prec_v=ph, prec_c=float(np.hypot(ph, ph)),
                          temporal_prec_ms=temporal, n_fixations_used=5)
+
+
+def table(qvs):
+    """A quality table of the vectors, in order, with ids r0, r1, ..."""
+    return QualityTable.from_rows((f"r{i}", q) for i, q in enumerate(qvs))
+
+
+def windows_at(rec, latency_ms):
+    """A RecordingAnalysis that holds only the fixation windows
+    extract_fixations gives at a fixed latency, the part of an analysis
+    the accuracy signal reads."""
+    latency = LatencyEstimate(latency_ms, 0.0)
+    windows = extract_fixations(rec, latency)
+    return RecordingAnalysis(
+        latency=latency,
+        window_start=np.array([w.sample_start for w in windows], dtype=np.intp),
+        window_end=np.array([w.sample_end for w in windows], dtype=np.intp),
+        dropped_few_samples=0, dropped_all_masked=0, kept=np.zeros(rec.n_samples, bool),
+        accuracy=np.empty((0, 3)), precision=np.empty((0, 3)))
 
 
 class TestLowpassZeroPhase:
@@ -358,8 +377,8 @@ class TestPlanModified:
         source_corpus = [qv(0.1, 0.1, p) for p in (0.02, 0.03, 0.04, 0.05, 0.06)]
         target_corpus = [qv(0.4, 0.4, p) for p in (0.05, 0.10, 0.15, 0.20, 0.25)]
         curve = self.curve()
-        plan = plan_modified(source_corpus[2], 0.05, source_corpus, target_corpus,
-                             curve, 250.0, rng_seed=11)
+        plan = plan_modified(source_corpus[2], 0.05, table(source_corpus),
+                             table(target_corpus), curve, 250.0, rng_seed=11)
         m = np.sqrt(0.15 ** 2 - 0.05 ** 2)
         expected = (m / np.sqrt(2.0) - curve.intercept) / curve.slope
         assert plan.sigma0_sq == pytest.approx(expected, rel=1e-9)
@@ -369,7 +388,7 @@ class TestPlanModified:
     def test_accuracy_offsets_rank_matched(self):
         source_corpus = [qv(a, a / 2, 0.03) for a in (0.1, 0.2, 0.3)]
         target_corpus = [qv(a, a / 2, 0.10) for a in (0.5, 0.7, 0.9)]
-        plan = plan_modified(source_corpus[1], 0.03, source_corpus, target_corpus,
+        plan = plan_modified(source_corpus[1], 0.03, table(source_corpus), table(target_corpus),
                              self.curve(), 250.0, 0)
         assert plan.acc_offset_h == pytest.approx(0.7 - 0.2)
         assert plan.acc_offset_v == pytest.approx(0.35 - 0.1)
@@ -377,7 +396,7 @@ class TestPlanModified:
     def test_target_below_source_clamps_to_zero(self):
         source_corpus = [qv(a, a, 0.03) for a in (0.5, 0.7, 0.9)]
         target_corpus = [qv(a, a, 0.10) for a in (0.1, 0.2, 0.3)]
-        plan = plan_modified(source_corpus[1], 0.03, source_corpus, target_corpus,
+        plan = plan_modified(source_corpus[1], 0.03, table(source_corpus), table(target_corpus),
                              self.curve(), 250.0, 0)
         assert plan.acc_offset_h == 0.0
         assert plan.acc_offset_v == 0.0
@@ -385,7 +404,7 @@ class TestPlanModified:
     def test_identical_corpora_near_noop(self):
         corpus = [qv(0.2, 0.1, p, temporal=0.4) for p in (0.05, 0.1, 0.15, 0.2, 0.25)]
         with pytest.warns(UserWarning):
-            plan = plan_modified(corpus[2], corpus[2].prec_c, corpus, corpus,
+            plan = plan_modified(corpus[2], corpus[2].prec_c, table(corpus), table(corpus),
                                  self.curve(intercept=0.01), 250.0, 0)
         assert plan.sigma0_sq == 0.0
         assert plan.acc_offset_h == 0.0 and plan.acc_offset_v == 0.0
@@ -393,7 +412,7 @@ class TestPlanModified:
     def test_jitter_from_target_median_temporal(self):
         source_corpus = [qv(0.1, 0.1, 0.03)]
         target_corpus = [qv(0.4, 0.4, 0.15, temporal=t) for t in (0.2, 0.7, 0.9)]
-        plan = plan_modified(source_corpus[0], 0.03, source_corpus, target_corpus,
+        plan = plan_modified(source_corpus[0], 0.03, table(source_corpus), table(target_corpus),
                              self.curve(), 250.0, 0)
         assert plan.jitter_sigma_ms == 0.7
 
@@ -403,17 +422,18 @@ class TestPlanModified:
         target_corpus = [qv(0.4, 0.4, 0.15, temporal=t) for t in (1.0, 1.8, 2.5)]
         with pytest.raises(ValueError, match=r"median temporal precision 1\.8 ms "
                                              r"reaches .*\(1\.8 ms\) at 250\.0 Hz"):
-            plan_modified(source_corpus[0], 0.03, source_corpus, target_corpus,
+            plan_modified(source_corpus[0], 0.03, table(source_corpus), table(target_corpus),
                           self.curve(), 250.0, 0)
         target_corpus[1] = qv(0.4, 0.4, 0.15, temporal=1.79)
-        plan = plan_modified(source_corpus[0], 0.03, source_corpus, target_corpus,
+        plan = plan_modified(source_corpus[0], 0.03, table(source_corpus), table(target_corpus),
                              self.curve(), 250.0, 0)
         assert plan.jitter_sigma_ms == 1.79
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            plan_modified(qv(0.1, 0.1, 0.05), 0.03, [], [qv(0.1, 0.1, 0.05)],
-                          self.curve(), 250.0, 0)
+        # the planner takes tables, and a table has at least one row
+        with pytest.raises(ValueError, match="at least one row"):
+            plan_modified(qv(0.1, 0.1, 0.05), 0.03, table([]),
+                          table([qv(0.1, 0.1, 0.05)]), self.curve(), 250.0, 0)
 
 
 def per_step_offsets(rec, plan, latency, rng):
@@ -447,7 +467,7 @@ class TestAccuracySignal:
     def test_zero_offsets_give_exact_zero_signal(self):
         rec = self.fixated_recording()
         plan = DegradationPlan(250.0, 0.0, acc_offset_h=0.0, acc_offset_v=0.0)
-        off_x, off_y = build_accuracy_signal(rec, plan, LatencyEstimate(200.0, 0.0),
+        off_x, off_y = build_accuracy_signal(rec, plan, windows_at(rec, 200.0),
                                              np.random.default_rng(0))
         assert off_x.shape == off_y.shape == (rec.n_samples,)
         assert (off_x == 0.0).all() and (off_y == 0.0).all()
@@ -467,7 +487,7 @@ class TestAccuracySignal:
         rng = np.random.default_rng(2)
         offs_x, offs_y = [], []
         for _ in range(2000):
-            off_x, off_y = build_accuracy_signal(rec, plan, LatencyEstimate(200.0, 0.0), rng)
+            off_x, off_y = build_accuracy_signal(rec, plan, windows_at(rec, 200.0), rng)
             offs_x.extend(off_x[onsets])
             offs_y.extend(off_y[onsets])
         assert np.mean(offs_x) == pytest.approx(0.0, abs=0.02)
@@ -477,7 +497,7 @@ class TestAccuracySignal:
     def test_step_signal_persists_between_fixations(self):
         rec = self.fixated_recording()
         plan = DegradationPlan(250.0, 0.0, acc_offset_h=1.0, acc_offset_v=1.0)
-        off_x, _ = build_accuracy_signal(rec, plan, LatencyEstimate(200.0, 0.0),
+        off_x, _ = build_accuracy_signal(rec, plan, windows_at(rec, 200.0),
                                          np.random.default_rng(3))
         first, second = self.onsets(rec, 200.0)[:2]
         assert first > 0
@@ -491,7 +511,7 @@ class TestAccuracySignal:
         # model: only the channel with an offset moves
         rec = self.fixated_recording()
         plan = DegradationPlan(250.0, 0.0, acc_offset_h=2.0, acc_offset_v=0.0, rng_seed=4)
-        out = degrade_modified(rec, plan)
+        out = degrade_modified(rec, plan, analyse_recording(rec))
         ref = degrade_benchmark(rec, plan)
         assert np.array_equal(out.tgt_x, ref.tgt_x)
         assert np.array_equal(out.timestamps_ms, ref.timestamps_ms)
@@ -511,12 +531,32 @@ class TestAccuracySignal:
             gx[slice(*missing)] = np.nan
             rec = rec.replace(gaze_x=gx, gaze_y=np.where(np.isnan(gx), np.nan, rec.gaze_y))
         plan = DegradationPlan(250.0, 0.0, acc_offset_h=0.37, acc_offset_v=0.21)
-        latency = LatencyEstimate(latency_ms, 0.0)
-        got = build_accuracy_signal(rec, plan, latency, np.random.default_rng(seed))
-        want = per_step_offsets(rec, plan, latency, np.random.default_rng(seed))
+        got = build_accuracy_signal(rec, plan, windows_at(rec, latency_ms),
+                                    np.random.default_rng(seed))
+        want = per_step_offsets(rec, plan, LatencyEstimate(latency_ms, 0.0),
+                                np.random.default_rng(seed))
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.shape == w.shape
             assert g.tobytes() == w.tobytes()
+
+    def test_steps_at_the_analysis_windows(self):
+        # the transform's analysis: steps at extract_fixations' windows for
+        # the latency that analysis found
+        spec = OracleSpec(n_targets=7, dwell_ms=1000.0, latency_ms=180.0,
+                          noise_sigma_dva=0.02, bias_sigma_dva=0.1, seed=3)
+        rec = generate_recording(spec)[0]
+        plan = DegradationPlan(250.0, 0.0, acc_offset_h=0.37, acc_offset_v=0.21)
+        analysis = analyse_recording(rec)
+        got = build_accuracy_signal(rec, plan, analysis, np.random.default_rng(1))
+        want = per_step_offsets(rec, plan, analysis.latency, np.random.default_rng(1))
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    def test_no_windows_rejected(self):
+        rec = self.fixated_recording()
+        with pytest.raises(ValueError, match="zero fixations for accuracy signal"):
+            build_accuracy_signal(rec, DegradationPlan(250.0, 0.0, acc_offset_h=1.0),
+                                  windows_at(rec, 1e9), np.random.default_rng(0))
 
 
 class TestDegradeModified:
@@ -529,15 +569,15 @@ class TestDegradeModified:
         rec = self.source_recording()
         plan = DegradationPlan(250.0, 0.1, acc_offset_h=0.3, acc_offset_v=0.2,
                                jitter_sigma_ms=0.5, rng_seed=77)
-        a = degrade_modified(rec, plan)
-        b = degrade_modified(rec, plan)
+        a = degrade_modified(rec, plan, analyse_recording(rec))
+        b = degrade_modified(rec, plan, analyse_recording(rec))
         assert np.array_equal(a.gaze_x, b.gaze_x)
         assert np.array_equal(a.timestamps_ms, b.timestamps_ms)
 
     def test_zero_parameter_plan_equals_plain_filtered_resample(self):
         rec = self.source_recording()
         plan = DegradationPlan(250.0, 0.0, rng_seed=5)
-        out = degrade_modified(rec, plan)
+        out = degrade_modified(rec, plan, analyse_recording(rec))
         ref = degrade_benchmark(rec, plan)
         np.testing.assert_array_equal(out.gaze_x, ref.gaze_x)
         np.testing.assert_array_equal(out.timestamps_ms, ref.timestamps_ms)
@@ -545,9 +585,9 @@ class TestDegradeModified:
     def test_jittered_output_isi_follows_sqrt2_law(self):
         rec = self.source_recording(n_targets=42)
         plan = DegradationPlan(250.0, 0.0, jitter_sigma_ms=0.5, rng_seed=6)
-        out = degrade_modified(rec, plan, jitter_correction=False)
+        out = degrade_modified(rec, plan, analyse_recording(rec), jitter_correction=False)
         assert temporal_precision(out) == pytest.approx(np.sqrt(2) * 0.5, rel=0.05)
-        out2 = degrade_modified(rec, plan, jitter_correction=True)
+        out2 = degrade_modified(rec, plan, analyse_recording(rec), jitter_correction=True)
         assert temporal_precision(out2) == pytest.approx(0.5, rel=0.05)
 
     def test_accuracy_offsets_degrade_accuracy(self):
@@ -556,7 +596,7 @@ class TestDegradeModified:
         base = recording_quality(rec)
         plan = DegradationPlan(250.0, 0.0, acc_offset_h=1.5, acc_offset_v=0.0,
                                rng_seed=8)
-        out = degrade_modified(rec, plan)
+        out = degrade_modified(rec, plan, analyse_recording(rec))
         degraded = recording_quality(out)
         assert degraded.acc_h > base.acc_h + 1.0
         assert degraded.acc_v < 0.5
@@ -617,6 +657,20 @@ class TestPlanSerialization:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
             load_plan(path)
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("key", ["target_rate_hz", "sigma0_sq", "acc_offset_h",
+                                     "acc_offset_v", "jitter_sigma_ms", "rng_seed"])
+    def test_non_finite_value_names_path(self, tmp_path, key, value):
+        # json writes and reads NaN and Infinity as floats: the plan rejects them
+        payload = {"target_rate_hz": 250.0, "sigma0_sq": 0.2, "rng_seed": 1}
+        payload[key] = float(value)
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(payload))
+        assert value in path.read_text()
+        message = "is not an integer" if key == "rng_seed" else f"{key} must be .* finite"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{message}"):
+            load_plan(path)
+
     def test_weighted_old_file_rejected(self, tmp_path):
         path = tmp_path / "plan.json"
         save_plan(DegradationPlan(250.0, 0.2, rng_seed=1), path)
@@ -658,6 +712,7 @@ class TestGoldenDigests:
         plan = DegradationPlan(250.0, 0.1, acc_offset_h=0.3, acc_offset_v=0.2,
                                jitter_sigma_ms=0.5, rng_seed=77)
         assert self.digest(degrade_benchmark(rec, plan)) == self.BENCHMARK
-        assert (self.digest(degrade_modified(rec, plan, jitter_correction=jitter_correction))
+        assert (self.digest(degrade_modified(rec, plan, analyse_recording(rec),
+                                             jitter_correction=jitter_correction))
                 == self.MODIFIED[jitter_correction])
         assert self.digest(zero_noise_pass(rec, 250.0)) == self.ZERO_NOISE

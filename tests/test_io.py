@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from gazesim.io import (_BLOCK_ROWS, QUALITY_HEADER, RECORDING_HEADER, ManifestEntry,
                         _parse_lines_c, _parse_rows, _read_columns, _table_rows,
-                        format_float, read_manifest, read_quality_table,
+                        atomic_write_text, format_float, read_manifest, read_quality_table,
                         read_recording, recording_to_csv, write_manifest,
                         write_quality_table, write_recording)
 from gazesim.metrics import temporal_precision
@@ -564,18 +564,31 @@ class TestQualityTable:
     def test_round_trip(self, tmp_path):
         rows = [("b", qv(acc_h=0.3)), ("a", qv(acc_h=0.1, n=4))]
         path = tmp_path / "q.csv"
-        write_quality_table(rows, path)
+        write_quality_table(QualityTable.from_rows(rows), path)
         back = read_quality_table(path)
         assert back.ids == ("a", "b")  # sorted by id
-        assert back.rows() == [("a", qv(acc_h=0.1, n=4)), ("b", qv(acc_h=0.3))]
         assert back.n_fixations_used == (4, 10)
         assert back.features.tolist() == [list(qv(acc_h=0.1).as_tuple()),
                                           list(qv(acc_h=0.3).as_tuple())]
         assert not back.features.flags.writeable
 
-    def test_duplicate_id_rejected(self, tmp_path):
+    def test_duplicate_id_rejected(self):
+        # a table to write holds distinct ids
         with pytest.raises(ValueError, match="duplicate"):
-            write_quality_table([("a", qv()), ("a", qv())], tmp_path / "q.csv")
+            QualityTable.from_rows([("a", qv()), ("a", qv())])
+
+    def test_bytes_match_the_row_loop(self, tmp_path):
+        # the rows in id order, each cell as format_float writes it
+        rows = [("b", qv(acc_h=0.3, prec_h=-0.0, prec_v=0.1)), ("a", qv(acc_h=0.1 + 2 ** -40)),
+                ("c,d", qv(temporal=1e-300, n=7))]
+        path = tmp_path / "q.csv"
+        write_quality_table(QualityTable.from_rows(rows), path)
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(QUALITY_HEADER)
+        for rid, vector in sorted(rows):
+            writer.writerow([rid, *map(repr, vector.as_tuple()), str(vector.n_fixations_used)])
+        assert path.read_text() == text.getvalue()
 
     def test_duplicate_id_on_read_names_second_line(self, tmp_path):
         cells = ["0.3", "0.4", "0.5", "0.3", "0.4", "0.5", "0.7", "15"]
@@ -616,7 +629,8 @@ class TestQualityTable:
     def test_read_peak_memory_stays_near_the_table(self, tmp_path):
         n = 20_000
         path = tmp_path / "q.csv"
-        write_quality_table([(f"rec_{i:05d}", qv(acc_h=0.1 + i * 1e-6)) for i in range(n)], path)
+        write_quality_table(QualityTable.from_rows(
+            (f"rec_{i:05d}", qv(acc_h=0.1 + i * 1e-6)) for i in range(n)), path)
         tracemalloc.start()
         try:
             read_quality_table(path)
@@ -627,13 +641,14 @@ class TestQualityTable:
         # keeps 2.6 MB); holding every row's cells at once peaked at 18 MB
         assert peak < 10_000_000
 
-    def test_empty_rejected(self, tmp_path):
+    def test_empty_rejected(self):
+        # a table to write has at least one row
         with pytest.raises(ValueError, match="at least one"):
-            write_quality_table([], tmp_path / "q.csv")
+            QualityTable.from_rows([])
 
     def test_non_utf8_byte(self, tmp_path):
         path = tmp_path / "q.csv"
-        write_quality_table([("a", qv()), ("b", qv())], path)
+        write_quality_table(QualityTable.from_rows([("a", qv()), ("b", qv())]), path)
         path.write_bytes(path.read_bytes().replace(b"b,", b"\xe9,"))
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: not UTF-8"):
             read_quality_table(path)
@@ -664,7 +679,7 @@ class TestQualityTable:
 
     def test_header(self, tmp_path):
         path = tmp_path / "q.csv"
-        write_quality_table([("a", qv())], path)
+        write_quality_table(QualityTable.from_rows([("a", qv())]), path)
         assert path.read_text().splitlines()[0] == (
             "recording_id,acc_h,acc_v,acc_c,prec_h,prec_v,prec_c,"
             "temporal_prec_ms,n_fixations_used")
@@ -767,9 +782,28 @@ class TestQualityTableChecks:
                 table = read(path)
             except ValueError as exc:
                 return "error", str(exc)
-            return "read", table.rows() if isinstance(table, QualityTable) else table
+            if isinstance(table, list):  # per_row_read's (id, QualityVector) rows
+                table = QualityTable.from_rows(table)
+            return "read", table.ids, table.features.tobytes(), table.n_fixations_used
 
         assert outcome(read_quality_table) == outcome(per_row_read)
+
+
+class TestAtomicWrite:
+    def test_missing_directory_names_the_path(self, tmp_path):
+        path = tmp_path / "missing" / "out.csv"
+        with pytest.raises(FileNotFoundError) as info:
+            atomic_write_text(path, "text")
+        assert info.value.filename == str(path)
+        assert str(info.value) == f"[Errno 2] No such file or directory: {str(path)!r}"
+        assert not (tmp_path / "missing").exists()
+
+    def test_replaces_the_file_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old")
+        atomic_write_text(path, ["new ", "text"])
+        assert path.read_text() == "new text"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 class TestManifest:

@@ -205,8 +205,22 @@ class TestQualityTable:
         assert table.n_fixations_used == (3, 4)
         assert not table.features.flags.writeable
         assert table.column("prec_v").tolist() == [0.4, 0.4]
-        assert table.rows() == [("b", QualityVector(*self.ROW, 3)),
-                                ("a", QualityVector(*self.ROW, 4))]
+        assert list(table.rows_by_id()) == [("a", list(self.ROW), 4), ("b", list(self.ROW), 3)]
+
+    def test_from_rows_keeps_their_order(self):
+        other = (0.3, 0.2, 0.35, 0.6, 0.8, 1.0, 0.7)
+        table = QualityTable.from_rows([("b", QualityVector(*self.ROW, 3)),
+                                        ("a", QualityVector(*other, 4))])
+        assert table.ids == ("b", "a") and table.n_fixations_used == (3, 4)
+        assert table.features.tolist() == [list(self.ROW), list(other)]
+        assert [rid for rid, _, _ in table.rows_by_id()] == ["a", "b"]
+
+    def test_from_rows_checks_as_the_constructor(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            QualityTable.from_rows([])
+        row = QualityVector(*self.ROW, 3)
+        with pytest.raises(ValueError, match=r"^duplicate recording_id 'a' at row 1$"):
+            QualityTable.from_rows([("a", row), ("a", row)])
 
     def test_owned_read_only_features_shared_others_copied(self):
         owned = np.array([self.ROW])
@@ -256,10 +270,32 @@ class TestDegradationPlan:
             DegradationPlan(**kwargs)
 
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["target_rate_hz", "sigma0_sq", "acc_offset_h",
+                                       "acc_offset_v", "jitter_sigma_ms"])
+    def test_non_finite_parameters_rejected(self, field, value):
+        kwargs = {"target_rate_hz": 250.0, "sigma0_sq": 0.1, field: value}
+        with pytest.raises(ValueError, match=rf"^{field} must be .* finite, got {value}$"):
+            DegradationPlan(**kwargs)
+
+
 class TestCalibrationCurve:
     def make_curve(self, slope=0.5, intercept=0.01):
         return CalibrationCurve(samples=((0.0, 0.01), (0.1, 0.06), (0.2, 0.11)),
                                 slope=slope, intercept=intercept)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["grid", "mad_h", "slope", "intercept"])
+    def test_non_finite_values_rejected(self, field, value):
+        samples = [[0.0, 0.01], [0.1, 0.06], [0.2, 0.11]]
+        kwargs = {"slope": 0.5, "intercept": 0.01}
+        if field in kwargs:
+            kwargs[field] = value
+        else:
+            samples[1][field == "mad_h"] = value
+        name = field if field in kwargs else "sample point"
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got {value}$"):
+            CalibrationCurve(samples=samples, **kwargs)
 
     def test_needs_three_points(self):
         with pytest.raises(ValueError, match=">= 3"):

@@ -7,15 +7,17 @@ CalibrationCurve.invert inverts.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import warnings
 
 import numpy as np
 
-from .degrade import degrade_benchmark
+from .degrade import degrade_benchmark, load_filter_backend
 from .io import atomic_write_text, format_float, is_json_number, read_json_object
 from .metrics import recording_quality
+from .pool import ordered_map
 from .seeding import derive_seed
 from .types import CalibrationCurve, DegradationPlan
 
@@ -24,14 +26,24 @@ class NonMonotoneSweepWarning(UserWarning):
     """Raw sweep points decreased somewhere; the linear fit proceeds."""
 
 
+def _sweep_recording(task) -> list:
+    """Horizontal precision of one recording after the baseline pipeline,
+    at every plan of the grid, in grid order."""
+    rec, plans, seed = task
+    rng_seed = derive_seed(seed, rec.recording_id)
+    plans = [dataclasses.replace(plan, rng_seed=rng_seed) for plan in plans]
+    return [recording_quality(degrade_benchmark(rec, plan)).prec_h for plan in plans]
+
+
 def sweep_sigma(corpus, sigma0_sq_grid, target_rate_hz: float,
                 seed: int) -> CalibrationCurve:
     """Measure corpus-median horizontal precision for each grid variance.
 
     Per-recording seeds depend only on (seed, recording_id), so every grid
     point reuses the same underlying noise draws scaled by its variance:
-    grid points are comparable, the curve is monotone up to estimator noise,
-    and parallel evaluation would give the identical result.
+    grid points are comparable, and the curve is monotone up to estimator
+    noise. Each recording runs the whole grid as one task of ordered_map,
+    so the result does not depend on the number of processes.
     """
     corpus = list(corpus)
     if not corpus:
@@ -39,19 +51,12 @@ def sweep_sigma(corpus, sigma0_sq_grid, target_rate_hz: float,
     grid = [float(s) for s in sigma0_sq_grid]
     if len(grid) < 3:
         raise ValueError(f"calibration grid needs >= 3 points, got {len(grid)}")
+    # checked here, before any recording is degraded
+    plans = [DegradationPlan(target_rate_hz=target_rate_hz, sigma0_sq=s) for s in grid]
 
-    medians = []
-    for sigma_sq in grid:
-        values = []
-        for rec in corpus:
-            plan = DegradationPlan(
-                target_rate_hz=target_rate_hz,
-                sigma0_sq=sigma_sq,
-                rng_seed=derive_seed(seed, rec.recording_id),
-            )
-            degraded = degrade_benchmark(rec, plan)
-            values.append(recording_quality(degraded).prec_h)
-        medians.append(float(np.median(values)))
+    load_filter_backend()
+    per_recording = ordered_map(_sweep_recording, [(rec, plans, seed) for rec in corpus])
+    medians = [float(np.median(values)) for values in zip(*per_recording)]
 
     if any(b < a for a, b in zip(medians, medians[1:])):
         warnings.warn("raw calibration sweep is non-monotone; fitting anyway",

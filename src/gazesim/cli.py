@@ -16,6 +16,7 @@ import hashlib
 import logging
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -23,14 +24,15 @@ from .assess import (distribution_summary, repeated_assessment,
                      summary_rows_to_csv, write_assessment_report)
 from .calibrate import (describe_curve, load_calibration, save_calibration,
                         sweep_sigma)
-from .degrade import (degrade_benchmark, degrade_modified, plan_modified,
-                      save_plan, zero_noise_pass)
+from .degrade import (degrade_benchmark, degrade_modified, load_filter_backend,
+                      plan_modified, save_plan, zero_noise_pass)
 from .io import (ManifestEntry, atomic_write_text, read_json_object,
                  read_manifest, read_quality_table, read_recording_from_entry,
                  write_manifest, write_quality_table, write_recording)
 from .metrics import analyse_recording, recording_quality
-from .oracle import (PRESETS, corpus_spec_from_json, generate_corpus,
+from .oracle import (PRESETS, corpus_spec_from_json, generate_corpus_recording,
                      write_ground_truth)
+from .pool import ordered_map
 from .quantiles import quantile
 from .seeding import derive_seed
 from .types import DegradationPlan, QualityTable
@@ -45,20 +47,39 @@ def _hash_quality_table(table: QualityTable) -> str:
     return h.hexdigest()[:16]
 
 
-def _map_corpus(manifest_path, skip_bad: bool, fn=lambda rec: rec) -> list:
-    """fn(recording) for every recording in a manifest, reading one at a
-    time; with skip_bad, log and drop the recordings whose read or fn fails
-    instead of failing."""
+def _as_read(rec):
+    """The recording itself: _map_corpus's default."""
+    return rec
+
+
+def _read_and_apply(task) -> tuple:
+    """(None, fn(recording)) for one (fn, manifest entry) task, or (error,
+    None) when the read or fn raised OSError or ValueError: errors come back
+    as values, so the caller meets them in manifest order."""
+    fn, entry = task
+    try:
+        return None, fn(read_recording_from_entry(entry))
+    except (OSError, ValueError) as exc:
+        return exc, None
+
+
+def _map_corpus(manifest_path, skip_bad: bool, fn=_as_read) -> list:
+    """fn(recording) for every recording in a manifest, each read and
+    computed in an ordered_map task (so what fn returns must pickle). The
+    first failed read or fn, in manifest order, is raised; with skip_bad,
+    every failed one is logged and dropped instead."""
+    entries = read_manifest(manifest_path)
     results = []
-    for entry in read_manifest(manifest_path):
-        try:
-            results.append(fn(read_recording_from_entry(entry)))
-        except (OSError, ValueError) as exc:
-            if not skip_bad:
-                raise
-            # the log line names the recording once
-            reason = str(exc).removeprefix(f"{entry.recording_id}: ")
-            logger.warning("skipping %s: %s", entry.recording_id, reason)
+    outcomes = ordered_map(_read_and_apply, [(fn, entry) for entry in entries])
+    for entry, (exc, result) in zip(entries, outcomes):
+        if exc is None:
+            results.append(result)
+            continue
+        if not skip_bad:
+            raise exc
+        # the log line names the recording once
+        reason = str(exc).removeprefix(f"{entry.recording_id}: ")
+        logger.warning("skipping %s: %s", entry.recording_id, reason)
     if not results:
         raise ValueError(f"{manifest_path}: no usable recordings")
     return results
@@ -67,6 +88,16 @@ def _map_corpus(manifest_path, skip_bad: bool, fn=lambda rec: rec) -> list:
 def _write_run_manifest(out_dir: Path, payload: dict) -> None:
     atomic_write_text(out_dir / "run_manifest.json",
                       json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _synth_one(task) -> tuple:
+    """Generate one recording of a corpus and write it; returns its ground
+    truth and its manifest entry."""
+    spec, index, seed, id_prefix, out_dir = task
+    rec, truth = generate_corpus_recording(spec, index, seed, id_prefix)
+    write_recording(rec, out_dir / f"{rec.recording_id}.csv")
+    return truth, ManifestEntry(rec.recording_id, rec.recording_id + ".csv",
+                                "canonical", rec.nominal_rate_hz)
 
 
 def cmd_synth(args) -> int:
@@ -82,29 +113,29 @@ def cmd_synth(args) -> int:
         spec_label = Path(args.spec_file).stem
     else:
         raise SystemExit("synth needs --preset or --spec-file")
+    if args.n < 1:
+        raise ValueError(f"n_recordings must be >= 1, got {args.n}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    corpus = generate_corpus(spec, args.n, args.seed, id_prefix=spec_label)
-    entries = []
-    for rec, _ in corpus:
-        path = out_dir / f"{rec.recording_id}.csv"
-        write_recording(rec, path)
-        entries.append(ManifestEntry(rec.recording_id, rec.recording_id + ".csv",
-                                     "canonical", rec.nominal_rate_hz))
-    write_ground_truth([gt for _, gt in corpus], out_dir / "ground_truth.csv")
-    write_manifest(entries, out_dir / "manifest.csv")
+    made = ordered_map(_synth_one, [(spec, i, args.seed, spec_label, out_dir)
+                                    for i in range(args.n)])
+    write_ground_truth([truth for truth, _ in made], out_dir / "ground_truth.csv")
+    write_manifest([entry for _, entry in made], out_dir / "manifest.csv")
     _write_run_manifest(out_dir, {
         "command": "synth", "preset": spec_label, "n": args.n,
         "spec_file": str(args.spec_file) if args.spec_file else None,
         "seed": args.seed, "version": __version__,
     })
-    print(f"wrote {len(corpus)} recordings to {out_dir}")
+    print(f"wrote {len(made)} recordings to {out_dir}")
     return 0
 
 
+def _quality_row(rec) -> tuple:
+    return rec.recording_id, recording_quality(rec)
+
+
 def cmd_metrics(args) -> int:
-    table = QualityTable.from_rows(_map_corpus(
-        args.manifest, args.skip_bad, lambda rec: (rec.recording_id, recording_quality(rec))))
+    table = QualityTable.from_rows(_map_corpus(args.manifest, args.skip_bad, _quality_row))
     write_quality_table(table, args.out)
     print(f"wrote quality table with {len(table)} rows to {args.out}")
     return 0
@@ -137,7 +168,7 @@ def _measurable(rec):
 def cmd_calibrate(args) -> int:
     # --skip-bad also drops the recordings the metric pass rejects
     corpus = _map_corpus(args.manifest, args.skip_bad,
-                         _measurable if args.skip_bad else (lambda rec: rec))
+                         _measurable if args.skip_bad else _as_read)
     curve = sweep_sigma(corpus, _parse_grid(args.grid), args.rate_hz, args.seed)
     calibration_id = save_calibration(curve, args.out, provenance={
         "manifest": str(args.manifest),
@@ -151,16 +182,37 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def _measure_source(rec):
-    """(recording, quality, analysis) of one source of the modified model."""
+def _measure_source(rec, rate_hz: float) -> tuple:
+    """What the modified model needs of one source: the recording, its
+    quality, its analysis (the transform's fixation windows) and the
+    combined precision its zero-noise pass at rate_hz keeps."""
     analysis = analyse_recording(rec)
-    return rec, recording_quality(rec, analysis), analysis
+    qv = recording_quality(rec, analysis)
+    post_qv = recording_quality(zero_noise_pass(rec, rate_hz))
+    return rec, qv, analysis, post_qv.prec_c
+
+
+def _transform_and_write(task, out_dir: Path, provenance: dict,
+                         jitter_correction: bool) -> None:
+    """Degrade one (recording, plan, analysis) task, by the modified model
+    when it has the source's analysis and by the baseline otherwise, and
+    write the output recording and its plan."""
+    rec, plan, analysis = task
+    if analysis is None:
+        degraded = degrade_benchmark(rec, plan)
+    else:
+        degraded = degrade_modified(rec, plan, analysis, jitter_correction=jitter_correction)
+    write_recording(degraded, out_dir / f"{rec.recording_id}.csv")
+    save_plan(plan, out_dir / f"{rec.recording_id}.plan.json", provenance)
 
 
 def cmd_degrade(args) -> int:
     modified = args.model == "modified"
     if modified and not (args.calibration and args.target_table):
         raise SystemExit("modified model needs both --calibration and --target-table")
+    if modified and args.sigma0_sq is not None:
+        raise ValueError("--sigma0-sq applies to the baseline model only; the modified "
+                         "model plans its noise from --calibration")
     # every input but the corpus is read first, so a bad one fails before
     # any recording is read
     target = read_quality_table(args.target_table) if args.target_table else None
@@ -176,53 +228,52 @@ def cmd_degrade(args) -> int:
         sigma0_sq = calib.invert(desired)
         logger.info("baseline sigma0_sq=%.6g from calibration inverse of "
                     "target median prec_h=%.6g", sigma0_sq, desired)
-    # the baseline's plan, checked before any recording is read
-    baseline = None if modified else DegradationPlan(args.rate_hz, sigma0_sq)
+    # the target rate of both models, and the baseline's noise, checked
+    # before any recording is read
+    baseline = DegradationPlan(args.rate_hz, 0.0 if modified else sigma0_sq)
+    load_filter_backend()
 
-    # the modified planner needs each source's quality, and its transform the
-    # source's fixation windows: both from one analysis as the recording is
-    # read, so --skip-bad also drops the recordings the metric pass rejects
+    # the modified planner needs each source's quality and zero-noise
+    # precision, and its transform the source's fixation windows: all
+    # measured as the recording is read, so --skip-bad also drops the
+    # recordings the metric pass rejects
     measured = _map_corpus(args.manifest, args.skip_bad,
-                           _measure_source if modified else (lambda rec: (rec, None, None)))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+                           partial(_measure_source, rate_hz=args.rate_hz) if modified
+                           else _as_read)
     provenance = {
         "model": args.model,
         "calibration_id": calib_payload.get("calibration_id") if calib_payload else None,
         "target_corpus_hash": _hash_quality_table(target) if target is not None else None,
     }
     if modified:
-        source = QualityTable.from_rows((rec.recording_id, qv) for rec, qv, _ in measured)
+        source = QualityTable.from_rows((rec.recording_id, qv) for rec, qv, _, _ in measured)
         provenance["source_corpus_hash"] = _hash_quality_table(source)
+        tasks = [(rec, plan_modified(qv, post_prec_c, source, target, calib, args.rate_hz,
+                                     derive_seed(args.seed, rec.recording_id)), analysis)
+                 for rec, qv, analysis, post_prec_c in measured]
+    else:
+        tasks = [(rec, dataclasses.replace(baseline,
+                                           rng_seed=derive_seed(args.seed, rec.recording_id)),
+                  None)
+                 for rec in measured]
 
-    entries = []
-    for rec, qv, analysis in measured:
-        seed = derive_seed(args.seed, rec.recording_id)
-        if modified:
-            post_qv = recording_quality(zero_noise_pass(rec, args.rate_hz))
-            plan = plan_modified(qv, post_qv.prec_c, source, target, calib,
-                                 args.rate_hz, seed)
-            degraded = degrade_modified(rec, plan, analysis,
-                                        jitter_correction=args.jitter_correction == "on")
-        else:
-            plan = dataclasses.replace(baseline, rng_seed=seed)
-            degraded = degrade_benchmark(rec, plan)
-        write_recording(degraded, out_dir / f"{rec.recording_id}.csv")
-        save_plan(plan, out_dir / f"{rec.recording_id}.plan.json", provenance)
-        entries.append(ManifestEntry(rec.recording_id, rec.recording_id + ".csv",
-                                     "canonical", args.rate_hz))
-    write_manifest(entries, out_dir / "manifest.csv")
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    ordered_map(partial(_transform_and_write, out_dir=out_dir, provenance=provenance,
+                        jitter_correction=args.jitter_correction == "on"), tasks)
+    write_manifest([ManifestEntry(rec.recording_id, rec.recording_id + ".csv", "canonical",
+                                  args.rate_hz) for rec, _, _ in tasks],
+                   out_dir / "manifest.csv")
     _write_run_manifest(out_dir, {
         "command": "degrade", "model": args.model, "seed": args.seed,
-        "rate_hz": args.rate_hz, "sigma0_sq": args.sigma0_sq,
+        "rate_hz": args.rate_hz, "sigma0_sq": sigma0_sq,
         "manifest": str(args.manifest),
         "target_table": str(args.target_table) if args.target_table else None,
         "calibration": str(args.calibration) if args.calibration else None,
         "jitter_correction": args.jitter_correction,
         "version": __version__,
     })
-    print(f"wrote {len(entries)} degraded recordings to {out_dir}")
+    print(f"wrote {len(tasks)} degraded recordings to {out_dir}")
     return 0
 
 
@@ -296,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--sigma0-sq", type=float, default=None,
-                   help="baseline noise variance (otherwise inverted from calibration)")
+                   help="baseline model only: noise variance (otherwise inverted "
+                        "from --calibration with --target-table)")
     p.add_argument("--target-table", default=None, help="target corpus quality table")
     p.add_argument("--calibration", default=None, help="calibration JSON from 'calibrate'")
     p.add_argument("--jitter-correction", choices=("on", "off"), default="off")

@@ -24,6 +24,7 @@ position noise, then timestamp jitter.
 from __future__ import annotations
 
 import functools
+import importlib
 import json
 import math
 from dataclasses import MISSING, fields
@@ -41,6 +42,7 @@ __all__ = [
     "nominal_target_timestamps", "jitter_timestamps", "add_precision_noise",
     "degrade_benchmark", "plan_modified", "build_accuracy_signal",
     "degrade_modified", "zero_noise_pass", "save_plan", "load_plan",
+    "load_filter_backend",
 ]
 
 # fraction of combined marginal dispersion carried by each channel when the
@@ -75,6 +77,13 @@ def _lowpass_sos(cutoff_hz: float, fs: float) -> np.ndarray:
     sos = signal.butter(_FILTER_ORDER, cutoff_hz, btype="lowpass", fs=fs, output="sos")
     sos.flags.writeable = False
     return sos
+
+
+def load_filter_backend() -> None:
+    """Load scipy.signal now rather than at the first filter design. A
+    command calls this before it forks workers that filter, so the import
+    runs once in the parent instead of once in every worker."""
+    importlib.import_module("scipy.signal")
 
 
 def lowpass_zero_phase(rec: GazeRecording, cutoff_hz: float) -> GazeRecording:

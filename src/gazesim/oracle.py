@@ -274,6 +274,27 @@ def corpus_spec_from_json(payload: dict) -> CorpusSpec:
     )
 
 
+def generate_corpus_recording(spec: CorpusSpec, index: int, seed: int,
+                              id_prefix: str = "oracle") -> tuple:
+    """Recording `index`, with its ground truth, of every generate_corpus
+    call with this spec, seed and prefix: its seeds derive from the seed and
+    its id alone."""
+    rid = f"{id_prefix}_{index:04d}"
+    params_rng = np.random.default_rng(derive_seed(seed, rid, "params"))
+    rec_spec = OracleSpec(
+        n_targets=spec.n_targets,
+        dwell_ms=spec.dwell_ms,
+        target_extent_dva=spec.target_extent_dva,
+        rate_hz=spec.rate_hz,
+        latency_ms=spec.latency.draw(params_rng),
+        bias_sigma_dva=spec.bias_sigma.draw(params_rng),
+        noise_sigma_dva=spec.noise_sigma.draw(params_rng),
+        isi_jitter_ms=spec.isi_jitter.draw(params_rng),
+        seed=derive_seed(seed, rid, "samples"),
+    )
+    return generate_recording(rec_spec, recording_id=rid)
+
+
 def generate_corpus(spec: CorpusSpec, n_recordings: int, seed: int,
                     id_prefix: str = "oracle") -> list:
     """Generate a corpus of (recording, ground truth) pairs, reproducible
@@ -281,23 +302,7 @@ def generate_corpus(spec: CorpusSpec, n_recordings: int, seed: int,
     matter."""
     if n_recordings < 1:
         raise ValueError(f"n_recordings must be >= 1, got {n_recordings}")
-    corpus = []
-    for i in range(n_recordings):
-        rid = f"{id_prefix}_{i:04d}"
-        params_rng = np.random.default_rng(derive_seed(seed, rid, "params"))
-        rec_spec = OracleSpec(
-            n_targets=spec.n_targets,
-            dwell_ms=spec.dwell_ms,
-            target_extent_dva=spec.target_extent_dva,
-            rate_hz=spec.rate_hz,
-            latency_ms=spec.latency.draw(params_rng),
-            bias_sigma_dva=spec.bias_sigma.draw(params_rng),
-            noise_sigma_dva=spec.noise_sigma.draw(params_rng),
-            isi_jitter_ms=spec.isi_jitter.draw(params_rng),
-            seed=derive_seed(seed, rid, "samples"),
-        )
-        corpus.append(generate_recording(rec_spec, recording_id=rid))
-    return corpus
+    return [generate_corpus_recording(spec, i, seed, id_prefix) for i in range(n_recordings)]
 
 
 def write_ground_truth(truths, path) -> None:

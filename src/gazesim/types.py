@@ -88,6 +88,11 @@ class GazeRecording:
     def replace(self, **changes) -> "GazeRecording":
         return dataclasses.replace(self, **changes)
 
+    def __reduce__(self):
+        # unpickled (in a worker process, say) through the constructor, so
+        # the copy is checked and read-only like every other recording
+        return type(self), tuple(getattr(self, f.name) for f in dataclasses.fields(self))
+
 
 @dataclass(frozen=True, eq=False)
 class FixationWindow:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gazesim.pool
 from gazesim.types import GazeRecording
 
 
@@ -41,3 +42,20 @@ def piecewise_recording(dwells_ms, targets, latency_ms=0.0, rate_hz=1000.0,
 def four_sample_recording():
     return make_recording([0.0, 1.0, 2.0, 3.0], [0.1, 0.2, 0.3, 0.4],
                           [0.0, 0.0, 0.1, 0.1])
+
+
+@pytest.fixture
+def one_worker(monkeypatch):
+    """Every ordered_map runs in the test process, so that calls counted
+    through monkeypatch are seen; a forked worker would count them in its
+    own memory."""
+    monkeypatch.setattr(gazesim.pool, "worker_count", lambda n_items: 1)
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    """Every ordered_map of two or more items forks two workers, whatever
+    the CPUs of the machine."""
+    if not hasattr(gazesim.pool.os, "fork"):
+        pytest.skip("no fork on this platform")
+    monkeypatch.setattr(gazesim.pool, "worker_count", lambda n_items: max(1, min(2, n_items)))

@@ -1,11 +1,14 @@
 import csv
 import hashlib
 import json
+import multiprocessing
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gazesim.pool
 from gazesim.calibrate import load_calibration
 from gazesim.cli import _hash_quality_table, main
 from gazesim.degrade import degrade_modified, load_plan
@@ -367,7 +370,8 @@ class TestDegrade:
         assert not (out / "flat.csv").exists()
 
     def test_modified_searches_latency_once_per_signal(
-            self, tiny_source, tiny_target_table, tiny_calibration, tmp_path, monkeypatch):
+            self, tiny_source, tiny_target_table, tiny_calibration, tmp_path, monkeypatch,
+            one_worker):
         import gazesim.degrade
         import gazesim.metrics
         searched = []
@@ -393,7 +397,7 @@ class TestDegrade:
     ])
     def test_other_inputs_fail_before_any_recording_is_read(
             self, tiny_source, tiny_target_table, tiny_calibration, tmp_path, monkeypatch,
-            caplog, model, bad_input):
+            one_worker, caplog, model, bad_input):
         import gazesim.cli
         calls = {"read": 0, "analyse": 0}
 
@@ -462,7 +466,7 @@ class TestDegrade:
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_baseline_sigma_fails_before_any_recording_is_read(
-            self, tiny_source, tmp_path, monkeypatch, caplog, value):
+            self, tiny_source, tmp_path, monkeypatch, one_worker, caplog, value):
         import gazesim.cli
         reads = []
         monkeypatch.setattr(gazesim.cli, "read_recording_from_entry", reads.append)
@@ -494,6 +498,56 @@ class TestDegrade:
         name = "sample point" if key == "mad_h" else key
         assert f"{bad}: {name} must be finite, got nan" in caplog.text
         assert not (tmp_path / "deg").exists()
+
+
+    @pytest.mark.parametrize("rate", ["nan", "0", "-250", "inf"])
+    def test_modified_bad_rate_fails_before_any_recording_is_read(
+            self, tiny_source, tiny_target_table, tiny_calibration, tmp_path, monkeypatch,
+            one_worker, caplog, rate):
+        import gazesim.cli
+        reads = []
+        monkeypatch.setattr(gazesim.cli, "read_recording_from_entry", reads.append)
+        out = tmp_path / "deg"
+        argv = self.modified_argv(tiny_source / "manifest.csv", tiny_target_table,
+                                  tiny_calibration, out)
+        argv[argv.index("--rate-hz") + 1] = rate
+        with caplog.at_level("ERROR"):
+            assert run(argv) == 1
+        assert f"target_rate_hz must be positive and finite, got {float(rate)}" in caplog.text
+        assert reads == [] and not out.exists()
+
+    def test_modified_rejects_sigma0_sq(self, tiny_source, tiny_target_table,
+                                        tiny_calibration, tmp_path, monkeypatch, one_worker,
+                                        caplog):
+        import gazesim.cli
+        reads = []
+        monkeypatch.setattr(gazesim.cli, "read_recording_from_entry", reads.append)
+        monkeypatch.setattr(gazesim.cli, "read_quality_table", reads.append)
+        out = tmp_path / "deg"
+        with caplog.at_level("ERROR"):
+            assert run(self.modified_argv(tiny_source / "manifest.csv", tiny_target_table,
+                                          tiny_calibration, out) + ["--sigma0-sq", 0.9]) == 1
+        assert "--sigma0-sq applies to the baseline model only" in caplog.text
+        assert reads == [] and not out.exists()
+
+    @pytest.mark.parametrize("how", ["given", "calibration", "modified"])
+    def test_run_manifest_records_the_sigma0_sq_used(
+            self, tiny_source, tiny_target_table, tiny_calibration, tmp_path, how):
+        out = tmp_path / "deg"
+        argv = self.modified_argv(tiny_source / "manifest.csv", tiny_target_table,
+                                  tiny_calibration, out)
+        if how != "modified":
+            argv[argv.index("--model") + 1] = "baseline"
+        if how == "given":
+            argv += ["--sigma0-sq", 0.07]
+        assert run(argv) == 0
+        recorded = json.loads((out / "run_manifest.json").read_text())["sigma0_sq"]
+        plans = [json.loads(p.read_text())["sigma0_sq"] for p in out.glob("*.plan.json")]
+        if how == "modified":
+            assert recorded is None
+        else:
+            assert recorded == (0.07 if how == "given" else plans[0]) and recorded > 0
+            assert set(plans) == {recorded}
 
 
 class TestSeedOrderIndependence:
@@ -695,3 +749,116 @@ class TestGoldenDigests:
         out = tmp_path / "summary.csv"
         assert run(["report", tables["real"], tables["synth"], "--out", out]) == 0
         assert self.digest(out) == self.REPORT
+
+
+def use_workers(monkeypatch, n):
+    """Make every ordered_map use at most n processes."""
+    if n > 1 and not hasattr(gazesim.pool.os, "fork"):
+        pytest.skip("no fork on this platform")
+    monkeypatch.setattr(gazesim.pool, "worker_count", lambda n_items: max(1, min(n, n_items)))
+
+
+class TestWorkerProcesses:
+    """Outputs, skip logs and errors are the same in one process and in two:
+    each run writes under the same path, since manifests record paths."""
+
+    def readme_pipeline(self, root):
+        steps = [
+            ["synth", "--preset", "eyelink-like", "--n", 2, "--seed", 11, "--out", root / "source"],
+            ["synth", "--preset", "vr-like", "--n", 3, "--seed", 22, "--out", root / "target"],
+            ["metrics", "--manifest", root / "source" / "manifest.csv",
+             "--out", root / "source_quality.csv"],
+            ["metrics", "--manifest", root / "target" / "manifest.csv",
+             "--out", root / "target_quality.csv"],
+            ["calibrate", "--manifest", root / "source" / "manifest.csv", "--rate-hz", 250,
+             "--grid", "0.05:0.45:0.2", "--seed", 33, "--out", root / "calib.json"],
+            ["degrade", "--manifest", root / "source" / "manifest.csv", "--model", "baseline",
+             "--sigma0-sq", 0.13, "--rate-hz", 250, "--seed", 5, "--out", root / "baseline"],
+            ["degrade", "--manifest", root / "source" / "manifest.csv", "--model", "modified",
+             "--target-table", root / "target_quality.csv", "--calibration", root / "calib.json",
+             "--rate-hz", 250, "--seed", 5, "--jitter-correction", "on",
+             "--out", root / "modified"],
+            ["metrics", "--manifest", root / "modified" / "manifest.csv",
+             "--out", root / "synth_quality.csv"],
+        ]
+        for argv in steps:
+            assert run(argv) == 0, argv[0]
+        return tree_bytes(root)
+
+    def test_readme_pipeline_identical_in_one_and_two_processes(self, tmp_path, monkeypatch):
+        root = tmp_path / "work"
+        trees = []
+        for n in (1, 2):
+            use_workers(monkeypatch, n)
+            trees.append(self.readme_pipeline(root))
+            shutil.rmtree(root)
+        assert len(trees[0]) == 27
+        assert trees[0] == trees[1]
+
+    @staticmethod
+    def manifest_with_bad_middle(tiny_source, tmp_path):
+        """The tiny source corpus with an unreadable recording and one that
+        fails the metric pass between its second and third entries."""
+        entries = read_manifest(tiny_source / "manifest.csv")
+        corrupt = tmp_path / "corrupt.csv"
+        corrupt.write_text("t_ms,gaze_x_dva,gaze_y_dva,tgt_x_dva,tgt_y_dva\n0,zz,0,0,0\n")
+        flat = tmp_path / "flat.csv"
+        n = 3000
+        write_recording(make_recording(np.arange(float(n)), np.zeros(n), np.zeros(n)), flat)
+        bad = [ManifestEntry("broken", str(corrupt), "canonical", 1000.0),
+               ManifestEntry("flat", str(flat), "canonical", 1000.0)]
+        manifest = tmp_path / "manifest.csv"
+        write_manifest(entries[:2] + bad + entries[2:], manifest)
+        return manifest
+
+    @pytest.mark.parametrize("command", ["metrics", "degrade-modified"])
+    def test_skip_bad_same_in_one_and_two_processes(
+            self, tiny_source, tiny_target_table, tiny_calibration, tmp_path, monkeypatch,
+            caplog, command):
+        manifest = self.manifest_with_bad_middle(tiny_source, tmp_path)
+        out = tmp_path / "out"
+        if command == "metrics":
+            argv = ["metrics", "--manifest", manifest, "--out", out]
+        else:
+            argv = TestDegrade().modified_argv(manifest, tiny_target_table, tiny_calibration,
+                                               out)
+        seen = []
+        for n in (1, 2):
+            use_workers(monkeypatch, n)
+            caplog.clear()
+            with caplog.at_level("ERROR"):
+                assert run(argv) == 1
+            # the first bad recording in manifest order fails the run
+            errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+            assert len(errors) == 1 and errors[0].startswith(f"{tmp_path / 'corrupt.csv'}: ")
+            assert not out.exists()
+            caplog.clear()
+            with caplog.at_level("WARNING"):
+                assert run(argv + ["--skip-bad"]) == 0
+            skipped = [r.getMessage() for r in caplog.records
+                       if r.getMessage().startswith("skipping ")]
+            if out.is_dir():
+                seen.append((skipped, errors, tree_bytes(out)))
+                shutil.rmtree(out)
+            else:
+                seen.append((skipped, errors, out.read_bytes()))
+                out.unlink()
+        assert [line.split(":")[0] for line in seen[0][0]] == ["skipping broken",
+                                                               "skipping flat"]
+        assert seen[0] == seen[1]
+
+    @pytest.mark.parametrize("bad", [False, True], ids=["success", "bad-recording"])
+    @pytest.mark.parametrize("model", ["metrics", "baseline", "modified"])
+    def test_no_process_left_after_main(self, tiny_source, tiny_target_table,
+                                        tiny_calibration, tmp_path, two_workers, model, bad):
+        manifest = tiny_source / "manifest.csv"
+        if bad:
+            manifest = manifest_plus(tiny_source, tmp_path, "broken", tmp_path / "missing.csv")
+        if model == "metrics":
+            argv = ["metrics", "--manifest", manifest, "--out", tmp_path / "q.csv"]
+        else:
+            argv = TestDegrade().modified_argv(manifest, tiny_target_table, tiny_calibration,
+                                               tmp_path / "deg")
+            argv[argv.index("--model") + 1] = model
+        assert run(argv) == (1 if bad else 0)
+        assert multiprocessing.active_children() == []

@@ -12,11 +12,13 @@ from gazesim.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# runs each argv list through gazesim.cli.main in a fresh interpreter, then
-# prints the scipy modules it loaded as its last line
+# runs each argv list through gazesim.cli.main in a fresh interpreter, with
+# ordered_map on two processes, then prints the scipy modules this (the
+# parent) process loaded as its last line
 _PROBE = """
 import json, sys
-import gazesim, gazesim.cli
+import gazesim, gazesim.cli, gazesim.pool
+gazesim.pool.worker_count = lambda n_items: max(1, min(2, n_items))
 for argv in json.loads(sys.argv[1]):
     if gazesim.cli.main(argv) != 0:
         sys.exit(f"gazesim {argv[0]} failed")
@@ -82,6 +84,14 @@ class TestImportLight:
                                       "--repeats", 1, "--out", tmp_path / "assess.json"])
         assert "scipy.spatial" in loaded
         assert "scipy.signal" not in loaded
+
+    def test_calibrate_loads_signal_before_its_workers_fork(self, corpus, tmp_path):
+        # a worker's import would be lost with it, and repeated by every
+        # worker of every later command
+        loaded = scipy_modules_after(["calibrate", "--manifest", corpus / "manifest.csv",
+                                      "--rate-hz", 125, "--grid", "0.05:0.45:0.2",
+                                      "--out", tmp_path / "calib.json"])
+        assert "scipy.signal" in loaded
 
     def test_degrade_loads_signal(self, corpus, tmp_path):
         loaded = scipy_modules_after(["degrade", "--manifest", corpus / "manifest.csv",

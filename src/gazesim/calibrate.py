@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .degrade import degrade_benchmark, load_filter_backend
+from .degrade import _load_filter_backend, degrade_benchmark
 from .io import atomic_write_text, format_float, is_json_number, read_json_object
 from .metrics import recording_quality
 from .pool import ordered_map
@@ -54,7 +54,7 @@ def sweep_sigma(corpus, sigma0_sq_grid, target_rate_hz: float,
     # checked here, before any recording is degraded
     plans = [DegradationPlan(target_rate_hz=target_rate_hz, sigma0_sq=s) for s in grid]
 
-    load_filter_backend()
+    _load_filter_backend()
     per_recording = ordered_map(_sweep_recording, [(rec, plans, seed) for rec in corpus])
     medians = [float(np.median(values)) for values in zip(*per_recording)]
 

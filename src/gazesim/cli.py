@@ -24,14 +24,14 @@ from .assess import (distribution_summary, repeated_assessment,
                      summary_rows_to_csv, write_assessment_report)
 from .calibrate import (describe_curve, load_calibration, save_calibration,
                         sweep_sigma)
-from .degrade import (degrade_benchmark, degrade_modified, load_filter_backend,
+from .degrade import (_load_filter_backend, degrade_benchmark, degrade_modified,
                       plan_modified, save_plan, zero_noise_pass)
 from .io import (ManifestEntry, atomic_write_text, read_json_object,
                  read_manifest, read_quality_table, read_recording_from_entry,
                  write_manifest, write_quality_table, write_recording)
 from .metrics import analyse_recording, recording_quality
-from .oracle import (PRESETS, corpus_spec_from_json, generate_corpus_recording,
-                     write_ground_truth)
+from .oracle import (PRESETS, corpus_indices, corpus_spec_from_json,
+                     generate_corpus_recording, write_ground_truth)
 from .pool import ordered_map
 from .quantiles import quantile
 from .seeding import derive_seed
@@ -53,13 +53,16 @@ def _as_read(rec):
 
 
 def _read_and_apply(task) -> tuple:
-    """(None, fn(recording)) for one (fn, manifest entry) task, or (error,
-    None) when the read or fn raised OSError or ValueError: errors come back
-    as values, so the caller meets them in manifest order."""
-    fn, entry = task
+    """(None, fn(recording)) for one (fn, manifest entry, skip_bad) task.
+    With skip_bad, a read or fn that raised OSError or ValueError gives
+    (error, None), so the caller logs it in manifest order; without, the
+    error is raised, so the map stops at the first one."""
+    fn, entry, skip_bad = task
     try:
         return None, fn(read_recording_from_entry(entry))
     except (OSError, ValueError) as exc:
+        if not skip_bad:
+            raise
         return exc, None
 
 
@@ -70,13 +73,11 @@ def _map_corpus(manifest_path, skip_bad: bool, fn=_as_read) -> list:
     every failed one is logged and dropped instead."""
     entries = read_manifest(manifest_path)
     results = []
-    outcomes = ordered_map(_read_and_apply, [(fn, entry) for entry in entries])
+    outcomes = ordered_map(_read_and_apply, [(fn, entry, skip_bad) for entry in entries])
     for entry, (exc, result) in zip(entries, outcomes):
         if exc is None:
             results.append(result)
             continue
-        if not skip_bad:
-            raise exc
         # the log line names the recording once
         reason = str(exc).removeprefix(f"{entry.recording_id}: ")
         logger.warning("skipping %s: %s", entry.recording_id, reason)
@@ -113,12 +114,11 @@ def cmd_synth(args) -> int:
         spec_label = Path(args.spec_file).stem
     else:
         raise SystemExit("synth needs --preset or --spec-file")
-    if args.n < 1:
-        raise ValueError(f"n_recordings must be >= 1, got {args.n}")
+    indices = corpus_indices(args.n)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     made = ordered_map(_synth_one, [(spec, i, args.seed, spec_label, out_dir)
-                                    for i in range(args.n)])
+                                    for i in indices])
     write_ground_truth([truth for truth, _ in made], out_dir / "ground_truth.csv")
     write_manifest([entry for _, entry in made], out_dir / "manifest.csv")
     _write_run_manifest(out_dir, {
@@ -231,7 +231,7 @@ def cmd_degrade(args) -> int:
     # the target rate of both models, and the baseline's noise, checked
     # before any recording is read
     baseline = DegradationPlan(args.rate_hz, 0.0 if modified else sigma0_sq)
-    load_filter_backend()
+    _load_filter_backend()
 
     # the modified planner needs each source's quality and zero-noise
     # precision, and its transform the source's fixation windows: all

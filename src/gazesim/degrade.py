@@ -42,7 +42,6 @@ __all__ = [
     "nominal_target_timestamps", "jitter_timestamps", "add_precision_noise",
     "degrade_benchmark", "plan_modified", "build_accuracy_signal",
     "degrade_modified", "zero_noise_pass", "save_plan", "load_plan",
-    "load_filter_backend",
 ]
 
 # fraction of combined marginal dispersion carried by each channel when the
@@ -79,7 +78,7 @@ def _lowpass_sos(cutoff_hz: float, fs: float) -> np.ndarray:
     return sos
 
 
-def load_filter_backend() -> None:
+def _load_filter_backend() -> None:
     """Load scipy.signal now rather than at the first filter design. A
     command calls this before it forks workers that filter, so the import
     runs once in the parent instead of once in every worker."""

@@ -295,14 +295,20 @@ def generate_corpus_recording(spec: CorpusSpec, index: int, seed: int,
     return generate_recording(rec_spec, recording_id=rid)
 
 
+def corpus_indices(n_recordings: int) -> range:
+    """The recording indices of a corpus of n_recordings >= 1."""
+    if n_recordings < 1:
+        raise ValueError(f"n_recordings must be >= 1, got {n_recordings}")
+    return range(n_recordings)
+
+
 def generate_corpus(spec: CorpusSpec, n_recordings: int, seed: int,
                     id_prefix: str = "oracle") -> list:
     """Generate a corpus of (recording, ground truth) pairs, reproducible
     from the seed alone; per-recording seeds are derived, so order does not
     matter."""
-    if n_recordings < 1:
-        raise ValueError(f"n_recordings must be >= 1, got {n_recordings}")
-    return [generate_corpus_recording(spec, i, seed, id_prefix) for i in range(n_recordings)]
+    return [generate_corpus_recording(spec, i, seed, id_prefix)
+            for i in corpus_indices(n_recordings)]
 
 
 def write_ground_truth(truths, path) -> None:

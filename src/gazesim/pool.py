@@ -2,26 +2,24 @@
 
 Every per-recording result is a pure function of the recording and of seeds
 derived from (master seed, recording id), so the number of processes that
-compute the results changes none of them. ordered_map forks one worker per
+compute the results changes none of them. ordered_map runs one worker per
 CPU in the process's affinity mask, at most one per item, and returns the
 results in input order. With one CPU (`taskset -c 0 gazesim ...`), one item,
 or no affinity mask or fork on the platform, it runs in this process and
 imports no multiprocessing.
 
-Workers are forked from the `multiprocessing` "fork" context after the items
-exist, so they inherit the function and the items (and whatever the caller
-loaded or patched before the map) without pickling them; each is sent item
-indices over a pipe, one at a time, and sends its result back by pickle.
-The parent's main thread does all of that: the pool runs no threads of its
-own (multiprocessing.Pool's result thread unpickles into a malloc arena of
-its own, which raised the parent's peak RSS). A fork copies only the calling
-thread, so call ordered_map while no other thread of the process holds a
-lock the work needs. What a worker loads, logs to a handler in memory or
-counts is lost when it exits.
+The workers are a concurrent.futures.ProcessPoolExecutor forked from the
+`multiprocessing` "fork" context after the items exist, so they inherit the
+function and the items (and whatever the caller loaded or patched before
+the map) and are sent only item indices; results come back by pickle. What
+a worker loads, logs to a handler in memory or counts is lost when it exits.
 """
 from __future__ import annotations
 
 import os
+
+# (fn, items) of the running multi-process map, inherited by its workers
+_work = None
 
 
 def worker_count(n_items: int) -> int:
@@ -33,79 +31,31 @@ def worker_count(n_items: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), n_items))
 
 
-def _serve(conn, fn, items) -> None:
-    """Worker loop: fn(items[i]) for each index received, until None or the
-    parent's end closes; sends back (i, True, result) or (i, False, the
-    exception fn raised)."""
-    while True:
-        try:
-            i = conn.recv()
-        except EOFError:
-            return
-        if i is None:
-            return
-        try:
-            reply = (i, True, fn(items[i]))
-        except Exception as exc:
-            reply = (i, False, exc)
-        try:
-            conn.send(reply)
-        except Exception as exc:   # a result or an exception that does not pickle
-            conn.send((i, False, RuntimeError(f"item {i}: {exc!r}")))
+def _run(i: int):
+    fn, items = _work
+    return fn(items[i])
 
 
 def ordered_map(fn, items) -> list:
     """[fn(item) for item in items], on worker_count(len(items)) processes.
 
-    Results must pickle. If fn raises for some items, the exception of the
-    first of them in input order is raised: in one process as it happens,
-    on several once every item has run, so no file is left half-written.
-    Every worker has exited before this returns or raises.
+    Results must pickle. If fn raises, the exception of the first failing
+    item in input order is raised, and no item after it is started once
+    every item before it is done (items already handed to a worker still
+    run). Every worker has exited before this returns or raises; a worker
+    that dies raises concurrent.futures.process.BrokenProcessPool.
     """
+    global _work
     items = list(items)
     workers = worker_count(len(items))
     if workers == 1:
         return [fn(item) for item in items]
     import multiprocessing
-    from multiprocessing.connection import wait
-    ctx = multiprocessing.get_context("fork")
-    procs, busy = [], []
-    outcomes = [None] * len(items)
+    from concurrent.futures import ProcessPoolExecutor
+    _work = (fn, items)
     try:
-        for i in range(workers):
-            conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(target=_serve, args=(child_conn, fn, items), daemon=True)
-            proc.start()
-            child_conn.close()
-            procs.append(proc)
-            busy.append(conn)
-            conn.send(i)
-        sent = workers
-        while busy:
-            for conn in wait(busy):
-                try:
-                    i, ok, value = conn.recv()
-                except EOFError:
-                    raise RuntimeError("a worker process exited before it returned "
-                                       "its result") from None
-                outcomes[i] = (ok, value)
-                if sent < len(items):
-                    conn.send(sent)
-                    sent += 1
-                else:
-                    conn.send(None)
-                    busy.remove(conn)
-                    conn.close()
-    except BaseException:
-        for proc in procs:
-            proc.terminate()
-        raise
+        # the workers fork at the first task, so they see _work
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            return list(pool.map(_run, range(len(items))))
     finally:
-        for conn in busy:
-            conn.close()
-        for proc in procs:
-            proc.join()
-    for ok, value in outcomes:
-        if not ok:
-            raise value
-    return [value for _, value in outcomes]
+        _work = None

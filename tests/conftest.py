@@ -45,17 +45,26 @@ def four_sample_recording():
 
 
 @pytest.fixture
-def one_worker(monkeypatch):
-    """Every ordered_map runs in the test process, so that calls counted
-    through monkeypatch are seen; a forked worker would count them in its
-    own memory."""
-    monkeypatch.setattr(gazesim.pool, "worker_count", lambda n_items: 1)
+def use_workers(monkeypatch):
+    """use_workers(n) makes every ordered_map of this test use at most n
+    processes, whatever the CPUs of the machine."""
+    def use(n):
+        if n > 1 and not hasattr(gazesim.pool.os, "fork"):
+            pytest.skip("no fork on this platform")
+        monkeypatch.setattr(gazesim.pool, "worker_count",
+                            lambda n_items: max(1, min(n, n_items)))
+    return use
 
 
 @pytest.fixture
-def two_workers(monkeypatch):
-    """Every ordered_map of two or more items forks two workers, whatever
-    the CPUs of the machine."""
-    if not hasattr(gazesim.pool.os, "fork"):
-        pytest.skip("no fork on this platform")
-    monkeypatch.setattr(gazesim.pool, "worker_count", lambda n_items: max(1, min(2, n_items)))
+def one_worker(use_workers):
+    """Every ordered_map runs in the test process, so that calls counted
+    through monkeypatch are seen; a forked worker would count them in its
+    own memory."""
+    use_workers(1)
+
+
+@pytest.fixture
+def two_workers(use_workers):
+    """Every ordered_map of two or more items runs on two workers."""
+    use_workers(2)

@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import gazesim.pool
 from gazesim.calibrate import load_calibration
 from gazesim.cli import _hash_quality_table, main
 from gazesim.degrade import degrade_modified, load_plan
@@ -751,13 +750,6 @@ class TestGoldenDigests:
         assert self.digest(out) == self.REPORT
 
 
-def use_workers(monkeypatch, n):
-    """Make every ordered_map use at most n processes."""
-    if n > 1 and not hasattr(gazesim.pool.os, "fork"):
-        pytest.skip("no fork on this platform")
-    monkeypatch.setattr(gazesim.pool, "worker_count", lambda n_items: max(1, min(n, n_items)))
-
-
 class TestWorkerProcesses:
     """Outputs, skip logs and errors are the same in one process and in two:
     each run writes under the same path, since manifests record paths."""
@@ -785,11 +777,11 @@ class TestWorkerProcesses:
             assert run(argv) == 0, argv[0]
         return tree_bytes(root)
 
-    def test_readme_pipeline_identical_in_one_and_two_processes(self, tmp_path, monkeypatch):
+    def test_readme_pipeline_identical_in_one_and_two_processes(self, tmp_path, use_workers):
         root = tmp_path / "work"
         trees = []
         for n in (1, 2):
-            use_workers(monkeypatch, n)
+            use_workers(n)
             trees.append(self.readme_pipeline(root))
             shutil.rmtree(root)
         assert len(trees[0]) == 27
@@ -813,7 +805,7 @@ class TestWorkerProcesses:
 
     @pytest.mark.parametrize("command", ["metrics", "degrade-modified"])
     def test_skip_bad_same_in_one_and_two_processes(
-            self, tiny_source, tiny_target_table, tiny_calibration, tmp_path, monkeypatch,
+            self, tiny_source, tiny_target_table, tiny_calibration, tmp_path, use_workers,
             caplog, command):
         manifest = self.manifest_with_bad_middle(tiny_source, tmp_path)
         out = tmp_path / "out"
@@ -824,7 +816,7 @@ class TestWorkerProcesses:
                                                out)
         seen = []
         for n in (1, 2):
-            use_workers(monkeypatch, n)
+            use_workers(n)
             caplog.clear()
             with caplog.at_level("ERROR"):
                 assert run(argv) == 1
@@ -862,3 +854,28 @@ class TestWorkerProcesses:
             argv[argv.index("--model") + 1] = model
         assert run(argv) == (1 if bad else 0)
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("command", ["metrics", "calibrate", "degrade"])
+    def test_first_bad_recording_stops_the_corpus_pass(self, tiny_source, tmp_path,
+                                                       monkeypatch, one_worker, command):
+        # without --skip-bad, no recording after the first bad one is read
+        import gazesim.cli
+        read = gazesim.cli.read_recording_from_entry
+        reads = []
+
+        def counting_read(entry):
+            reads.append(entry.recording_id)
+            return read(entry)
+
+        monkeypatch.setattr(gazesim.cli, "read_recording_from_entry", counting_read)
+        entries = read_manifest(tiny_source / "manifest.csv")
+        manifest = tmp_path / "manifest.csv"
+        write_manifest([ManifestEntry("missing", str(tmp_path / "missing.csv"), "canonical",
+                                      1000.0)] + entries, manifest)
+        argv = {"metrics": ["metrics", "--manifest", manifest, "--out", tmp_path / "q.csv"],
+                "calibrate": ["calibrate", "--manifest", manifest, "--rate-hz", 250,
+                              "--grid", "0.05:0.45:0.2", "--out", tmp_path / "calib.json"],
+                "degrade": ["degrade", "--manifest", manifest, "--model", "baseline",
+                            "--sigma0-sq", 0.1, "--rate-hz", 250, "--out", tmp_path / "deg"]}
+        assert run(argv[command]) == 1
+        assert reads == ["missing"]

@@ -13,12 +13,13 @@ from gazesim.cli import main
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # runs each argv list through gazesim.cli.main in a fresh interpreter, with
-# ordered_map on two processes, then prints the scipy modules this (the
-# parent) process loaded as its last line
+# ordered_map on at most sys.argv[2] processes, then prints the scipy
+# modules this (the parent) process loaded as its last line
 _PROBE = """
 import json, sys
 import gazesim, gazesim.cli, gazesim.pool
-gazesim.pool.worker_count = lambda n_items: max(1, min(2, n_items))
+workers = int(sys.argv[2])
+gazesim.pool.worker_count = lambda n_items: max(1, min(workers, n_items))
 for argv in json.loads(sys.argv[1]):
     if gazesim.cli.main(argv) != 0:
         sys.exit(f"gazesim {argv[0]} failed")
@@ -26,13 +27,17 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def scipy_modules_after(*argvs):
+def scipy_modules_after(*argvs, workers=1):
     """scipy modules in sys.modules of a fresh interpreter that imported
-    gazesim and gazesim.cli and then ran the given commands. The test
-    process has scipy loaded already, so only a subprocess can tell."""
+    gazesim and gazesim.cli and then ran the given commands, each
+    ordered_map on at most `workers` processes. The test process has scipy
+    loaded already, so only a subprocess can tell; and what a forked worker
+    imports dies with it, so a probe of what the commands import at all
+    runs them in one process."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps([[str(a) for a in argv] for argv in argvs])],
+        [sys.executable, "-c", _PROBE, json.dumps([[str(a) for a in argv] for argv in argvs]),
+         str(workers)],
         env=env, capture_output=True, text=True, timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -90,11 +95,12 @@ class TestImportLight:
         # worker of every later command
         loaded = scipy_modules_after(["calibrate", "--manifest", corpus / "manifest.csv",
                                       "--rate-hz", 125, "--grid", "0.05:0.45:0.2",
-                                      "--out", tmp_path / "calib.json"])
+                                      "--out", tmp_path / "calib.json"], workers=2)
         assert "scipy.signal" in loaded
 
     def test_degrade_loads_signal(self, corpus, tmp_path):
         loaded = scipy_modules_after(["degrade", "--manifest", corpus / "manifest.csv",
                                       "--model", "baseline", "--sigma0-sq", 0.1,
-                                      "--rate-hz", 125, "--seed", 1, "--out", tmp_path])
+                                      "--rate-hz", 125, "--seed", 1, "--out", tmp_path],
+                                     workers=2)
         assert "scipy.signal" in loaded

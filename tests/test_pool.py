@@ -2,6 +2,8 @@
 more workers than CPUs or items, and no process left behind."""
 import multiprocessing
 import os
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -22,14 +24,18 @@ def _exit_on_2(x):
     return x
 
 
-def _unpicklable_on_1(x):
-    return (lambda: x) if x == 1 else x
-
-
 def _fail_on_3_and_5(x):
     if x in (3, 5):
         raise ValueError(f"bad item {x}")
     return x
+
+
+def _fail_on_0_else_mark(task):
+    i, out_dir = task
+    if i == 0:
+        raise ValueError("bad item 0")
+    time.sleep(0.05)
+    (out_dir / str(i)).touch()
 
 
 class TestWorkerCount:
@@ -80,11 +86,12 @@ class TestOrderedMap:
         assert ordered_map(_square, []) == []
 
     def test_worker_that_dies_fails_the_map(self, two_workers):
-        with pytest.raises(RuntimeError, match="exited before it returned"):
+        with pytest.raises(BrokenProcessPool):
             ordered_map(_exit_on_2, range(6))
         assert multiprocessing.active_children() == []
 
-    def test_result_that_does_not_pickle_names_its_item(self, two_workers):
-        with pytest.raises(RuntimeError, match="item 1: "):
-            ordered_map(_unpicklable_on_1, range(4))
+    def test_stops_starting_items_after_the_first_error(self, two_workers, tmp_path):
+        with pytest.raises(ValueError, match="bad item 0"):
+            ordered_map(_fail_on_0_else_mark, [(i, tmp_path) for i in range(20)])
+        assert len(list(tmp_path.iterdir())) < 10
         assert multiprocessing.active_children() == []

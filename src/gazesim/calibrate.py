@@ -11,6 +11,7 @@ import dataclasses
 import hashlib
 import json
 import warnings
+from functools import partial
 
 import numpy as np
 
@@ -26,44 +27,47 @@ class NonMonotoneSweepWarning(UserWarning):
     """Raw sweep points decreased somewhere; the linear fit proceeds."""
 
 
-def _sweep_recording(task) -> list:
-    """Horizontal precision of one recording after the baseline pipeline,
-    at every plan of the grid, in grid order."""
-    rec, plans, seed = task
+def sweep_plans(sigma0_sq_grid, target_rate_hz: float) -> list:
+    """The baseline plan of each grid variance, checked before any recording
+    is degraded."""
+    grid = [float(s) for s in sigma0_sq_grid]
+    if len(grid) < 3:
+        raise ValueError(f"calibration grid needs >= 3 points, got {len(grid)}")
+    return [DegradationPlan(target_rate_hz=target_rate_hz, sigma0_sq=s) for s in grid]
+
+
+def sweep_recording(rec, plans, seed: int) -> list:
+    """Horizontal precision of one recording after the baseline pipeline at
+    each plan, in grid order. Its noise seed depends only on (seed,
+    recording_id), so every grid point scales the same noise draws."""
     rng_seed = derive_seed(seed, rec.recording_id)
     plans = [dataclasses.replace(plan, rng_seed=rng_seed) for plan in plans]
     return [recording_quality(degrade_benchmark(rec, plan)).prec_h for plan in plans]
 
 
-def sweep_sigma(corpus, sigma0_sq_grid, target_rate_hz: float,
-                seed: int) -> CalibrationCurve:
-    """Measure corpus-median horizontal precision for each grid variance.
-
-    Per-recording seeds depend only on (seed, recording_id), so every grid
-    point reuses the same underlying noise draws scaled by its variance:
-    grid points are comparable, and the curve is monotone up to estimator
-    noise. Each recording runs the whole grid as one task of ordered_map,
-    so the result does not depend on the number of processes.
-    """
-    corpus = list(corpus)
-    if not corpus:
+def fit_sweep(plans, per_recording) -> CalibrationCurve:
+    """The least-squares line through the corpus-median precision of each
+    grid point, from the sweep_recording result of every recording."""
+    if not per_recording:
         raise ValueError("calibration corpus must be non-empty")
-    grid = [float(s) for s in sigma0_sq_grid]
-    if len(grid) < 3:
-        raise ValueError(f"calibration grid needs >= 3 points, got {len(grid)}")
-    # checked here, before any recording is degraded
-    plans = [DegradationPlan(target_rate_hz=target_rate_hz, sigma0_sq=s) for s in grid]
-
-    _load_filter_backend()
-    per_recording = ordered_map(_sweep_recording, [(rec, plans, seed) for rec in corpus])
+    grid = [plan.sigma0_sq for plan in plans]
     medians = [float(np.median(values)) for values in zip(*per_recording)]
-
     if any(b < a for a, b in zip(medians, medians[1:])):
         warnings.warn("raw calibration sweep is non-monotone; fitting anyway",
                       NonMonotoneSweepWarning, stacklevel=2)
     slope, intercept = np.polyfit(grid, medians, 1)
     return CalibrationCurve(samples=tuple(zip(grid, medians)),
                             slope=float(slope), intercept=float(intercept))
+
+
+def sweep_sigma(corpus, sigma0_sq_grid, target_rate_hz: float,
+                seed: int) -> CalibrationCurve:
+    """Measure corpus-median horizontal precision for each grid variance and
+    fit the curve. Each recording runs the whole grid as one task of
+    ordered_map, so the result does not depend on the number of processes."""
+    plans = sweep_plans(sigma0_sq_grid, target_rate_hz)
+    _load_filter_backend()
+    return fit_sweep(plans, ordered_map(partial(sweep_recording, plans=plans, seed=seed), corpus))
 
 
 def calibration_to_dict(calib: CalibrationCurve, provenance: dict | None = None) -> dict:

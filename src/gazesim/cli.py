@@ -22,8 +22,8 @@ from pathlib import Path
 from . import __version__
 from .assess import (distribution_summary, repeated_assessment,
                      summary_rows_to_csv, write_assessment_report)
-from .calibrate import (describe_curve, load_calibration, save_calibration,
-                        sweep_sigma)
+from .calibrate import (describe_curve, fit_sweep, load_calibration, save_calibration,
+                        sweep_plans, sweep_recording)
 from .degrade import (_load_filter_backend, degrade_benchmark, degrade_modified,
                       plan_modified, save_plan, zero_noise_pass)
 from .io import (ManifestEntry, atomic_write_text, read_json_object,
@@ -47,30 +47,28 @@ def _hash_quality_table(table: QualityTable) -> str:
     return h.hexdigest()[:16]
 
 
-def _as_read(rec):
-    """The recording itself: _map_corpus's default."""
-    return rec
-
-
 def _read_and_apply(task) -> tuple:
     """(None, fn(recording)) for one (fn, manifest entry, skip_bad) task.
-    With skip_bad, a read or fn that raised OSError or ValueError gives
-    (error, None), so the caller logs it in manifest order; without, the
-    error is raised, so the map stops at the first one."""
+    With skip_bad, a read that raised OSError or ValueError, or an fn that
+    raised ValueError, gives (error, None), so the caller logs it in
+    manifest order; otherwise the error is raised, so the map stops at the
+    first one. An OSError of fn is an output's, and is always raised."""
     fn, entry, skip_bad = task
+    rec = None
     try:
-        return None, fn(read_recording_from_entry(entry))
+        rec = read_recording_from_entry(entry)
+        return None, fn(rec)
     except (OSError, ValueError) as exc:
-        if not skip_bad:
+        if not skip_bad or (rec is not None and isinstance(exc, OSError)):
             raise
         return exc, None
 
 
-def _map_corpus(manifest_path, skip_bad: bool, fn=_as_read) -> list:
+def _map_corpus(manifest_path, skip_bad: bool, fn) -> list:
     """fn(recording) for every recording in a manifest, each read and
     computed in an ordered_map task (so what fn returns must pickle). The
     first failed read or fn, in manifest order, is raised; with skip_bad,
-    every failed one is logged and dropped instead."""
+    every recording whose read or fn failed is logged and dropped instead."""
     entries = read_manifest(manifest_path)
     results = []
     outcomes = ordered_map(_read_and_apply, [(fn, entry, skip_bad) for entry in entries])
@@ -159,17 +157,11 @@ def _parse_grid(text: str) -> list:
     return grid
 
 
-def _measurable(rec):
-    """The recording itself, once the metric pass accepts it."""
-    recording_quality(rec)
-    return rec
-
-
 def cmd_calibrate(args) -> int:
-    # --skip-bad also drops the recordings the metric pass rejects
-    corpus = _map_corpus(args.manifest, args.skip_bad,
-                         _measurable if args.skip_bad else _as_read)
-    curve = sweep_sigma(corpus, _parse_grid(args.grid), args.rate_hz, args.seed)
+    plans = sweep_plans(_parse_grid(args.grid), args.rate_hz)
+    _load_filter_backend()
+    curve = fit_sweep(plans, _map_corpus(args.manifest, args.skip_bad,
+                                         partial(sweep_recording, plans=plans, seed=args.seed)))
     calibration_id = save_calibration(curve, args.out, provenance={
         "manifest": str(args.manifest),
         "target_rate_hz": args.rate_hz,
@@ -192,18 +184,28 @@ def _measure_source(rec, rate_hz: float) -> tuple:
     return rec, qv, analysis, post_qv.prec_c
 
 
+def _write_degraded(degraded, plan: DegradationPlan, out_dir: Path, provenance: dict) -> str:
+    """Write one output recording and its plan; returns its id."""
+    write_recording(degraded, out_dir / f"{degraded.recording_id}.csv")
+    save_plan(plan, out_dir / f"{degraded.recording_id}.plan.json", provenance)
+    return degraded.recording_id
+
+
+def _degrade_baseline(rec, plan: DegradationPlan, seed: int, out_dir: Path,
+                      provenance: dict) -> str:
+    """Degrade one recording by the baseline model, with noise seeded from
+    (seed, recording id), and write it."""
+    plan = dataclasses.replace(plan, rng_seed=derive_seed(seed, rec.recording_id))
+    return _write_degraded(degrade_benchmark(rec, plan), plan, out_dir, provenance)
+
+
 def _transform_and_write(task, out_dir: Path, provenance: dict,
-                         jitter_correction: bool) -> None:
-    """Degrade one (recording, plan, analysis) task, by the modified model
-    when it has the source's analysis and by the baseline otherwise, and
-    write the output recording and its plan."""
+                         jitter_correction: bool) -> str:
+    """Degrade one (recording, plan, analysis) task by the modified model
+    and write it."""
     rec, plan, analysis = task
-    if analysis is None:
-        degraded = degrade_benchmark(rec, plan)
-    else:
-        degraded = degrade_modified(rec, plan, analysis, jitter_correction=jitter_correction)
-    write_recording(degraded, out_dir / f"{rec.recording_id}.csv")
-    save_plan(plan, out_dir / f"{rec.recording_id}.plan.json", provenance)
+    degraded = degrade_modified(rec, plan, analysis, jitter_correction=jitter_correction)
+    return _write_degraded(degraded, plan, out_dir, provenance)
 
 
 def cmd_degrade(args) -> int:
@@ -232,38 +234,34 @@ def cmd_degrade(args) -> int:
     # before any recording is read
     baseline = DegradationPlan(args.rate_hz, 0.0 if modified else sigma0_sq)
     _load_filter_backend()
-
-    # the modified planner needs each source's quality and zero-noise
-    # precision, and its transform the source's fixation windows: all
-    # measured as the recording is read, so --skip-bad also drops the
-    # recordings the metric pass rejects
-    measured = _map_corpus(args.manifest, args.skip_bad,
-                           partial(_measure_source, rate_hz=args.rate_hz) if modified
-                           else _as_read)
     provenance = {
         "model": args.model,
         "calibration_id": calib_payload.get("calibration_id") if calib_payload else None,
         "target_corpus_hash": _hash_quality_table(target) if target is not None else None,
     }
+    out_dir = Path(args.out)
     if modified:
+        # every plan needs the whole source table: measure each source as it
+        # is read (its quality, zero-noise precision and fixation windows)
+        measured = _map_corpus(args.manifest, args.skip_bad,
+                               partial(_measure_source, rate_hz=args.rate_hz))
         source = QualityTable.from_rows((rec.recording_id, qv) for rec, qv, _, _ in measured)
         provenance["source_corpus_hash"] = _hash_quality_table(source)
         tasks = [(rec, plan_modified(qv, post_prec_c, source, target, calib, args.rate_hz,
                                      derive_seed(args.seed, rec.recording_id)), analysis)
                  for rec, qv, analysis, post_prec_c in measured]
+        out_dir.mkdir(parents=True, exist_ok=True)
+        written = ordered_map(partial(_transform_and_write, out_dir=out_dir,
+                                      provenance=provenance,
+                                      jitter_correction=args.jitter_correction == "on"), tasks)
     else:
-        tasks = [(rec, dataclasses.replace(baseline,
-                                           rng_seed=derive_seed(args.seed, rec.recording_id)),
-                  None)
-                 for rec in measured]
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ordered_map(partial(_transform_and_write, out_dir=out_dir, provenance=provenance,
-                        jitter_correction=args.jitter_correction == "on"), tasks)
-    write_manifest([ManifestEntry(rec.recording_id, rec.recording_id + ".csv", "canonical",
-                                  args.rate_hz) for rec, _, _ in tasks],
-                   out_dir / "manifest.csv")
+        # the baseline plan needs no corpus: read, transform and write in one task
+        out_dir.mkdir(parents=True, exist_ok=True)
+        written = _map_corpus(args.manifest, args.skip_bad,
+                              partial(_degrade_baseline, plan=baseline, seed=args.seed,
+                                      out_dir=out_dir, provenance=provenance))
+    write_manifest([ManifestEntry(rid, rid + ".csv", "canonical", args.rate_hz)
+                    for rid in written], out_dir / "manifest.csv")
     _write_run_manifest(out_dir, {
         "command": "degrade", "model": args.model, "seed": args.seed,
         "rate_hz": args.rate_hz, "sigma0_sq": sigma0_sq,
@@ -273,7 +271,7 @@ def cmd_degrade(args) -> int:
         "jitter_correction": args.jitter_correction,
         "version": __version__,
     })
-    print(f"wrote {len(tasks)} degraded recordings to {out_dir}")
+    print(f"wrote {len(written)} degraded recordings to {out_dir}")
     return 0
 
 
@@ -336,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--skip-bad", action="store_true",
-                   help="log and skip recordings that cannot be read or measured "
-                        "instead of failing")
+                   help="log and skip recordings that cannot be read, transformed or "
+                        "measured instead of failing")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("degrade", help="transform a corpus toward a target device")
@@ -353,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calibration", default=None, help="calibration JSON from 'calibrate'")
     p.add_argument("--jitter-correction", choices=("on", "off"), default="off")
     p.add_argument("--skip-bad", action="store_true",
-                   help="log and skip recordings that cannot be read (or, for the "
-                        "modified model, measured) instead of failing")
+                   help="log and skip recordings that cannot be read, measured or "
+                        "transformed instead of failing")
     p.set_defaults(func=cmd_degrade)
 
     p = sub.add_parser("assess", help="1-NN two-sample realism test")

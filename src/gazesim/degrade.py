@@ -106,8 +106,8 @@ def lowpass_zero_phase(rec: GazeRecording, cutoff_hz: float) -> GazeRecording:
     padlen = max(int(np.ceil(3.0 * tau_samples)), 3 * (2 * _FILTER_ORDER + 1))
     if rec.n_samples <= padlen:
         raise ValueError(
-            f"recording shorter than 3x filter warm-up length "
-            f"({rec.n_samples} samples <= pad {padlen})"
+            f"{rec.recording_id or 'recording'}: recording shorter than 3x filter "
+            f"warm-up length ({rec.n_samples} samples <= pad {padlen})"
         )
     # sosfilt's compiled core takes a writable buffer only: filter with a
     # private copy of the shared design (one section, 48 bytes)
@@ -227,8 +227,8 @@ def _degrade(rec: GazeRecording, plan: DegradationPlan,
     timestamp-jitter stages, the steps aligned on its fixation windows."""
     if not plan.target_rate_hz < rec.nominal_rate_hz:
         raise ValueError(
-            f"target rate {plan.target_rate_hz} Hz must be below the source rate "
-            f"{rec.nominal_rate_hz} Hz"
+            f"{rec.recording_id or 'recording'}: target rate {plan.target_rate_hz} Hz "
+            f"must be below the source rate {rec.nominal_rate_hz} Hz"
         )
     rng = np.random.default_rng(plan.rng_seed)
     out = rec

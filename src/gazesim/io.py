@@ -49,22 +49,31 @@ def format_float(value: float) -> str:
 
 def atomic_write_text(path, text) -> None:
     """Write the full text, a str or an iterable of str chunks, to `path` via
-    a temp file in the same directory."""
+    a temp file in the same directory. An OSError names `path`."""
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
+    tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix=".part")
-    except OSError as exc:
-        # the error would name the random temp file: name the output instead
-        raise type(exc)(exc.errno, exc.strerror, path) from None
-    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp.",
+                                   suffix=".part")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            # the error would name the random temp file: name the output instead
+            raise type(exc)(exc.errno, exc.strerror, path) from None
         raise
+
+
+def write_csv(header, rows, path) -> None:
+    """Write a header row, then rows of cells, as CSV (atomic replace)."""
+    buf = _io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    atomic_write_text(path, buf.getvalue())
 
 
 def is_json_number(value) -> bool:
@@ -331,12 +340,8 @@ def write_recording(rec: GazeRecording, path) -> None:
 
 def write_quality_table(table: QualityTable, path) -> None:
     """Write a quality table as CSV, its rows sorted by id."""
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(QUALITY_HEADER)
-    for rid, values, count in table.rows_by_id():
-        writer.writerow([rid, *map(format_float, values), str(count)])
-    atomic_write_text(path, buf.getvalue())
+    write_csv(QUALITY_HEADER, ([rid, *map(format_float, values), str(count)]
+                               for rid, values, count in table.rows_by_id()), path)
 
 
 def _table_rows(path, header: tuple, what: str):
@@ -447,12 +452,8 @@ def read_manifest(path) -> list:
 
 
 def write_manifest(entries, path) -> None:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(MANIFEST_HEADER)
-    for e in entries:
-        writer.writerow([e.recording_id, e.path, e.format_tag, format_float(e.rate_hz)])
-    atomic_write_text(path, buf.getvalue())
+    write_csv(MANIFEST_HEADER, ([e.recording_id, e.path, e.format_tag, format_float(e.rate_hz)]
+                                for e in entries), path)
 
 
 def read_recording_from_entry(entry: ManifestEntry) -> GazeRecording:

@@ -10,15 +10,13 @@ window stays inside the recorded span.
 """
 from __future__ import annotations
 
-import io as _io
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .degrade import jitter_timestamps
-from .io import atomic_write_text, format_float, is_json_number
+from .io import format_float, is_json_number, write_csv
 from .seeding import derive_seed
 from .types import GazeRecording
 
@@ -313,15 +311,10 @@ def generate_corpus(spec: CorpusSpec, n_recordings: int, seed: int,
 
 def write_ground_truth(truths, path) -> None:
     """Corpus-level ground-truth table (scalar parameters per recording)."""
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(GROUND_TRUTH_HEADER)
-    for gt in truths:
-        writer.writerow([
-            gt.recording_id, format_float(gt.rate_hz), str(gt.n_targets),
-            format_float(gt.latency_ms), format_float(gt.bias_sigma_dva),
-            format_float(gt.bias_fixed_dva[0]), format_float(gt.bias_fixed_dva[1]),
-            format_float(gt.noise_sigma_dva), format_float(gt.isi_jitter_ms),
-            str(gt.seed),
-        ])
-    atomic_write_text(path, buf.getvalue())
+    write_csv(GROUND_TRUTH_HEADER, ([
+        gt.recording_id, format_float(gt.rate_hz), str(gt.n_targets),
+        format_float(gt.latency_ms), format_float(gt.bias_sigma_dva),
+        format_float(gt.bias_fixed_dva[0]), format_float(gt.bias_fixed_dva[1]),
+        format_float(gt.noise_sigma_dva), format_float(gt.isi_jitter_ms),
+        str(gt.seed),
+    ] for gt in truths), path)

@@ -253,6 +253,25 @@ class TestCalibrate:
         assert "skipping flat: no target transitions" in caplog.text
         assert json.loads(out.read_text())["slope"] > 0
 
+    def test_skip_bad_searches_latency_once_per_recording_and_grid_point(
+            self, tiny_source, tmp_path, monkeypatch, one_worker):
+        # the sweep is the only pass that measures: no extra pass checks the
+        # sources before it
+        import gazesim.metrics
+        searched = []
+        original = gazesim.metrics.estimate_latency
+
+        def counting(rec, *args, **kwargs):
+            searched.append(rec.recording_id)
+            return original(rec, *args, **kwargs)
+
+        monkeypatch.setattr(gazesim.metrics, "estimate_latency", counting)
+        assert run(["calibrate", "--manifest", tiny_source / "manifest.csv", "--rate-hz", 250,
+                    "--grid", "0.05:0.45:0.05", "--out", tmp_path / "c.json",
+                    "--skip-bad"]) == 0
+        sources = [e.recording_id for e in read_manifest(tiny_source / "manifest.csv")]
+        assert sorted(searched) == sorted(sources * 9)
+
     def test_bad_grid_rejected(self, tiny_source, tmp_path):
         assert run(["calibrate", "--manifest", tiny_source / "manifest.csv",
                     "--rate-hz", 250, "--grid", "0.4:0.1:0.1",
@@ -803,7 +822,7 @@ class TestWorkerProcesses:
         write_manifest(entries[:2] + bad + entries[2:], manifest)
         return manifest
 
-    @pytest.mark.parametrize("command", ["metrics", "degrade-modified"])
+    @pytest.mark.parametrize("command", ["metrics", "calibrate", "degrade-modified"])
     def test_skip_bad_same_in_one_and_two_processes(
             self, tiny_source, tiny_target_table, tiny_calibration, tmp_path, use_workers,
             caplog, command):
@@ -811,6 +830,9 @@ class TestWorkerProcesses:
         out = tmp_path / "out"
         if command == "metrics":
             argv = ["metrics", "--manifest", manifest, "--out", out]
+        elif command == "calibrate":
+            argv = ["calibrate", "--manifest", manifest, "--rate-hz", 250,
+                    "--grid", "0.05:0.45:0.2", "--seed", 3, "--out", out]
         else:
             argv = TestDegrade().modified_argv(manifest, tiny_target_table, tiny_calibration,
                                                out)
@@ -838,6 +860,82 @@ class TestWorkerProcesses:
         assert [line.split(":")[0] for line in seen[0][0]] == ["skipping broken",
                                                                "skipping flat"]
         assert seen[0] == seen[1]
+
+    @staticmethod
+    def mixed_rate_manifest(tiny_source, tiny_target_table, tmp_path):
+        """The tiny source corpus (1000 Hz) with the first recording of the
+        tiny target corpus (250 Hz) between its second and third entries."""
+        entries = read_manifest(tiny_source / "manifest.csv")
+        vr = read_manifest(tiny_target_table.parent / "manifest.csv")[0]
+        manifest = tmp_path / "mixed.csv"
+        write_manifest(entries[:2] + [vr] + entries[2:], manifest)
+        return manifest
+
+    MIXED_ARGV = {
+        "calibrate": ["calibrate", "--rate-hz", 250, "--grid", "0.05:0.45:0.2", "--seed", 3],
+        "degrade-baseline": ["degrade", "--model", "baseline", "--sigma0-sq", 0.13,
+                             "--rate-hz", 250, "--seed", 5],
+    }
+
+    @pytest.mark.parametrize("command", sorted(MIXED_ARGV))
+    def test_recording_at_target_rate_skipped_in_one_and_two_processes(
+            self, tiny_source, tiny_target_table, tmp_path, use_workers, caplog, command):
+        # a source no faster than the target rate fails in the transform: it
+        # fails the run naming the recording, and --skip-bad skips it alone
+        manifest = self.mixed_rate_manifest(tiny_source, tiny_target_table, tmp_path)
+        out = tmp_path / "out"
+        argv = self.MIXED_ARGV[command] + ["--manifest", manifest, "--out", out]
+        reason = "target rate 250.0 Hz must be below the source rate 250.0 Hz"
+        seen = []
+        for n in (1, 2):
+            use_workers(n)
+            caplog.clear()
+            with caplog.at_level("ERROR"):
+                assert run(argv) == 1
+            errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+            assert errors == [f"vr-like_0000: {reason}"]
+            assert not (out if command == "calibrate" else out / "manifest.csv").exists()
+            caplog.clear()
+            with caplog.at_level("WARNING"):
+                assert run(argv + ["--skip-bad"]) == 0
+            skipped = [r.getMessage() for r in caplog.records
+                       if r.getMessage().startswith("skipping ")]
+            assert skipped == [f"skipping vr-like_0000: {reason}"]
+            seen.append(tree_bytes(out) if out.is_dir() else out.read_bytes())
+            if out.is_dir():
+                shutil.rmtree(out)
+            else:
+                out.unlink()
+        assert seen[0] == seen[1]
+        # the same output as the manifest without that entry
+        clean = tmp_path / "clean"
+        assert run(self.MIXED_ARGV[command] + ["--manifest", tiny_source / "manifest.csv",
+                                               "--out", clean]) == 0
+        if command == "calibrate":
+            keys = ("sigma0_sq_grid", "mad_h", "slope", "intercept")
+            with_skip, without = (json.loads(b) for b in (seen[0], clean.read_bytes()))
+            assert [with_skip[k] for k in keys] == [without[k] for k in keys]
+        else:
+            run_manifest = Path("run_manifest.json")
+            assert ({k: v for k, v in seen[0].items() if k != run_manifest}
+                    == {k: v for k, v in tree_bytes(clean).items() if k != run_manifest})
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_output_error_is_never_skipped(self, tiny_source, tmp_path, use_workers, caplog,
+                                           workers):
+        # --skip-bad skips bad recordings, not outputs that cannot be written
+        use_workers(workers)
+        out = tmp_path / "deg"
+        blocked = out / f"{read_manifest(tiny_source / 'manifest.csv')[1].recording_id}.csv"
+        blocked.mkdir(parents=True)
+        with caplog.at_level("ERROR"):
+            assert run(["degrade", "--manifest", tiny_source / "manifest.csv", "--model",
+                        "baseline", "--sigma0-sq", 0.13, "--rate-hz", 250, "--out", out,
+                        "--skip-bad"]) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].endswith(f": {str(blocked)!r}")
+        assert not (out / "manifest.csv").exists()
+        assert not (out / "run_manifest.json").exists()
 
     @pytest.mark.parametrize("bad", [False, True], ids=["success", "bad-recording"])
     @pytest.mark.parametrize("model", ["metrics", "baseline", "modified"])

@@ -798,6 +798,14 @@ class TestAtomicWrite:
         assert str(info.value) == f"[Errno 2] No such file or directory: {str(path)!r}"
         assert not (tmp_path / "missing").exists()
 
+    def test_failed_replace_names_the_path_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            atomic_write_text(path, "text")
+        assert info.value.filename == str(path) and ".tmp." not in str(info.value)
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
     def test_replaces_the_file_and_leaves_no_temp(self, tmp_path):
         path = tmp_path / "out.csv"
         path.write_text("old")

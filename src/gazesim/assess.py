@@ -9,20 +9,16 @@ over the dense distance matrix.
 """
 from __future__ import annotations
 
-import io as _io
-import csv
-import json
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .io import atomic_write_text, format_float
+from .io import format_float
 from .quantiles import quantile
 from .seeding import derive_seed
 from .types import QUALITY_FEATURES
 
-FEATURE_COLUMNS = QUALITY_FEATURES
 SUMMARY_HEADER = ("feature", "min", "d10", "d20", "d30", "d40", "d50", "d60",
                   "d70", "d80", "d90", "median", "mean", "max")
 
@@ -41,37 +37,26 @@ class ZeroVarianceWarning(UserWarning):
 def _feature_matrix(features, what: str) -> np.ndarray:
     """`features` as a float (n, 7) array, n >= 1, or ValueError."""
     features = np.asarray(features, dtype=float)
-    if features.ndim != 2 or features.shape[0] < 1 or features.shape[1] != len(FEATURE_COLUMNS):
-        raise ValueError(f"{what} must be an (n, {len(FEATURE_COLUMNS)}) feature matrix "
+    width = len(QUALITY_FEATURES)
+    if features.ndim != 2 or features.shape[0] < 1 or features.shape[1] != width:
+        raise ValueError(f"{what} must be an (n, {width}) feature matrix "
                          f"with n >= 1, got shape {features.shape}")
     return features
 
 
-@dataclass(frozen=True)
-class Standardizer:
-    """Per-column z-scoring parameters (population statistics)."""
-
-    mean: tuple
-    std: tuple
-
-    def apply(self, matrix: np.ndarray) -> np.ndarray:
-        return (np.asarray(matrix, dtype=float) - np.array(self.mean)) / np.array(self.std)
-
-
-def fit_standardizer(matrix: np.ndarray) -> Standardizer:
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] < 2:
-        raise ValueError("standardizer requires a matrix with >= 2 rows")
-    mean = matrix.mean(axis=0)
-    std = matrix.std(axis=0)
+def _standardize(real: np.ndarray, synth: np.ndarray) -> tuple:
+    """(real, synth) z-scored per column by the population mean and standard
+    deviation of the two pooled; a column with no variance is only centred."""
+    pooled = np.vstack([real, synth])
+    mean = pooled.mean(axis=0)
+    std = pooled.std(axis=0)
     flat = std == 0.0
     if flat.any():
-        names = [FEATURE_COLUMNS[i] if matrix.shape[1] == len(FEATURE_COLUMNS) else str(i)
-                 for i in np.flatnonzero(flat)]
+        names = [QUALITY_FEATURES[i] for i in np.flatnonzero(flat)]
         warnings.warn(f"zero-variance feature columns pass through unscaled: {names}",
                       ZeroVarianceWarning, stacklevel=2)
         std = np.where(flat, 1.0, std)
-    return Standardizer(mean=tuple(mean), std=tuple(std))
+    return (real - mean) / std, (synth - mean) / std
 
 
 @dataclass(frozen=True)
@@ -173,7 +158,7 @@ def repeated_assessment(real: np.ndarray, synth: np.ndarray, repeats: int = 5,
                         seed: int = 0) -> TwoSampleResult:
     """Run the 1-NN test `repeats` times on random real subsets.
 
-    `real` and `synth` are raw (n, 7) feature matrices in FEATURE_COLUMNS
+    `real` and `synth` are raw (n, 7) feature matrices in QUALITY_FEATURES
     order, such as QualityTable.features. Each repeat samples |synth| rows
     from the real set without replacement (draws depend only on seed and
     repeat index), standardizes with pooled statistics of the two sets being
@@ -197,9 +182,7 @@ def repeated_assessment(real: np.ndarray, synth: np.ndarray, repeats: int = 5,
     for r in range(repeats):
         rng = np.random.default_rng(derive_seed(seed, "repeat", r))
         idx = np.sort(rng.choice(real_raw.shape[0], size=n, replace=False))
-        real_sub = real_raw[idx]
-        scaler = fit_standardizer(np.vstack([real_sub, synth_raw]))
-        run = one_nn_two_sample(scaler.apply(real_sub), scaler.apply(synth_raw),
+        run = one_nn_two_sample(*_standardize(real_raw[idx], synth_raw),
                                 seed=derive_seed(seed, "repeat", r))
         results.append(run.per_repeat[0])
 
@@ -228,7 +211,7 @@ def distribution_summary(features: np.ndarray) -> list:
     (n, 7) feature matrix, such as QualityTable.features."""
     raw = _feature_matrix(features, "features")
     out = []
-    for j, name in enumerate(FEATURE_COLUMNS):
+    for j, name in enumerate(QUALITY_FEATURES):
         col = raw[:, j]
         out.append(FeatureSummary(
             feature=name,
@@ -241,31 +224,19 @@ def distribution_summary(features: np.ndarray) -> list:
     return out
 
 
-def summary_rows_to_csv(summaries, extra_column: tuple | None = None) -> str:
-    """CSV text for feature summaries; `extra_column` optionally prepends a
-    (name, value) label column for multi-table reports."""
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = list(SUMMARY_HEADER)
-    if extra_column is not None:
-        header.insert(0, extra_column[0])
-    writer.writerow(header)
-    for s in summaries:
-        row = ([s.feature, format_float(s.minimum)]
-               + [format_float(d) for d in s.deciles]
-               + [format_float(s.median), format_float(s.mean), format_float(s.maximum)])
-        if extra_column is not None:
-            row.insert(0, extra_column[1])
-        writer.writerow(row)
-    return buf.getvalue()
+def summary_row(summary: FeatureSummary) -> list:
+    """The SUMMARY_HEADER cells of one feature's summary."""
+    return [summary.feature, *map(format_float, (summary.minimum, *summary.deciles,
+                                                 summary.median, summary.mean,
+                                                 summary.maximum))]
 
 
-def assessment_report_dict(result: TwoSampleResult, repeats: int) -> dict:
+def assessment_report_dict(result: TwoSampleResult) -> dict:
     """JSON-compatible report following the median +/- range layout."""
     return {
         "n_per_class": result.n_per_class,
         "seed": result.seed,
-        "repeats": repeats,
+        "repeats": len(result.per_repeat),
         "combined_accuracy": {"median": result.combined_accuracy,
                               "range": result.range_of("combined")},
         "real_accuracy": {"median": result.real_accuracy,
@@ -277,8 +248,3 @@ def assessment_report_dict(result: TwoSampleResult, repeats: int) -> dict:
             for r in result.per_repeat
         ],
     }
-
-
-def write_assessment_report(result: TwoSampleResult, repeats: int, path) -> None:
-    atomic_write_text(path, json.dumps(assessment_report_dict(result, repeats),
-                                       indent=2, sort_keys=True) + "\n")

@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .degrade import _load_filter_backend, degrade_benchmark
-from .io import atomic_write_text, format_float, is_json_number, read_json_object
+from .io import format_float, is_json_number, read_json_object, write_json
 from .metrics import recording_quality
 from .pool import ordered_map
 from .seeding import derive_seed
@@ -88,7 +88,7 @@ def calibration_to_dict(calib: CalibrationCurve, provenance: dict | None = None)
 def save_calibration(calib: CalibrationCurve, path, provenance: dict | None = None) -> str:
     """Write the curve as JSON; returns the content-derived calibration id."""
     payload = calibration_to_dict(calib, provenance)
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(payload, path)
     return payload["calibration_id"]
 
 

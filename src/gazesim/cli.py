@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import hashlib
 import logging
 import math
@@ -20,15 +19,15 @@ from functools import partial
 from pathlib import Path
 
 from . import __version__
-from .assess import (distribution_summary, repeated_assessment,
-                     summary_rows_to_csv, write_assessment_report)
+from .assess import (SUMMARY_HEADER, assessment_report_dict, distribution_summary,
+                     repeated_assessment, summary_row)
 from .calibrate import (describe_curve, fit_sweep, load_calibration, save_calibration,
                         sweep_plans, sweep_recording)
 from .degrade import (_load_filter_backend, degrade_benchmark, degrade_modified,
                       plan_modified, save_plan, zero_noise_pass)
-from .io import (ManifestEntry, atomic_write_text, read_json_object,
-                 read_manifest, read_quality_table, read_recording_from_entry,
-                 write_manifest, write_quality_table, write_recording)
+from .io import (ManifestEntry, read_json_object, read_manifest, read_quality_table,
+                 read_recording_from_entry, write_csv, write_json, write_manifest,
+                 write_quality_table, write_recording)
 from .metrics import analyse_recording, recording_quality
 from .oracle import (PRESETS, corpus_indices, corpus_spec_from_json,
                      generate_corpus_recording, write_ground_truth)
@@ -84,11 +83,6 @@ def _map_corpus(manifest_path, skip_bad: bool, fn) -> list:
     return results
 
 
-def _write_run_manifest(out_dir: Path, payload: dict) -> None:
-    atomic_write_text(out_dir / "run_manifest.json",
-                      json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _synth_one(task) -> tuple:
     """Generate one recording of a corpus and write it; returns its ground
     truth and its manifest entry."""
@@ -103,15 +97,13 @@ def cmd_synth(args) -> int:
     if args.preset is not None:
         spec = PRESETS[args.preset]
         spec_label = args.preset
-    elif args.spec_file is not None:
+    else:
         payload = read_json_object(args.spec_file, "corpus spec")
         try:
             spec = corpus_spec_from_json(payload)
         except ValueError as exc:
             raise ValueError(f"{args.spec_file}: {exc}") from None
         spec_label = Path(args.spec_file).stem
-    else:
-        raise SystemExit("synth needs --preset or --spec-file")
     indices = corpus_indices(args.n)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -119,11 +111,11 @@ def cmd_synth(args) -> int:
                                     for i in indices])
     write_ground_truth([truth for truth, _ in made], out_dir / "ground_truth.csv")
     write_manifest([entry for _, entry in made], out_dir / "manifest.csv")
-    _write_run_manifest(out_dir, {
+    write_json({
         "command": "synth", "preset": spec_label, "n": args.n,
         "spec_file": str(args.spec_file) if args.spec_file else None,
         "seed": args.seed, "version": __version__,
-    })
+    }, out_dir / "run_manifest.json")
     print(f"wrote {len(made)} recordings to {out_dir}")
     return 0
 
@@ -262,7 +254,7 @@ def cmd_degrade(args) -> int:
                                       out_dir=out_dir, provenance=provenance))
     write_manifest([ManifestEntry(rid, rid + ".csv", "canonical", args.rate_hz)
                     for rid in written], out_dir / "manifest.csv")
-    _write_run_manifest(out_dir, {
+    write_json({
         "command": "degrade", "model": args.model, "seed": args.seed,
         "rate_hz": args.rate_hz, "sigma0_sq": sigma0_sq,
         "manifest": str(args.manifest),
@@ -270,7 +262,7 @@ def cmd_degrade(args) -> int:
         "calibration": str(args.calibration) if args.calibration else None,
         "jitter_correction": args.jitter_correction,
         "version": __version__,
-    })
+    }, out_dir / "run_manifest.json")
     print(f"wrote {len(written)} degraded recordings to {out_dir}")
     return 0
 
@@ -279,7 +271,7 @@ def cmd_assess(args) -> int:
     real = read_quality_table(args.real_table).features
     synth = read_quality_table(args.synth_table).features
     result = repeated_assessment(real, synth, repeats=args.repeats, seed=args.seed)
-    write_assessment_report(result, args.repeats, args.out)
+    write_json(assessment_report_dict(result), args.out)
     print(f"combined 1-NN accuracy: {100 * result.combined_accuracy:.1f}% "
           f"+/- {100 * result.range_of('combined'):.1f}% "
           f"(real {100 * result.real_accuracy:.1f}%, "
@@ -288,15 +280,14 @@ def cmd_assess(args) -> int:
 
 
 def cmd_report(args) -> int:
-    chunks = []
-    for i, table in enumerate(args.tables):
-        summaries = distribution_summary(read_quality_table(table).features)
-        if len(args.tables) == 1:
-            chunks.append(summary_rows_to_csv(summaries))
-        else:
-            text = summary_rows_to_csv(summaries, extra_column=("table", Path(table).stem))
-            chunks.append(text if i == 0 else text.split("\n", 1)[1])
-    atomic_write_text(args.out, chunks)
+    # several tables share one header; each row leads with its table's stem
+    several = len(args.tables) > 1
+    rows = []
+    for table in args.tables:
+        label = [Path(table).stem] if several else []
+        rows += [label + summary_row(summary)
+                 for summary in distribution_summary(read_quality_table(table).features)]
+    write_csv(("table", *SUMMARY_HEADER) if several else SUMMARY_HEADER, rows, args.out)
     print(f"wrote distribution summary for {len(args.tables)} table(s) to {args.out}")
     return 0
 
@@ -311,9 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate an oracle corpus")
-    p.add_argument("--preset", choices=sorted(PRESETS), default=None)
-    p.add_argument("--spec-file", default=None,
-                   help="JSON corpus spec (alternative to --preset)")
+    spec = p.add_mutually_exclusive_group(required=True)
+    spec.add_argument("--preset", choices=sorted(PRESETS), default=None)
+    spec.add_argument("--spec-file", default=None,
+                      help="JSON corpus spec (alternative to --preset)")
     p.add_argument("--n", type=int, required=True, help="number of recordings")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")

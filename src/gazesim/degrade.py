@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import importlib
-import json
 import math
 from dataclasses import MISSING, fields
 
@@ -35,7 +34,7 @@ from .metrics import RecordingAnalysis
 from .quantiles import percentile_rank, quantile
 from .types import (CalibrationCurve, DegradationPlan, GazeRecording, QualityTable,
                     QualityVector)
-from .io import atomic_write_text, is_json_number, read_json_object
+from .io import is_json_number, read_json_object, write_json
 
 __all__ = [
     "lowpass_zero_phase", "resample_spline",
@@ -377,8 +376,7 @@ def plan_to_dict(plan: DegradationPlan, provenance: dict | None = None) -> dict:
 
 
 def save_plan(plan: DegradationPlan, path, provenance: dict | None = None) -> None:
-    atomic_write_text(path, json.dumps(plan_to_dict(plan, provenance),
-                                       indent=2, sort_keys=True) + "\n")
+    write_json(plan_to_dict(plan, provenance), path)
 
 
 def load_plan(path) -> DegradationPlan:

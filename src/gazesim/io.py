@@ -1,4 +1,5 @@
-"""Read and write recordings, quality tables, and corpus manifests.
+"""Read and write recordings, quality tables, corpus manifests and JSON
+documents: every file gazesim writes is encoded here.
 
 The canonical recording format is a UTF-8 CSV with header
 ``t_ms,gaze_x_dva,gaze_y_dva,tgt_x_dva,tgt_y_dva``. Missing gaze cells are
@@ -74,6 +75,12 @@ def write_csv(header, rows, path) -> None:
     writer.writerow(header)
     writer.writerows(rows)
     atomic_write_text(path, buf.getvalue())
+
+
+def write_json(payload, path) -> None:
+    """Write a JSON document with sorted keys, a 2-space indent and a final
+    newline (atomic replace)."""
+    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def is_json_number(value) -> bool:

@@ -69,8 +69,9 @@ class GazeRecording:
             if not finite.all():
                 i = int(np.flatnonzero(~finite)[0])
                 raise ValueError(f"non-finite target {name} at index {i}")
-        if not self.nominal_rate_hz > 0:
-            raise ValueError(f"nominal_rate_hz must be positive, got {self.nominal_rate_hz}")
+        if not (math.isfinite(self.nominal_rate_hz) and self.nominal_rate_hz > 0):
+            raise ValueError(f"nominal_rate_hz must be positive and finite, "
+                             f"got {self.nominal_rate_hz}")
 
     @property
     def n_samples(self) -> int:

@@ -6,12 +6,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist
 
-from gazesim.assess import (FEATURE_COLUMNS, ZeroVarianceWarning,
-                            assessment_report_dict, distribution_summary,
-                            fit_standardizer, one_nn_two_sample, repeated_assessment,
-                            summary_rows_to_csv, _nearest_other)
+from gazesim.assess import (ZeroVarianceWarning, assessment_report_dict,
+                            distribution_summary, one_nn_two_sample, repeated_assessment,
+                            _nearest_other, _standardize)
 from gazesim.quantiles import quantile
-from gazesim.types import QualityVector
+from gazesim.types import QUALITY_FEATURES, QualityVector
 
 
 def qv_from_features(values):
@@ -37,24 +36,19 @@ def random_qv(rng):
 
 
 class TestFeatureMatrix:
-    def test_requires_two_rows(self):
-        with pytest.raises(ValueError, match=">= 2 rows"):
-            fit_standardizer(feature_rows([random_qv(np.random.default_rng(0))]))
-
     def test_identical_vectors_warn_zero_variance(self):
         v = random_qv(np.random.default_rng(1))
-        raw = feature_rows([v, v])
+        raw = feature_rows([v])
         with pytest.warns(ZeroVarianceWarning):
-            scaler = fit_standardizer(raw)
-        assert np.allclose(scaler.apply(raw), 0.0)
+            z_real, z_synth = _standardize(raw, raw)
+        assert np.allclose(z_real, 0.0) and np.allclose(z_synth, 0.0)
 
     def test_pooled_standardization_centers_union(self):
         rng = np.random.default_rng(2)
         a = [random_qv(rng) for _ in range(20)]
         b = [random_qv(rng) for _ in range(30)]
         raw_a, raw_b = feature_rows(a), feature_rows(b)
-        scaler = fit_standardizer(np.vstack([raw_a, raw_b]))
-        union = np.vstack([scaler.apply(raw_a), scaler.apply(raw_b)])
+        union = np.vstack(_standardize(raw_a, raw_b))
         np.testing.assert_allclose(union.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(union.std(axis=0), 1.0, atol=1e-12)
 
@@ -62,7 +56,7 @@ class TestFeatureMatrix:
         v = qv_from_features([1, 2, 2.5, 0.1, 0.2, float(np.hypot(0.1, 0.2)), 7])
         raw = feature_rows([v])
         assert raw[0].tolist() == [1, 2, 2.5, 0.1, 0.2, np.hypot(0.1, 0.2), 7]
-        assert FEATURE_COLUMNS[0] == "acc_h" and FEATURE_COLUMNS[-1] == "temporal_prec_ms"
+        assert QUALITY_FEATURES[0] == "acc_h" and QUALITY_FEATURES[-1] == "temporal_prec_ms"
 
 
 def dense_neighbors(real, synth):
@@ -210,12 +204,8 @@ class TestOneNN:
         raw_a, raw_b = feature_rows(a), feature_rows(b)
         scale = rng.uniform(0.5, 3.0, size=7)
         shift = rng.normal(size=7)
-        scaler1 = fit_standardizer(np.vstack([raw_a, raw_b]))
-        scaler2 = fit_standardizer(np.vstack([raw_a * scale + shift,
-                                              raw_b * scale + shift]))
-        za1, zb1 = scaler1.apply(raw_a), scaler1.apply(raw_b)
-        za2 = scaler2.apply(raw_a * scale + shift)
-        zb2 = scaler2.apply(raw_b * scale + shift)
+        za1, zb1 = _standardize(raw_a, raw_b)
+        za2, zb2 = _standardize(raw_a * scale + shift, raw_b * scale + shift)
         np.testing.assert_allclose(za1, za2, atol=1e-10)
         r1 = one_nn_two_sample(za1, zb1)
         r2 = one_nn_two_sample(za2, zb2)
@@ -274,8 +264,8 @@ class TestRepeatedAssessment:
         real = feature_rows([random_qv(rng) for _ in range(20)])
         synth = feature_rows([random_qv(rng) for _ in range(10)])
         result = repeated_assessment(real, synth, repeats=3, seed=0)
-        report = assessment_report_dict(result, repeats=3)
-        assert report["n_per_class"] == 10
+        report = assessment_report_dict(result)
+        assert report["n_per_class"] == 10 and report["repeats"] == 3
         assert len(report["per_repeat"]) == 3
         assert set(report["combined_accuracy"]) == {"median", "range"}
         assert report["combined_accuracy"]["range"] == pytest.approx(
@@ -302,17 +292,3 @@ class TestDistributionSummary:
         assert summary.deciles[-1] == pytest.approx(quantile(values, 0.9)) == 9.1
         assert summary.mean == 5.5
         assert summary.minimum == 1.0 and summary.maximum == 10.0
-
-    def test_csv_header(self):
-        v = random_qv(np.random.default_rng(15))
-        text = summary_rows_to_csv(distribution_summary(feature_rows([v, v, v])))
-        assert text.splitlines()[0] == ("feature,min,d10,d20,d30,d40,d50,d60,d70,"
-                                        "d80,d90,median,mean,max")
-        assert len(text.splitlines()) == 1 + len(FEATURE_COLUMNS)
-
-    def test_csv_with_table_column(self):
-        v = random_qv(np.random.default_rng(16))
-        text = summary_rows_to_csv(distribution_summary(feature_rows([v, v])),
-                                   extra_column=("table", "runA"))
-        assert text.splitlines()[0].startswith("table,feature,")
-        assert text.splitlines()[1].startswith("runA,acc_h,")

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -8,15 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gazesim.calibrate import load_calibration
+from gazesim.calibrate import load_calibration, save_calibration
 from gazesim.cli import _hash_quality_table, main
-from gazesim.degrade import degrade_modified, load_plan
+from gazesim.degrade import degrade_modified, load_plan, save_plan
 from gazesim.io import (ManifestEntry, read_manifest, read_quality_table,
                         read_recording_from_entry, recording_to_csv,
                         write_manifest, write_quality_table, write_recording)
 from gazesim.metrics import analyse_recording
 from gazesim.quantiles import quantile
-from gazesim.types import QualityTable, QualityVector
+from gazesim.types import CalibrationCurve, DegradationPlan, QualityTable, QualityVector
 
 from conftest import make_recording
 
@@ -140,9 +141,22 @@ class TestSynth:
         assert f"{spec_path}: " in caplog.text and message in caplog.text
         assert not out.exists()
 
-    def test_synth_needs_preset_or_spec_file(self, tmp_path):
-        with pytest.raises(SystemExit, match="preset or"):
-            run(["synth", "--n", "1", "--out", tmp_path])
+    def test_synth_needs_preset_or_spec_file(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run(["synth", "--n", "1", "--out", tmp_path / "corpus"])
+        assert exit_info.value.code == 2
+        assert "one of the arguments --preset --spec-file is required" in capsys.readouterr().err
+        assert not (tmp_path / "corpus").exists()
+
+    def test_synth_rejects_preset_with_spec_file(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(self.GOOD_SPEC))
+        with pytest.raises(SystemExit) as exit_info:
+            run(["synth", "--preset", "vr-like", "--spec-file", spec_path, "--n", "1",
+                 "--out", tmp_path / "corpus"])
+        assert exit_info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "corpus").exists()
 
 
 class TestMetrics:
@@ -650,6 +664,31 @@ class TestAssessAndReport:
         assert lines[0].startswith("table,feature,")
         assert len(lines) == 1 + 2 * 7
 
+    @staticmethod
+    def constant_table(path):
+        """A quality table of three recordings with equal features."""
+        qv = QualityVector(0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 3)
+        write_quality_table(QualityTable.from_rows([(f"r{i}", qv) for i in range(3)]), path)
+        return path
+
+    def test_report_csv_header(self, tmp_path):
+        out = tmp_path / "summary.csv"
+        assert run(["report", self.constant_table(tmp_path / "q.csv"), "--out", out]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "feature,min,d10,d20,d30,d40,d50,d60,d70,d80,d90,median,mean,max"
+        assert len(lines) == 1 + 7
+        assert lines[1].startswith("acc_h,0.1,") and len(lines[1].split(",")) == 14
+
+    def test_report_csv_with_table_column(self, tmp_path):
+        out = tmp_path / "summary.csv"
+        tables = [self.constant_table(tmp_path / f"{name}.csv") for name in ("runA", "runB")]
+        assert run(["report", *tables, "--out", out]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == ("table,feature,min,d10,d20,d30,d40,d50,d60,d70,d80,d90,"
+                            "median,mean,max")
+        assert len(lines) == 1 + 2 * 7
+        assert lines[1].startswith("runA,acc_h,") and lines[8].startswith("runB,acc_h,")
+
     def test_missing_output_directory_names_the_path(self, tiny_target_table, tmp_path,
                                                      caplog):
         out = tmp_path / "missing" / "summary.csv"
@@ -717,14 +756,21 @@ class TestGoldenCorpusHashes:
 
 
 class TestGoldenDigests:
-    """SHA-256 of the assess JSON and the report CSV on a fixed pair of small
+    """SHA-256 of the assess JSON and the report CSVs on a fixed pair of small
     quality tables, pinned so that a change to how tables are read and fed
-    to the assessment cannot move a single output byte."""
+    to the assessment cannot move a single output byte; and of a plan, a
+    calibration and synth's run manifest, pinned so that a change to how
+    JSON documents are written cannot either."""
 
     TABLES = {"real": "84a513a19a9be329a0944ca12d2c688bde62d54f5f99b8804703b752f0beeb47",
               "synth": "743129d61adae3ce8e2b3e555e734f4ecb57be898630de3ec4216d55c1b24d11"}
     ASSESS = "871e0359cc26ad2ca3c069914935e76b3c978f358907d33205826a329b619d07"
     REPORT = "6670281f1a0f95d4d17cc062bda636f186665e9f60b7bbb209c6b52f0c9ade5d"
+    REPORT_ONE = "fff17cf14c65039cdc83c1938b05b3d3334ddc92806d0d040a68bed06c6c9cfb"
+    PLAN = "e4c1d63c8547ec1cfb243a58c5780a1fdf1c1ef6f85649f6c69e4f029c5c6191"
+    CALIBRATION = "98f5b690f0e0e45007888016170416108cb390709a4c62d956b0dbb1e82a2df4"
+    SYNTH_RUN = {"preset": "f207f9d0e35c5b0541ad24ddf867b80774e37211cbdbe081a5952763127bfad5",
+                 "spec-file": "658b92a03abde567f8f86eb3a42ccf62543001119bd0d2e9f35aaebee79885f4"}
 
     @staticmethod
     def table_text(rng, name, n, scale):
@@ -767,6 +813,38 @@ class TestGoldenDigests:
         out = tmp_path / "summary.csv"
         assert run(["report", tables["real"], tables["synth"], "--out", out]) == 0
         assert self.digest(out) == self.REPORT
+
+    def test_single_table_report_csv_unchanged(self, tables, tmp_path):
+        out = tmp_path / "summary.csv"
+        assert run(["report", tables["real"], "--out", out]) == 0
+        assert self.digest(out) == self.REPORT_ONE
+
+    def test_plan_json_unchanged(self, tmp_path):
+        path = tmp_path / "r.plan.json"
+        save_plan(DegradationPlan(250.0, 0.13, acc_offset_h=0.25, acc_offset_v=0.0625,
+                                  jitter_sigma_ms=1.5, rng_seed=12345), path,
+                  {"model": "modified", "calibration_id": "0123456789abcdef",
+                   "target_corpus_hash": "f52250d519ce57bd", "source_corpus_hash": None})
+        assert self.digest(path) == self.PLAN
+
+    def test_calibration_json_unchanged(self, tmp_path):
+        path = tmp_path / "calib.json"
+        curve = CalibrationCurve(samples=((0.05, 0.11), (0.25, 0.19), (0.45, 0.31)),
+                                 slope=0.5, intercept=0.08)
+        save_calibration(curve, path, {"manifest": "source/manifest.csv",
+                                       "target_rate_hz": 250.0, "seed": 33,
+                                       "grid": "0.05:0.45:0.2", "version": "0.1.0"})
+        assert self.digest(path) == self.CALIBRATION
+
+    @pytest.mark.parametrize("source", sorted(SYNTH_RUN))
+    def test_synth_run_manifest_unchanged(self, tmp_path, monkeypatch, source):
+        # relative paths, as the run manifest records them as given
+        monkeypatch.chdir(tmp_path)
+        Path("short.json").write_text(json.dumps({
+            "rate_hz": 500.0, "n_targets": 3, "dwell_ms": 1000.0, "noise_sigma": 0.05}))
+        spec = ["--preset", "vr-like"] if source == "preset" else ["--spec-file", "short.json"]
+        assert run(["synth", *spec, "--n", 1, "--seed", 8, "--out", "corpus"]) == 0
+        assert self.digest("corpus/run_manifest.json") == self.SYNTH_RUN[source]
 
 
 class TestWorkerProcesses:
@@ -919,6 +997,41 @@ class TestWorkerProcesses:
             run_manifest = Path("run_manifest.json")
             assert ({k: v for k, v in seen[0].items() if k != run_manifest}
                     == {k: v for k, v in tree_bytes(clean).items() if k != run_manifest})
+
+    def test_infinite_rate_fails_or_is_skipped_in_one_and_two_processes(
+            self, tiny_target_table, tmp_path, use_workers, caplog):
+        # a recording needs a finite rate: one that is not fails the run
+        # naming its file, and --skip-bad skips it alone
+        entries = read_manifest(tiny_target_table.parent / "manifest.csv")
+        bad = entries[1] = dataclasses.replace(entries[1], rate_hz=float("inf"))
+        manifest = tmp_path / "inf.csv"
+        write_manifest(entries, manifest)
+        out = tmp_path / "q.csv"
+        reason = f"{bad.path}: nominal_rate_hz must be positive and finite, got inf"
+        seen = []
+        for n in (1, 2):
+            use_workers(n)
+            caplog.clear()
+            with caplog.at_level("ERROR"):
+                assert run(["metrics", "--manifest", manifest, "--out", out]) == 1
+            errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+            assert errors == [reason]
+            assert not out.exists()
+            caplog.clear()
+            with caplog.at_level("WARNING"):
+                assert run(["metrics", "--manifest", manifest, "--out", out,
+                            "--skip-bad"]) == 0
+            skipped = [r.getMessage() for r in caplog.records
+                       if r.getMessage().startswith("skipping ")]
+            assert skipped == [f"skipping {bad.recording_id}: {reason}"]
+            seen.append(out.read_bytes())
+            out.unlink()
+        assert seen[0] == seen[1]
+        # the other recordings measure as they do in the whole corpus
+        (out.parent / "kept.csv").write_bytes(seen[0])
+        assert list(read_quality_table(out.parent / "kept.csv").rows_by_id()) == [
+            row for row in read_quality_table(tiny_target_table).rows_by_id()
+            if row[0] != bad.recording_id]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_output_error_is_never_skipped(self, tiny_source, tmp_path, use_workers, caplog,

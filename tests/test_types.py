@@ -64,7 +64,7 @@ class TestValidateRecording:
            target_fault=st.sampled_from([None, np.nan, np.inf, -np.inf]),
            channel=st.sampled_from(["tgt_x", "tgt_y"]),
            tgt_length=st.one_of(st.none(), st.integers(0, 9)),
-           rate=st.sampled_from([250.0, 1e-3, 0.0, -5.0, np.nan]))
+           rate=st.sampled_from([250.0, 1e-3, 0.0, -5.0, np.nan, np.inf]))
     def test_builds_exactly_when_invariants_hold(self, data, n, steps, stamp_fault,
                                                  target_fault, channel, tgt_length, rate):
         t = np.cumsum(steps[:n]) - 3.0
@@ -96,8 +96,8 @@ class TestValidateRecording:
             expected = f"non-monotone at index {non_increasing[0] + 1}$"
         elif bad_target.size:
             expected = f"non-finite target {channel} at index {bad_target[0]}$"
-        elif not rate > 0:
-            expected = "nominal_rate_hz must be positive"
+        elif not (np.isfinite(rate) and rate > 0):
+            expected = f"nominal_rate_hz must be positive and finite, got {float(rate)}$"
         else:
             expected = None
         targets = {"tgt_x": np.zeros(n), "tgt_y": np.zeros(n), channel: tgt}
@@ -186,12 +186,10 @@ class TestQualityVector:
         assert type(qv.n_fixations_used) is int and qv.n_fixations_used == 3
 
     def test_one_feature_list(self):
-        from gazesim.assess import FEATURE_COLUMNS
         from gazesim.io import QUALITY_HEADER
         names = [f.name for f in dataclasses.fields(QualityVector)]
         assert names == [*QUALITY_FEATURES, "n_fixations_used"]
         assert QUALITY_HEADER == ("recording_id", *QUALITY_FEATURES, "n_fixations_used")
-        assert FEATURE_COLUMNS == QUALITY_FEATURES
         qv = QualityVector(0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 3)
         assert qv.as_tuple() == (0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6)
 

@@ -3,9 +3,11 @@
 Subcommands wire the library into reproducible pipelines: synth (oracle
 corpora), metrics (quality tables), calibrate (noise-variance sweep),
 degrade (baseline or modified transform), assess (1-NN two-sample test),
-and report (distribution summaries). Every command takes one master seed;
-all internal seeds derive from it and the recording ids, so reruns are
-byte-identical. Outputs are plain CSV/JSON written atomically.
+and report (distribution summaries). synth, calibrate, degrade and assess
+take one master seed; all their internal seeds derive from it and the
+recording ids, so reruns are byte-identical. metrics and report draw no
+random numbers and take no seed. Outputs are plain CSV/JSON written
+atomically.
 """
 from __future__ import annotations
 

@@ -24,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .types import QUALITY_FEATURES, GazeRecording, QualityTable, QualityVector
+from .types import (QUALITY_FEATURES, GazeRecording, QualityTable, QualityVector,
+                    check_rate_hz)
 
 RECORDING_HEADER = ("t_ms", "gaze_x_dva", "gaze_y_dva", "tgt_x_dva", "tgt_y_dva")
 QUALITY_HEADER = ("recording_id", *QUALITY_FEATURES, "n_fixations_used")
@@ -252,7 +253,8 @@ def read_recording(path, format_tag: str = "canonical", nominal_rate_hz: float =
     Empty or NaN gaze cells are flagged missing, not dropped. Columns are
     matched by their whitespace-stripped header names. Malformed rows abort
     the read with a message naming the 1-based file line; blank lines are
-    skipped but counted.
+    skipped but counted. A nominal rate that is not positive and finite
+    fails before the file is opened.
     """
     if format_tag not in _LAYOUTS:
         raise ValueError(f"unknown format_tag {format_tag!r} (expected one of {FORMAT_TAGS})")
@@ -260,6 +262,10 @@ def read_recording(path, format_tag: str = "canonical", nominal_rate_hz: float =
     path = Path(path)
     if recording_id is None:
         recording_id = path.stem
+    try:
+        check_rate_hz(nominal_rate_hz)  # before timestamps are made from it
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
     with _open_csv(path) as fh:
         reader = csv.reader(fh)
@@ -432,16 +438,25 @@ class ManifestEntry:
     rate_hz: float
 
 
+# characters a recording_id may not hold: ids name output files, as
+# <out>/<id>.csv, which must stay inside <out>
+_PATH_SEPARATORS = tuple(sep for sep in ("/", os.sep, os.altsep) if sep)
+
+
 def read_manifest(path) -> list:
     """Read a corpus manifest; relative entry paths resolve against the
-    manifest's own directory."""
+    manifest's own directory. A recording_id must be a plain file name (not
+    empty, '.' or '..', and with no path separator) and unique."""
     path = Path(path)
     entries = []
     seen = set()
     for line, (rid, entry_path, tag, rate_hz) in _table_rows(path, MANIFEST_HEADER,
                                                               "manifest"):
+        if rid in ("", ".", "..") or any(sep in rid for sep in _PATH_SEPARATORS):
+            raise ValueError(f"{path}: recording_id {rid!r} at line {line} is not a "
+                             f"plain file name")
         if rid in seen:
-            raise ValueError(f"{path}: duplicate recording_id {rid!r}")
+            raise ValueError(f"{path}: duplicate recording_id {rid!r} at line {line}")
         seen.add(rid)
         if tag not in FORMAT_TAGS:
             raise ValueError(f"{path}: unknown format_tag {tag!r} for {rid!r}")

@@ -30,6 +30,13 @@ def _readonly_f64(values) -> np.ndarray:
     return arr
 
 
+def check_rate_hz(rate_hz: float) -> None:
+    """Raise ValueError unless a recording's nominal rate is positive and
+    finite."""
+    if not (math.isfinite(rate_hz) and rate_hz > 0):
+        raise ValueError(f"nominal_rate_hz must be positive and finite, got {rate_hz}")
+
+
 @dataclass(frozen=True, eq=False)
 class GazeRecording:
     """One recording: timestamped gaze and stimulus-target traces, checked
@@ -69,9 +76,7 @@ class GazeRecording:
             if not finite.all():
                 i = int(np.flatnonzero(~finite)[0])
                 raise ValueError(f"non-finite target {name} at index {i}")
-        if not (math.isfinite(self.nominal_rate_hz) and self.nominal_rate_hz > 0):
-            raise ValueError(f"nominal_rate_hz must be positive and finite, "
-                             f"got {self.nominal_rate_hz}")
+        check_rate_hz(self.nominal_rate_hz)
 
     @property
     def n_samples(self) -> int:

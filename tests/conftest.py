@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,12 @@ def piecewise_recording(dwells_ms, targets, latency_ms=0.0, rate_hz=1000.0,
     gy = pos[gaze_idx, 1] + rng.standard_normal(n) * noise
     return make_recording(t, gx, gy, pos[tgt_idx, 0], pos[tgt_idx, 1],
                           rate_hz=rate_hz, recording_id=recording_id)
+
+
+def tree_bytes(root):
+    """The bytes of every file under root, by path relative to it."""
+    return {p.relative_to(root): p.read_bytes()
+            for p in sorted(Path(root).rglob("*")) if p.is_file()}
 
 
 @pytest.fixture

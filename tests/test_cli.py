@@ -19,7 +19,7 @@ from gazesim.metrics import analyse_recording
 from gazesim.quantiles import quantile
 from gazesim.types import CalibrationCurve, DegradationPlan, QualityTable, QualityVector
 
-from conftest import make_recording
+from conftest import make_recording, tree_bytes
 
 
 def run(argv):
@@ -42,11 +42,6 @@ def manifest_plus_flat(tiny_source, tmp_path):
     flat = tmp_path / "flat.csv"
     write_recording(make_recording(np.arange(float(n)), np.zeros(n), np.zeros(n)), flat)
     return manifest_plus(tiny_source, tmp_path, "flat", flat)
-
-
-def tree_bytes(root):
-    return {p.relative_to(root): p.read_bytes()
-            for p in sorted(Path(root).rglob("*")) if p.is_file()}
 
 
 @pytest.fixture(scope="module")
@@ -562,6 +557,23 @@ class TestDegrade:
         assert "--sigma0-sq applies to the baseline model only" in caplog.text
         assert reads == [] and not out.exists()
 
+    @pytest.mark.parametrize("model", ["baseline", "modified"])
+    def test_recording_id_cannot_write_outside_out(self, tiny_source, tiny_target_table,
+                                                   tiny_calibration, tmp_path, caplog, model):
+        entries = read_manifest(tiny_source / "manifest.csv")
+        entries[0] = dataclasses.replace(entries[0], recording_id="../escaped")
+        manifest = tmp_path / "in" / "manifest.csv"
+        manifest.parent.mkdir()
+        write_manifest(entries, manifest)
+        argv = self.modified_argv(manifest, tiny_target_table, tiny_calibration,
+                                  tmp_path / "out" / "deg")
+        argv[argv.index("--model") + 1] = model
+        with caplog.at_level("ERROR"):
+            assert run(argv + ["--skip-bad"]) == 1
+        assert (f"{manifest}: recording_id '../escaped' at line 2 is not a plain file name"
+                in caplog.text)
+        assert [p for p in (tmp_path / "out").rglob("*") if p.is_file()] == []
+
     @pytest.mark.parametrize("how", ["given", "calibration", "modified"])
     def test_run_manifest_records_the_sigma0_sq_used(
             self, tiny_source, tiny_target_table, tiny_calibration, tmp_path, how):
@@ -851,39 +863,6 @@ class TestWorkerProcesses:
     """Outputs, skip logs and errors are the same in one process and in two:
     each run writes under the same path, since manifests record paths."""
 
-    def readme_pipeline(self, root):
-        steps = [
-            ["synth", "--preset", "eyelink-like", "--n", 2, "--seed", 11, "--out", root / "source"],
-            ["synth", "--preset", "vr-like", "--n", 3, "--seed", 22, "--out", root / "target"],
-            ["metrics", "--manifest", root / "source" / "manifest.csv",
-             "--out", root / "source_quality.csv"],
-            ["metrics", "--manifest", root / "target" / "manifest.csv",
-             "--out", root / "target_quality.csv"],
-            ["calibrate", "--manifest", root / "source" / "manifest.csv", "--rate-hz", 250,
-             "--grid", "0.05:0.45:0.2", "--seed", 33, "--out", root / "calib.json"],
-            ["degrade", "--manifest", root / "source" / "manifest.csv", "--model", "baseline",
-             "--sigma0-sq", 0.13, "--rate-hz", 250, "--seed", 5, "--out", root / "baseline"],
-            ["degrade", "--manifest", root / "source" / "manifest.csv", "--model", "modified",
-             "--target-table", root / "target_quality.csv", "--calibration", root / "calib.json",
-             "--rate-hz", 250, "--seed", 5, "--jitter-correction", "on",
-             "--out", root / "modified"],
-            ["metrics", "--manifest", root / "modified" / "manifest.csv",
-             "--out", root / "synth_quality.csv"],
-        ]
-        for argv in steps:
-            assert run(argv) == 0, argv[0]
-        return tree_bytes(root)
-
-    def test_readme_pipeline_identical_in_one_and_two_processes(self, tmp_path, use_workers):
-        root = tmp_path / "work"
-        trees = []
-        for n in (1, 2):
-            use_workers(n)
-            trees.append(self.readme_pipeline(root))
-            shutil.rmtree(root)
-        assert len(trees[0]) == 27
-        assert trees[0] == trees[1]
-
     @staticmethod
     def manifest_with_bad_middle(tiny_source, tmp_path):
         """The tiny source corpus with an unreadable recording and one that
@@ -998,16 +977,25 @@ class TestWorkerProcesses:
             assert ({k: v for k, v in seen[0].items() if k != run_manifest}
                     == {k: v for k, v in tree_bytes(clean).items() if k != run_manifest})
 
+    @pytest.mark.parametrize("time_column", [True, False], ids=["t_ms", "no-t_ms"])
+    @pytest.mark.parametrize("rate", ["inf", "0", "-5", "nan"])
     def test_infinite_rate_fails_or_is_skipped_in_one_and_two_processes(
-            self, tiny_target_table, tmp_path, use_workers, caplog):
-        # a recording needs a finite rate: one that is not fails the run
-        # naming its file, and --skip-bad skips it alone
+            self, tiny_target_table, tmp_path, use_workers, caplog, rate, time_column):
+        # a recording needs a positive, finite rate: one that is not fails the
+        # run naming its file, and --skip-bad skips it alone; a file without
+        # a time column fails the same way, before timestamps are made from it
         entries = read_manifest(tiny_target_table.parent / "manifest.csv")
-        bad = entries[1] = dataclasses.replace(entries[1], rate_hz=float("inf"))
-        manifest = tmp_path / "inf.csv"
+        bad = entries[1]
+        if not time_column:
+            untimed = tmp_path / "untimed.csv"
+            untimed.write_text("".join(line.split(",", 1)[1] + "\n"
+                                       for line in Path(bad.path).read_text().splitlines()))
+            bad = dataclasses.replace(bad, path=str(untimed))
+        bad = entries[1] = dataclasses.replace(bad, rate_hz=float(rate))
+        manifest = tmp_path / "bad_rate.csv"
         write_manifest(entries, manifest)
         out = tmp_path / "q.csv"
-        reason = f"{bad.path}: nominal_rate_hz must be positive and finite, got inf"
+        reason = f"{bad.path}: nominal_rate_hz must be positive and finite, got {float(rate)}"
         seen = []
         for n in (1, 2):
             use_workers(n)

@@ -829,7 +829,20 @@ class TestManifest:
         path = tmp_path / "m.csv"
         path.write_text("recording_id,path,format_tag,rate_hz\n"
                         "a,x.csv,canonical,1000\na,y.csv,canonical,1000\n")
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: duplicate "
+                                             r"recording_id 'a' at line 3$"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize("rid", ["", ".", "..", "../escaped", "sub/id"],
+                             ids=["empty", "dot", "dot-dot", "parent", "subdirectory"])
+    def test_recording_id_must_be_a_plain_file_name(self, tmp_path, rid):
+        # an id names its output files, which must stay in the output directory
+        path = tmp_path / "m.csv"
+        path.write_text("recording_id,path,format_tag,rate_hz\nb,y.csv,canonical,1000\n"
+                        f"{rid},a.csv,canonical,1000\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: recording_id "
+                                             rf"{re.escape(repr(rid))} at line 3 is not a "
+                                             r"plain file name$"):
             read_manifest(path)
 
     def test_non_utf8_byte(self, tmp_path):

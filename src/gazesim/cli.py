@@ -193,13 +193,11 @@ def _degrade_baseline(rec, plan: DegradationPlan, seed: int, out_dir: Path,
     return _write_degraded(degrade_benchmark(rec, plan), plan, out_dir, provenance)
 
 
-def _transform_and_write(task, out_dir: Path, provenance: dict,
-                         jitter_correction: bool) -> str:
+def _transform_and_write(task, out_dir: Path, provenance: dict) -> str:
     """Degrade one (recording, plan, analysis) task by the modified model
     and write it."""
     rec, plan, analysis = task
-    degraded = degrade_modified(rec, plan, analysis, jitter_correction=jitter_correction)
-    return _write_degraded(degraded, plan, out_dir, provenance)
+    return _write_degraded(degrade_modified(rec, plan, analysis), plan, out_dir, provenance)
 
 
 def cmd_degrade(args) -> int:
@@ -246,8 +244,7 @@ def cmd_degrade(args) -> int:
                  for rec, qv, analysis, post_prec_c in measured]
         out_dir.mkdir(parents=True, exist_ok=True)
         written = ordered_map(partial(_transform_and_write, out_dir=out_dir,
-                                      provenance=provenance,
-                                      jitter_correction=args.jitter_correction == "on"), tasks)
+                                      provenance=provenance), tasks)
     else:
         # the baseline plan needs no corpus: read, transform and write in one task
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -262,7 +259,6 @@ def cmd_degrade(args) -> int:
         "manifest": str(args.manifest),
         "target_table": str(args.target_table) if args.target_table else None,
         "calibration": str(args.calibration) if args.calibration else None,
-        "jitter_correction": args.jitter_correction,
         "version": __version__,
     }, out_dir / "run_manifest.json")
     print(f"wrote {len(written)} degraded recordings to {out_dir}")
@@ -343,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "from --calibration with --target-table)")
     p.add_argument("--target-table", default=None, help="target corpus quality table")
     p.add_argument("--calibration", default=None, help="calibration JSON from 'calibrate'")
-    p.add_argument("--jitter-correction", choices=("on", "off"), default="off")
+    # jitter is always corrected; the flag stays only so perfbench's command line parses
+    p.add_argument("--jitter-correction", choices=("on",), default="on", help=argparse.SUPPRESS)
     p.add_argument("--skip-bad", action="store_true",
                    help="log and skip recordings that cannot be read, measured or "
                         "transformed instead of failing")

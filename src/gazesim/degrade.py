@@ -3,16 +3,16 @@
 Both transform models run one staged pipeline:
 
     [accuracy steps] -> noise -> zero-phase low-pass
-    -> nominal target grid -> [jitter + clip] -> resample
+    -> nominal target grid -> [jitter] -> clip to source span -> resample
 
 The baseline model (degrade_benchmark) runs the unbracketed stages: Gaussian
 position noise, a Butterworth low-pass at 0.8 of the target Nyquist
 frequency, and first-order-spline resampling onto the uniform target grid.
 The modified model (degrade_modified) adds the bracketed ones: per-fixation
-signed accuracy step offsets, and timestamp jitter that mimics the target's
-temporal precision. Its per-recording plan (plan_modified) percentile-matches
-the target corpus, inverting the needed precision through a calibration
-curve.
+signed accuracy step offsets, and timestamp jitter whose inter-sample
+interval std is the plan's jitter_sigma_ms, the target's temporal precision.
+Its per-recording plan (plan_modified) percentile-matches the target corpus,
+inverting the needed precision through a calibration curve.
 
 Noise is injected before the low-pass: that ordering is the one consistent
 with calibrating the noise variance against post-pipeline precision.
@@ -52,6 +52,10 @@ _CHANNEL_SHARE = 1.0 / math.sqrt(2.0)
 # fraction of the target Nyquist frequency
 _FILTER_ORDER = 2
 _CUTOFF_FRACTION = 0.8
+
+# jitter limit, in grid periods: a jitter sigma must stay below it and each
+# perturbation is clamped to it, so jittered stamps stay strictly increasing
+_JITTER_LIMIT = 0.45
 
 
 def _fill_missing_linear(x: np.ndarray) -> tuple:
@@ -126,22 +130,16 @@ def lowpass_zero_phase(rec: GazeRecording, cutoff_hz: float) -> GazeRecording:
     return rec.replace(**filtered)
 
 
-def _interp_channel(t_new: np.ndarray, t_src: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """First-order spline (linear) interpolation with explicit handling of
-    exact node hits, so resampling onto the original timestamps is the
-    identity and missing flags propagate exactly to outputs whose bracketing
-    inputs include a missing sample."""
-    out = np.interp(t_new, t_src, values)
-    left = np.searchsorted(t_src, t_new, side="left")
-    safe = np.minimum(left, t_src.size - 1)
-    hit = t_src[safe] == t_new
-    out[hit] = values[safe[hit]]
-    return out
-
-
 def resample_spline(rec: GazeRecording, new_timestamps_ms,
                     nominal_rate_hz: float | None = None) -> GazeRecording:
-    """Resample all channels onto new timestamps inside the source span."""
+    """Resample all channels onto new timestamps inside the source span by
+    first-order spline (linear) interpolation, np.interp per channel.
+
+    A new stamp equal to a source stamp takes that sample's values, so
+    resampling onto the source timestamps is the identity. A new stamp
+    strictly between two source stamps is missing (NaN) when either of
+    them is missing.
+    """
     t_new = np.asarray(new_timestamps_ms, dtype=float)
     if t_new.size < 2:
         raise ValueError("need at least 2 output timestamps")
@@ -153,10 +151,10 @@ def resample_spline(rec: GazeRecording, new_timestamps_ms,
         )
     return GazeRecording(
         timestamps_ms=t_new,
-        gaze_x=_interp_channel(t_new, t_src, rec.gaze_x),
-        gaze_y=_interp_channel(t_new, t_src, rec.gaze_y),
-        tgt_x=_interp_channel(t_new, t_src, rec.tgt_x),
-        tgt_y=_interp_channel(t_new, t_src, rec.tgt_y),
+        gaze_x=np.interp(t_new, t_src, rec.gaze_x),
+        gaze_y=np.interp(t_new, t_src, rec.gaze_y),
+        tgt_x=np.interp(t_new, t_src, rec.tgt_x),
+        tgt_y=np.interp(t_new, t_src, rec.tgt_y),
         nominal_rate_hz=rec.nominal_rate_hz if nominal_rate_hz is None else nominal_rate_hz,
         recording_id=rec.recording_id,
     )
@@ -180,7 +178,7 @@ def jitter_timestamps(timestamps, jitter_sigma_ms: float, rng: np.random.Generat
     makes the resulting ISI std sqrt(2) times larger (difference of two iid
     perturbations). Correction on divides the applied std by sqrt(2) so the
     ISI std itself lands on jitter_sigma_ms. Perturbations are clamped to
-    +/- 0.45 periods, which keeps the output strictly increasing.
+    +/- _JITTER_LIMIT periods, which keeps the output strictly increasing.
     """
     t = np.asarray(timestamps, dtype=float)
     if t.size < 2:
@@ -190,12 +188,12 @@ def jitter_timestamps(timestamps, jitter_sigma_ms: float, rng: np.random.Generat
         raise ValueError("jitter_timestamps requires a uniform input grid")
     if jitter_sigma_ms < 0:
         raise ValueError(f"jitter_sigma_ms must be >= 0, got {jitter_sigma_ms}")
-    if jitter_sigma_ms >= 0.45 * period:
+    bound = _JITTER_LIMIT * period
+    if jitter_sigma_ms >= bound:
         raise ValueError(
-            f"jitter_sigma_ms {jitter_sigma_ms} must be below 0.45 x period ({0.45 * period})"
+            f"jitter_sigma_ms {jitter_sigma_ms} must be below {_JITTER_LIMIT} x period ({bound})"
         )
     applied = jitter_sigma_ms / math.sqrt(2.0) if correction else jitter_sigma_ms
-    bound = 0.45 * period
     eps = np.clip(rng.normal(0.0, applied, t.size), -bound, bound)
     return t + eps
 
@@ -219,8 +217,7 @@ def add_precision_noise(rec: GazeRecording, sigma0_sq: float,
 
 
 def _degrade(rec: GazeRecording, plan: DegradationPlan,
-             analysis: RecordingAnalysis | None = None,
-             jitter_correction: bool = False) -> GazeRecording:
+             analysis: RecordingAnalysis | None = None) -> GazeRecording:
     """The staged pipeline behind both models (see the module docstring);
     the source's `analysis` adds the modified model's accuracy-step and
     timestamp-jitter stages, the steps aligned on its fixation windows."""
@@ -239,11 +236,11 @@ def _degrade(rec: GazeRecording, plan: DegradationPlan,
     stamps = nominal_target_timestamps(rec.span_ms, plan.target_rate_hz,
                                        start_ms=float(rec.timestamps_ms[0]))
     if analysis is not None:
-        stamps = jitter_timestamps(stamps, plan.jitter_sigma_ms, rng,
-                                   correction=jitter_correction)
-        # endpoint jitter may poke past the source span; clip (interior stamps
-        # cannot reach the bounds because perturbations are clamped)
-        stamps = np.clip(stamps, rec.timestamps_ms[0], rec.timestamps_ms[-1])
+        stamps = jitter_timestamps(stamps, plan.jitter_sigma_ms, rng, correction=True)
+    # the grid's last stamp can land one ulp past the source span, and
+    # endpoint jitter further; clip (interior jittered stamps cannot reach the
+    # bounds because perturbations are clamped)
+    stamps = np.clip(stamps, rec.timestamps_ms[0], rec.timestamps_ms[-1])
     return resample_spline(out, stamps, nominal_rate_hz=plan.target_rate_hz)
 
 
@@ -281,7 +278,7 @@ def plan_modified(source_qv: QualityVector, source_post_prec_c: float,
     calibration curve. Accuracy: per-channel rank match, with negative
     requirements clamped to zero (the model only degrades). Jitter: the
     median temporal precision of the target corpus, which must stay below
-    the 0.45-period clamp of jitter_timestamps at the target rate; a larger
+    the _JITTER_LIMIT clamp of jitter_timestamps at the target rate; a larger
     one raises ValueError here rather than in the transform.
     """
     if source_post_prec_c < 0:
@@ -300,12 +297,12 @@ def plan_modified(source_qv: QualityVector, source_post_prec_c: float,
         offsets[channel] = max(tgt_value - src_value, 0.0)
 
     jitter = float(np.median(target.column("temporal_prec_ms")))
-    # the uncorrected sigma, as jitter_timestamps checks it
-    limit = 0.45 * 1000.0 / target_rate_hz
+    # jitter_timestamps checks the requested sigma, not the smaller one it applies
+    limit = _JITTER_LIMIT * 1000.0 / target_rate_hz
     if jitter >= limit:
         raise ValueError(
             f"target corpus median temporal precision {jitter} ms reaches the jitter "
-            f"limit of 0.45 periods ({limit} ms) at {target_rate_hz} Hz"
+            f"limit of {_JITTER_LIMIT} periods ({limit} ms) at {target_rate_hz} Hz"
         )
     return DegradationPlan(
         target_rate_hz=target_rate_hz,
@@ -345,19 +342,18 @@ def build_accuracy_signal(rec: GazeRecording, plan: DegradationPlan,
 
 
 def degrade_modified(rec: GazeRecording, plan: DegradationPlan,
-                     analysis: RecordingAnalysis,
-                     jitter_correction: bool = False) -> GazeRecording:
+                     analysis: RecordingAnalysis) -> GazeRecording:
     """Modified transform: accuracy steps, position noise, bandwidth
     reduction, and resampling onto a jittered target grid.
 
     The accuracy step signal is aligned on the latency-shifted fixation
     windows of the source recording, taken from `analysis`, its
-    analyse_recording result. Output timestamps are the jittered ones, so
-    the result exhibits the planned temporal imprecision;
-    `jitter_correction` is jitter_timestamps' sqrt(2) correction.
-    Deterministic given plan.rng_seed.
+    analyse_recording result. Output timestamps are the jittered ones,
+    perturbed with jitter_timestamps' sqrt(2) correction, so the output's
+    inter-sample interval std is the plan's jitter_sigma_ms. Deterministic
+    given plan.rng_seed.
     """
-    return _degrade(rec, plan, analysis, jitter_correction=jitter_correction)
+    return _degrade(rec, plan, analysis)
 
 
 def plan_to_dict(plan: DegradationPlan, provenance: dict | None = None) -> dict:

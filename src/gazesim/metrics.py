@@ -242,11 +242,9 @@ class RecordingAnalysis:
     Window arrays follow extract_fixations order. A window is used when it
     has at least _MIN_WINDOW_SAMPLES usable samples and keeps one after
     outlier rejection; the drop counts give the other windows by reason.
-    `kept` is True for the recording samples that enter the metrics: inside
-    a used window, neither missing nor an outlier. `accuracy` and
-    `precision` hold one (horizontal, vertical, combined) row per used
-    window, in window order, as fixation_accuracy and fixation_precision
-    would compute them.
+    `accuracy` and `precision` hold one (horizontal, vertical, combined) row
+    per used window, in window order, as fixation_accuracy and
+    fixation_precision would compute them.
     """
 
     latency: LatencyEstimate
@@ -254,7 +252,6 @@ class RecordingAnalysis:
     window_end: np.ndarray
     dropped_few_samples: int
     dropped_all_masked: int
-    kept: np.ndarray
     accuracy: np.ndarray
     precision: np.ndarray
 
@@ -324,13 +321,11 @@ def analyse_recording(rec: GazeRecording) -> RecordingAnalysis:
     accuracy = np.array([np.mean(terms[:, i, :n_kept[i]], axis=-1)
                          for i in np.flatnonzero(used).tolist()]).reshape(-1, 3)
 
-    kept_samples = np.zeros(rec.n_samples, dtype=bool)
-    kept_samples[idx[kept]] = True
     few = usable < _MIN_WINDOW_SAMPLES
     return RecordingAnalysis(
         latency=latency, window_start=starts, window_end=ends,
         dropped_few_samples=int(few.sum()), dropped_all_masked=int((~used & ~few).sum()),
-        kept=kept_samples, accuracy=accuracy, precision=precision,
+        accuracy=accuracy, precision=precision,
     )
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .degrade import jitter_timestamps
 from .io import format_float, is_json_number, write_csv
 from .seeding import derive_seed
-from .types import GazeRecording
+from .types import GazeRecording, check_rate_hz
 
 GROUND_TRUTH_HEADER = ("recording_id", "rate_hz", "n_targets", "latency_ms",
                        "bias_sigma_dva", "bias_fixed_x_dva", "bias_fixed_y_dva",
@@ -47,8 +47,11 @@ class OracleSpec:
     def __post_init__(self) -> None:
         if self.n_targets < 1:
             raise ValueError(f"n_targets must be >= 1, got {self.n_targets}")
-        if not self.rate_hz > 0:
-            raise ValueError(f"rate_hz must be positive, got {self.rate_hz}")
+        check_rate_hz(self.rate_hz)
+        for name in ("dwell_ms", "target_extent_dva", "latency_ms", "bias_sigma_dva",
+                     "bias_fixed_dva", "noise_sigma_dva", "isi_jitter_ms"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("latency_ms", "bias_sigma_dva", "noise_sigma_dva", "isi_jitter_ms"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")

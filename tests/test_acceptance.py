@@ -82,7 +82,7 @@ def matched_corpora():
         plan = plan_modified(source_qv[rid], post.prec_c, source_table, target_table,
                              curve, 250.0, derive_seed(MODIFIED_SEED, rid))
         synth_rows.append((rid, recording_quality(
-            degrade_modified(rec, plan, analyses[rid], jitter_correction=True))))
+            degrade_modified(rec, plan, analyses[rid]))))
         baseline_plan = DegradationPlan(
             target_rate_hz=250.0, sigma0_sq=baseline_sigma,
             rng_seed=derive_seed(BASELINE_SEED, rid))

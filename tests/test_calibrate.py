@@ -6,6 +6,7 @@ import pytest
 import gazesim.calibrate as calibrate_mod
 from gazesim.calibrate import (NonMonotoneSweepWarning, describe_curve,
                                load_calibration, save_calibration, sweep_sigma)
+from gazesim.degrade import degrade_benchmark, nominal_target_timestamps
 from gazesim.oracle import OracleSpec, generate_recording
 from gazesim.types import CalibrationClampWarning, CalibrationCurve, QualityVector
 
@@ -26,6 +27,23 @@ def swept_curve(small_corpus):
 
 
 class TestSweepSigma:
+    def test_grid_past_the_source_span_is_swept(self, monkeypatch, one_worker):
+        # a 3500 ms span at 1000 Hz: the 120 Hz grid's last stamp lands one
+        # ulp past it, and every swept output ends on the span's end instead
+        spec = OracleSpec(n_targets=2, dwell_ms=1000.0, latency_ms=500.0,
+                          noise_sigma_dva=0.01, seed=3)
+        rec = generate_recording(spec)[0]
+        assert rec.span_ms == 3500.0
+        assert nominal_target_timestamps(rec.span_ms, 120.0)[-1] > 3500.0
+        outputs = []
+
+        def kept_output(rec, plan):
+            outputs.append(degrade_benchmark(rec, plan))
+            return outputs[-1]
+        monkeypatch.setattr(calibrate_mod, "degrade_benchmark", kept_output)
+        sweep_sigma([rec], [0.01, 0.02, 0.03], 120.0, seed=7)
+        assert [out.timestamps_ms[-1] for out in outputs] == [3500.0] * 3
+
     def test_noiseless_grid_point_is_near_zero(self, small_corpus):
         curve = sweep_sigma(small_corpus, [0.0, 0.1, 0.2], 250.0, seed=7)
         assert curve.samples[0][1] < 0.01

@@ -117,7 +117,7 @@ class TestSynth:
          "unknown distribution kind 'gamma'"),
         # ranges are checked before the output directory is made
         (json.dumps({"rate_hz": -1, "n_targets": 3, "dwell_ms": 1000}),
-         "rate_hz must be positive, got -1.0"),
+         "nominal_rate_hz must be positive and finite, got -1.0"),
         (json.dumps({**GOOD_SPEC, "latency": {"kind": "lognormal", "a": 0, "b": 0.1}}),
          "corpus spec key 'latency': lognormal needs median a > 0"),
         ('{"rate_hz": 500, "n_targets": 3, "dwell_ms": NaN}',
@@ -362,7 +362,7 @@ class TestDegrade:
         assert plan["calibration_id"]
         assert plan["source_corpus_hash"] and plan["target_corpus_hash"]
 
-    @pytest.mark.parametrize("switch", ["on", "off"])
+    @pytest.mark.parametrize("switch", ["on"])
     def test_jitter_correction_reaches_the_transform(self, tiny_source, tiny_target_table,
                                                      tiny_calibration, tmp_path, switch):
         out = tmp_path / "deg"
@@ -372,11 +372,32 @@ class TestDegrade:
         entry = read_manifest(tiny_source / "manifest.csv")[0]
         rec = read_recording_from_entry(entry)
         plan = load_plan(out / f"{entry.recording_id}.plan.json")
-        expected = degrade_modified(rec, plan, analyse_recording(rec),
-                                    jitter_correction=switch == "on")
+        expected = degrade_modified(rec, plan, analyse_recording(rec))
         # compared as one bool: a failing diff of two whole CSV texts is very slow
         same = (out / f"{entry.recording_id}.csv").read_text() == recording_to_csv(expected)
         assert same, f"--jitter-correction {switch} output differs from the transform's"
+
+    def test_jitter_correction_accepts_only_on(self, tiny_source, tiny_target_table,
+                                               tiny_calibration, tmp_path, capsys):
+        # jitter is always corrected: the flag is not in --help, "on" changes
+        # no output byte, and "off" is a usage error that writes nothing
+        with pytest.raises(SystemExit) as exit_info:
+            run(["degrade", "--help"])
+        assert exit_info.value.code == 0
+        assert "--jitter-correction" not in capsys.readouterr().out
+        def argv(out):
+            return self.modified_argv(tiny_source / "manifest.csv", tiny_target_table,
+                                      tiny_calibration, tmp_path / out)
+        assert run(argv("plain")) == 0
+        assert run(argv("on") + ["--jitter-correction", "on"]) == 0
+        assert tree_bytes(tmp_path / "plain") == tree_bytes(tmp_path / "on")
+        assert "jitter_correction" not in json.loads(
+            (tmp_path / "plain" / "run_manifest.json").read_text())
+        with pytest.raises(SystemExit) as exit_info:
+            run(argv("off") + ["--jitter-correction", "off"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'off'" in capsys.readouterr().err
+        assert not (tmp_path / "off").exists()
 
     def modified_argv(self, manifest, target_table, calibration, out):
         return ["degrade", "--manifest", manifest, "--model", "modified",

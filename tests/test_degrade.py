@@ -46,7 +46,7 @@ def windows_at(rec, latency_ms):
         latency=latency,
         window_start=np.array([w.sample_start for w in windows], dtype=np.intp),
         window_end=np.array([w.sample_end for w in windows], dtype=np.intp),
-        dropped_few_samples=0, dropped_all_masked=0, kept=np.zeros(rec.n_samples, bool),
+        dropped_few_samples=0, dropped_all_masked=0,
         accuracy=np.empty((0, 3)), precision=np.empty((0, 3)))
 
 
@@ -354,6 +354,16 @@ class TestDegradeBenchmark:
         # resampled targets at aligned stamps equal the source values
         np.testing.assert_allclose(out.tgt_x, rec.tgt_x[::4], atol=1e-12)
 
+    def test_grid_past_the_source_span_clipped_to_its_end(self):
+        # 60 periods of 1000/120 ms sum to one ulp past the 500 ms span
+        rng = np.random.default_rng(4)
+        rec = make_recording(np.arange(501.0), rng.normal(0, 0.1, 501), rng.normal(0, 0.1, 501))
+        assert nominal_target_timestamps(rec.span_ms, 120.0)[-1] > 500.0
+        for out in (degrade_benchmark(rec, DegradationPlan(120.0, 0.01, rng_seed=1)),
+                    zero_noise_pass(rec, 120.0)):
+            assert out.timestamps_ms[-1] == 500.0
+            assert np.all(np.diff(out.timestamps_ms) > 0)
+
     def test_noise_goes_in_before_the_low_pass(self):
         # constant gaze isolates the injected noise: added before the filter,
         # its variance is attenuated well below sigma0_sq
@@ -585,10 +595,10 @@ class TestDegradeModified:
     def test_jittered_output_isi_follows_sqrt2_law(self):
         rec = self.source_recording(n_targets=42)
         plan = DegradationPlan(250.0, 0.0, jitter_sigma_ms=0.5, rng_seed=6)
-        out = degrade_modified(rec, plan, analyse_recording(rec), jitter_correction=False)
-        assert temporal_precision(out) == pytest.approx(np.sqrt(2) * 0.5, rel=0.05)
-        out2 = degrade_modified(rec, plan, analyse_recording(rec), jitter_correction=True)
-        assert temporal_precision(out2) == pytest.approx(0.5, rel=0.05)
+        # the transform halves the stamp variance, so the ISI std lands on the
+        # planned sigma rather than sqrt(2) times it
+        out = degrade_modified(rec, plan, analyse_recording(rec))
+        assert temporal_precision(out) == pytest.approx(0.5, rel=0.05)
 
     def test_accuracy_offsets_degrade_accuracy(self):
         from gazesim.metrics import recording_quality
@@ -685,10 +695,7 @@ class TestGoldenDigests:
     pipeline cannot change a single output byte."""
 
     BENCHMARK = "c45e17c00bac94813b73dcdd4617239288df9350fa9b69b1b4cc09893d6c1f97"
-    MODIFIED = {
-        False: "544aca89e385a359561be8584409b3e104c2bd6173813bf2830bd31b41f97e92",
-        True: "5a6eb7dedd3a26a98ce8f59b8aa868561327cc1f0e3d635f2ef5d1314978355c",
-    }
+    MODIFIED = "5a6eb7dedd3a26a98ce8f59b8aa868561327cc1f0e3d635f2ef5d1314978355c"
     ZERO_NOISE = "5cdd918c8289d9eccbf6005e7a936c05163a6a0e9c9dce6dc8e0f2b3d5902fcd"
 
     @pytest.fixture(scope="class")
@@ -704,15 +711,12 @@ class TestGoldenDigests:
     def digest(rec):
         return hashlib.sha256(recording_to_csv(rec).encode("utf-8")).hexdigest()
 
-    # the ids keep the "-pre" suffix the cases had while a post-filter noise
-    # order also existed, so each digest stays under its original test name
-    @pytest.mark.parametrize("jitter_correction", [False, True],
-                             ids=["False-pre", "True-pre"])
-    def test_outputs_unchanged(self, rec, jitter_correction):
+    # the id keeps the name the case had while uncorrected jitter and a
+    # post-filter noise order also existed, so the digests stay under it
+    @pytest.mark.parametrize("case", ["True-pre"])
+    def test_outputs_unchanged(self, rec, case):
         plan = DegradationPlan(250.0, 0.1, acc_offset_h=0.3, acc_offset_v=0.2,
                                jitter_sigma_ms=0.5, rng_seed=77)
         assert self.digest(degrade_benchmark(rec, plan)) == self.BENCHMARK
-        assert (self.digest(degrade_modified(rec, plan, analyse_recording(rec),
-                                             jitter_correction=jitter_correction))
-                == self.MODIFIED[jitter_correction])
+        assert self.digest(degrade_modified(rec, plan, analyse_recording(rec))) == self.MODIFIED
         assert self.digest(zero_noise_pass(rec, 250.0)) == self.ZERO_NOISE

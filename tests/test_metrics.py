@@ -625,8 +625,8 @@ def hex_fields(qv):
 
 def assert_batched_matches_per_window(rec):
     """recording_quality equals the per-window loop bit for bit, with the
-    same warnings in the same order; the analysis names the same windows,
-    drops and kept samples."""
+    same warnings in the same order; the analysis names the same windows
+    and drops."""
     expected, expected_log = logged(per_window_quality, rec)
     got, got_log = logged(recording_quality, rec)
     assert got_log == expected_log
@@ -642,10 +642,6 @@ def assert_batched_matches_per_window(rec):
     assert analysis.n_used == len(used)
     assert analysis.dropped_few_samples + analysis.dropped_all_masked == len(windows) - len(used)
     assert analysis.dropped_few_samples == sum("usable samples" in m for m in expected_log)
-    kept = np.zeros(rec.n_samples, dtype=bool)
-    for win in used:
-        kept[win.sample_slice] = ~win.outlier_mask
-    assert np.array_equal(analysis.kept, kept)
 
 
 def baseline_degraded(rec, seed):

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -65,6 +68,25 @@ class TestGenerateRecording:
             OracleSpec(n_targets=3, noise_sigma_dva=-0.1)
         with pytest.raises(ValueError, match="dwell"):
             OracleSpec(n_targets=3, dwell_ms=(500.0, 100.0))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("rate_hz", math.inf, "nominal_rate_hz must be positive and finite, got inf"),
+        ("rate_hz", math.nan, "nominal_rate_hz must be positive and finite, got nan"),
+        ("rate_hz", 0.0, "nominal_rate_hz must be positive and finite, got 0.0"),
+        ("latency_ms", math.nan, "latency_ms must be finite, got nan"),
+        ("latency_ms", math.inf, "latency_ms must be finite, got inf"),
+        ("bias_sigma_dva", math.inf, "bias_sigma_dva must be finite, got inf"),
+        ("noise_sigma_dva", math.nan, "noise_sigma_dva must be finite, got nan"),
+        ("isi_jitter_ms", math.inf, "isi_jitter_ms must be finite, got inf"),
+        ("dwell_ms", math.inf, "dwell_ms must be finite, got inf"),
+        ("dwell_ms", (500.0, math.inf), "dwell_ms must be finite, got (500.0, inf)"),
+        ("target_extent_dva", (math.nan, 10.0),
+         "target_extent_dva must be finite, got (nan, 10.0)"),
+        ("bias_fixed_dva", (0.0, -math.inf), "bias_fixed_dva must be finite, got (0.0, -inf)"),
+    ])
+    def test_non_finite_field_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            OracleSpec(n_targets=3, **{field: value})
 
 
 class TestParamDist:

@@ -25,8 +25,8 @@ from .assess import (SUMMARY_HEADER, assessment_report_dict, distribution_summar
                      repeated_assessment, summary_row)
 from .calibrate import (describe_curve, fit_sweep, load_calibration, save_calibration,
                         sweep_plans, sweep_recording)
-from .degrade import (_load_filter_backend, degrade_benchmark, degrade_modified,
-                      plan_modified, save_plan, zero_noise_pass)
+from .degrade import (_load_filter_backend, _target_jitter_ms, degrade_benchmark,
+                      degrade_modified, plan_modified, save_plan, zero_noise_pass)
 from .io import (ManifestEntry, read_json_object, read_manifest, read_quality_table,
                  read_recording_from_entry, write_csv, write_json, write_manifest,
                  write_quality_table, write_recording)
@@ -133,8 +133,11 @@ def cmd_metrics(args) -> int:
     return 0
 
 
+_MAX_GRID_POINTS = 1000  # each is a filter pass over every recording
+
+
 def _parse_grid(text: str) -> list:
-    """Parse 'a:b:step' into an inclusive grid."""
+    """Parse 'a:b:step' into an inclusive grid (b within 1e-12)."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be 'a:b:step', got {text!r}")
@@ -143,12 +146,13 @@ def _parse_grid(text: str) -> list:
         raise ValueError(f"grid must be finite 'a:b:step', got {text!r}")
     if step <= 0 or b < a:
         raise ValueError(f"grid must have b >= a and step > 0, got {text!r}")
-    grid = []
-    value = a
-    while value <= b + 1e-12:
-        grid.append(round(value, 12))
-        value += step
-    return grid
+    largest = max(abs(a), abs(b))
+    if largest + step == largest:
+        raise ValueError(f"grid step is too small to advance from {largest}, got {text!r}")
+    span = (b - a + 1e-12) / step
+    if span >= _MAX_GRID_POINTS:
+        raise ValueError(f"grid must have at most {_MAX_GRID_POINTS} points, got {text!r}")
+    return [round(a + i * step, 12) for i in range(math.floor(span) + 1)]
 
 
 def cmd_calibrate(args) -> int:
@@ -222,9 +226,11 @@ def cmd_degrade(args) -> int:
         sigma0_sq = calib.invert(desired)
         logger.info("baseline sigma0_sq=%.6g from calibration inverse of "
                     "target median prec_h=%.6g", sigma0_sq, desired)
-    # the target rate of both models, and the baseline's noise, checked
-    # before any recording is read
+    # the target rate of both models, the baseline's noise and the modified
+    # model's jitter limit, checked before any recording is read
     baseline = DegradationPlan(args.rate_hz, 0.0 if modified else sigma0_sq)
+    if modified:
+        _target_jitter_ms(target, args.rate_hz)
     _load_filter_backend()
     provenance = {
         "model": args.model,

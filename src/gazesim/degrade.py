@@ -265,6 +265,21 @@ def zero_noise_pass(rec: GazeRecording, target_rate_hz: float) -> GazeRecording:
     return degrade_benchmark(rec, plan)
 
 
+def _target_jitter_ms(target: QualityTable, target_rate_hz: float) -> float:
+    """The modified model's jitter sigma, the target corpus's median temporal
+    precision; one at or above the _JITTER_LIMIT of jitter_timestamps at
+    the target rate raises ValueError, before any recording is read."""
+    jitter = float(np.median(target.column("temporal_prec_ms")))
+    # jitter_timestamps checks the requested sigma, not the smaller one it applies
+    limit = _JITTER_LIMIT * 1000.0 / target_rate_hz
+    if jitter >= limit:
+        raise ValueError(
+            f"target corpus median temporal precision {jitter} ms reaches the jitter "
+            f"limit of {_JITTER_LIMIT} periods ({limit} ms) at {target_rate_hz} Hz"
+        )
+    return jitter
+
+
 def plan_modified(source_qv: QualityVector, source_post_prec_c: float,
                   source: QualityTable, target: QualityTable, calib: CalibrationCurve,
                   target_rate_hz: float, rng_seed: int) -> DegradationPlan:
@@ -296,20 +311,12 @@ def plan_modified(source_qv: QualityVector, source_post_prec_c: float,
         tgt_value = quantile(target.column(channel), p_c)
         offsets[channel] = max(tgt_value - src_value, 0.0)
 
-    jitter = float(np.median(target.column("temporal_prec_ms")))
-    # jitter_timestamps checks the requested sigma, not the smaller one it applies
-    limit = _JITTER_LIMIT * 1000.0 / target_rate_hz
-    if jitter >= limit:
-        raise ValueError(
-            f"target corpus median temporal precision {jitter} ms reaches the jitter "
-            f"limit of {_JITTER_LIMIT} periods ({limit} ms) at {target_rate_hz} Hz"
-        )
     return DegradationPlan(
         target_rate_hz=target_rate_hz,
         sigma0_sq=sigma0_sq,
         acc_offset_h=offsets["acc_h"],
         acc_offset_v=offsets["acc_v"],
-        jitter_sigma_ms=jitter,
+        jitter_sigma_ms=_target_jitter_ms(target, target_rate_hz),
         rng_seed=rng_seed,
     )
 

@@ -2,12 +2,13 @@
 documents: every file gazesim writes is encoded here.
 
 The canonical recording format is a UTF-8 CSV with header
-``t_ms,gaze_x_dva,gaze_y_dva,tgt_x_dva,tgt_y_dva``. Missing gaze cells are
-empty (or a literal NaN); target cells must always parse. Adapters map two
-external export layouts onto the canonical fields, converting units and
-synthesizing timestamps from the nominal rate when the layout lacks a time
-column. Floats are written with shortest round-trip formatting, so a write
-followed by a read reproduces every value exactly.
+``t_ms,gaze_x_dva,gaze_y_dva,tgt_x_dva,tgt_y_dva``. Missing gaze is written
+as ``nan`` and read from it, any NaN literal or an empty cell; target cells
+must always parse. Adapters map two external export layouts onto the
+canonical fields, converting units and synthesizing timestamps from the
+nominal rate when the layout lacks a time column. Floats are written with
+shortest round-trip formatting, so a write followed by a read reproduces
+every value exactly.
 """
 from __future__ import annotations
 
@@ -153,58 +154,30 @@ def _parse_rows(rows, width: int, columns) -> list:
     return out
 
 
-def _fill_blank_cells(text: str):
-    """`text` with "nan" in each empty cell next to a comma (the cells
-    write_recording leaves for missing gaze), or None if there is none.
-
-    Works on the UTF-8 bytes, where ",", "\\n" and "\\r" never occur inside
-    a multi-byte character: one pass, where six str.replace calls cost half
-    a loadtxt call on a clean block.
-    """
-    b = np.frombuffer(text.encode(), np.uint8)
-    # entry k is the byte before offset k, entry k + 1 the byte after it; a
-    # line end stands before the text and after it
-    comma = np.concatenate(([False], b == ord(","), [False]))
-    eol = np.concatenate(([True], (b == ord("\n")) | (b == ord("\r")), [True]))
-    at = np.flatnonzero((comma[:-1] & (comma[1:] | eol[1:])) | (eol[:-1] & comma[1:]))
-    if not at.size:
-        return None
-    nan = np.tile(np.frombuffer(b"nan", np.uint8), at.size)
-    return np.insert(b, np.repeat(at, 3), nan).tobytes().decode()
-
-
 def _parse_lines_c(lines, width: int, columns):
     """Parse a block of lines with numpy's C tokenizer, which converts each
     cell as float() does, or return None where its result could differ from
     _parse_rows over csv.reader's rows.
 
-    Empty cells are read as "nan", as _parse_rows reads a blank gaze cell;
-    an empty cell in a used non-gaze column (NaN there) returns None, so
-    the csv path raises its error. loadtxt rejects what else it cannot
-    parse (a quote, `1_0`, a non-ASCII digit, a blank cell with spaces,
-    rows of unequal width); None also covers a block of blank lines
-    (loadtxt warns on no data), the four separators float() will not strip,
-    and a line long enough to trip csv's field size limit.
+    loadtxt rejects what it cannot parse: an empty or all-space cell (so a
+    block with another tool's blank gaze cell goes to the csv path, which
+    reads it as NaN), a quote, `1_0`, a non-ASCII digit, rows of unequal
+    width. None also covers a block of blank lines (loadtxt warns on no
+    data), the four separators float() will not strip, and a line long
+    enough to trip csv's field size limit.
     """
     text = "".join(lines)
     limit = csv.field_size_limit()
     if (not text.strip("\r\n") or any(ch in text for ch in _NOT_FLOAT_SPACE)
             or (len(text) > limit and max(map(len, lines)) > limit)):
         return None
-    filled = _fill_blank_cells(text)
-    if filled is not None:
-        lines = _io.StringIO(filled, newline="").readlines()
     try:
         arr = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
     if arr.shape[1] != width:
         return None
-    out = [arr[:, index] for index, _ in columns]
-    if filled is not None and any(
-            np.isnan(col).any() for col, (_, is_gaze) in zip(out, columns) if not is_gaze):
-        return None
-    return out
+    return [arr[:, index] for index, _ in columns]
 
 
 def _csv_rows(lines, rest) -> list:
@@ -308,8 +281,8 @@ def read_recording(path, format_tag: str = "canonical", nominal_rate_hz: float =
     return rec
 
 
-def _format_column(values: np.ndarray, blank_nan: bool = False) -> list:
-    """format_float text of each value; NaN as an empty cell if blank_nan.
+def _format_column(values: np.ndarray) -> list:
+    """format_float text of each value.
 
     Each run of bit-identical values (so -0.0 and 0.0 differ) is formatted
     once: target channels are piecewise constant.
@@ -317,9 +290,6 @@ def _format_column(values: np.ndarray, blank_nan: bool = False) -> list:
     bits = values.view(np.int64)
     starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
     texts = list(map(repr, values[starts].tolist()))
-    if blank_nan:
-        for i in np.flatnonzero(np.isnan(values[starts])).tolist():
-            texts[i] = ""
     if starts.size == values.size:
         return texts
     runs = np.diff(starts, append=values.size)
@@ -332,16 +302,14 @@ def _csv_chunks(rec: GazeRecording):
     yield ",".join(RECORDING_HEADER) + "\n"
     for lo in range(0, rec.n_samples, _BLOCK_ROWS):
         sl = slice(lo, lo + _BLOCK_ROWS)
-        cols = (_format_column(rec.timestamps_ms[sl]),
-                _format_column(rec.gaze_x[sl], blank_nan=True),
-                _format_column(rec.gaze_y[sl], blank_nan=True),
-                _format_column(rec.tgt_x[sl]), _format_column(rec.tgt_y[sl]))
+        cols = [_format_column(channel[sl]) for channel in (
+            rec.timestamps_ms, rec.gaze_x, rec.gaze_y, rec.tgt_x, rec.tgt_y)]
         yield "\n".join(map(",".join, zip(*cols)))
         yield "\n"
 
 
 def recording_to_csv(rec: GazeRecording) -> str:
-    """Canonical CSV text for a recording; missing gaze becomes empty cells."""
+    """Canonical CSV text for a recording; missing gaze is written as nan."""
     return "".join(_csv_chunks(rec))
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .degrade import jitter_timestamps
 from .io import format_float, is_json_number, write_csv
 from .seeding import derive_seed
-from .types import GazeRecording, check_rate_hz
+from .types import GazeRecording, _check_seed, _is_count, check_rate_hz
 
 GROUND_TRUTH_HEADER = ("recording_id", "rate_hz", "n_targets", "latency_ms",
                        "bias_sigma_dva", "bias_fixed_x_dva", "bias_fixed_y_dva",
@@ -45,8 +45,10 @@ class OracleSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_targets < 1:
-            raise ValueError(f"n_targets must be >= 1, got {self.n_targets}")
+        if not _is_count(self.n_targets):
+            raise ValueError(f"n_targets must be >= 1 and an int, got {self.n_targets!r}")
+        object.__setattr__(self, "n_targets", int(self.n_targets))
+        object.__setattr__(self, "seed", _check_seed("seed", self.seed))
         check_rate_hz(self.rate_hz)
         for name in ("dwell_ms", "target_extent_dva", "latency_ms", "bias_sigma_dva",
                      "bias_fixed_dva", "noise_sigma_dva", "isi_jitter_ms"):

@@ -188,9 +188,16 @@ class QualityVector:
         return _feature_values(self)
 
 
-def _is_count(n) -> bool:
-    """An int (a numpy integer too, a bool not) that is at least 1."""
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
+def _is_count(n, least: int = 1) -> bool:
+    """An int (a numpy integer too, a bool not) that is at least `least`."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= least
+
+
+def _check_seed(name: str, seed) -> int:
+    """The seed field `name` as an int; ValueError unless _is_count(seed, 0)."""
+    if not _is_count(seed, 0):
+        raise ValueError(f"{name} must be an int >= 0, got {seed!r}")
+    return int(seed)
 
 
 def _valid_quality_rows(features: np.ndarray) -> np.ndarray:
@@ -288,6 +295,7 @@ class DegradationPlan:
         for name in ("sigma0_sq", "acc_offset_h", "acc_offset_v", "jitter_sigma_ms"):
             if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
                 raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
+        object.__setattr__(self, "rng_seed", _check_seed("rng_seed", self.rng_seed))
 
 
 class CalibrationClampWarning(UserWarning):

@@ -21,6 +21,14 @@ def make_recording(timestamps, gaze_x, gaze_y, tgt_x=None, tgt_y=None,
     )
 
 
+def blank_missing_gaze(text: str) -> str:
+    """Canonical CSV text with each `nan` gaze cell emptied: how another tool
+    (or gazesim before it wrote `nan`) spells a missing sample."""
+    return "".join(",".join("" if i in (1, 2) and cell == "nan" else cell
+                            for i, cell in enumerate(line.split(",")))
+                   for line in text.splitlines(keepends=True))
+
+
 def piecewise_recording(dwells_ms, targets, latency_ms=0.0, rate_hz=1000.0,
                         noise=0.0, seed=0, tail_ms=1200.0, recording_id="pw"):
     """Piecewise-constant target with gaze = target delayed by latency_ms."""

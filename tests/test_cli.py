@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from gazesim.calibrate import load_calibration, save_calibration
-from gazesim.cli import _hash_quality_table, main
+from gazesim.cli import _hash_quality_table, _parse_grid, main
 from gazesim.degrade import degrade_modified, load_plan, save_plan
 from gazesim.io import (ManifestEntry, read_manifest, read_quality_table,
                         read_recording_from_entry, recording_to_csv,
@@ -294,6 +294,39 @@ class TestCalibrate:
                         "--out", tmp_path / "c.json"]) == 1
         assert f"grid must be finite 'a:b:step', got '{grid}'" in caplog.text
 
+    @pytest.mark.parametrize("grid, message", [
+        ("1:1:1e-20", "grid step is too small to advance from 1.0"),
+        ("1:2:1e-20", "grid step is too small to advance from 2.0"),
+        ("0:1:1e-12", "grid must have at most 1000 points"),
+    ])
+    def test_grid_step_too_small_fails_at_once(self, tiny_source, tmp_path, caplog, grid,
+                                                message):
+        # a running sum of such a step never passes b: the points are
+        # counted before any is made
+        with caplog.at_level("ERROR"):
+            assert run(["calibrate", "--manifest", tiny_source / "manifest.csv",
+                        "--rate-hz", 250, "--grid", grid,
+                        "--out", tmp_path / "c.json"]) == 1
+        assert f"{message}, got '{grid}'" in caplog.text
+        assert not (tmp_path / "c.json").exists()
+
+    @staticmethod
+    def accumulated_grid(text):
+        """The grid as a running sum of the step: the rule _parse_grid kept
+        until it counted its points first."""
+        a, b, step = map(float, text.split(":"))
+        grid, value = [], a
+        while value <= b + 1e-12:
+            grid.append(round(value, 12))
+            value += step
+        return grid
+
+    @pytest.mark.parametrize("grid", ["0.05:0.45:0.05", "0.05:0.45:0.2", "0:1:0.1",
+                                      "0.1:0.9:0.1", "0.01:0.3:0.01", "0.02:0.5:0.03",
+                                      "2:2:0.5", "-1.5:1.5:0.25", "0.3:0.3001:0.0001"])
+    def test_grid_points_equal_the_running_sum(self, grid):
+        assert _parse_grid(grid) == self.accumulated_grid(grid)
+
 
 class TestDegrade:
     def test_baseline_with_explicit_sigma(self, tiny_source, tmp_path):
@@ -511,6 +544,30 @@ class TestDegrade:
         assert ("median temporal precision 2.0 ms reaches the jitter limit of "
                 "0.45 periods (1.8 ms) at 250.0 Hz") in caplog.text
         assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("skip_bad", [[], ["--skip-bad"]])
+    def test_target_jitter_at_clamp_limit_fails_before_any_recording_is_read(
+            self, tiny_source, tiny_calibration, tmp_path, monkeypatch, one_worker, caplog,
+            skip_bad):
+        # the limit depends on the target table and rate alone: a missing
+        # source file, or the sources' clamp warnings, must not come first
+        import gazesim.cli
+        qv = QualityVector(acc_h=0.5, acc_v=0.4, acc_c=0.7, prec_h=0.1, prec_v=0.1,
+                           prec_c=float(np.hypot(0.1, 0.1)), temporal_prec_ms=2.0,
+                           n_fixations_used=5)
+        table = tmp_path / "jittery.csv"
+        write_quality_table(QualityTable.from_rows((f"t{i}", qv) for i in range(3)), table)
+        manifest = manifest_plus(tiny_source, tmp_path, "broken", tmp_path / "missing.csv")
+        reads = []
+        monkeypatch.setattr(gazesim.cli, "read_recording_from_entry", reads.append)
+        out = tmp_path / "deg"
+        with caplog.at_level("WARNING"):
+            assert run(self.modified_argv(manifest, table, tiny_calibration, out)
+                       + skip_bad) == 1
+        assert ("median temporal precision 2.0 ms reaches the jitter limit of "
+                "0.45 periods (1.8 ms) at 250.0 Hz") in caplog.text
+        assert "No such file" not in caplog.text and "clamp" not in caplog.text
+        assert reads == [] and not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_baseline_sigma_fails_before_any_recording_is_read(

@@ -20,7 +20,7 @@ from gazesim.metrics import (LatencyEstimate, RecordingAnalysis, analyse_recordi
 from gazesim.oracle import OracleSpec, generate_recording
 from gazesim.types import CalibrationCurve, DegradationPlan, QualityTable, QualityVector
 
-from conftest import make_recording
+from conftest import blank_missing_gaze, make_recording
 
 
 def qv(acc_h, acc_v, prec_c, temporal=0.5):
@@ -659,6 +659,8 @@ class TestPlanSerialization:
          "plan key 'jitter_sigma_ms' is not a number: None"),
         ('{"target_rate_hz": 250.0, "sigma0_sq": 0.2, "rng_seed": 1.5}',
          "plan key 'rng_seed' is not an integer: 1.5"),
+        ('{"target_rate_hz": 250.0, "sigma0_sq": 0.2, "rng_seed": -1}',
+         "rng_seed must be an int >= 0, got -1"),
         ('{"target_rate_hz": 250.0, "sigma0_sq": -0.2}', "sigma0_sq must be >= 0"),
     ])
     def test_bad_file_names_path(self, tmp_path, text, message):
@@ -694,9 +696,16 @@ class TestGoldenDigests:
     small oracle recording with a missing run, so a restructuring of the
     pipeline cannot change a single output byte."""
 
-    BENCHMARK = "c45e17c00bac94813b73dcdd4617239288df9350fa9b69b1b4cc09893d6c1f97"
-    MODIFIED = "5a6eb7dedd3a26a98ce8f59b8aa868561327cc1f0e3d635f2ef5d1314978355c"
-    ZERO_NOISE = "5cdd918c8289d9eccbf6005e7a936c05163a6a0e9c9dce6dc8e0f2b3d5902fcd"
+    BENCHMARK = "f08b94d4f9850944add4f508840c1bc064f5254f9c0b36f72f19633765357619"
+    MODIFIED = "796c8b46d5cb75adeb8f610fc917987c7158d976d0a57b3e7b46dcda1c3695db"
+    ZERO_NOISE = "e3f77f35e31807cf67cfc02db79392eb8d0a88cf49c49390057722aba4ed15a0"
+    # the digests of the same outputs while missing gaze was written as an
+    # empty cell: the spelling of missing gaze is the only byte that moved
+    BLANK_CELL = {
+        "BENCHMARK": "c45e17c00bac94813b73dcdd4617239288df9350fa9b69b1b4cc09893d6c1f97",
+        "MODIFIED": "5a6eb7dedd3a26a98ce8f59b8aa868561327cc1f0e3d635f2ef5d1314978355c",
+        "ZERO_NOISE": "5cdd918c8289d9eccbf6005e7a936c05163a6a0e9c9dce6dc8e0f2b3d5902fcd",
+    }
 
     @pytest.fixture(scope="class")
     def rec(self):
@@ -708,8 +717,9 @@ class TestGoldenDigests:
         return rec.replace(gaze_x=gx, gaze_y=np.where(np.isnan(gx), np.nan, rec.gaze_y))
 
     @staticmethod
-    def digest(rec):
-        return hashlib.sha256(recording_to_csv(rec).encode("utf-8")).hexdigest()
+    def digest(text):
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
 
     # the id keeps the name the case had while uncorrected jitter and a
     # post-filter noise order also existed, so the digests stay under it
@@ -717,6 +727,11 @@ class TestGoldenDigests:
     def test_outputs_unchanged(self, rec, case):
         plan = DegradationPlan(250.0, 0.1, acc_offset_h=0.3, acc_offset_v=0.2,
                                jitter_sigma_ms=0.5, rng_seed=77)
-        assert self.digest(degrade_benchmark(rec, plan)) == self.BENCHMARK
-        assert self.digest(degrade_modified(rec, plan, analyse_recording(rec))) == self.MODIFIED
-        assert self.digest(zero_noise_pass(rec, 250.0)) == self.ZERO_NOISE
+        outputs = {"BENCHMARK": degrade_benchmark(rec, plan),
+                   "MODIFIED": degrade_modified(rec, plan, analyse_recording(rec)),
+                   "ZERO_NOISE": zero_noise_pass(rec, 250.0)}
+        for name, out in outputs.items():
+            text = recording_to_csv(out)
+            assert ",nan," in text, name  # the missing run reaches every output
+            assert self.digest(text) == getattr(self, name), name
+            assert self.digest(blank_missing_gaze(text)) == self.BLANK_CELL[name], name

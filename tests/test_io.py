@@ -16,7 +16,7 @@ from gazesim.io import (_BLOCK_ROWS, QUALITY_HEADER, RECORDING_HEADER, ManifestE
 from gazesim.metrics import temporal_precision
 from gazesim.types import QualityTable, QualityVector, _valid_quality_rows
 
-from conftest import make_recording
+from conftest import blank_missing_gaze, make_recording
 
 
 def qv(acc_h=0.1, prec_h=0.02, prec_v=0.03, temporal=0.5, n=10):
@@ -58,7 +58,7 @@ class TestCanonicalRecording:
         write_recording(rec, path)
         text = path.read_text()
         assert ",,," not in text.splitlines()[0]
-        assert text.splitlines()[2].split(",")[1] == ""  # empty cell, not dropped
+        assert text.splitlines()[2].split(",")[1] == "nan"  # written, not dropped
         back = read_recording(path, "canonical", 1000.0)
         assert back.n_samples == 4
         assert back.missing.tolist() == [False, True, True, False]
@@ -152,13 +152,9 @@ def row_loop_csv(rec):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(RECORDING_HEADER)
     for i in range(rec.n_samples):
-        writer.writerow([
-            format_float(rec.timestamps_ms[i]),
-            "" if np.isnan(rec.gaze_x[i]) else format_float(rec.gaze_x[i]),
-            "" if np.isnan(rec.gaze_y[i]) else format_float(rec.gaze_y[i]),
-            format_float(rec.tgt_x[i]),
-            format_float(rec.tgt_y[i]),
-        ])
+        writer.writerow([format_float(rec.timestamps_ms[i]), format_float(rec.gaze_x[i]),
+                         format_float(rec.gaze_y[i]), format_float(rec.tgt_x[i]),
+                         format_float(rec.tgt_y[i])])
     return buf.getvalue()
 
 
@@ -399,8 +395,9 @@ class TestCParserMatchesCsv:
            st.booleans(), st.booleans())
     def test_blank_cells_take_c_path_only_in_gaze_columns(self, gaze, rows, blank_outside,
                                                           last_newline):
-        # every column used, gaze where the mask says, so a blank first or
-        # last cell is filled too
+        # the id is the one the test had while blank gaze cells were filled
+        # with "nan" for the C path: now any empty cell, in a gaze column or
+        # not, first or last, leaves the block to the csv path
         columns = list(enumerate(gaze))
         if not blank_outside:
             rows = [([c or ("" if gaze[i] else "0") for i, c in enumerate(cells)], end)
@@ -410,27 +407,23 @@ class TestCParserMatchesCsv:
             text = text.rstrip("\r\n")
         lines = io.StringIO(text, newline="").readlines()
         got = _parse_lines_c(lines, 5, columns)
-        want = parse_or_error(csv_oracle, text, columns)
-        if any(cell == "" and not gaze[i] for cells, _ in rows for i, cell in enumerate(cells)):
-            assert got is None and want == "error"
-        elif got is None:
-            # left to the csv path only for a NaN cell in a non-gaze column,
-            # which a filled blank cell there would also read as
-            assert any(cell == "" for cells, _ in rows for cell in cells)
-            assert any(np.isnan(col).any() for col, is_gaze in zip(want, gaze)
-                       if not is_gaze)
+        if any(cell == "" for cells, _ in rows for cell in cells):
+            assert got is None
         else:
-            assert_bit_equal(got, want)
+            assert_bit_equal(got, csv_oracle(text, columns))
 
+    # the id is the one the cases had while a blank gaze cell took the C path
     @pytest.mark.parametrize("text", [
         ",1,2,3,4\n5,6,7,8,9\n", "1,2,,3,4\n5,6,7,8,9\n", "1,2,3,4,\n5,6,7,8,9\n",
         "1,2,3,4,\r\n5,6,7,8,9\r\n", "1,2,3,4,\r5,6,7,8,9\r", "1,2,3,4,5\n,6,7,8,9\n",
         "1,2,3,4,5\r\n,6,7,8,9\r\n", "1,2,3,4,5\r,6,7,8,9\r", "1,2,3,4,5\n6,7,8,9,"])
     def test_single_blank_gaze_cell_takes_c_path(self, text):
         columns = [(i, True) for i in range(5)]
-        got = _parse_lines_c(io.StringIO(text, newline="").readlines(), 5, columns)
-        assert got is not None
+        assert _parse_lines_c(io.StringIO(text, newline="").readlines(), 5, columns) is None
+        # the csv path reads the blank gaze cell as NaN
+        got = _read_columns(io.StringIO(text, newline=""), 5, columns)
         assert_bit_equal(got, csv_oracle(text, columns))
+        assert np.isnan(np.concatenate(got)).sum() == 1
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(_BLOCK_ROWS - 10, _BLOCK_ROWS),
@@ -462,24 +455,61 @@ class TestCParserMatchesCsv:
         with pytest.raises(ValueError, match=r"malformed row at line 3: could not convert"):
             read_recording(path)
 
-    def test_missing_gaze_in_every_block_skips_csv_path(self, tmp_path, monkeypatch):
+    @staticmethod
+    def blink_recording():
+        """Missing gaze runs in every block and on the last row, with -0.0
+        among the gaze values."""
         n = 3 * _BLOCK_ROWS + 100
         rng = np.random.default_rng(5)
         gx, gy = rng.normal(size=n), rng.normal(size=n)
+        gx[::7] = gy[3::11] = -0.0
         for lo in range(50, n, _BLOCK_ROWS):
             gx[lo:lo + 20] = np.nan
             gy[lo + 10:lo + 30] = np.nan
         gx[-1] = gy[-1] = np.nan
-        rec = make_recording(np.arange(n) * 1.0, gx, gy, np.zeros(n), np.ones(n))
+        return make_recording(np.arange(n) * 1.0, gx, gy, np.zeros(n), np.ones(n))
+
+    def test_missing_gaze_in_every_block_skips_csv_path(self, tmp_path, monkeypatch):
+        rec = self.blink_recording()
         path = tmp_path / "blinks.csv"
         write_recording(rec, path)
 
         def no_csv(*args):
             raise AssertionError("block left to the csv path")
-        monkeypatch.setattr("gazesim.io._csv_rows", no_csv)
+        monkeypatch.setattr("gazesim.io._parse_rows", no_csv)
         back = read_recording(path)
         for name in ("timestamps_ms", "gaze_x", "gaze_y", "tgt_x", "tgt_y"):
-            assert np.array_equal(getattr(back, name), getattr(rec, name), equal_nan=True)
+            # the same bits: NaN mask, signed zeros and every value
+            assert np.array_equal(getattr(back, name).view(np.int64),
+                                  getattr(rec, name).view(np.int64)), name
+
+    def test_empty_gaze_cells_read_as_nan(self, tmp_path):
+        # another tool's export leaves a missing gaze cell empty: the csv
+        # path reads it as the written nan
+        rec = self.blink_recording()
+        blanked = blank_missing_gaze(recording_to_csv(rec))
+        assert ",," in blanked and "nan" not in blanked
+        path = tmp_path / "blank.csv"
+        path.write_text(blanked)
+        back = read_recording(path)
+        for name in ("timestamps_ms", "gaze_x", "gaze_y", "tgt_x", "tgt_y"):
+            assert np.array_equal(getattr(back, name).view(np.int64),
+                                  getattr(rec, name).view(np.int64)), name
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(bits64, st.sampled_from(
+        [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+         0.1, 1e22, 1e-7, 123456789.0, 2.5e-7])), min_size=5, max_size=60))
+    def test_c_parser_reads_each_written_spelling_as_float(self, values):
+        # every spelling format_float emits ("nan", "inf", "-inf", "-0.0",
+        # shortest reprs) converts in numpy's tokenizer exactly as float()
+        texts = list(map(format_float, values))
+        rows = [texts[i:i + 5] for i in range(0, len(texts) - 4, 5)]
+        lines = [",".join(row) + "\n" for row in rows]
+        got = _parse_lines_c(lines, 5, CANONICAL_COLUMNS)
+        assert got is not None
+        want = [np.array([float(row[i]) for row in rows]) for i in range(5)]
+        assert_bit_equal(got, want)
 
     def test_quoted_cell_spanning_a_block_boundary(self, tmp_path):
         rows = [f"{i},0.1,0.2,0,0\n" for i in range(_BLOCK_ROWS + 2)]

@@ -88,6 +88,26 @@ class TestGenerateRecording:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             OracleSpec(n_targets=3, **{field: value})
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"n_targets": 2.5}, "n_targets must be >= 1 and an int, got 2.5"),
+        ({"n_targets": 3.0}, "n_targets must be >= 1 and an int, got 3.0"),
+        ({"n_targets": True}, "n_targets must be >= 1 and an int, got True"),
+        ({"n_targets": 3, "seed": -1}, "seed must be an int >= 0, got -1"),
+        ({"n_targets": 3, "seed": 2.5}, "seed must be an int >= 0, got 2.5"),
+        ({"n_targets": 3, "seed": False}, "seed must be an int >= 0, got False"),
+    ])
+    def test_non_integer_field_rejected(self, fields, message):
+        # numpy would fail later with a message that names no field
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            OracleSpec(**fields)
+
+    def test_numpy_integer_fields_accepted(self):
+        spec = OracleSpec(n_targets=np.int32(3), seed=np.uint64(7))
+        assert type(spec.n_targets) is int and type(spec.seed) is int
+        assert spec == OracleSpec(n_targets=3, seed=7)
+        assert recording_to_csv(generate_recording(spec)[0]) == recording_to_csv(
+            generate_recording(OracleSpec(n_targets=3, seed=7))[0])
+
 
 class TestParamDist:
     def test_fixed(self):

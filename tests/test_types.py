@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -275,6 +276,17 @@ class TestDegradationPlan:
         kwargs = {"target_rate_hz": 250.0, "sigma0_sq": 0.1, field: value}
         with pytest.raises(ValueError, match=rf"^{field} must be .* finite, got {value}$"):
             DegradationPlan(**kwargs)
+
+    @pytest.mark.parametrize("value", [-1, 2.5, 3.0, True, np.int64(-2)])
+    def test_rng_seed_must_be_a_non_negative_int(self, value):
+        # numpy's generator would fail only at transform time
+        with pytest.raises(ValueError, match=rf"^rng_seed must be an int >= 0, got "
+                                             rf"{re.escape(repr(value))}$"):
+            DegradationPlan(250.0, 0.1, rng_seed=value)
+
+    def test_numpy_integer_rng_seed_stored_as_int(self):
+        plan = DegradationPlan(250.0, 0.1, rng_seed=np.uint64(2 ** 64 - 1))
+        assert type(plan.rng_seed) is int and plan.rng_seed == 2 ** 64 - 1
 
 
 class TestCalibrationCurve:

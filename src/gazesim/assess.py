@@ -76,8 +76,8 @@ class RepeatAccuracy:
 
 @dataclass(frozen=True)
 class TwoSampleResult:
-    """1-NN two-sample accuracies: medians across repeats plus the per-repeat
-    detail (a single run has one repeat)."""
+    """repeated_assessment's 1-NN accuracies: medians across the repeats,
+    plus each repeat's RepeatAccuracy."""
 
     combined_accuracy: float
     real_accuracy: float
@@ -118,7 +118,7 @@ def _nearest_other(pooled: np.ndarray) -> np.ndarray:
     return neighbor
 
 
-def one_nn_two_sample(real: np.ndarray, synth: np.ndarray, seed: int = 0) -> TwoSampleResult:
+def one_nn_two_sample(real: np.ndarray, synth: np.ndarray) -> RepeatAccuracy:
     """Leave-one-sample-out 1-NN classification of pooled feature rows.
 
     Each of the 2n points takes the label of its nearest Euclidean neighbor
@@ -139,18 +139,10 @@ def one_nn_two_sample(real: np.ndarray, synth: np.ndarray, seed: int = 0) -> Two
     neighbor = _nearest_other(pooled)
     is_real = np.arange(2 * n) < n
     correct = is_real[neighbor] == is_real
-    repeat = RepeatAccuracy(
+    return RepeatAccuracy(
         combined=float(correct.mean()),
         real=float(correct[:n].mean()),
         synthetic=float(correct[n:].mean()),
-    )
-    return TwoSampleResult(
-        combined_accuracy=repeat.combined,
-        real_accuracy=repeat.real,
-        synthetic_accuracy=repeat.synthetic,
-        per_repeat=(repeat,),
-        n_per_class=n,
-        seed=seed,
     )
 
 
@@ -182,9 +174,7 @@ def repeated_assessment(real: np.ndarray, synth: np.ndarray, repeats: int = 5,
     for r in range(repeats):
         rng = np.random.default_rng(derive_seed(seed, "repeat", r))
         idx = np.sort(rng.choice(real_raw.shape[0], size=n, replace=False))
-        run = one_nn_two_sample(*_standardize(real_raw[idx], synth_raw),
-                                seed=derive_seed(seed, "repeat", r))
-        results.append(run.per_repeat[0])
+        results.append(one_nn_two_sample(*_standardize(real_raw[idx], synth_raw)))
 
     return TwoSampleResult(
         combined_accuracy=float(np.median([r.combined for r in results])),

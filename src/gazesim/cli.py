@@ -137,7 +137,8 @@ _MAX_GRID_POINTS = 1000  # each is a filter pass over every recording
 
 
 def _parse_grid(text: str) -> list:
-    """Parse 'a:b:step' into an inclusive grid (b within 1e-12)."""
+    """Parse 'a:b:step' into an inclusive grid (b within 1e-12) of points
+    rounded to 12 decimals; a grid whose rounded points repeat is rejected."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be 'a:b:step', got {text!r}")
@@ -152,7 +153,10 @@ def _parse_grid(text: str) -> list:
     span = (b - a + 1e-12) / step
     if span >= _MAX_GRID_POINTS:
         raise ValueError(f"grid must have at most {_MAX_GRID_POINTS} points, got {text!r}")
-    return [round(a + i * step, 12) for i in range(math.floor(span) + 1)]
+    grid = [round(a + i * step, 12) for i in range(math.floor(span) + 1)]
+    if len(set(grid)) < len(grid):
+        raise ValueError(f"grid points repeat once rounded to 12 decimals, got {text!r}")
+    return grid
 
 
 def cmd_calibrate(args) -> int:
@@ -208,9 +212,11 @@ def cmd_degrade(args) -> int:
     modified = args.model == "modified"
     if modified and not (args.calibration and args.target_table):
         raise SystemExit("modified model needs both --calibration and --target-table")
-    if modified and args.sigma0_sq is not None:
-        raise ValueError("--sigma0-sq applies to the baseline model only; the modified "
-                         "model plans its noise from --calibration")
+    # the modified model has both files, so this rejects it too
+    if args.sigma0_sq is not None and (args.calibration or args.target_table):
+        raise ValueError("--sigma0-sq applies to the baseline model only, and takes "
+                         "neither --calibration nor --target-table, from which noise "
+                         "is otherwise planned")
     # every input but the corpus is read first, so a bad one fails before
     # any recording is read
     target = read_quality_table(args.target_table) if args.target_table else None

@@ -131,9 +131,10 @@ def lowpass_zero_phase(rec: GazeRecording, cutoff_hz: float) -> GazeRecording:
 
 
 def resample_spline(rec: GazeRecording, new_timestamps_ms,
-                    nominal_rate_hz: float | None = None) -> GazeRecording:
+                    nominal_rate_hz: float) -> GazeRecording:
     """Resample all channels onto new timestamps inside the source span by
-    first-order spline (linear) interpolation, np.interp per channel.
+    first-order spline (linear) interpolation, np.interp per channel; the
+    output's nominal rate is nominal_rate_hz.
 
     A new stamp equal to a source stamp takes that sample's values, so
     resampling onto the source timestamps is the identity. A new stamp
@@ -155,13 +156,13 @@ def resample_spline(rec: GazeRecording, new_timestamps_ms,
         gaze_y=np.interp(t_new, t_src, rec.gaze_y),
         tgt_x=np.interp(t_new, t_src, rec.tgt_x),
         tgt_y=np.interp(t_new, t_src, rec.tgt_y),
-        nominal_rate_hz=rec.nominal_rate_hz if nominal_rate_hz is None else nominal_rate_hz,
+        nominal_rate_hz=nominal_rate_hz,
         recording_id=rec.recording_id,
     )
 
 
 def nominal_target_timestamps(span_ms: float, target_rate_hz: float,
-                              start_ms: float = 0.0) -> np.ndarray:
+                              start_ms: float) -> np.ndarray:
     """Uniform grid at the target rate, from start_ms through the span."""
     period = 1000.0 / target_rate_hz
     if not span_ms > period:
@@ -234,14 +235,14 @@ def _degrade(rec: GazeRecording, plan: DegradationPlan,
     out = add_precision_noise(out, plan.sigma0_sq, rng)
     out = lowpass_zero_phase(out, _CUTOFF_FRACTION * plan.target_rate_hz / 2.0)
     stamps = nominal_target_timestamps(rec.span_ms, plan.target_rate_hz,
-                                       start_ms=float(rec.timestamps_ms[0]))
+                                       float(rec.timestamps_ms[0]))
     if analysis is not None:
         stamps = jitter_timestamps(stamps, plan.jitter_sigma_ms, rng, correction=True)
     # the grid's last stamp can land one ulp past the source span, and
     # endpoint jitter further; clip (interior jittered stamps cannot reach the
     # bounds because perturbations are clamped)
     stamps = np.clip(stamps, rec.timestamps_ms[0], rec.timestamps_ms[-1])
-    return resample_spline(out, stamps, nominal_rate_hz=plan.target_rate_hz)
+    return resample_spline(out, stamps, plan.target_rate_hz)
 
 
 def degrade_benchmark(rec: GazeRecording, plan: DegradationPlan) -> GazeRecording:

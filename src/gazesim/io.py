@@ -219,9 +219,10 @@ def _malformed_row_error(path, width: int, columns) -> ValueError:
     return ValueError(f"{path}: malformed row (file changed while reading)")
 
 
-def read_recording(path, format_tag: str = "canonical", nominal_rate_hz: float = 1000.0,
+def read_recording(path, format_tag: str, nominal_rate_hz: float,
                    recording_id: str | None = None) -> GazeRecording:
-    """Parse one recording file into a GazeRecording.
+    """Parse one recording file, in the layout of format_tag and recorded at
+    nominal_rate_hz, into a GazeRecording.
 
     Empty or NaN gaze cells are flagged missing, not dropped. Columns are
     matched by their whitespace-stripped header names. Malformed rows abort

@@ -67,17 +67,10 @@ class OracleSpec:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Everything that was drawn while generating one recording."""
+    """The spec one recording was generated from, and everything drawn."""
 
     recording_id: str
-    rate_hz: float
-    n_targets: int
-    latency_ms: float
-    bias_sigma_dva: float
-    bias_fixed_dva: tuple
-    noise_sigma_dva: float
-    isi_jitter_ms: float
-    seed: int
+    spec: OracleSpec
     target_x_dva: tuple
     target_y_dva: tuple
     dwells_ms: tuple
@@ -125,11 +118,7 @@ def generate_recording(spec: OracleSpec, recording_id: str = "oracle") -> tuple:
         nominal_rate_hz=spec.rate_hz, recording_id=recording_id,
     )
     truth = GroundTruth(
-        recording_id=recording_id, rate_hz=spec.rate_hz, n_targets=spec.n_targets,
-        latency_ms=spec.latency_ms, bias_sigma_dva=spec.bias_sigma_dva,
-        bias_fixed_dva=tuple(spec.bias_fixed_dva),
-        noise_sigma_dva=spec.noise_sigma_dva, isi_jitter_ms=spec.isi_jitter_ms,
-        seed=spec.seed,
+        recording_id=recording_id, spec=spec,
         target_x_dva=tuple(pos_x), target_y_dva=tuple(pos_y),
         dwells_ms=tuple(dwells), bias_x_dva=tuple(bias_x), bias_y_dva=tuple(bias_y),
     )
@@ -317,9 +306,9 @@ def generate_corpus(spec: CorpusSpec, n_recordings: int, seed: int,
 def write_ground_truth(truths, path) -> None:
     """Corpus-level ground-truth table (scalar parameters per recording)."""
     write_csv(GROUND_TRUTH_HEADER, ([
-        gt.recording_id, format_float(gt.rate_hz), str(gt.n_targets),
-        format_float(gt.latency_ms), format_float(gt.bias_sigma_dva),
-        format_float(gt.bias_fixed_dva[0]), format_float(gt.bias_fixed_dva[1]),
-        format_float(gt.noise_sigma_dva), format_float(gt.isi_jitter_ms),
-        str(gt.seed),
+        gt.recording_id, format_float(gt.spec.rate_hz), str(gt.spec.n_targets),
+        format_float(gt.spec.latency_ms), format_float(gt.spec.bias_sigma_dva),
+        format_float(gt.spec.bias_fixed_dva[0]), format_float(gt.spec.bias_fixed_dva[1]),
+        format_float(gt.spec.noise_sigma_dva), format_float(gt.spec.isi_jitter_ms),
+        str(gt.spec.seed),
     ] for gt in truths), path)

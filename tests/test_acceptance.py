@@ -205,12 +205,12 @@ def test_criterion_6_one_nn_harness():
     for seed in range(5):
         r = np.random.default_rng(derive_seed(47, seed))
         chance.append(one_nn_two_sample(r.normal(size=(200, 7)),
-                                        r.normal(size=(200, 7))).combined_accuracy)
+                                        r.normal(size=(200, 7))).combined)
     chance_med = float(np.median(chance))
-    ok = (separated.combined_accuracy == 1.0 and duplicated.combined_accuracy == 0.0
+    ok = (separated.combined == 1.0 and duplicated.combined == 0.0
           and 0.40 <= chance_med <= 0.60)
-    report(6, ok, f"separated clusters {separated.combined_accuracy:.0%}, "
-                  f"duplicated sets {duplicated.combined_accuracy:.0%}, iid "
+    report(6, ok, f"separated clusters {separated.combined:.0%}, "
+                  f"duplicated sets {duplicated.combined:.0%}, iid "
                   f"median {chance_med:.0%} (in [40%, 60%])")
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist
 
-from gazesim.assess import (ZeroVarianceWarning, assessment_report_dict,
+from gazesim.assess import (RepeatAccuracy, ZeroVarianceWarning, assessment_report_dict,
                             distribution_summary, one_nn_two_sample, repeated_assessment,
                             _nearest_other, _standardize)
 from gazesim.quantiles import quantile
@@ -125,8 +125,7 @@ class TestKDTreeOracle:
         np.testing.assert_array_equal(kd_neighbors(real, synth),
                                       dense_neighbors(real, synth))
         r = one_nn_two_sample(real, synth)
-        assert (r.combined_accuracy, r.real_accuracy,
-                r.synthetic_accuracy) == dense_accuracy(real, synth)
+        assert (r.combined, r.real, r.synthetic) == dense_accuracy(real, synth)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 25).flatmap(lambda n: st.tuples(
@@ -162,14 +161,13 @@ class TestOneNN:
         real = rng.normal(0.0, 0.1, size=(5, 7))
         synth = rng.normal(10.0, 0.1, size=(5, 7))
         result = one_nn_two_sample(real, synth)
-        assert result.combined_accuracy == 1.0
-        assert result.real_accuracy == 1.0 and result.synthetic_accuracy == 1.0
+        assert result == RepeatAccuracy(combined=1.0, real=1.0, synthetic=1.0)
 
     def test_exact_copy_scores_zero(self):
         rng = np.random.default_rng(4)
         real = rng.normal(size=(20, 7))
         result = one_nn_two_sample(real, real.copy())
-        assert result.combined_accuracy == 0.0
+        assert result.combined == 0.0
 
     def test_chance_level_for_iid_samples(self):
         medians = []
@@ -177,7 +175,7 @@ class TestOneNN:
             rng = np.random.default_rng(seed)
             real = rng.normal(size=(200, 7))
             synth = rng.normal(size=(200, 7))
-            medians.append(one_nn_two_sample(real, synth, seed=seed).combined_accuracy)
+            medians.append(one_nn_two_sample(real, synth).combined)
         assert 0.40 <= float(np.median(medians)) <= 0.60
 
     def test_combined_is_mean_of_class_accuracies(self):
@@ -185,8 +183,7 @@ class TestOneNN:
         real = rng.normal(size=(30, 7))
         synth = rng.normal(0.5, 1.0, size=(30, 7))
         r = one_nn_two_sample(real, synth)
-        assert r.combined_accuracy == pytest.approx(
-            (r.real_accuracy + r.synthetic_accuracy) / 2.0, abs=1e-12)
+        assert r.combined == pytest.approx((r.real + r.synthetic) / 2.0, abs=1e-12)
 
     def test_unequal_sizes_rejected(self):
         rng = np.random.default_rng(6)
@@ -209,7 +206,7 @@ class TestOneNN:
         np.testing.assert_allclose(za1, za2, atol=1e-10)
         r1 = one_nn_two_sample(za1, zb1)
         r2 = one_nn_two_sample(za2, zb2)
-        assert r1.combined_accuracy == r2.combined_accuracy
+        assert r1.combined == r2.combined
 
 
 class TestRepeatedAssessment:

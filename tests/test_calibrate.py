@@ -34,7 +34,7 @@ class TestSweepSigma:
                           noise_sigma_dva=0.01, seed=3)
         rec = generate_recording(spec)[0]
         assert rec.span_ms == 3500.0
-        assert nominal_target_timestamps(rec.span_ms, 120.0)[-1] > 3500.0
+        assert nominal_target_timestamps(rec.span_ms, 120.0, 0.0)[-1] > 3500.0
         outputs = []
 
         def kept_output(rec, plan):

@@ -310,6 +310,20 @@ class TestCalibrate:
         assert f"{message}, got '{grid}'" in caplog.text
         assert not (tmp_path / "c.json").exists()
 
+    def test_repeating_grid_fails_before_any_recording_is_read(self, tmp_path, caplog):
+        # 110 points of 1e-13 round to 12 distinct values; the manifest names
+        # a missing file, so a read before the grid check would fail on it
+        manifest = tmp_path / "manifest.csv"
+        write_manifest([ManifestEntry("gone", str(tmp_path / "gone.csv"), "canonical",
+                                      1000.0)], manifest)
+        with caplog.at_level("ERROR"):
+            assert run(["calibrate", "--manifest", manifest, "--rate-hz", 250,
+                        "--grid", "0:1e-11:1e-13", "--out", tmp_path / "c.json"]) == 1
+        assert ("grid points repeat once rounded to 12 decimals, got '0:1e-11:1e-13'"
+                in caplog.text)
+        assert "gone.csv" not in caplog.text
+        assert not (tmp_path / "c.json").exists()
+
     @staticmethod
     def accumulated_grid(text):
         """The grid as a running sum of the step: the rule _parse_grid kept
@@ -635,6 +649,27 @@ class TestDegrade:
         assert "--sigma0-sq applies to the baseline model only" in caplog.text
         assert reads == [] and not out.exists()
 
+    @pytest.mark.parametrize("given", ["calibration", "target-table", "both"])
+    def test_baseline_sigma0_sq_rejects_calibration_inputs(
+            self, tiny_source, tiny_target_table, tiny_calibration, tmp_path, monkeypatch,
+            one_worker, caplog, given):
+        import gazesim.cli
+        reads = []
+        for name in ("read_recording_from_entry", "read_quality_table", "load_calibration"):
+            monkeypatch.setattr(gazesim.cli, name, reads.append)
+        out = tmp_path / "deg"
+        argv = ["degrade", "--manifest", tiny_source / "manifest.csv", "--model", "baseline",
+                "--sigma0-sq", 0.13, "--rate-hz", 250, "--out", out]
+        if given != "target-table":
+            argv += ["--calibration", tiny_calibration]
+        if given != "calibration":
+            argv += ["--target-table", tiny_target_table]
+        with caplog.at_level("ERROR"):
+            assert run(argv) == 1
+        assert ("--sigma0-sq applies to the baseline model only, and takes neither "
+                "--calibration nor --target-table") in caplog.text
+        assert reads == [] and not out.exists()
+
     @pytest.mark.parametrize("model", ["baseline", "modified"])
     def test_recording_id_cannot_write_outside_out(self, tiny_source, tiny_target_table,
                                                    tiny_calibration, tmp_path, caplog, model):
@@ -661,7 +696,8 @@ class TestDegrade:
         if how != "modified":
             argv[argv.index("--model") + 1] = "baseline"
         if how == "given":
-            argv += ["--sigma0-sq", 0.07]
+            # a given sigma0_sq takes no calibration inputs
+            argv = argv[:argv.index("--calibration")] + ["--sigma0-sq", 0.07, "--out", out]
         assert run(argv) == 0
         recorded = json.loads((out / "run_manifest.json").read_text())["sigma0_sq"]
         plans = [json.loads(p.read_text())["sigma0_sq"] for p in out.glob("*.plan.json")]
@@ -821,11 +857,12 @@ class TestGoldenCorpusHashes:
         assert {name: _hash_quality_table(read_quality_table(path))
                 for name, path in tables.items()} == self.HASHES
 
-    def test_plan_records_the_target_hash(self, tables, tiny_source, tmp_path):
+    def test_plan_records_the_target_hash(self, tables, tiny_source, tiny_calibration,
+                                          tmp_path):
         out = tmp_path / "deg"
         assert run(["degrade", "--manifest", tiny_source / "manifest.csv",
-                    "--model", "baseline", "--sigma0-sq", 0.1, "--rate-hz", 250,
-                    "--target-table", tables["real"], "--out", out]) == 0
+                    "--model", "baseline", "--calibration", tiny_calibration,
+                    "--rate-hz", 250, "--target-table", tables["real"], "--out", out]) == 0
         for plan in out.glob("*.plan.json"):
             assert json.loads(plan.read_text())["target_corpus_hash"] == self.HASHES["real"]
 
@@ -850,7 +887,9 @@ class TestGoldenDigests:
     quality tables, pinned so that a change to how tables are read and fed
     to the assessment cannot move a single output byte; and of a plan, a
     calibration and synth's run manifest, pinned so that a change to how
-    JSON documents are written cannot either."""
+    JSON documents are written cannot either; and of synth's ground-truth
+    table for both presets and a spec file, pinned so that a change to what
+    a GroundTruth holds cannot move it."""
 
     TABLES = {"real": "84a513a19a9be329a0944ca12d2c688bde62d54f5f99b8804703b752f0beeb47",
               "synth": "743129d61adae3ce8e2b3e555e734f4ecb57be898630de3ec4216d55c1b24d11"}
@@ -861,6 +900,19 @@ class TestGoldenDigests:
     CALIBRATION = "98f5b690f0e0e45007888016170416108cb390709a4c62d956b0dbb1e82a2df4"
     SYNTH_RUN = {"preset": "f207f9d0e35c5b0541ad24ddf867b80774e37211cbdbe081a5952763127bfad5",
                  "spec-file": "658b92a03abde567f8f86eb3a42ccf62543001119bd0d2e9f35aaebee79885f4"}
+    GROUND_TRUTH = {
+        "eyelink-like": "42a6159f5ae2569213edf64902c5898f7d01e03dad6dfe72f67bde15a19477ca",
+        "vr-like": "724b314c0bd49f1bc176dde1d97d139df95f32a69a0eb253c1819b35cd282890",
+        "every-kind": "429751f1fb12a19e142d528806af8198661b1e8e405c893d82be3e754295d7c0",
+    }
+    # every distribution kind, a lognormal that clips one draw, a dwell range
+    EVERY_KIND_SPEC = {
+        "rate_hz": 500.0, "n_targets": 3, "dwell_ms": [800.0, 1200.0],
+        "latency": {"kind": "uniform", "a": 150.0, "b": 250.0},
+        "bias_sigma": {"kind": "lognormal", "a": 0.1, "b": 0.4, "clip_hi": 0.12},
+        "noise_sigma": {"kind": "fixed", "a": 0.05},
+        "isi_jitter": 0.2,
+    }
 
     @staticmethod
     def table_text(rng, name, n, scale):
@@ -935,6 +987,15 @@ class TestGoldenDigests:
         spec = ["--preset", "vr-like"] if source == "preset" else ["--spec-file", "short.json"]
         assert run(["synth", *spec, "--n", 1, "--seed", 8, "--out", "corpus"]) == 0
         assert self.digest("corpus/run_manifest.json") == self.SYNTH_RUN[source]
+
+    @pytest.mark.parametrize("source", sorted(GROUND_TRUTH))
+    def test_ground_truth_csv_unchanged(self, tmp_path, monkeypatch, source):
+        monkeypatch.chdir(tmp_path)
+        Path("every_kind.json").write_text(json.dumps(self.EVERY_KIND_SPEC))
+        spec = (["--spec-file", "every_kind.json"] if source == "every-kind"
+                else ["--preset", source])
+        assert run(["synth", *spec, "--n", 3, "--seed", 8, "--out", "corpus"]) == 0
+        assert self.digest("corpus/ground_truth.csv") == self.GROUND_TRUTH[source]
 
 
 class TestWorkerProcesses:

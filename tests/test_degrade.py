@@ -166,14 +166,14 @@ class TestResampleSpline:
         gx = rng.standard_normal(500)
         gx[13] = np.nan
         rec = make_recording(np.arange(500.0), gx, rng.standard_normal(500))
-        out = resample_spline(rec, rec.timestamps_ms)
+        out = resample_spline(rec, rec.timestamps_ms, rec.nominal_rate_hz)
         np.testing.assert_array_equal(out.gaze_x, rec.gaze_x)
         np.testing.assert_array_equal(out.gaze_y, rec.gaze_y)
 
     def test_linear_ramp_exact(self):
         rec = self.ramp_recording()
         new_t = np.array([0.5, 10.25, 500.75, 998.5])
-        out = resample_spline(rec, new_t)
+        out = resample_spline(rec, new_t, rec.nominal_rate_hz)
         np.testing.assert_allclose(out.gaze_x, 0.5 * new_t, rtol=1e-12)
         np.testing.assert_allclose(out.tgt_x, 2.0 * new_t, rtol=1e-12)
 
@@ -181,7 +181,7 @@ class TestResampleSpline:
         # reference implementation: walk the grid until past the span
         rec = self.ramp_recording(n=1001)
         span = rec.span_ms
-        stamps = nominal_target_timestamps(span, 250.0)
+        stamps = nominal_target_timestamps(span, 250.0, 0.0)
         expected = 0
         t = 0.0
         while t <= span + 1e-9:
@@ -195,20 +195,20 @@ class TestResampleSpline:
     def test_outside_span_rejected(self):
         rec = self.ramp_recording()
         with pytest.raises(ValueError, match="outside source span"):
-            resample_spline(rec, [-1.0, 5.0])
+            resample_spline(rec, [-1.0, 5.0], rec.nominal_rate_hz)
         with pytest.raises(ValueError, match="outside source span"):
-            resample_spline(rec, [5.0, 1000.5])
+            resample_spline(rec, [5.0, 1000.5], rec.nominal_rate_hz)
 
     def test_non_increasing_rejected(self):
         rec = self.ramp_recording()
         # the resampled GazeRecording rejects its own stamps
         with pytest.raises(ValueError, match="non-monotone at index 1"):
-            resample_spline(rec, [5.0, 5.0, 6.0])
+            resample_spline(rec, [5.0, 5.0, 6.0], rec.nominal_rate_hz)
 
     def test_missing_propagates_to_bracketing_interval(self):
         gx = np.array([0.0, 1.0, np.nan, 3.0, 4.0])
         rec = make_recording([0.0, 1.0, 2.0, 3.0, 4.0], gx, np.zeros(5))
-        out = resample_spline(rec, [0.5, 1.5, 2.5, 3.5])
+        out = resample_spline(rec, [0.5, 1.5, 2.5, 3.5], rec.nominal_rate_hz)
         assert out.gaze_x[0] == 0.5
         assert np.isnan(out.gaze_x[1]) and np.isnan(out.gaze_x[2])
         assert out.gaze_x[3] == 3.5
@@ -216,20 +216,20 @@ class TestResampleSpline:
     def test_exact_hit_on_valid_node_next_to_missing(self):
         gx = np.array([0.0, 1.0, np.nan, 3.0])
         rec = make_recording([0.0, 1.0, 2.0, 3.0], gx, np.zeros(4))
-        out = resample_spline(rec, [1.0, 3.0])
+        out = resample_spline(rec, [1.0, 3.0], rec.nominal_rate_hz)
         assert out.gaze_x.tolist() == [1.0, 3.0]
 
 
 class TestNominalTargetTimestamps:
     def test_even_span(self):
-        assert nominal_target_timestamps(16.0, 250.0).tolist() == [0, 4, 8, 12, 16]
+        assert nominal_target_timestamps(16.0, 250.0, 0.0).tolist() == [0, 4, 8, 12, 16]
 
     def test_span_below_period_rejected(self):
         with pytest.raises(ValueError, match="period"):
-            nominal_target_timestamps(3.0, 250.0)
+            nominal_target_timestamps(3.0, 250.0, 0.0)
 
     def test_one_second_count(self):
-        assert nominal_target_timestamps(1000.0, 250.0).size == 251
+        assert nominal_target_timestamps(1000.0, 250.0, 0.0).size == 251
 
     def test_start_offset(self):
         stamps = nominal_target_timestamps(16.0, 250.0, start_ms=100.0)
@@ -358,7 +358,7 @@ class TestDegradeBenchmark:
         # 60 periods of 1000/120 ms sum to one ulp past the 500 ms span
         rng = np.random.default_rng(4)
         rec = make_recording(np.arange(501.0), rng.normal(0, 0.1, 501), rng.normal(0, 0.1, 501))
-        assert nominal_target_timestamps(rec.span_ms, 120.0)[-1] > 500.0
+        assert nominal_target_timestamps(rec.span_ms, 120.0, 0.0)[-1] > 500.0
         for out in (degrade_benchmark(rec, DegradationPlan(120.0, 0.01, rng_seed=1)),
                     zero_noise_pass(rec, 120.0)):
             assert out.timestamps_ms[-1] == 500.0

@@ -36,6 +36,14 @@ class TestCanonicalRecording:
         assert rec.gaze_x.tolist() == [0.1, 0.15, 0.2]
         assert rec.recording_id == "r"
 
+    def test_rate_is_required(self, tmp_path):
+        # no rate is assumed: a file's metrics depend on its nominal rate
+        path = tmp_path / "r.csv"
+        path.write_text("t_ms,gaze_x_dva,gaze_y_dva,tgt_x_dva,tgt_y_dva\n"
+                        "0,0.1,0.2,0,0\n4,0.15,0.25,0,0\n")
+        with pytest.raises(TypeError, match="nominal_rate_hz"):
+            read_recording(path, "canonical")
+
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(1)
         rec = make_recording(np.arange(50) * 1.0, rng.normal(size=50),
@@ -241,28 +249,28 @@ class TestReadRecordingFuzz:
         path = tmp_path / "trunc.csv"
         path.write_text(HEADER + "0,0.1,0.2,0,0\n1,0.15,0.25,0,0\n2,0.2,0.3,0,")
         with self.malformed(path, 4):
-            read_recording(path)
+            read_recording(path, "canonical", 1000.0)
         path.write_text(HEADER + "0,0.1,0.2,0,0\n1,0.15,0.25,0,0\n2,0.2")
         with self.malformed(path, 4):
-            read_recording(path)
+            read_recording(path, "canonical", 1000.0)
 
     def test_short_row(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text(HEADER + "0,0.1,0.2,0,0\n1,0.15,0.25,0\n2,0.2,0.3,0,0\n")
         with self.malformed(path, 3):
-            read_recording(path)
+            read_recording(path, "canonical", 1000.0)
 
     def test_extra_cells(self, tmp_path):
         path = tmp_path / "extra.csv"
         path.write_text(HEADER + "0,0.1,0.2,0,0\n1,0.15,0.25,0,0\n2,0.2,0.3,0,0,9\n")
         with self.malformed(path, 4):
-            read_recording(path)
+            read_recording(path, "canonical", 1000.0)
 
     def test_every_row_has_an_extra_cell(self, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text(HEADER + "0,0.1,0.2,0,0,9\n1,0.15,0.25,0,0,9\n")
         with self.malformed(path, 2):
-            read_recording(path)
+            read_recording(path, "canonical", 1000.0)
 
     def test_cell_over_csv_field_limit_fails_as_csv_does(self, tmp_path):
         # csv.Error is not a ValueError: it comes out as one naming the path,
@@ -272,16 +280,16 @@ class TestReadRecordingFuzz:
                         + "0,0\n")
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: "
                                              r"field larger than field limit"):
-            read_recording(path)
+            read_recording(path, "canonical", 1000.0)
 
     def test_blank_lines_skipped_but_counted(self, tmp_path):
         path = tmp_path / "blank.csv"
         path.write_text(HEADER + "0,0.1,0.2,0,0\n\n\n1,0.15,0.25,0,0\n\n2,0.2,0.3,0,0\n")
-        rec = read_recording(path)
+        rec = read_recording(path, "canonical", 1000.0)
         assert rec.gaze_x.tolist() == [0.1, 0.15, 0.2]
         path.write_text(HEADER + "0,0.1,0.2,0,0\n\n\n1,0.15,0.25,0,0\n\n2,0.2,x,0,0\n")
         with self.malformed(path, 7):
-            read_recording(path)
+            read_recording(path, "canonical", 1000.0)
 
     def test_first_bad_row_in_file_order_across_blocks(self, tmp_path):
         rows = [f"{i},0.1,0.2,0,0\n" for i in range(2 * _BLOCK_ROWS + 10)]
@@ -291,13 +299,13 @@ class TestReadRecordingFuzz:
         path = tmp_path / "blocks.csv"
         path.write_text(HEADER + "".join(rows))
         with self.malformed(path, _BLOCK_ROWS + 5):
-            read_recording(path)
+            read_recording(path, "canonical", 1000.0)
 
     def test_non_utf8_byte(self, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes(HEADER.encode() + b"0,0.1,0.2,0,0\n1,0.15\xe9,0.25,0,0\n")
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: not UTF-8"):
-            read_recording(path)
+            read_recording(path, "canonical", 1000.0)
 
     def test_non_utf8_byte_past_the_first_read_is_not_rescanned(self, tmp_path,
                                                                 monkeypatch):
@@ -309,7 +317,7 @@ class TestReadRecordingFuzz:
             raise AssertionError("a decode error is not a malformed row")
         monkeypatch.setattr("gazesim.io._malformed_row_error", no_rescan)
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: not UTF-8"):
-            read_recording(path)
+            read_recording(path, "canonical", 1000.0)
 
     def test_non_monotone_names_path_and_sample_index(self, tmp_path):
         path = tmp_path / "backwards.csv"
@@ -317,12 +325,12 @@ class TestReadRecordingFuzz:
                                  "0.5,0.2,0.3,0,0\n3,0.2,0.3,0,0\n")
         with pytest.raises(ValueError,
                            match=rf"^{re.escape(str(path))}: non-monotone at index 2$"):
-            read_recording(path)
+            read_recording(path, "canonical", 1000.0)
 
     def test_whitespace_gaze_cell_is_missing(self, tmp_path):
         path = tmp_path / "wsgaze.csv"
         path.write_text(HEADER + "0, ,0.2,0,0\n1, 0.15 ,0.25,0,0\n")
-        rec = read_recording(path)
+        rec = read_recording(path, "canonical", 1000.0)
         assert rec.missing.tolist() == [True, False]
         assert rec.gaze_x[1] == 0.15
 
@@ -443,7 +451,7 @@ class TestCParserMatchesCsv:
         path = tmp_path / "odd.csv"
         path.write_text(HEADER + '0,0.1,0.2,0,0\n1_0,\x1c0.5,0.2,\u0661,"1.0"\n',
                         encoding="utf-8")
-        rec = read_recording(path)
+        rec = read_recording(path, "canonical", 1000.0)
         assert rec.timestamps_ms.tolist() == [0.0, 10.0]
         assert rec.gaze_x.tolist() == [0.1, 0.5]  # gaze cells are str.strip()ped
         assert rec.tgt_x.tolist() == [0.0, 1.0]
@@ -453,7 +461,7 @@ class TestCParserMatchesCsv:
         path = tmp_path / "sep.csv"
         path.write_text(HEADER + "0,0.1,0.2,0,0\n1,0.1,0.2,0\x1d,0\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"malformed row at line 3: could not convert"):
-            read_recording(path)
+            read_recording(path, "canonical", 1000.0)
 
     @staticmethod
     def blink_recording():
@@ -477,7 +485,7 @@ class TestCParserMatchesCsv:
         def no_csv(*args):
             raise AssertionError("block left to the csv path")
         monkeypatch.setattr("gazesim.io._parse_rows", no_csv)
-        back = read_recording(path)
+        back = read_recording(path, "canonical", 1000.0)
         for name in ("timestamps_ms", "gaze_x", "gaze_y", "tgt_x", "tgt_y"):
             # the same bits: NaN mask, signed zeros and every value
             assert np.array_equal(getattr(back, name).view(np.int64),
@@ -491,7 +499,7 @@ class TestCParserMatchesCsv:
         assert ",," in blanked and "nan" not in blanked
         path = tmp_path / "blank.csv"
         path.write_text(blanked)
-        back = read_recording(path)
+        back = read_recording(path, "canonical", 1000.0)
         for name in ("timestamps_ms", "gaze_x", "gaze_y", "tgt_x", "tgt_y"):
             assert np.array_equal(getattr(back, name).view(np.int64),
                                   getattr(rec, name).view(np.int64)), name
@@ -516,7 +524,7 @@ class TestCParserMatchesCsv:
         rows[_BLOCK_ROWS - 1] = f'{_BLOCK_ROWS - 1},0.1,"0.2\n",0,0\n'
         path = tmp_path / "quoted.csv"
         path.write_text(HEADER + "".join(rows))
-        rec = read_recording(path)
+        rec = read_recording(path, "canonical", 1000.0)
         assert rec.n_samples == _BLOCK_ROWS + 2
         assert rec.gaze_y.tolist() == [0.2] * (_BLOCK_ROWS + 2)
 
@@ -527,7 +535,7 @@ class TestCParserMatchesCsv:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="zero usable samples"):
-                read_recording(path)
+                read_recording(path, "canonical", 1000.0)
 
     def test_read_peak_memory_stays_near_the_arrays(self, tmp_path):
         n = 17_221
@@ -539,7 +547,7 @@ class TestCParserMatchesCsv:
         write_recording(rec, path)
         tracemalloc.start()
         try:
-            read_recording(path)
+            read_recording(path, "canonical", 1000.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -560,7 +568,7 @@ class TestCParserMatchesCsv:
             return out
 
         monkeypatch.setattr(gazesim.types, "_readonly_f64", spy)
-        read_recording(path)
+        read_recording(path, "canonical", 1000.0)
         assert shared == [True] * 5
 
 

@@ -45,7 +45,7 @@ class TestEstimateLatency:
                           noise_sigma_dva=0.1, seed=42)
         rec, truth = generate_recording(spec)
         est = estimate_latency(rec)
-        assert abs(est.shift_ms - truth.latency_ms) <= 10.0
+        assert abs(est.shift_ms - truth.spec.latency_ms) <= 10.0
 
     def test_missing_samples_excluded(self):
         rec = piecewise_recording([1000, 1000, 1000], [(0, 0), (5, 2), (-3, 1)],

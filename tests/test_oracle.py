@@ -17,7 +17,7 @@ class TestGenerateRecording:
         rec, truth = generate_recording(spec)
         np.testing.assert_array_equal(rec.gaze_x, rec.tgt_x)
         np.testing.assert_array_equal(rec.gaze_y, rec.tgt_y)
-        assert truth.n_targets == 5
+        assert truth.spec.n_targets == 5
         assert len(truth.dwells_ms) == 5
 
     def test_noise_level_reflected_in_precision(self):
@@ -177,7 +177,7 @@ class TestGenerateCorpus:
 
     def test_per_recording_parameters_vary(self):
         corpus = generate_corpus(PRESETS["vr-like"], 8, seed=4)
-        sigmas = {gt.noise_sigma_dva for _, gt in corpus}
+        sigmas = {gt.spec.noise_sigma_dva for _, gt in corpus}
         assert len(sigmas) == 8
 
     def test_zero_recordings_rejected(self):

@@ -70,7 +70,8 @@ def sweep_sigma(corpus, sigma0_sq_grid, target_rate_hz: float,
     return fit_sweep(plans, ordered_map(partial(sweep_recording, plans=plans, seed=seed), corpus))
 
 
-def calibration_to_dict(calib: CalibrationCurve, provenance: dict | None = None) -> dict:
+def save_calibration(calib: CalibrationCurve, path, provenance: dict | None = None) -> str:
+    """Write the curve as JSON; returns the content-derived calibration id."""
     payload = {
         "sigma0_sq_grid": list(calib.sigma0_sq_grid),
         "mad_h": list(calib.mad_h_values),
@@ -82,14 +83,8 @@ def calibration_to_dict(calib: CalibrationCurve, provenance: dict | None = None)
         json.dumps(payload, sort_keys=True).encode("utf-8")
     ).hexdigest()[:16]
     payload["calibration_id"] = digest
-    return payload
-
-
-def save_calibration(calib: CalibrationCurve, path, provenance: dict | None = None) -> str:
-    """Write the curve as JSON; returns the content-derived calibration id."""
-    payload = calibration_to_dict(calib, provenance)
     write_json(payload, path)
-    return payload["calibration_id"]
+    return digest
 
 
 def load_calibration(path) -> tuple:

@@ -137,8 +137,9 @@ _MAX_GRID_POINTS = 1000  # each is a filter pass over every recording
 
 
 def _parse_grid(text: str) -> list:
-    """Parse 'a:b:step' into an inclusive grid (b within 1e-12) of points
-    rounded to 12 decimals; a grid whose rounded points repeat is rejected."""
+    """Parse 'a:b:step' into an inclusive grid (b within 1e-9 of a step) of
+    points rounded to 12 decimals; a grid whose rounded points repeat is
+    rejected."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be 'a:b:step', got {text!r}")
@@ -150,7 +151,7 @@ def _parse_grid(text: str) -> list:
     largest = max(abs(a), abs(b))
     if largest + step == largest:
         raise ValueError(f"grid step is too small to advance from {largest}, got {text!r}")
-    span = (b - a + 1e-12) / step
+    span = (b - a) / step + 1e-9
     if span >= _MAX_GRID_POINTS:
         raise ValueError(f"grid must have at most {_MAX_GRID_POINTS} points, got {text!r}")
     grid = [round(a + i * step, 12) for i in range(math.floor(span) + 1)]

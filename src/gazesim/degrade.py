@@ -364,8 +364,8 @@ def degrade_modified(rec: GazeRecording, plan: DegradationPlan,
     return _degrade(rec, plan, analysis)
 
 
-def plan_to_dict(plan: DegradationPlan, provenance: dict | None = None) -> dict:
-    """Flat JSON-compatible mapping for one plan."""
+def save_plan(plan: DegradationPlan, path, provenance: dict | None = None) -> None:
+    """Write one plan as flat JSON: its fields, then the provenance keys."""
     payload = {
         "target_rate_hz": plan.target_rate_hz,
         "sigma0_sq": plan.sigma0_sq,
@@ -376,11 +376,7 @@ def plan_to_dict(plan: DegradationPlan, provenance: dict | None = None) -> dict:
     }
     for key, value in (provenance or {}).items():
         payload[str(key)] = value
-    return payload
-
-
-def save_plan(plan: DegradationPlan, path, provenance: dict | None = None) -> None:
-    write_json(plan_to_dict(plan, provenance), path)
+    write_json(payload, path)
 
 
 def load_plan(path) -> DegradationPlan:

@@ -5,10 +5,10 @@ The canonical recording format is a UTF-8 CSV with header
 ``t_ms,gaze_x_dva,gaze_y_dva,tgt_x_dva,tgt_y_dva``. Missing gaze is written
 as ``nan`` and read from it, any NaN literal or an empty cell; target cells
 must always parse. Adapters map two external export layouts onto the
-canonical fields, converting units and synthesizing timestamps from the
-nominal rate when the layout lacks a time column. Floats are written with
-shortest round-trip formatting, so a write followed by a read reproduces
-every value exactly.
+canonical fields, converting units; every layout's time column is required.
+Files are read as UTF-8 after an optional byte order mark. Floats are
+written with shortest round-trip formatting, so a write followed by a read
+reproduces every value exactly.
 """
 from __future__ import annotations
 
@@ -25,15 +25,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .types import (QUALITY_FEATURES, GazeRecording, QualityTable, QualityVector,
-                    check_rate_hz)
+from .types import QUALITY_FEATURES, GazeRecording, QualityTable, QualityVector
 
 RECORDING_HEADER = ("t_ms", "gaze_x_dva", "gaze_y_dva", "tgt_x_dva", "tgt_y_dva")
 QUALITY_HEADER = ("recording_id", *QUALITY_FEATURES, "n_fixations_used")
 MANIFEST_HEADER = ("recording_id", "path", "format_tag", "rate_hz")
 
-# column names and time unit per supported layout; a None time column means
-# timestamps are synthesized as i * 1000 / nominal_rate_hz
+# column names and time unit per supported layout
 _LAYOUTS = {
     "canonical": dict(time="t_ms", gx="gaze_x_dva", gy="gaze_y_dva",
                       tx="tgt_x_dva", ty="tgt_y_dva", time_scale=1.0),
@@ -91,9 +89,10 @@ def is_json_number(value) -> bool:
 
 
 def read_json_object(path, kind: str) -> dict:
-    """The JSON object a `kind` file holds. Text that is not UTF-8 JSON, or a
-    payload that is not an object, raises ValueError naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """The JSON object a `kind` file holds. Text that is not UTF-8 JSON (a
+    leading byte order mark is skipped), or a payload that is not an object,
+    raises ValueError naming the file."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             payload = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -105,12 +104,13 @@ def read_json_object(path, kind: str) -> dict:
 
 @contextmanager
 def _open_csv(path):
-    """Open a UTF-8 CSV file for reading. A byte that is not UTF-8, or a
-    csv.Error (not a ValueError, such as a cell over csv's field size
-    limit), met anywhere in the with-block raises ValueError naming the
-    path, so a corpus loop can skip the file."""
+    """Open a UTF-8 CSV file for reading; a leading byte order mark is
+    skipped, so the first header name reads as written. A byte that is not
+    UTF-8, or a csv.Error (not a ValueError, such as a cell over csv's field
+    size limit), met anywhere in the with-block raises ValueError naming
+    the path, so a corpus loop can skip the file."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
@@ -227,8 +227,10 @@ def read_recording(path, format_tag: str, nominal_rate_hz: float,
     Empty or NaN gaze cells are flagged missing, not dropped. Columns are
     matched by their whitespace-stripped header names. Malformed rows abort
     the read with a message naming the 1-based file line; blank lines are
-    skipped but counted. A nominal rate that is not positive and finite
-    fails before the file is opened.
+    skipped but counted. A file without its layout's time column fails
+    naming that column, as for any other column: no timestamps are made
+    from the rate. A nominal rate that is not positive and finite fails
+    when the recording is built. Each error names the file.
     """
     if format_tag not in _LAYOUTS:
         raise ValueError(f"unknown format_tag {format_tag!r} (expected one of {FORMAT_TAGS})")
@@ -236,10 +238,6 @@ def read_recording(path, format_tag: str, nominal_rate_hz: float,
     path = Path(path)
     if recording_id is None:
         recording_id = path.stem
-    try:
-        check_rate_hz(nominal_rate_hz)  # before timestamps are made from it
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
     with _open_csv(path) as fh:
         reader = csv.reader(fh)
@@ -247,13 +245,12 @@ def read_recording(path, format_tag: str, nominal_rate_hz: float,
         if header is None:
             raise ValueError(f"{path}: empty file")
         index = {name.strip(): i for i, name in enumerate(header)}
-        for col in (layout["gx"], layout["gy"], layout["tx"], layout["ty"]):
+        for col in (layout["time"], layout["gx"], layout["gy"], layout["tx"], layout["ty"]):
             if col not in index:
                 raise ValueError(f"{path}: missing column {col!r} for format {format_tag!r}")
-        has_time = layout["time"] in index
-        columns = ([(index[layout["time"]], False)] if has_time else []) + [
-            (index[layout["gx"]], True), (index[layout["gy"]], True),
-            (index[layout["tx"]], False), (index[layout["ty"]], False)]
+        columns = [(index[layout["time"]], False),
+                   (index[layout["gx"]], True), (index[layout["gy"]], True),
+                   (index[layout["tx"]], False), (index[layout["ty"]], False)]
         try:
             data = _read_columns(fh, len(header), columns)
         except UnicodeDecodeError:
@@ -263,11 +260,8 @@ def read_recording(path, format_tag: str, nominal_rate_hz: float,
 
     if not data or data[0].size == 0:
         raise ValueError(f"{path}: zero usable samples")
-    gx, gy, tx, ty = data[-4:]
-    if has_time:
-        t = data[0] * layout["time_scale"]
-    else:
-        t = np.arange(gx.size) * (1000.0 / nominal_rate_hz)
+    t, gx, gy, tx, ty = data
+    t = t * layout["time_scale"]
     for arr in (t, gx, gy, tx, ty):
         arr.flags.writeable = False  # fresh arrays: the recording shares them
     try:

@@ -163,25 +163,11 @@ class QualityVector:
 
     def __post_init__(self) -> None:
         for name in QUALITY_FEATURES:
-            v = float(getattr(self, name))
-            object.__setattr__(self, name, v)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
-        # products, not ** 2: QualityTable's column check does the same
-        # arithmetic, so the two accept exactly the same rows
-        combined_sq = self.prec_h * self.prec_h + self.prec_v * self.prec_v
-        if abs(self.prec_c * self.prec_c - combined_sq) > 1e-12 * max(combined_sq, 1e-300):
-            raise ValueError(
-                f"prec_c={self.prec_c} violates prec_c^2 == prec_h^2 + prec_v^2"
-            )
-        slack = 1e-9 * (1.0 + self.acc_c)
-        if self.acc_c < max(self.acc_h, self.acc_v) - slack:
-            raise ValueError("acc_c below max(acc_h, acc_v)")
-        if self.acc_c > self.acc_h + self.acc_v + slack:
-            raise ValueError("acc_c above acc_h + acc_v")
-        if not _is_count(self.n_fixations_used):
-            raise ValueError(
-                f"n_fixations_used must be an int >= 1, got {self.n_fixations_used!r}")
+            object.__setattr__(self, name, float(getattr(self, name)))
+        broken = _first_broken_quality_rule(np.array([self.as_tuple()]),
+                                            (self.n_fixations_used,))
+        if broken is not None:
+            raise ValueError(broken[1])
         object.__setattr__(self, "n_fixations_used", int(self.n_fixations_used))
 
     def as_tuple(self) -> tuple:
@@ -200,19 +186,32 @@ def _check_seed(name: str, seed) -> int:
     return int(seed)
 
 
-def _valid_quality_rows(features: np.ndarray) -> np.ndarray:
-    """True for each row of an (n, 7) feature matrix in QUALITY_FEATURES
-    order that passes QualityVector's feature checks, with its arithmetic."""
+def _first_broken_quality_rule(features: np.ndarray, counts) -> tuple | None:
+    """(row, message) for the first row of an (n, 7) feature matrix in
+    QUALITY_FEATURES order, with its n fixation counts, that breaks a
+    quality rule, naming the first rule it breaks; None if no row does."""
     acc_h, acc_v, acc_c, prec_h, prec_v, prec_c, _ = features.T
     with np.errstate(invalid="ignore", over="ignore"):
-        ok = (np.isfinite(features) & (features >= 0.0)).all(axis=1)
         combined_sq = prec_h * prec_h + prec_v * prec_v
-        ok &= ~(np.abs(prec_c * prec_c - combined_sq)
-                > 1e-12 * np.maximum(combined_sq, 1e-300))
         slack = 1e-9 * (1.0 + acc_c)
-        ok &= ~(acc_c < np.maximum(acc_h, acc_v) - slack)
-        ok &= ~(acc_c > acc_h + acc_v + slack)
-    return ok
+        broken = np.column_stack([
+            ~(np.isfinite(features) & (features >= 0.0)),
+            np.abs(prec_c * prec_c - combined_sq) > 1e-12 * np.maximum(combined_sq, 1e-300),
+            acc_c < np.maximum(acc_h, acc_v) - slack,
+            acc_c > acc_h + acc_v + slack,
+            ~np.fromiter(map(_is_count, counts), bool, len(counts)),
+        ])
+    rows, rules = np.nonzero(broken)  # row-major: the first row, then its first rule
+    if not rows.size:
+        return None
+    i, rule = int(rows[0]), int(rules[0])
+    if rule < len(QUALITY_FEATURES):
+        name = QUALITY_FEATURES[rule]
+        return i, f"{name} must be finite and >= 0, got {float(features[i, rule])}"
+    messages = (f"prec_c={float(prec_c[i])} violates prec_c^2 == prec_h^2 + prec_v^2",
+                "acc_c below max(acc_h, acc_v)", "acc_c above acc_h + acc_v",
+                f"n_fixations_used must be an int >= 1, got {counts[i]!r}")
+    return i, messages[rule - len(QUALITY_FEATURES)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,8 +219,9 @@ class QualityTable:
     """A quality table as columns: recording ids, an (n, 7) read-only
     feature matrix in QUALITY_FEATURES order and each row's fixation count.
     Checked when built: at least one row, distinct ids, and every row
-    passes QualityVector's checks, tested a whole column at a time. A
-    failed check raises ValueError naming the first offending row."""
+    keeps QualityVector's rules, tested a whole column at a time. A failed
+    check raises ValueError naming the first offending row and the rule it
+    breaks."""
 
     ids: tuple
     features: np.ndarray
@@ -246,11 +246,10 @@ class QualityTable:
                 if rid in seen:
                     raise ValueError(f"duplicate recording_id {rid!r} at row {i}")
                 seen.add(rid)
-        valid = _valid_quality_rows(features) & np.fromiter(map(_is_count, counts), bool, n)
-        bad = np.flatnonzero(~valid)
-        if bad.size:
-            i = int(bad[0])
-            raise ValueError(f"row {i} ({ids[i]!r}) fails QualityVector's checks")
+        broken = _first_broken_quality_rule(features, counts)
+        if broken is not None:
+            i, message = broken
+            raise ValueError(f"row {i} ({ids[i]!r}): {message}")
         object.__setattr__(self, "n_fixations_used", tuple(map(int, counts)))
 
     def __len__(self) -> int:

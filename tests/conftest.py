@@ -1,3 +1,4 @@
+import codecs
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,14 @@ def piecewise_recording(dwells_ms, targets, latency_ms=0.0, rate_hz=1000.0,
     gy = pos[gaze_idx, 1] + rng.standard_normal(n) * noise
     return make_recording(t, gx, gy, pos[tgt_idx, 0], pos[tgt_idx, 1],
                           rate_hz=rate_hz, recording_id=recording_id)
+
+
+def with_bom(path):
+    """A copy of the file at `path` with a UTF-8 byte order mark before its
+    first byte, in the same directory."""
+    copy = path.with_name("bom-" + path.name)
+    copy.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    return copy
 
 
 def tree_bytes(root):

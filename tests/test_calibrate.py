@@ -10,6 +10,8 @@ from gazesim.degrade import degrade_benchmark, nominal_target_timestamps
 from gazesim.oracle import OracleSpec, generate_recording
 from gazesim.types import CalibrationClampWarning, CalibrationCurve, QualityVector
 
+from conftest import with_bom
+
 
 @pytest.fixture(scope="module")
 def small_corpus():
@@ -115,6 +117,11 @@ class TestCalibrationIO:
         assert curve == swept_curve
         assert payload["calibration_id"] == calib_id
         assert payload["provenance"]["seed"] == 7
+
+    def test_byte_order_mark_skipped(self, tmp_path, swept_curve):
+        path = tmp_path / "calib.json"
+        save_calibration(swept_curve, path, provenance={"seed": 7})
+        assert load_calibration(with_bom(path)) == load_calibration(path)
 
     def test_id_is_content_derived(self, tmp_path, swept_curve):
         id_a = save_calibration(swept_curve, tmp_path / "a.json")

@@ -341,6 +341,17 @@ class TestCalibrate:
     def test_grid_points_equal_the_running_sum(self, grid):
         assert _parse_grid(grid) == self.accumulated_grid(grid)
 
+    @pytest.mark.parametrize("grid, points", [
+        ("0:1e-11:1e-12", [i * 1e-12 for i in range(10)] + [1e-11]),
+        ("0.05:0.45:0.05", [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45]),
+        ("0:1:0.25", [0.0, 0.25, 0.5, 0.75, 1.0]),
+        ("0.1:0.7:0.2", [0.1, 0.3, 0.5, 0.7]),
+    ])
+    def test_grid_reaches_b_within_a_fraction_of_a_step(self, grid, points):
+        # b is reached within 1e-9 of a step, not an absolute slack, so a tiny
+        # step sweeps no point past b
+        assert _parse_grid(grid) == [round(p, 12) for p in points]
+
 
 class TestDegrade:
     def test_baseline_with_explicit_sigma(self, tiny_source, tmp_path):
@@ -1122,7 +1133,8 @@ class TestWorkerProcesses:
             self, tiny_target_table, tmp_path, use_workers, caplog, rate, time_column):
         # a recording needs a positive, finite rate: one that is not fails the
         # run naming its file, and --skip-bad skips it alone; a file without
-        # a time column fails the same way, before timestamps are made from it
+        # its time column fails the same way naming that column, whatever its
+        # rate, as no timestamps are made from the rate
         entries = read_manifest(tiny_target_table.parent / "manifest.csv")
         bad = entries[1]
         if not time_column:
@@ -1134,7 +1146,8 @@ class TestWorkerProcesses:
         manifest = tmp_path / "bad_rate.csv"
         write_manifest(entries, manifest)
         out = tmp_path / "q.csv"
-        reason = f"{bad.path}: nominal_rate_hz must be positive and finite, got {float(rate)}"
+        reason = (f"{bad.path}: nominal_rate_hz must be positive and finite, got {float(rate)}"
+                  if time_column else f"{bad.path}: missing column 't_ms' for format 'canonical'")
         seen = []
         for n in (1, 2):
             use_workers(n)

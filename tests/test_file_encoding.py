@@ -1,6 +1,8 @@
-"""Only io.py encodes files: no other gazesim module imports csv or calls
-atomic_write_text, so every file format is written in one module. Checked
-on the source with the standard library's ast."""
+"""Only io.py encodes and decodes files: no other gazesim module imports
+csv, calls atomic_write_text or opens a file, so every file format is
+written and read in one module, and io.py reads every file it opens as
+UTF-8 after an optional byte order mark. Checked on the source with the
+standard library's ast."""
 import ast
 from pathlib import Path
 
@@ -48,3 +50,52 @@ def test_checker_flags_every_use():
     assert encoding_uses(source) == [(1, "import csv"), (2, "import csv"),
                                      (3, "import atomic_write_text"),
                                      (5, "atomic_write_text()"), (6, "atomic_write_text()")]
+
+
+def _literal(node):
+    """The value of a constant expression node, None for any other node."""
+    return node.value if isinstance(node, ast.Constant) else None
+
+
+def file_opens(source: str) -> list:
+    """(line, mode, encoding) for each call of a function or method named
+    open or fdopen in the source. `mode` is the literal second argument or
+    mode keyword ("r" when there is none, None when it is not a literal);
+    `encoding` is the literal fourth argument or encoding keyword, or None."""
+    opens = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name not in ("open", "fdopen"):
+            continue
+        keywords = {kw.arg: kw.value for kw in node.keywords}
+        mode = node.args[1] if len(node.args) > 1 else keywords.get("mode", ast.Constant("r"))
+        encoding = node.args[3] if len(node.args) > 3 else keywords.get("encoding")
+        opens.append((node.lineno, _literal(mode), _literal(encoding)))
+    return sorted(opens)
+
+
+@pytest.mark.parametrize("path", OTHER_MODULES, ids=lambda p: p.name)
+def test_only_io_opens_files(path):
+    opens = file_opens(path.read_text(encoding="utf-8"))
+    assert not opens, f"{path.name}: " + ", ".join(f"open() (line {line})"
+                                                   for line, _, _ in opens)
+
+
+def test_io_reads_every_file_with_one_encoding():
+    opens = file_opens((PACKAGE / "io.py").read_text(encoding="utf-8"))
+    # a mode that is not a literal may read
+    reads = [(line, encoding) for line, mode, encoding in opens
+             if mode is None or "r" in mode or "+" in mode]
+    assert reads, "io.py reads no file"
+    assert all(encoding == "utf-8-sig" for _, encoding in reads), reads
+
+
+def test_open_checker_flags_every_call():
+    source = ("import os\nfrom pathlib import Path\nopen('p')\n"
+              "open('p', 'w', encoding='utf-8')\nos.fdopen(3, mode='rb')\n"
+              "Path('p').open()\nopen('p', m, -1, 'utf-8-sig')\n"
+              "os.fdopen(3, 'r+', encoding=name)\n")
+    assert file_opens(source) == [(3, "r", None), (4, "w", "utf-8"), (5, "rb", None),
+                                  (6, "r", None), (7, None, "utf-8-sig"), (8, "r+", None)]

@@ -14,9 +14,9 @@ from gazesim.io import (_BLOCK_ROWS, QUALITY_HEADER, RECORDING_HEADER, ManifestE
                         read_recording, recording_to_csv, write_manifest,
                         write_quality_table, write_recording)
 from gazesim.metrics import temporal_precision
-from gazesim.types import QualityTable, QualityVector, _valid_quality_rows
+from gazesim.types import QualityTable, QualityVector
 
-from conftest import blank_missing_gaze, make_recording
+from conftest import blank_missing_gaze, make_recording, with_bom
 
 
 def qv(acc_h=0.1, prec_h=0.02, prec_v=0.03, temporal=0.5, n=10):
@@ -140,11 +140,18 @@ class TestAdapters:
         rec = read_recording(path, "vr-export", 250.0)
         assert rec.timestamps_ms.tolist() == [0.0, 4.0]
 
-    def test_missing_time_column_synthesizes_from_rate(self, tmp_path):
+    @pytest.mark.parametrize("format_tag, header, time_column", [
+        ("canonical", "gaze_x_dva,gaze_y_dva,tgt_x_dva,tgt_y_dva", "t_ms"),
+        ("eyelink-export", "x,y,xT,yT", "n"),
+        ("vr-export", "gaze_x_deg,gaze_y_deg,target_x_deg,target_y_deg", "time_s")],
+        ids=["canonical", "eyelink-export", "vr-export"])
+    def test_missing_time_column_named(self, tmp_path, format_tag, header, time_column):
+        # no timestamps are made from the rate: the time column is required
         path = tmp_path / "nt.csv"
-        path.write_text("x,y,xT,yT\n1,2,0,0\n1.1,2.1,0,0\n1.2,2.2,0,0\n")
-        rec = read_recording(path, "eyelink-export", 250.0)
-        assert rec.timestamps_ms.tolist() == [0.0, 4.0, 8.0]
+        path.write_text(header + "\n1,2,0,0\n1.1,2.1,0,0\n1.2,2.2,0,0\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: missing column "
+                                             rf"'{time_column}' for format '{format_tag}'$"):
+            read_recording(path, format_tag, 250.0)
 
     def test_missing_required_column(self, tmp_path):
         path = tmp_path / "mc.csv"
@@ -780,19 +787,6 @@ class TestQualityTableChecks:
     """QualityTable checks QualityVector's invariants a column at a time;
     the reader names a failing line by re-running the per-row loop."""
 
-    @settings(max_examples=250, deadline=None)
-    @given(st.lists(quality_values(), min_size=1, max_size=40))
-    def test_column_check_accepts_exactly_what_quality_vector_accepts(self, rows):
-        def accepted(values):
-            try:
-                QualityVector(*values, n_fixations_used=1)
-            except ValueError:
-                return False
-            return True
-
-        expected = [accepted(values) for values in rows]
-        assert _valid_quality_rows(np.array(rows)).tolist() == expected
-
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(quality_values(), _count), min_size=1, max_size=6))
     def test_table_builds_exactly_when_every_row_would(self, rows):
@@ -825,6 +819,44 @@ class TestQualityTableChecks:
             return "read", table.ids, table.features.tobytes(), table.n_fixations_used
 
         assert outcome(read_quality_table) == outcome(per_row_read)
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte order mark before the header is skipped: each kind of
+    file reads equal to its copy without one."""
+
+    # the first column, which a byte order mark would rename, is the time column
+    LAYOUT_TEXT = {
+        "canonical": "t_ms,gaze_x_dva,gaze_y_dva,tgt_x_dva,tgt_y_dva\n"
+                     "0,0.1,0.2,0,0\n4.2,0.15,,0,0\n7.9,0.2,0.3,1,0\n",
+        "eyelink-export": "n,x,y,dP,xT,yT\n"
+                          "0,1.5,2.5,800,3,4\n4,1.6,2.6,801,3,4\n9,1.7,2.7,802,3,4\n",
+        "vr-export": "time_s,gaze_x_deg,gaze_y_deg,target_x_deg,target_y_deg\n"
+                     "0.0,1,2,0,0\n0.0041,1.1,2.1,0,0\n0.0079,1.2,2.2,0,0\n",
+    }
+
+    @pytest.mark.parametrize("format_tag", list(LAYOUT_TEXT))
+    def test_recording(self, tmp_path, format_tag):
+        path = tmp_path / "r.csv"
+        path.write_text(self.LAYOUT_TEXT[format_tag])
+        plain = read_recording(path, format_tag, 250.0)
+        bom = read_recording(with_bom(path), format_tag, 250.0)
+        for name in ("timestamps_ms", "gaze_x", "gaze_y", "tgt_x", "tgt_y"):
+            np.testing.assert_array_equal(getattr(bom, name), getattr(plain, name))
+
+    def test_quality_table(self, tmp_path):
+        path = tmp_path / "q.csv"
+        write_quality_table(QualityTable.from_rows([("b", qv(acc_h=0.3)), ("a", qv(n=4))]),
+                            path)
+        plain, bom = read_quality_table(path), read_quality_table(with_bom(path))
+        assert bom.ids == plain.ids and bom.n_fixations_used == plain.n_fixations_used
+        assert bom.features.tobytes() == plain.features.tobytes()
+
+    def test_manifest(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        write_manifest([ManifestEntry("r1", "recs/r1.csv", "canonical", 1000.0),
+                        ManifestEntry("r2", "r2.csv", "vr-export", 250.0)], path)
+        assert read_manifest(with_bom(path)) == read_manifest(path)
 
 
 class TestAtomicWrite:

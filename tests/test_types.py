@@ -244,13 +244,32 @@ class TestQualityTable:
         with pytest.raises(ValueError, match=r"^duplicate recording_id 'a' at row 2$"):
             QualityTable(["a", "b", "a"], [self.ROW] * 3, [1, 1, 1])
 
-    @pytest.mark.parametrize("column, value, count", [
-        (5, 0.51, 1), (2, 0.1, 1), (0, np.nan, 1), (6, -1.0, 1),
-        (6, 0.6, 0), (6, 0.6, 2.5), (6, 0.6, True)])
-    def test_row_failing_a_quality_vector_check_named(self, column, value, count):
+    # one row per rule: (column, value, fixation count) of row 1, and the
+    # rule it breaks, in QualityVector's words
+    BROKEN_RULES = [
+        (0, np.nan, 1, "acc_h must be finite and >= 0, got nan"),
+        (1, np.inf, 1, "acc_v must be finite and >= 0, got inf"),
+        (2, -0.5, 1, "acc_c must be finite and >= 0, got -0.5"),
+        (3, -np.inf, 1, "prec_h must be finite and >= 0, got -inf"),
+        (4, -1e-300, 1, "prec_v must be finite and >= 0, got -1e-300"),
+        (5, np.nan, 1, "prec_c must be finite and >= 0, got nan"),
+        (6, -1.0, 1, "temporal_prec_ms must be finite and >= 0, got -1.0"),
+        (5, 0.51, 1, "prec_c=0.51 violates prec_c^2 == prec_h^2 + prec_v^2"),
+        (2, 0.1, 1, "acc_c below max(acc_h, acc_v)"),
+        (2, 0.9, 1, "acc_c above acc_h + acc_v"),
+        (6, 0.6, 0, "n_fixations_used must be an int >= 1, got 0"),
+        (6, 0.6, 2.5, "n_fixations_used must be an int >= 1, got 2.5"),
+        (6, 0.6, True, "n_fixations_used must be an int >= 1, got True"),
+    ]
+
+    @pytest.mark.parametrize("column, value, count, rule", BROKEN_RULES,
+                             ids=[f"{c}-{v}-{n}" for c, v, n, _ in BROKEN_RULES])
+    def test_row_failing_a_quality_vector_check_named(self, column, value, count, rule):
         bad = list(self.ROW)
         bad[column] = value
-        with pytest.raises(ValueError, match=r"^row 1 \('b'\) fails QualityVector's checks$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(rule)}$"):
+            QualityVector(*bad, count)
+        with pytest.raises(ValueError, match=rf"^row 1 \('b'\): {re.escape(rule)}$"):
             QualityTable(["a", "b"], [self.ROW, bad], [1, count])
 
 

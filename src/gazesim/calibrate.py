@@ -56,7 +56,7 @@ def fit_sweep(plans, per_recording) -> CalibrationCurve:
         warnings.warn("raw calibration sweep is non-monotone; fitting anyway",
                       NonMonotoneSweepWarning, stacklevel=2)
     slope, intercept = np.polyfit(grid, medians, 1)
-    return CalibrationCurve(samples=tuple(zip(grid, medians)),
+    return CalibrationCurve(sigma0_sq_grid=grid, mad_h=medians,
                             slope=float(slope), intercept=float(intercept))
 
 
@@ -74,7 +74,7 @@ def save_calibration(calib: CalibrationCurve, path, provenance: dict | None = No
     """Write the curve as JSON; returns the content-derived calibration id."""
     payload = {
         "sigma0_sq_grid": list(calib.sigma0_sq_grid),
-        "mad_h": list(calib.mad_h_values),
+        "mad_h": list(calib.mad_h),
         "slope": calib.slope,
         "intercept": calib.intercept,
         "provenance": dict(provenance or {}),
@@ -109,14 +109,9 @@ def load_calibration(path) -> tuple:
     for key in ("slope", "intercept"):
         if not is_json_number(payload[key]):
             raise ValueError(f"{path}: calibration key {key!r} is not a number: {payload[key]!r}")
-    if len(payload["sigma0_sq_grid"]) != len(payload["mad_h"]):
-        raise ValueError(f"{path}: calibration keys 'sigma0_sq_grid' and 'mad_h' differ in length")
     try:
-        curve = CalibrationCurve(
-            samples=tuple(zip(payload["sigma0_sq_grid"], payload["mad_h"])),
-            slope=payload["slope"],
-            intercept=payload["intercept"],
-        )
+        curve = CalibrationCurve(payload["sigma0_sq_grid"], payload["mad_h"],
+                                 payload["slope"], payload["intercept"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return curve, payload
@@ -127,9 +122,9 @@ def describe_curve(calib: CalibrationCurve) -> str:
     lines = [
         f"calibration fit: mad_h = {format_float(calib.slope)} * sigma0_sq "
         f"+ {format_float(calib.intercept)}",
-        f"swept sigma0_sq in [{calib.sigma0_sq_grid[0]}, {calib.max_sigma0_sq}] "
-        f"({len(calib.samples)} points)",
+        f"swept sigma0_sq in [{calib.sigma0_sq_grid[0]}, {calib.sigma0_sq_grid[-1]}] "
+        f"({len(calib.sigma0_sq_grid)} points)",
     ]
-    residuals = [m - calib.predict(s) for s, m in calib.samples]
+    residuals = [m - calib.predict(s) for s, m in zip(calib.sigma0_sq_grid, calib.mad_h)]
     lines.append(f"max |fit residual| = {max(abs(r) for r in residuals):.6g} dva")
     return "\n".join(lines)

@@ -209,6 +209,17 @@ def _transform_and_write(task, out_dir: Path, provenance: dict) -> str:
     return _write_degraded(degrade_modified(rec, plan, analysis), plan, out_dir, provenance)
 
 
+def _check_out_dir(manifest_path, out_dir: Path) -> None:
+    """Raise ValueError naming the path if a degraded recording or the output
+    manifest would replace a source recording or the input manifest."""
+    entries = read_manifest(manifest_path)
+    inputs = {Path(e.path).resolve() for e in entries} | {Path(manifest_path).resolve()}
+    for name in [f"{e.recording_id}.csv" for e in entries] + ["manifest.csv"]:
+        if (out_dir / name).resolve() in inputs:
+            raise ValueError(f"{out_dir / name}: --out would overwrite this file of the "
+                             f"source corpus")
+
+
 def cmd_degrade(args) -> int:
     modified = args.model == "modified"
     if modified and not (args.calibration and args.target_table):
@@ -238,13 +249,14 @@ def cmd_degrade(args) -> int:
     baseline = DegradationPlan(args.rate_hz, 0.0 if modified else sigma0_sq)
     if modified:
         _target_jitter_ms(target, args.rate_hz)
+    out_dir = Path(args.out)
+    _check_out_dir(args.manifest, out_dir)
     _load_filter_backend()
     provenance = {
         "model": args.model,
         "calibration_id": calib_payload.get("calibration_id") if calib_payload else None,
         "target_corpus_hash": _hash_quality_table(target) if target is not None else None,
     }
-    out_dir = Path(args.out)
     if modified:
         # every plan needs the whole source table: measure each source as it
         # is read (its quality, zero-noise precision and fixation windows)

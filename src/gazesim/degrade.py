@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import importlib
 import math
-from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -34,13 +33,13 @@ from .metrics import RecordingAnalysis
 from .quantiles import percentile_rank, quantile
 from .types import (CalibrationCurve, DegradationPlan, GazeRecording, QualityTable,
                     QualityVector)
-from .io import is_json_number, read_json_object, write_json
+from .io import write_json
 
 __all__ = [
     "lowpass_zero_phase", "resample_spline",
     "nominal_target_timestamps", "jitter_timestamps", "add_precision_noise",
     "degrade_benchmark", "plan_modified", "build_accuracy_signal",
-    "degrade_modified", "zero_noise_pass", "save_plan", "load_plan",
+    "degrade_modified", "zero_noise_pass", "save_plan",
 ]
 
 # fraction of combined marginal dispersion carried by each channel when the
@@ -378,32 +377,3 @@ def save_plan(plan: DegradationPlan, path, provenance: dict | None = None) -> No
         payload[str(key)] = value
     write_json(payload, path)
 
-
-def load_plan(path) -> DegradationPlan:
-    """Read a plan file. An older file's eccentricity-weighting keys load
-    only when null: a weighted plan is never read as unweighted.
-
-    A file that is not a JSON object, lacks target_rate_hz or sigma0_sq, or
-    holds a non-numeric value (a non-integer rng_seed) raises ValueError
-    naming the file; the other keys default as in DegradationPlan.
-    """
-    payload = read_json_object(path, "plan")
-    for key in ("eccentricity_sigma_s_dva", "eccentricity_r_max_dva"):
-        if payload.get(key) is not None:
-            raise ValueError(f"{path}: eccentricity weighting ({key}) is no longer supported")
-    values = {}
-    for field in fields(DegradationPlan):
-        key = field.name
-        if key not in payload:
-            if field.default is MISSING:
-                raise ValueError(f"{path}: plan file lacks key {key!r}")
-            continue
-        value = values[key] = payload[key]
-        if key == "rng_seed" and not (is_json_number(value) and isinstance(value, int)):
-            raise ValueError(f"{path}: plan key {key!r} is not an integer: {value!r}")
-        if not is_json_number(value):
-            raise ValueError(f"{path}: plan key {key!r} is not a number: {value!r}")
-    try:
-        return DegradationPlan(**values)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None

@@ -50,7 +50,8 @@ def format_float(value: float) -> str:
 
 def atomic_write_text(path, text) -> None:
     """Write the full text, a str or an iterable of str chunks, to `path` via
-    a temp file in the same directory. An OSError names `path`."""
+    a temp file in the same directory. The file gets the mode the umask
+    gives a new file (mkstemp's is 0600). An OSError names `path`."""
     path = os.fspath(path)
     tmp = None
     try:
@@ -58,6 +59,11 @@ def atomic_write_text(path, text) -> None:
                                    suffix=".part")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.writelines([text] if isinstance(text, str) else text)
+        # reading the umask sets it, so set it back at once (gazesim starts
+        # no threads that could create a file in between)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
@@ -301,11 +307,6 @@ def _csv_chunks(rec: GazeRecording):
             rec.timestamps_ms, rec.gaze_x, rec.gaze_y, rec.tgt_x, rec.tgt_y)]
         yield "\n".join(map(",".join, zip(*cols)))
         yield "\n"
-
-
-def recording_to_csv(rec: GazeRecording) -> str:
-    """Canonical CSV text for a recording; missing gaze is written as nan."""
-    return "".join(_csv_chunks(rec))
 
 
 def write_recording(rec: GazeRecording, path) -> None:

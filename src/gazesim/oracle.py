@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degrade import jitter_timestamps
+from .degrade import jitter_timestamps, nominal_target_timestamps
 from .io import format_float, is_json_number, write_csv
 from .seeding import derive_seed
 from .types import GazeRecording, _check_seed, _is_count, check_rate_hz
@@ -95,10 +95,9 @@ def generate_recording(spec: OracleSpec, recording_id: str = "oracle") -> tuple:
     bias_x = rng.normal(0.0, spec.bias_sigma_dva, spec.n_targets) + spec.bias_fixed_dva[0]
     bias_y = rng.normal(0.0, spec.bias_sigma_dva, spec.n_targets) + spec.bias_fixed_dva[1]
 
-    period = 1000.0 / spec.rate_hz
     total_ms = float(dwells.sum()) + spec.latency_ms + _TAIL_AFTER_LATENCY_MS
-    n = int(math.floor(total_ms / period + 1e-9)) + 1
-    t = np.arange(n) * period
+    t = nominal_target_timestamps(total_ms, spec.rate_hz, 0.0)
+    n = t.size
 
     # dwell index per sample; the last dwell extends through the tail
     boundaries = np.concatenate(([0.0], np.cumsum(dwells)))

@@ -304,38 +304,33 @@ class CalibrationClampWarning(UserWarning):
 @dataclass(frozen=True)
 class CalibrationCurve:
     """Fitted map from additive-noise variance to post-pipeline horizontal
-    spatial precision, invertible for tuning."""
+    spatial precision, invertible for tuning. The swept variances and the
+    precision measured at each are two tuples of equal length, as in a
+    calibration file."""
 
-    samples: tuple
+    sigma0_sq_grid: tuple
+    mad_h: tuple
     slope: float
     intercept: float
 
     def __post_init__(self) -> None:
-        samples = tuple((float(s), float(m)) for s, m in self.samples)
-        object.__setattr__(self, "samples", samples)
-        if len(samples) < 3:
-            raise ValueError(f"calibration needs >= 3 sample points, got {len(samples)}")
+        grid = tuple(map(float, self.sigma0_sq_grid))
+        mad_h = tuple(map(float, self.mad_h))
+        object.__setattr__(self, "sigma0_sq_grid", grid)
+        object.__setattr__(self, "mad_h", mad_h)
+        if len(grid) != len(mad_h):
+            raise ValueError(f"sigma0_sq_grid and mad_h differ in length: {len(grid)} "
+                             f"and {len(mad_h)} points")
+        if len(grid) < 3:
+            raise ValueError(f"calibration needs >= 3 sample points, got {len(grid)}")
         named = [("slope", self.slope), ("intercept", self.intercept)]
-        for name, value in named + [("sample point", v) for point in samples for v in point]:
+        for name, value in named + [("sample point", v) for v in grid + mad_h]:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        grid = [s for s, _ in samples]
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("sigma0_sq sample points must be strictly increasing")
         if not self.slope > 0:
             raise ValueError(f"fitted slope must be positive, got {self.slope}")
-
-    @property
-    def sigma0_sq_grid(self) -> tuple:
-        return tuple(s for s, _ in self.samples)
-
-    @property
-    def mad_h_values(self) -> tuple:
-        return tuple(m for _, m in self.samples)
-
-    @property
-    def max_sigma0_sq(self) -> float:
-        return self.samples[-1][0]
 
     def predict(self, sigma0_sq: float) -> float:
         """Fitted horizontal precision at a given noise variance."""
@@ -347,7 +342,7 @@ class CalibrationCurve:
         if desired_mad_h < 0:
             raise ValueError(f"desired_mad_h must be >= 0, got {desired_mad_h}")
         raw = (float(desired_mad_h) - self.intercept) / self.slope
-        clamped = min(max(raw, 0.0), self.max_sigma0_sq)
+        clamped = min(max(raw, 0.0), self.sigma0_sq_grid[-1])
         if clamped != raw:
             warnings.warn(
                 f"requested dispersion {desired_mad_h} maps to sigma0_sq={raw:.6g}, "

@@ -1,10 +1,12 @@
 import codecs
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gazesim.pool
+from gazesim.io import write_recording
 from gazesim.types import GazeRecording
 
 
@@ -20,6 +22,15 @@ def make_recording(timestamps, gaze_x, gaze_y, tgt_x=None, tgt_y=None,
         tgt_x=tgt_x, tgt_y=tgt_y, nominal_rate_hz=rate_hz,
         recording_id=recording_id,
     )
+
+
+def canonical_text(rec) -> str:
+    """The canonical CSV text of a recording: what write_recording writes,
+    read back from a temporary file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rec.csv"
+        write_recording(rec, path)
+        return path.read_bytes().decode("utf-8")
 
 
 def blank_missing_gaze(text: str) -> str:

@@ -48,10 +48,10 @@ class TestSweepSigma:
 
     def test_noiseless_grid_point_is_near_zero(self, small_corpus):
         curve = sweep_sigma(small_corpus, [0.0, 0.1, 0.2], 250.0, seed=7)
-        assert curve.samples[0][1] < 0.01
+        assert curve.mad_h[0] < 0.01
 
     def test_points_strictly_increasing(self, swept_curve):
-        mads = swept_curve.mad_h_values
+        mads = swept_curve.mad_h
         assert all(b > a for a, b in zip(mads, mads[1:]))
 
     def test_deterministic(self, small_corpus, swept_curve):
@@ -60,12 +60,13 @@ class TestSweepSigma:
 
     def test_seed_changes_curve(self, small_corpus, swept_curve):
         other = sweep_sigma(small_corpus, [0.05, 0.15, 0.25], 250.0, seed=8)
-        assert other.samples != swept_curve.samples
+        assert other.mad_h != swept_curve.mad_h
 
     def test_round_trip_inversion_within_fit_residual(self, swept_curve):
-        residuals = [abs(m - swept_curve.predict(s)) for s, m in swept_curve.samples]
+        residuals = [abs(m - swept_curve.predict(s))
+                     for s, m in zip(swept_curve.sigma0_sq_grid, swept_curve.mad_h)]
         tol = 2.0 * max(residuals) / swept_curve.slope + 1e-12
-        s_mid, m_mid = swept_curve.samples[1]
+        s_mid, m_mid = swept_curve.sigma0_sq_grid[1], swept_curve.mad_h[1]
         assert abs(swept_curve.invert(m_mid) - s_mid) <= tol
 
     def test_empty_corpus_rejected(self):
@@ -93,17 +94,17 @@ class TestSweepSigma:
 
 class TestInvertCurve:
     def test_linear_inverse(self):
-        curve = CalibrationCurve(samples=((0.0, 0.02), (0.1, 0.05), (0.2, 0.08)),
+        curve = CalibrationCurve(sigma0_sq_grid=(0.0, 0.1, 0.2), mad_h=(0.02, 0.05, 0.08),
                                  slope=0.3, intercept=0.02)
         assert curve.invert(0.05) == pytest.approx(0.1, rel=1e-12)
 
     def test_desired_at_intercept_clamps_to_zero(self):
-        curve = CalibrationCurve(samples=((0.0, 0.02), (0.1, 0.05), (0.2, 0.08)),
+        curve = CalibrationCurve(sigma0_sq_grid=(0.0, 0.1, 0.2), mad_h=(0.02, 0.05, 0.08),
                                  slope=0.3, intercept=0.02)
         assert curve.invert(0.02) == 0.0
 
     def test_beyond_max_clamped_with_warning(self):
-        curve = CalibrationCurve(samples=((0.0, 0.02), (0.1, 0.05), (0.2, 0.08)),
+        curve = CalibrationCurve(sigma0_sq_grid=(0.0, 0.1, 0.2), mad_h=(0.02, 0.05, 0.08),
                                  slope=0.3, intercept=0.02)
         with pytest.warns(CalibrationClampWarning):
             assert curve.invert(1.0) == 0.2
@@ -137,8 +138,7 @@ class TestCalibrationIO:
          "calibration key 'mad_h' is not a list of numbers"),
         (lambda p: p.update(sigma0_sq_grid=0.1),
          "calibration key 'sigma0_sq_grid' is not a list of numbers"),
-        (lambda p: p["mad_h"].pop(),
-         "calibration keys 'sigma0_sq_grid' and 'mad_h' differ in length"),
+        (lambda p: p["mad_h"].pop(), "sigma0_sq_grid and mad_h differ in length: 3 and 2"),
         (lambda p: p.update(slope=-1.0), "fitted slope must be positive"),
     ])
     def test_bad_payload_names_file(self, tmp_path, swept_curve, change, message):

@@ -11,15 +11,15 @@ import pytest
 
 from gazesim.calibrate import load_calibration, save_calibration
 from gazesim.cli import _hash_quality_table, _parse_grid, main
-from gazesim.degrade import degrade_modified, load_plan, save_plan
+from gazesim.degrade import degrade_modified, save_plan
 from gazesim.io import (ManifestEntry, read_manifest, read_quality_table,
-                        read_recording_from_entry, recording_to_csv,
-                        write_manifest, write_quality_table, write_recording)
+                        read_recording_from_entry, write_manifest,
+                        write_quality_table, write_recording)
 from gazesim.metrics import analyse_recording
 from gazesim.quantiles import quantile
 from gazesim.types import CalibrationCurve, DegradationPlan, QualityTable, QualityVector
 
-from conftest import make_recording, tree_bytes
+from conftest import canonical_text, make_recording, tree_bytes
 
 
 def run(argv):
@@ -429,10 +429,12 @@ class TestDegrade:
                    + ["--jitter-correction", switch]) == 0
         entry = read_manifest(tiny_source / "manifest.csv")[0]
         rec = read_recording_from_entry(entry)
-        plan = load_plan(out / f"{entry.recording_id}.plan.json")
+        payload = json.loads((out / f"{entry.recording_id}.plan.json").read_text())
+        plan = DegradationPlan(**{field.name: payload[field.name]
+                                  for field in dataclasses.fields(DegradationPlan)})
         expected = degrade_modified(rec, plan, analyse_recording(rec))
         # compared as one bool: a failing diff of two whole CSV texts is very slow
-        same = (out / f"{entry.recording_id}.csv").read_text() == recording_to_csv(expected)
+        same = (out / f"{entry.recording_id}.csv").read_text() == canonical_text(expected)
         assert same, f"--jitter-correction {switch} output differs from the transform's"
 
     def test_jitter_correction_accepts_only_on(self, tiny_source, tiny_target_table,
@@ -456,6 +458,43 @@ class TestDegrade:
         assert exit_info.value.code == 2
         assert "invalid choice: 'off'" in capsys.readouterr().err
         assert not (tmp_path / "off").exists()
+
+    @pytest.mark.parametrize("skip_bad", [False, True])
+    @pytest.mark.parametrize("model", ["baseline", "modified"])
+    def test_out_onto_the_source_fails_and_writes_nothing(
+            self, tiny_source, tiny_target_table, tiny_calibration, tmp_path, caplog,
+            model, skip_bad):
+        source = tmp_path / "source"
+        shutil.copytree(tiny_source, source)
+        before = tree_bytes(source)
+        # the same directory, spelled another way
+        out = f"{source}/../{source.name}"
+        if model == "modified":
+            argv = self.modified_argv(source / "manifest.csv", tiny_target_table,
+                                      tiny_calibration, out)
+        else:
+            argv = ["degrade", "--manifest", source / "manifest.csv", "--model", "baseline",
+                    "--sigma0-sq", 0.13, "--rate-hz", 250, "--seed", 5, "--out", out]
+        with caplog.at_level("ERROR"):
+            assert run(argv + ["--skip-bad"] * skip_bad) == 1
+        first = read_manifest(source / "manifest.csv")[0].recording_id
+        assert f"{out}/{first}.csv: --out would overwrite this file of the source" in caplog.text
+        assert tree_bytes(source) == before
+
+    def test_out_onto_the_input_manifest_fails(self, tiny_source, tmp_path, caplog):
+        # the recordings live elsewhere; only the manifest would be replaced
+        listing = tmp_path / "listing"
+        listing.mkdir()
+        write_manifest([dataclasses.replace(entry, path=str(Path(entry.path).resolve()))
+                        for entry in read_manifest(tiny_source / "manifest.csv")],
+                       listing / "manifest.csv")
+        before = tree_bytes(listing)
+        with caplog.at_level("ERROR"):
+            assert run(["degrade", "--manifest", listing / "manifest.csv", "--model",
+                        "baseline", "--sigma0-sq", 0.13, "--rate-hz", 250,
+                        "--out", listing]) == 1
+        assert f"{listing / 'manifest.csv'}: --out would overwrite" in caplog.text
+        assert tree_bytes(listing) == before
 
     def modified_argv(self, manifest, target_table, calibration, out):
         return ["degrade", "--manifest", manifest, "--model", "modified",
@@ -982,7 +1021,7 @@ class TestGoldenDigests:
 
     def test_calibration_json_unchanged(self, tmp_path):
         path = tmp_path / "calib.json"
-        curve = CalibrationCurve(samples=((0.05, 0.11), (0.25, 0.19), (0.45, 0.31)),
+        curve = CalibrationCurve(sigma0_sq_grid=(0.05, 0.25, 0.45), mad_h=(0.11, 0.19, 0.31),
                                  slope=0.5, intercept=0.08)
         save_calibration(curve, path, {"manifest": "source/manifest.csv",
                                        "target_rate_hz": 250.0, "seed": 33,

@@ -1,6 +1,8 @@
 import csv
 import io
+import os
 import re
+import stat
 import tracemalloc
 import warnings
 
@@ -11,12 +13,12 @@ from hypothesis import given, settings, strategies as st
 from gazesim.io import (_BLOCK_ROWS, QUALITY_HEADER, RECORDING_HEADER, ManifestEntry,
                         _parse_lines_c, _parse_rows, _read_columns, _table_rows,
                         atomic_write_text, format_float, read_manifest, read_quality_table,
-                        read_recording, recording_to_csv, write_manifest,
+                        read_recording, write_manifest,
                         write_quality_table, write_recording)
 from gazesim.metrics import temporal_precision
 from gazesim.types import QualityTable, QualityVector
 
-from conftest import blank_missing_gaze, make_recording, with_bom
+from conftest import blank_missing_gaze, canonical_text, make_recording, with_bom
 
 
 def qv(acc_h=0.1, prec_h=0.02, prec_v=0.03, temporal=0.5, n=10):
@@ -162,7 +164,7 @@ class TestAdapters:
 
 def row_loop_csv(rec):
     """Reference writer: one csv.writer row per sample, the byte layout
-    recording_to_csv must reproduce."""
+    write_recording must reproduce."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(RECORDING_HEADER)
@@ -223,12 +225,9 @@ class TestCsvGolden:
                                       "nan-gaze-run", "two-rows"])
     def test_bytes_match_row_loop_and_read_back(self, tmp_path, case):
         rec = golden_recording(case)
-        text = recording_to_csv(rec)
-        assert text == row_loop_csv(rec)
-
         path = tmp_path / "golden.csv"
         write_recording(rec, path)
-        assert path.read_bytes() == text.encode("utf-8")
+        assert path.read_bytes() == row_loop_csv(rec).encode("utf-8")
         back = read_recording(path, "canonical", rec.nominal_rate_hz)
         for name in ("timestamps_ms", "gaze_x", "gaze_y", "tgt_x", "tgt_y"):
             got, want = getattr(back, name), getattr(rec, name)
@@ -502,7 +501,7 @@ class TestCParserMatchesCsv:
         # another tool's export leaves a missing gaze cell empty: the csv
         # path reads it as the written nan
         rec = self.blink_recording()
-        blanked = blank_missing_gaze(recording_to_csv(rec))
+        blanked = blank_missing_gaze(canonical_text(rec))
         assert ",," in blanked and "nan" not in blanked
         path = tmp_path / "blank.csv"
         path.write_text(blanked)
@@ -882,6 +881,24 @@ class TestAtomicWrite:
         atomic_write_text(path, ["new ", "text"])
         assert path.read_text() == "new text"
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX permission bits")
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask-022", "umask-077"])
+    @pytest.mark.parametrize("replaced", [False, True], ids=["new", "replaced"])
+    def test_mode_follows_the_umask(self, tmp_path, umask, mode, replaced):
+        # as a file that open() creates gets, not mkstemp's 0600
+        path = tmp_path / "out.csv"
+        if replaced:
+            path.write_text("old")
+            path.chmod(0o640)
+        old = os.umask(umask)
+        try:
+            atomic_write_text(path, "text")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+        assert path.read_text() == "text"
 
 
 class TestManifest:

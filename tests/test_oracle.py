@@ -4,11 +4,12 @@ import re
 import numpy as np
 import pytest
 
-from gazesim.io import recording_to_csv
 from gazesim.metrics import estimate_latency, recording_quality
 from gazesim.oracle import (PRESETS, CorpusSpec, OracleSpec, ParamDist, fixed,
                             generate_corpus, generate_recording, lognormal,
                             uniform, write_ground_truth)
+
+from conftest import canonical_text
 
 
 class TestGenerateRecording:
@@ -105,7 +106,7 @@ class TestGenerateRecording:
         spec = OracleSpec(n_targets=np.int32(3), seed=np.uint64(7))
         assert type(spec.n_targets) is int and type(spec.seed) is int
         assert spec == OracleSpec(n_targets=3, seed=7)
-        assert recording_to_csv(generate_recording(spec)[0]) == recording_to_csv(
+        assert canonical_text(generate_recording(spec)[0]) == canonical_text(
             generate_recording(OracleSpec(n_targets=3, seed=7))[0])
 
 
@@ -173,7 +174,7 @@ class TestGenerateCorpus:
         a = generate_corpus(PRESETS["vr-like"], 3, seed=9)
         b = generate_corpus(PRESETS["vr-like"], 3, seed=9)
         for (rec_a, _), (rec_b, _) in zip(a, b):
-            assert recording_to_csv(rec_a) == recording_to_csv(rec_b)
+            assert canonical_text(rec_a) == canonical_text(rec_b)
 
     def test_per_recording_parameters_vary(self):
         corpus = generate_corpus(PRESETS["vr-like"], 8, seed=4)

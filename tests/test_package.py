@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,8 @@ import pytest
 import gazesim
 from gazesim.cli import main
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 # runs each argv list through gazesim.cli.main in a fresh interpreter, with
 # ordered_map on at most sys.argv[2] processes, then prints the scipy
@@ -49,6 +51,32 @@ def test_all_lists_every_public_name_and_no_module():
     assert sorted(gazesim.__all__) == sorted(public)
     assert len(gazesim.__all__) == len(set(gazesim.__all__))
     assert not [name for name in gazesim.__all__ if inspect.ismodule(getattr(gazesim, name))]
+
+
+def _version(pattern: str, text: str) -> str:
+    """The dotted version the one group of `pattern` matches in `text`."""
+    found = re.findall(pattern, text, re.M)
+    assert len(found) == 1, f"{pattern!r} matches {found}"
+    return found[0]
+
+
+def test_lowest_ci_job_tests_the_declared_floors():
+    # read with regexes: the lowest job's Python 3.10 has no tomllib
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    declared = {"python": _version(r'^requires-python = ">=([\d.]+)"$', pyproject)}
+    for name in ("numpy", "scipy", "setuptools"):
+        declared[name] = _version(rf'"{name}>=([\d.]+)"', pyproject)
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    jobs = re.split(r"^ *- python: ", workflow.split("steps:")[0], flags=re.M)[1:]
+    lowest = [job for job in jobs if re.search(r"^ *lowest: true$", job, re.M)]
+    assert len(lowest) == 1, f"{len(lowest)} jobs marked lowest"
+    steps = re.split(r"^ *- (?:uses|name): ", workflow.split("steps:")[1], flags=re.M)
+    lowest_steps = "".join(s for s in steps if re.search(r"^ *if: matrix.lowest$", s, re.M))
+    tested = {"python": _version(r'^"([\d.]+)"$', lowest[0])}
+    for name in ("numpy", "scipy"):
+        tested[name] = _version(rf"'{name}==(\d+(?:\.\d+)*)\.\*'", lowest[0])
+    tested["setuptools"] = _version(r"'setuptools==(\d+(?:\.\d+)*)\.\*'", lowest_steps)
+    assert tested == declared
 
 
 def test_star_import_keeps_stdlib_io_and_types():

@@ -310,29 +310,36 @@ class TestDegradationPlan:
 
 class TestCalibrationCurve:
     def make_curve(self, slope=0.5, intercept=0.01):
-        return CalibrationCurve(samples=((0.0, 0.01), (0.1, 0.06), (0.2, 0.11)),
+        return CalibrationCurve(sigma0_sq_grid=(0.0, 0.1, 0.2), mad_h=(0.01, 0.06, 0.11),
                                 slope=slope, intercept=intercept)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["grid", "mad_h", "slope", "intercept"])
     def test_non_finite_values_rejected(self, field, value):
-        samples = [[0.0, 0.01], [0.1, 0.06], [0.2, 0.11]]
-        kwargs = {"slope": 0.5, "intercept": 0.01}
-        if field in kwargs:
+        kwargs = {"sigma0_sq_grid": [0.0, 0.1, 0.2], "mad_h": [0.01, 0.06, 0.11],
+                  "slope": 0.5, "intercept": 0.01}
+        if field in ("slope", "intercept"):
             kwargs[field] = value
         else:
-            samples[1][field == "mad_h"] = value
-        name = field if field in kwargs else "sample point"
+            kwargs["sigma0_sq_grid" if field == "grid" else "mad_h"][1] = value
+        name = field if field in ("slope", "intercept") else "sample point"
         with pytest.raises(ValueError, match=rf"^{name} must be finite, got {value}$"):
-            CalibrationCurve(samples=samples, **kwargs)
+            CalibrationCurve(**kwargs)
 
     def test_needs_three_points(self):
         with pytest.raises(ValueError, match=">= 3"):
-            CalibrationCurve(samples=((0.0, 0.0), (0.1, 0.05)), slope=0.5, intercept=0.0)
+            CalibrationCurve(sigma0_sq_grid=(0.0, 0.1), mad_h=(0.0, 0.05), slope=0.5,
+                             intercept=0.0)
+
+    def test_grid_and_mad_h_same_length(self):
+        with pytest.raises(ValueError, match=r"^sigma0_sq_grid and mad_h differ in length: "
+                                             r"3 and 4 points$"):
+            CalibrationCurve(sigma0_sq_grid=(0.0, 0.1, 0.2), mad_h=(0.0, 0.05, 0.1, 0.15),
+                             slope=0.5, intercept=0.0)
 
     def test_grid_strictly_increasing(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            CalibrationCurve(samples=((0.0, 0.0), (0.1, 0.05), (0.1, 0.06)),
+            CalibrationCurve(sigma0_sq_grid=(0.0, 0.1, 0.1), mad_h=(0.0, 0.05, 0.06),
                              slope=0.5, intercept=0.0)
 
     def test_slope_positive(self):

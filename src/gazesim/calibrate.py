@@ -16,11 +16,11 @@ from functools import partial
 import numpy as np
 
 from .degrade import _load_filter_backend, degrade_benchmark
-from .io import format_float, is_json_number, read_json_object, write_json
+from .io import format_float, read_json_object, write_json
 from .metrics import recording_quality
 from .pool import ordered_map
 from .seeding import derive_seed
-from .types import CalibrationCurve, DegradationPlan
+from .types import CalibrationCurve, DegradationPlan, is_number
 
 
 class NonMonotoneSweepWarning(UserWarning):
@@ -70,15 +70,9 @@ def sweep_sigma(corpus, sigma0_sq_grid, target_rate_hz: float,
     return fit_sweep(plans, ordered_map(partial(sweep_recording, plans=plans, seed=seed), corpus))
 
 
-def save_calibration(calib: CalibrationCurve, path, provenance: dict | None = None) -> str:
-    """Write the curve as JSON; returns the content-derived calibration id."""
-    payload = {
-        "sigma0_sq_grid": list(calib.sigma0_sq_grid),
-        "mad_h": list(calib.mad_h),
-        "slope": calib.slope,
-        "intercept": calib.intercept,
-        "provenance": dict(provenance or {}),
-    }
+def save_calibration(calib: CalibrationCurve, path, provenance: dict) -> str:
+    """Write the curve and its provenance as JSON; returns the content-derived id."""
+    payload = {**dataclasses.asdict(calib), "provenance": dict(provenance)}
     digest = hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode("utf-8")
     ).hexdigest()[:16]
@@ -87,31 +81,31 @@ def save_calibration(calib: CalibrationCurve, path, provenance: dict | None = No
     return digest
 
 
-def load_calibration(path) -> tuple:
-    """Read a curve back; returns (CalibrationCurve, full payload dict).
+def load_calibration(path, target_rate_hz: float) -> tuple:
+    """Read a curve back to be used at target_rate_hz; returns
+    (CalibrationCurve, full payload dict).
 
-    A file that is not a JSON object, lacks one of the curve's keys, holds a
-    non-numeric value there, describes no valid curve, or was swept with a
-    noise order other than "pre" raises ValueError naming the file.
+    A file that is not a JSON object, was swept with a noise order other
+    than "pre" or at a target rate other than target_rate_hz, lacks one of
+    the curve's fields, or describes no valid curve raises ValueError naming
+    the file.
     """
     payload = read_json_object(path, "calibration")
     provenance = payload.get("provenance")
-    if isinstance(provenance, dict) and provenance.get("noise_order", "pre") != "pre":
-        raise ValueError(f"{path}: calibration was swept with noise_order "
-                         f"{provenance['noise_order']!r}, not 'pre' (before the low-pass)")
-    for key in ("sigma0_sq_grid", "mad_h", "slope", "intercept"):
+    if isinstance(provenance, dict):
+        if provenance.get("noise_order", "pre") != "pre":
+            raise ValueError(f"{path}: calibration was swept with noise_order "
+                             f"{provenance['noise_order']!r}, not 'pre' (before the low-pass)")
+        swept_hz = provenance.get("target_rate_hz")
+        if is_number(swept_hz) and swept_hz != target_rate_hz:
+            raise ValueError(f"{path}: calibration was swept at {swept_hz} Hz, not at the "
+                             f"target rate {target_rate_hz} Hz")
+    keys = [field.name for field in dataclasses.fields(CalibrationCurve)]
+    for key in keys:
         if key not in payload:
             raise ValueError(f"{path}: calibration file lacks key {key!r}")
-    for key in ("sigma0_sq_grid", "mad_h"):
-        value = payload[key]
-        if not (isinstance(value, list) and all(map(is_json_number, value))):
-            raise ValueError(f"{path}: calibration key {key!r} is not a list of numbers: {value!r}")
-    for key in ("slope", "intercept"):
-        if not is_json_number(payload[key]):
-            raise ValueError(f"{path}: calibration key {key!r} is not a number: {payload[key]!r}")
     try:
-        curve = CalibrationCurve(payload["sigma0_sq_grid"], payload["mad_h"],
-                                 payload["slope"], payload["intercept"])
+        curve = CalibrationCurve(**{key: payload[key] for key in keys})
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return curve, payload

@@ -229,12 +229,13 @@ def cmd_degrade(args) -> int:
         raise ValueError("--sigma0-sq applies to the baseline model only, and takes "
                          "neither --calibration nor --target-table, from which noise "
                          "is otherwise planned")
-    # every input but the corpus is read first, so a bad one fails before
-    # any recording is read
+    # the rate and a given --sigma0-sq are checked, then every input but the
+    # corpus is read, so a bad one fails before any recording is read
+    baseline = DegradationPlan(args.rate_hz, 0.0 if args.sigma0_sq is None else args.sigma0_sq)
     target = read_quality_table(args.target_table) if args.target_table else None
     calib = calib_payload = None
     if args.calibration:
-        calib, calib_payload = load_calibration(args.calibration)
+        calib, calib_payload = load_calibration(args.calibration, args.rate_hz)
     sigma0_sq = args.sigma0_sq
     if not modified and sigma0_sq is None:
         if calib is None or target is None:
@@ -244,9 +245,8 @@ def cmd_degrade(args) -> int:
         sigma0_sq = calib.invert(desired)
         logger.info("baseline sigma0_sq=%.6g from calibration inverse of "
                     "target median prec_h=%.6g", sigma0_sq, desired)
-    # the target rate of both models, the baseline's noise and the modified
-    # model's jitter limit, checked before any recording is read
-    baseline = DegradationPlan(args.rate_hz, 0.0 if modified else sigma0_sq)
+        baseline = dataclasses.replace(baseline, sigma0_sq=sigma0_sq)
+    # the modified model's jitter limit, checked before any recording is read
     if modified:
         _target_jitter_ms(target, args.rate_hz)
     out_dir = Path(args.out)

@@ -23,6 +23,7 @@ position noise, then timestamp jitter.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import importlib
 import math
@@ -34,13 +35,6 @@ from .quantiles import percentile_rank, quantile
 from .types import (CalibrationCurve, DegradationPlan, GazeRecording, QualityTable,
                     QualityVector)
 from .io import write_json
-
-__all__ = [
-    "lowpass_zero_phase", "resample_spline",
-    "nominal_target_timestamps", "jitter_timestamps", "add_precision_noise",
-    "degrade_benchmark", "plan_modified", "build_accuracy_signal",
-    "degrade_modified", "zero_noise_pass", "save_plan",
-]
 
 # fraction of combined marginal dispersion carried by each channel when the
 # added noise is isotropic: dispersions add in quadrature, so each channel
@@ -265,18 +259,22 @@ def zero_noise_pass(rec: GazeRecording, target_rate_hz: float) -> GazeRecording:
     return degrade_benchmark(rec, plan)
 
 
+def _check_jitter_ms(jitter_ms: float, rate_hz: float, what: str) -> None:
+    """Raise ValueError when a jitter of jitter_ms ms reaches the _JITTER_LIMIT
+    of jitter_timestamps on a grid of rate_hz; `what` names the jitter."""
+    limit = _JITTER_LIMIT * 1000.0 / rate_hz
+    if jitter_ms >= limit:
+        raise ValueError(f"{what} {jitter_ms} ms reaches the jitter limit of "
+                         f"{_JITTER_LIMIT} periods ({limit} ms) at {rate_hz} Hz")
+
+
 def _target_jitter_ms(target: QualityTable, target_rate_hz: float) -> float:
     """The modified model's jitter sigma, the target corpus's median temporal
     precision; one at or above the _JITTER_LIMIT of jitter_timestamps at
     the target rate raises ValueError, before any recording is read."""
     jitter = float(np.median(target.column("temporal_prec_ms")))
     # jitter_timestamps checks the requested sigma, not the smaller one it applies
-    limit = _JITTER_LIMIT * 1000.0 / target_rate_hz
-    if jitter >= limit:
-        raise ValueError(
-            f"target corpus median temporal precision {jitter} ms reaches the jitter "
-            f"limit of {_JITTER_LIMIT} periods ({limit} ms) at {target_rate_hz} Hz"
-        )
+    _check_jitter_ms(jitter, target_rate_hz, "target corpus median temporal precision")
     return jitter
 
 
@@ -363,17 +361,6 @@ def degrade_modified(rec: GazeRecording, plan: DegradationPlan,
     return _degrade(rec, plan, analysis)
 
 
-def save_plan(plan: DegradationPlan, path, provenance: dict | None = None) -> None:
+def save_plan(plan: DegradationPlan, path, provenance: dict) -> None:
     """Write one plan as flat JSON: its fields, then the provenance keys."""
-    payload = {
-        "target_rate_hz": plan.target_rate_hz,
-        "sigma0_sq": plan.sigma0_sq,
-        "acc_offset_h": plan.acc_offset_h,
-        "acc_offset_v": plan.acc_offset_v,
-        "jitter_sigma_ms": plan.jitter_sigma_ms,
-        "rng_seed": plan.rng_seed,
-    }
-    for key, value in (provenance or {}).items():
-        payload[str(key)] = value
-    write_json(payload, path)
-
+    write_json({**dataclasses.asdict(plan), **provenance}, path)

@@ -89,11 +89,6 @@ def write_json(payload, path) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def is_json_number(value) -> bool:
-    """A JSON number: an int or a float, not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def read_json_object(path, kind: str) -> dict:
     """The JSON object a `kind` file holds. Text that is not UTF-8 JSON (a
     leading byte order mark is skipped), or a payload that is not an object,

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degrade import jitter_timestamps, nominal_target_timestamps
-from .io import format_float, is_json_number, write_csv
+from .degrade import _check_jitter_ms, jitter_timestamps, nominal_target_timestamps
+from .io import format_float, write_csv
 from .seeding import derive_seed
-from .types import GazeRecording, _check_seed, _is_count, check_rate_hz
+from .types import GazeRecording, _check_seed, _is_count, check_rate_hz, is_number
 
 GROUND_TRUTH_HEADER = ("recording_id", "rate_hz", "n_targets", "latency_ms",
                        "bias_sigma_dva", "bias_fixed_x_dva", "bias_fixed_y_dva",
@@ -148,6 +148,12 @@ class ParamDist:
         if self.clip_hi is not None and not self.clip_hi >= 0:
             raise ValueError(f"clip_hi must be >= 0, got {self.clip_hi}")
 
+    @property
+    def largest(self) -> float:
+        """The largest value a draw can take: inf for an unclipped lognormal."""
+        top = {"fixed": self.a, "uniform": self.b}.get(self.kind, math.inf)
+        return top if self.clip_hi is None else min(top, self.clip_hi)
+
     def draw(self, rng: np.random.Generator) -> float:
         if self.kind == "fixed":
             value = self.a
@@ -189,6 +195,8 @@ class CorpusSpec:
         # the fixed fields pass OracleSpec's checks; the drawn ones are >= 0
         OracleSpec(n_targets=self.n_targets, dwell_ms=self.dwell_ms,
                    target_extent_dva=self.target_extent_dva, rate_hz=self.rate_hz)
+        if math.isfinite(self.isi_jitter.largest):  # an unclipped lognormal is unbounded
+            _check_jitter_ms(self.isi_jitter.largest, self.rate_hz, "isi_jitter's largest draw")
 
 
 # Named corpus shapes used by tests and the CLI. The numbers are scaffolding
@@ -215,7 +223,7 @@ PRESETS = {
 
 
 def _number(value, key: str) -> float:
-    if not is_json_number(value):
+    if not is_number(value):
         raise ValueError(f"corpus spec key {key!r} is not a number: {value!r}")
     if not math.isfinite(value):  # json reads NaN and Infinity
         raise ValueError(f"corpus spec key {key!r} is not finite: {value!r}")
@@ -250,7 +258,7 @@ def corpus_spec_from_json(payload: dict) -> CorpusSpec:
         if key not in payload:
             raise ValueError(f"corpus spec lacks key {key!r}")
     n_targets, dwell = payload["n_targets"], payload["dwell_ms"]
-    if not (is_json_number(n_targets) and float(n_targets).is_integer()):
+    if not (is_number(n_targets) and float(n_targets).is_integer()):
         raise ValueError(f"corpus spec key 'n_targets' is not an integer: {n_targets!r}")
     return CorpusSpec(
         rate_hz=_number(payload["rate_hz"], "rate_hz"),

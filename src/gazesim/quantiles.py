@@ -41,7 +41,7 @@ def percentile_rank(value, sample):
         return 0.5
     if v <= s[0]:
         return 0.0
-    if v >= s[-1]:
+    if v > s[-1]:
         return 1.0
     i = int(np.searchsorted(s, v, side="left"))
     if s[i] == v:

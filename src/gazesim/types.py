@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from operator import attrgetter
@@ -28,6 +29,11 @@ def _readonly_f64(values) -> np.ndarray:
     arr = np.array(values, dtype=float, copy=True)
     arr.flags.writeable = False
     return arr
+
+
+def is_number(value) -> bool:
+    """A real number that is not a bool, as a JSON int or float is."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def check_rate_hz(rate_hz: float) -> None:
@@ -306,7 +312,7 @@ class CalibrationCurve:
     """Fitted map from additive-noise variance to post-pipeline horizontal
     spatial precision, invertible for tuning. The swept variances and the
     precision measured at each are two tuples of equal length, as in a
-    calibration file."""
+    calibration file. Every value must be a finite number (not a bool)."""
 
     sigma0_sq_grid: tuple
     mad_h: tuple
@@ -314,10 +320,17 @@ class CalibrationCurve:
     intercept: float
 
     def __post_init__(self) -> None:
-        grid = tuple(map(float, self.sigma0_sq_grid))
-        mad_h = tuple(map(float, self.mad_h))
-        object.__setattr__(self, "sigma0_sq_grid", grid)
-        object.__setattr__(self, "mad_h", mad_h)
+        for name in ("sigma0_sq_grid", "mad_h"):
+            values = getattr(self, name)
+            one_dimensional = (isinstance(values, (list, tuple)) or
+                               isinstance(values, np.ndarray) and values.ndim == 1)
+            if not (one_dimensional and all(map(is_number, values))):
+                raise ValueError(f"{name} is not a sequence of numbers: {values!r}")
+            object.__setattr__(self, name, tuple(map(float, values)))
+        for name in ("slope", "intercept"):
+            if not is_number(getattr(self, name)):
+                raise ValueError(f"{name} is not a number: {getattr(self, name)!r}")
+        grid, mad_h = self.sigma0_sq_grid, self.mad_h
         if len(grid) != len(mad_h):
             raise ValueError(f"sigma0_sq_grid and mad_h differ in length: {len(grid)} "
                              f"and {len(mad_h)} points")

@@ -114,7 +114,7 @@ class TestCalibrationIO:
     def test_round_trip(self, tmp_path, swept_curve):
         path = tmp_path / "calib.json"
         calib_id = save_calibration(swept_curve, path, provenance={"seed": 7})
-        curve, payload = load_calibration(path)
+        curve, payload = load_calibration(path, 250.0)
         assert curve == swept_curve
         assert payload["calibration_id"] == calib_id
         assert payload["provenance"]["seed"] == 7
@@ -122,40 +122,41 @@ class TestCalibrationIO:
     def test_byte_order_mark_skipped(self, tmp_path, swept_curve):
         path = tmp_path / "calib.json"
         save_calibration(swept_curve, path, provenance={"seed": 7})
-        assert load_calibration(with_bom(path)) == load_calibration(path)
+        assert load_calibration(with_bom(path), 250.0) == load_calibration(path, 250.0)
 
     def test_id_is_content_derived(self, tmp_path, swept_curve):
-        id_a = save_calibration(swept_curve, tmp_path / "a.json")
-        id_b = save_calibration(swept_curve, tmp_path / "b.json")
+        id_a = save_calibration(swept_curve, tmp_path / "a.json", provenance={})
+        id_b = save_calibration(swept_curve, tmp_path / "b.json", provenance={})
         assert id_a == id_b
 
     @pytest.mark.parametrize("change,message", [
         (lambda p: p.pop("mad_h"), "calibration file lacks key 'mad_h'"),
-        (lambda p: p.update(slope="steep"), "calibration key 'slope' is not a number: 'steep'"),
-        (lambda p: p.update(intercept=None), "calibration key 'intercept' is not a number"),
-        (lambda p: p.update(slope=True), "calibration key 'slope' is not a number"),
-        (lambda p: p["mad_h"].__setitem__(1, "x"),
-         "calibration key 'mad_h' is not a list of numbers"),
+        (lambda p: p.update(slope="steep"), "slope is not a number: 'steep'"),
+        (lambda p: p.update(intercept=None), "intercept is not a number: None"),
+        (lambda p: p.update(slope=True), "slope is not a number: True"),
+        (lambda p: p["mad_h"].__setitem__(1, "x"), "mad_h is not a sequence of numbers"),
         (lambda p: p.update(sigma0_sq_grid=0.1),
-         "calibration key 'sigma0_sq_grid' is not a list of numbers"),
+         "sigma0_sq_grid is not a sequence of numbers: 0.1"),
+        (lambda p: p.update(sigma0_sq_grid="123"),
+         "sigma0_sq_grid is not a sequence of numbers: '123'"),
         (lambda p: p["mad_h"].pop(), "sigma0_sq_grid and mad_h differ in length: 3 and 2"),
         (lambda p: p.update(slope=-1.0), "fitted slope must be positive"),
     ])
     def test_bad_payload_names_file(self, tmp_path, swept_curve, change, message):
         path = tmp_path / "calib.json"
-        save_calibration(swept_curve, path)
+        save_calibration(swept_curve, path, provenance={})
         payload = json.loads(path.read_text())
         change(payload)
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
-            load_calibration(path)
+            load_calibration(path, 250.0)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("key", ["sigma0_sq_grid", "mad_h", "slope", "intercept"])
     def test_non_finite_value_names_file(self, tmp_path, swept_curve, key, value):
         # json writes and reads NaN and Infinity as floats: the curve rejects them
         path = tmp_path / "calib.json"
-        save_calibration(swept_curve, path)
+        save_calibration(swept_curve, path, provenance={})
         payload = json.loads(path.read_text())
         if isinstance(payload[key], list):
             payload[key][-1] = value
@@ -165,14 +166,14 @@ class TestCalibrationIO:
         name = key if key in ("slope", "intercept") else "sample point"
         with pytest.raises(ValueError,
                            match=re.escape(f"{path}: {name} must be finite, got {value}")):
-            load_calibration(path)
+            load_calibration(path, 250.0)
 
     @pytest.mark.parametrize("text", ["[1, 2]", "{not json"])
     def test_not_a_calibration_object_names_file(self, tmp_path, text):
         path = tmp_path / "calib.json"
         path.write_text(text)
         with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
-            load_calibration(path)
+            load_calibration(path, 250.0)
 
     def test_post_noise_order_file_rejected(self, tmp_path, swept_curve):
         # a curve swept with noise added after the low-pass would mistune the
@@ -181,15 +182,32 @@ class TestCalibrationIO:
         save_calibration(swept_curve, path, provenance={"noise_order": "post"})
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: calibration was swept with noise_order 'post', not 'pre'")):
-            load_calibration(path)
+            load_calibration(path, 250.0)
 
     @pytest.mark.parametrize("provenance", [{"noise_order": "pre", "seed": 7}, {"seed": 7}])
     def test_pre_or_absent_noise_order_loads(self, tmp_path, swept_curve, provenance):
         path = tmp_path / "calib.json"
         save_calibration(swept_curve, path, provenance=provenance)
-        curve, payload = load_calibration(path)
+        curve, payload = load_calibration(path, 250.0)
         assert curve == swept_curve
         assert payload["provenance"] == provenance
+
+    @pytest.mark.parametrize("rate_hz", [120.0, 500.0])
+    def test_other_target_rate_rejected(self, tmp_path, swept_curve, rate_hz):
+        # the curve holds for the filter cutoff of the rate it was swept at
+        path = tmp_path / "calib.json"
+        save_calibration(swept_curve, path, provenance={"target_rate_hz": 250.0})
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: calibration was swept at 250.0 Hz, not at the target rate "
+                f"{rate_hz} Hz")):
+            load_calibration(path, rate_hz)
+
+    @pytest.mark.parametrize("provenance", [{"target_rate_hz": 250}, {"target_rate_hz": "fast"}])
+    def test_same_or_non_numeric_target_rate_loads(self, tmp_path, swept_curve, provenance):
+        # a file without the key loads too (test_pre_or_absent_noise_order_loads)
+        path = tmp_path / "calib.json"
+        save_calibration(swept_curve, path, provenance=provenance)
+        assert load_calibration(path, 250.0)[0] == swept_curve
 
     def test_describe_mentions_fit(self, swept_curve):
         text = describe_curve(swept_curve)

@@ -95,6 +95,17 @@ class TestSynth:
                     "--seed", 1, "--out", out]) == 0
         assert len(list(out.glob("custom_*.csv"))) == 2
 
+    def test_unclipped_lognormal_jitter_is_not_limited(self, tmp_path):
+        # an unclipped lognormal has no largest draw, so the spec loads and runs
+        spec = {"rate_hz": 250.0, "n_targets": 2, "dwell_ms": 500.0,
+                "isi_jitter": {"kind": "lognormal", "a": 0.1, "b": 0.2}}
+        spec_path = tmp_path / "custom.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "corpus"
+        assert run(["synth", "--spec-file", spec_path, "--n", 1,
+                    "--seed", 1, "--out", out]) == 0
+        assert len(list(out.glob("custom_*.csv"))) == 1
+
     GOOD_SPEC = {"rate_hz": 500.0, "n_targets": 3, "dwell_ms": 1000.0,
                  "noise_sigma": {"kind": "lognormal", "a": 0.05, "b": 0.3, "clip_hi": 0.2}}
 
@@ -124,9 +135,18 @@ class TestSynth:
          "corpus spec key 'dwell_ms' is not finite: nan"),
         (json.dumps({**GOOD_SPEC, "target_extent_dva": [float("inf"), 5.0]}),
          "corpus spec key 'target_extent_dva' is not finite: inf"),
+        # an ISI jitter jitter_timestamps cannot apply at the spec's rate
+        (json.dumps({"rate_hz": 1000, "n_targets": 3, "dwell_ms": 1000, "isi_jitter": 0.6}),
+         "isi_jitter's largest draw 0.6 ms reaches the jitter limit of 0.45 periods (0.45 ms) "
+         "at 1000.0 Hz"),
+        (json.dumps({"rate_hz": 250, "n_targets": 3, "dwell_ms": 1000,
+                     "isi_jitter": {"kind": "uniform", "a": 1.0, "b": 2.0}}),
+         "isi_jitter's largest draw 2.0 ms reaches the jitter limit of 0.45 periods (1.8 ms) "
+         "at 250.0 Hz"),
     ], ids=["not-json", "not-object", "missing-key", "rate", "n-targets", "dwell",
             "latency", "clip-hi", "kind", "negative-rate", "zero-lognormal-median",
-            "nan-dwell", "infinite-extent"])
+            "nan-dwell", "infinite-extent", "fixed-jitter-too-large",
+            "uniform-jitter-too-large"])
     def test_bad_spec_file_names_path(self, tmp_path, caplog, text, message):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(text)
@@ -395,7 +415,7 @@ class TestDegrade:
         assert plan["sigma0_sq"] > 0
         # the inverse of the target table's median horizontal precision
         prec_h = read_quality_table(tiny_target_table).column("prec_h")
-        assert plan["sigma0_sq"] == load_calibration(tiny_calibration)[0].invert(
+        assert plan["sigma0_sq"] == load_calibration(tiny_calibration, 250.0)[0].invert(
             quantile(prec_h, 0.5))
 
     def test_modified_requires_inputs(self, tiny_source, tmp_path):
@@ -668,6 +688,25 @@ class TestDegrade:
         assert f"{bad}: {name} must be finite, got nan" in caplog.text
         assert not (tmp_path / "deg").exists()
 
+
+    @pytest.mark.parametrize("model,rate", [("modified", "120"), ("baseline", "500")])
+    def test_calibration_of_another_rate_fails_before_any_recording_is_read(
+            self, tiny_source, tiny_target_table, tiny_calibration, tmp_path, monkeypatch,
+            one_worker, caplog, model, rate):
+        # the curve was swept through the 250 Hz filter and grid
+        import gazesim.cli
+        reads = []
+        monkeypatch.setattr(gazesim.cli, "read_recording_from_entry", reads.append)
+        out = tmp_path / "deg"
+        argv = self.modified_argv(tiny_source / "manifest.csv", tiny_target_table,
+                                  tiny_calibration, out)
+        argv[argv.index("--model") + 1] = model
+        argv[argv.index("--rate-hz") + 1] = rate
+        with caplog.at_level("ERROR"):
+            assert run(argv) == 1
+        assert (f"{tiny_calibration}: calibration was swept at 250.0 Hz, not at the target "
+                f"rate {float(rate)} Hz") in caplog.text
+        assert reads == [] and not out.exists()
 
     @pytest.mark.parametrize("rate", ["nan", "0", "-250", "inf"])
     def test_modified_bad_rate_fails_before_any_recording_is_read(

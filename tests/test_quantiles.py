@@ -52,6 +52,7 @@ class TestPercentileRank:
 
     def test_duplicate_values_use_lowest_rank(self):
         assert percentile_rank(2, [1, 2, 2, 3]) == pytest.approx(1 / 3)
+        assert percentile_rank(2, [1, 2, 2]) == 0.5
 
     def test_inverse_property_fuzz(self):
         rng = np.random.default_rng(7)
@@ -77,3 +78,12 @@ def test_rank_of_quantile_is_fraction(values, scale, p):
     # rank by no more than about 1e-10 of the sample range per gap
     sample = np.array(values, dtype=float) * scale
     assert abs(percentile_rank(quantile(sample, p), sample) - p) <= 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.integers(-5, 5), min_size=2, max_size=30))
+def test_tied_members_rank_at_their_lowest_index(values):
+    # a small integer range, so most samples hold ties, at the maximum too
+    s = sorted(values)
+    for v in set(values):
+        assert percentile_rank(v, values) == s.index(v) / (len(s) - 1)

@@ -1,7 +1,7 @@
 """README's examples run as written: the `## Command line` block through
 gazesim.cli.main, at a tiny corpus size, and then the Python blocks, so a
 flag the README uses but the parser lacks, or a command that stops
-running, fails here."""
+running, fails here. Its `Modules:` paragraph names every module."""
 import re
 import shlex
 from pathlib import Path
@@ -10,7 +10,8 @@ from gazesim.cli import main
 
 from conftest import tree_bytes
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 FENCE = re.compile(r"^```(\w+)\n(.*?)^```$", re.M | re.S)
 
 # the block's corpus sizes and the tiny ones run here
@@ -89,3 +90,13 @@ def test_python_blocks_run_after_the_command_block(tmp_path, monkeypatch):
     for line, code in blocks:
         # padded so that a traceback names the README line
         exec(compile("\n" * (line - 1) + code, str(README), "exec"), {})
+
+
+def test_module_list_names_every_module():
+    # each module is named once in backticks, its description in parentheses
+    text = README.read_text(encoding="utf-8")
+    start = text.index("\nModules: ")
+    paragraph = re.sub(r"\([^()]*\)", "", text[start:text.index("\n\n", start)])
+    modules = [p.stem for p in (ROOT / "src" / "gazesim").glob("*.py")
+               if p.stem != "__init__"]
+    assert sorted(re.findall(r"`(\w+)`", paragraph)) == sorted(modules)

@@ -326,6 +326,18 @@ class TestCalibrationCurve:
         with pytest.raises(ValueError, match=rf"^{name} must be finite, got {value}$"):
             CalibrationCurve(**kwargs)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("sigma0_sq_grid", "123", "sigma0_sq_grid is not a sequence of numbers: '123'"),
+        ("slope", True, "slope is not a number: True"),
+        ("intercept", None, "intercept is not a number: None"),
+        ("mad_h", 0.06, "mad_h is not a sequence of numbers: 0.06"),
+    ], ids=["str-grid", "bool-slope", "none-intercept", "scalar-mad-h"])
+    def test_value_that_is_not_a_number_rejected(self, field, value, message):
+        kwargs = {"sigma0_sq_grid": (0.0, 0.1, 0.2), "mad_h": (0.01, 0.06, 0.11),
+                  "slope": 0.5, "intercept": 0.01, field: value}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CalibrationCurve(**kwargs)
+
     def test_needs_three_points(self):
         with pytest.raises(ValueError, match=">= 3"):
             CalibrationCurve(sigma0_sq_grid=(0.0, 0.1), mad_h=(0.0, 0.05), slope=0.5,

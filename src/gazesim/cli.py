@@ -303,7 +303,13 @@ def cmd_assess(args) -> int:
 
 
 def cmd_report(args) -> int:
-    # several tables share one header; each row leads with its table's stem
+    # several tables share one header; each row leads with its table's stem,
+    # so two different files may not share one
+    first_with_stem = {}
+    for table in args.tables:
+        first = first_with_stem.setdefault(Path(table).stem, table)
+        if Path(first).resolve() != Path(table).resolve():
+            raise ValueError(f"tables {first} and {table} share the label {Path(table).stem!r}")
     several = len(args.tables) > 1
     rows = []
     for table in args.tables:

@@ -164,6 +164,17 @@ def nominal_target_timestamps(span_ms: float, target_rate_hz: float,
     return start_ms + np.arange(n) * period
 
 
+def _check_jitter_ms(jitter_ms: float, period_ms: float, what: str) -> float:
+    """The jitter limit of jitter_timestamps, _JITTER_LIMIT periods of a grid
+    of period_ms, in ms; ValueError when a jitter of jitter_ms ms reaches it,
+    `what` naming the jitter."""
+    limit = _JITTER_LIMIT * period_ms
+    if jitter_ms >= limit:
+        raise ValueError(f"{what} {jitter_ms} ms reaches the jitter limit of "
+                         f"{_JITTER_LIMIT} periods ({limit} ms) of a {period_ms} ms grid")
+    return limit
+
+
 def jitter_timestamps(timestamps, jitter_sigma_ms: float, rng: np.random.Generator,
                       correction: bool = False) -> np.ndarray:
     """Perturb each stamp of a uniform grid with independent Gaussian noise.
@@ -182,11 +193,7 @@ def jitter_timestamps(timestamps, jitter_sigma_ms: float, rng: np.random.Generat
         raise ValueError("jitter_timestamps requires a uniform input grid")
     if jitter_sigma_ms < 0:
         raise ValueError(f"jitter_sigma_ms must be >= 0, got {jitter_sigma_ms}")
-    bound = _JITTER_LIMIT * period
-    if jitter_sigma_ms >= bound:
-        raise ValueError(
-            f"jitter_sigma_ms {jitter_sigma_ms} must be below {_JITTER_LIMIT} x period ({bound})"
-        )
+    bound = _check_jitter_ms(jitter_sigma_ms, period, "jitter_sigma_ms")
     applied = jitter_sigma_ms / math.sqrt(2.0) if correction else jitter_sigma_ms
     eps = np.clip(rng.normal(0.0, applied, t.size), -bound, bound)
     return t + eps
@@ -259,22 +266,12 @@ def zero_noise_pass(rec: GazeRecording, target_rate_hz: float) -> GazeRecording:
     return degrade_benchmark(rec, plan)
 
 
-def _check_jitter_ms(jitter_ms: float, rate_hz: float, what: str) -> None:
-    """Raise ValueError when a jitter of jitter_ms ms reaches the _JITTER_LIMIT
-    of jitter_timestamps on a grid of rate_hz; `what` names the jitter."""
-    limit = _JITTER_LIMIT * 1000.0 / rate_hz
-    if jitter_ms >= limit:
-        raise ValueError(f"{what} {jitter_ms} ms reaches the jitter limit of "
-                         f"{_JITTER_LIMIT} periods ({limit} ms) at {rate_hz} Hz")
-
-
 def _target_jitter_ms(target: QualityTable, target_rate_hz: float) -> float:
     """The modified model's jitter sigma, the target corpus's median temporal
-    precision; one at or above the _JITTER_LIMIT of jitter_timestamps at
-    the target rate raises ValueError, before any recording is read."""
+    precision, checked against the jitter limit of the target-rate grid."""
     jitter = float(np.median(target.column("temporal_prec_ms")))
     # jitter_timestamps checks the requested sigma, not the smaller one it applies
-    _check_jitter_ms(jitter, target_rate_hz, "target corpus median temporal precision")
+    _check_jitter_ms(jitter, 1000.0 / target_rate_hz, "target corpus median temporal precision")
     return jitter
 
 
@@ -290,9 +287,8 @@ def plan_modified(source_qv: QualityVector, source_post_prec_c: float,
     evenly between channels (isotropic noise), and inverted through the
     calibration curve. Accuracy: per-channel rank match, with negative
     requirements clamped to zero (the model only degrades). Jitter: the
-    median temporal precision of the target corpus, which must stay below
-    the _JITTER_LIMIT clamp of jitter_timestamps at the target rate; a larger
-    one raises ValueError here rather than in the transform.
+    target corpus's median temporal precision (_target_jitter_ms), so one
+    at the jitter limit raises ValueError here rather than in the transform.
     """
     if source_post_prec_c < 0:
         raise ValueError(f"source_post_prec_c must be >= 0, got {source_post_prec_c}")

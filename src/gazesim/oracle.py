@@ -10,6 +10,7 @@ window stays inside the recorded span.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -18,7 +19,8 @@ import numpy as np
 from .degrade import _check_jitter_ms, jitter_timestamps, nominal_target_timestamps
 from .io import format_float, write_csv
 from .seeding import derive_seed
-from .types import GazeRecording, _check_seed, _is_count, check_rate_hz, is_number
+from .types import (GazeRecording, _check_number, _check_seed, _is_count, check_rate_hz,
+                    is_number)
 
 GROUND_TRUTH_HEADER = ("recording_id", "rate_hz", "n_targets", "latency_ms",
                        "bias_sigma_dva", "bias_fixed_x_dva", "bias_fixed_y_dva",
@@ -49,20 +51,24 @@ class OracleSpec:
             raise ValueError(f"n_targets must be >= 1 and an int, got {self.n_targets!r}")
         object.__setattr__(self, "n_targets", int(self.n_targets))
         object.__setattr__(self, "seed", _check_seed("seed", self.seed))
-        check_rate_hz(self.rate_hz)
+        object.__setattr__(self, "rate_hz", check_rate_hz(self.rate_hz, "rate_hz"))
         for name in ("dwell_ms", "target_extent_dva", "latency_ms", "bias_sigma_dva",
                      "bias_fixed_dva", "noise_sigma_dva", "isi_jitter_ms"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("latency_ms", "bias_sigma_dva", "noise_sigma_dva", "isi_jitter_ms"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        dwell = self.dwell_ms
-        if isinstance(dwell, tuple):
-            if len(dwell) != 2 or dwell[0] < 0 or dwell[1] < dwell[0]:
-                raise ValueError(f"dwell range must be (min, max) with 0 <= min <= max, got {dwell}")
-        elif dwell < 0:
-            raise ValueError(f"dwell_ms must be >= 0, got {dwell}")
+            value = getattr(self, name)
+            # a dwell is a number or a (min, max) range
+            pair = name in ("target_extent_dva", "bias_fixed_dva") or (
+                name == "dwell_ms" and not is_number(value))
+            if pair and not (isinstance(value, (tuple, list)) and len(value) == 2):
+                raise ValueError(f"{name} is not a pair of numbers: {value!r}")
+            values = [_check_number(name, v) for v in (value if pair else [value])]
+            value = tuple(values) if pair else values[0]
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if name not in ("target_extent_dva", "bias_fixed_dva") and min(values) < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+            object.__setattr__(self, name, value)
+        if isinstance(self.dwell_ms, tuple) and self.dwell_ms[1] < self.dwell_ms[0]:
+            raise ValueError(f"dwell range must be (min, max) with min <= max, got {self.dwell_ms}")
 
 
 @dataclass(frozen=True)
@@ -138,6 +144,11 @@ class ParamDist:
     def __post_init__(self) -> None:
         if self.kind not in ("fixed", "uniform", "lognormal"):
             raise ValueError(f"unknown distribution kind {self.kind!r}")
+        for name in ("a", "b") if self.clip_hi is None else ("a", "b", "clip_hi"):
+            value = _check_number(name, getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if not self.a >= 0:
             raise ValueError(f"{self.kind} a must be >= 0, got {self.a}")
         if self.kind == "uniform" and not self.b >= self.a:
@@ -180,23 +191,30 @@ def lognormal(median: float, sigma_log: float, clip_hi: float | None = None) -> 
 
 @dataclass(frozen=True)
 class CorpusSpec:
-    """Distributions from which per-recording oracle parameters are drawn."""
+    """Distributions from which per-recording oracle parameters are drawn.
+    The fixed fields keep OracleSpec's rules and take its float values; an
+    integral n_targets such as 3.0 is the count 3."""
 
     rate_hz: float
     n_targets: int
     dwell_ms: float | tuple
-    target_extent_dva: tuple
-    latency: ParamDist
-    bias_sigma: ParamDist
-    noise_sigma: ParamDist
-    isi_jitter: ParamDist
+    target_extent_dva: tuple = (15.0, 10.0)
+    latency: ParamDist = fixed(200.0)
+    bias_sigma: ParamDist = fixed(0.0)
+    noise_sigma: ParamDist = fixed(0.0)
+    isi_jitter: ParamDist = fixed(0.0)
 
     def __post_init__(self) -> None:
-        # the fixed fields pass OracleSpec's checks; the drawn ones are >= 0
-        OracleSpec(n_targets=self.n_targets, dwell_ms=self.dwell_ms,
-                   target_extent_dva=self.target_extent_dva, rate_hz=self.rate_hz)
+        n = self.n_targets
+        if is_number(n) and float(n).is_integer():
+            n = int(n)
+        checked = OracleSpec(n_targets=n, dwell_ms=self.dwell_ms,
+                             target_extent_dva=self.target_extent_dva, rate_hz=self.rate_hz)
+        for name in ("rate_hz", "n_targets", "dwell_ms", "target_extent_dva"):
+            object.__setattr__(self, name, getattr(checked, name))
         if math.isfinite(self.isi_jitter.largest):  # an unclipped lognormal is unbounded
-            _check_jitter_ms(self.isi_jitter.largest, self.rate_hz, "isi_jitter's largest draw")
+            _check_jitter_ms(self.isi_jitter.largest, 1000.0 / self.rate_hz,
+                             "isi_jitter's largest draw")
 
 
 # Named corpus shapes used by tests and the CLI. The numbers are scaffolding
@@ -222,55 +240,36 @@ PRESETS = {
 }
 
 
-def _number(value, key: str) -> float:
-    if not is_number(value):
-        raise ValueError(f"corpus spec key {key!r} is not a number: {value!r}")
-    if not math.isfinite(value):  # json reads NaN and Infinity
-        raise ValueError(f"corpus spec key {key!r} is not finite: {value!r}")
-    return float(value)
-
-
-def _pair(value, key: str) -> tuple:
-    if not (isinstance(value, list) and len(value) == 2):
-        raise ValueError(f"corpus spec key {key!r} is not a pair of numbers: {value!r}")
-    return tuple(_number(v, key) for v in value)
-
-
-def _dist_from_json(value, key: str) -> ParamDist:
-    if isinstance(value, dict):
-        clip_hi = value.get("clip_hi")
-        args = (value.get("kind"), _number(value.get("a"), f"{key}.a"),
-                _number(value.get("b", 0.0), f"{key}.b"),
-                None if clip_hi is None else _number(clip_hi, f"{key}.clip_hi"))
-    else:
-        args = ("fixed", _number(value, key))
-    try:
-        return ParamDist(*args)
-    except ValueError as exc:
-        raise ValueError(f"corpus spec key {key!r}: {exc}") from None
+def _check_keys(cls, payload: dict, what: str) -> dict:
+    """The fields of the dataclass cls by name; ValueError naming a key of the
+    JSON object `what` that is not one, or one without a default it lacks."""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    for key in payload:
+        if key not in fields:
+            raise ValueError(f"{what} has unknown key {key!r}")
+    for name, f in fields.items():
+        if f.default is dataclasses.MISSING and name not in payload:
+            raise ValueError(f"{what} lacks key {name!r}")
+    return fields
 
 
 def corpus_spec_from_json(payload: dict) -> CorpusSpec:
-    """Build a CorpusSpec from a JSON mapping; distribution fields are either
-    plain numbers (fixed) or {"kind", "a", "b", "clip_hi"} objects. A missing
-    key, a bad value or one out of range raises ValueError naming the key."""
-    for key in ("rate_hz", "n_targets", "dwell_ms"):
-        if key not in payload:
-            raise ValueError(f"corpus spec lacks key {key!r}")
-    n_targets, dwell = payload["n_targets"], payload["dwell_ms"]
-    if not (is_number(n_targets) and float(n_targets).is_integer()):
-        raise ValueError(f"corpus spec key 'n_targets' is not an integer: {n_targets!r}")
-    return CorpusSpec(
-        rate_hz=_number(payload["rate_hz"], "rate_hz"),
-        n_targets=int(n_targets),
-        dwell_ms=_pair(dwell, "dwell_ms") if isinstance(dwell, list) else _number(dwell, "dwell_ms"),
-        target_extent_dva=_pair(payload.get("target_extent_dva", [15.0, 10.0]),
-                                "target_extent_dva"),
-        latency=_dist_from_json(payload.get("latency", 200.0), "latency"),
-        bias_sigma=_dist_from_json(payload.get("bias_sigma", 0.0), "bias_sigma"),
-        noise_sigma=_dist_from_json(payload.get("noise_sigma", 0.0), "noise_sigma"),
-        isi_jitter=_dist_from_json(payload.get("isi_jitter", 0.0), "isi_jitter"),
-    )
+    """Build a CorpusSpec from a JSON mapping of its fields. A list is read as
+    a tuple, and a distribution as a ParamDist from an object of its fields
+    or a bare number, a fixed value. An unknown or missing key, or a value
+    the types reject, raises ValueError naming the key or field."""
+    fields = _check_keys(CorpusSpec, payload, "corpus spec")
+    values = {}
+    for key, value in payload.items():
+        if fields[key].type == "ParamDist":
+            if isinstance(value, dict):
+                _check_keys(ParamDist, value, f"corpus spec key {key!r}")
+            try:
+                value = ParamDist(**value) if isinstance(value, dict) else fixed(value)
+            except ValueError as exc:
+                raise ValueError(f"corpus spec key {key!r}: {exc}") from None
+        values[key] = tuple(value) if isinstance(value, list) else value
+    return CorpusSpec(**values)
 
 
 def generate_corpus_recording(spec: CorpusSpec, index: int, seed: int,

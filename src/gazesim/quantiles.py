@@ -9,17 +9,15 @@ from __future__ import annotations
 import numpy as np
 
 
-def quantile(sample, p):
-    """Quantile of a 1-D sample by linear interpolation between order
-    statistics (the ``(n-1)*p`` rule)."""
+def quantile(sample, p: float) -> float:
+    """Quantile at the fraction p of a 1-D sample by linear interpolation
+    between order statistics (the ``(n-1)*p`` rule)."""
     s = np.asarray(sample, dtype=float)
     if s.size == 0:
         raise ValueError("quantile of empty sample")
-    p_arr = np.asarray(p, dtype=float)
-    if np.any(p_arr < 0.0) or np.any(p_arr > 1.0):
+    if not 0.0 <= p <= 1.0:
         raise ValueError(f"quantile fraction outside [0, 1]: {p}")
-    result = np.quantile(s, p_arr, method="linear")
-    return float(result) if np.isscalar(p) or p_arr.ndim == 0 else result
+    return float(np.quantile(s, p, method="linear"))
 
 
 def percentile_rank(value, sample):

@@ -36,11 +36,24 @@ def is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def check_rate_hz(rate_hz: float) -> None:
-    """Raise ValueError unless a recording's nominal rate is positive and
-    finite."""
-    if not (math.isfinite(rate_hz) and rate_hz > 0):
-        raise ValueError(f"nominal_rate_hz must be positive and finite, got {rate_hz}")
+def _check_number(name: str, value) -> float:
+    """The field `name`'s value as a float; ValueError naming the field
+    unless it is a number (is_number) that a float can hold."""
+    if not is_number(value):
+        raise ValueError(f"{name} is not a number: {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # JSON may hold such an int
+        raise ValueError(f"{name} must be finite, got an int beyond the float range") from None
+
+
+def check_rate_hz(rate_hz, name: str) -> float:
+    """The rate in the field `name` as a float; ValueError naming the field
+    unless it is a positive, finite number."""
+    rate = _check_number(name, rate_hz)
+    if not (math.isfinite(rate) and rate > 0):
+        raise ValueError(f"{name} must be positive and finite, got {rate}")
+    return rate
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,7 +73,6 @@ class GazeRecording:
     def __post_init__(self) -> None:
         for name in ("timestamps_ms", "gaze_x", "gaze_y", "tgt_x", "tgt_y"):
             object.__setattr__(self, name, _readonly_f64(getattr(self, name)))
-        object.__setattr__(self, "nominal_rate_hz", float(self.nominal_rate_hz))
         n = self.timestamps_ms.size
         for name in ("gaze_x", "gaze_y", "tgt_x", "tgt_y"):
             m = getattr(self, name).size
@@ -82,7 +94,8 @@ class GazeRecording:
             if not finite.all():
                 i = int(np.flatnonzero(~finite)[0])
                 raise ValueError(f"non-finite target {name} at index {i}")
-        check_rate_hz(self.nominal_rate_hz)
+        object.__setattr__(self, "nominal_rate_hz",
+                           check_rate_hz(self.nominal_rate_hz, "nominal_rate_hz"))
 
     @property
     def n_samples(self) -> int:
@@ -294,10 +307,10 @@ class DegradationPlan:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        rate = self.target_rate_hz
-        if not (math.isfinite(rate) and rate > 0):
-            raise ValueError(f"target_rate_hz must be positive and finite, got {rate}")
+        object.__setattr__(self, "target_rate_hz",
+                           check_rate_hz(self.target_rate_hz, "target_rate_hz"))
         for name in ("sigma0_sq", "acc_offset_h", "acc_offset_v", "jitter_sigma_ms"):
+            object.__setattr__(self, name, _check_number(name, getattr(self, name)))
             if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
                 raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
         object.__setattr__(self, "rng_seed", _check_seed("rng_seed", self.rng_seed))
@@ -326,10 +339,9 @@ class CalibrationCurve:
                                isinstance(values, np.ndarray) and values.ndim == 1)
             if not (one_dimensional and all(map(is_number, values))):
                 raise ValueError(f"{name} is not a sequence of numbers: {values!r}")
-            object.__setattr__(self, name, tuple(map(float, values)))
+            object.__setattr__(self, name, tuple(_check_number(name, v) for v in values))
         for name in ("slope", "intercept"):
-            if not is_number(getattr(self, name)):
-                raise ValueError(f"{name} is not a number: {getattr(self, name)!r}")
+            object.__setattr__(self, name, _check_number(name, getattr(self, name)))
         grid, mad_h = self.sigma0_sq_grid, self.mad_h
         if len(grid) != len(mad_h):
             raise ValueError(f"sigma0_sq_grid and mad_h differ in length: {len(grid)} "

@@ -129,6 +129,16 @@ class TestCalibrationIO:
         id_b = save_calibration(swept_curve, tmp_path / "b.json", provenance={})
         assert id_a == id_b
 
+    def test_equal_curves_write_one_file(self, tmp_path):
+        # an int slope and intercept are kept as floats, as the grids are
+        grid, mad_h = (0.0, 0.1, 0.2), (0.01, 0.06, 0.11)
+        assert CalibrationCurve(grid, mad_h, 1, 0) == CalibrationCurve(grid, mad_h, 1.0, 0.0)
+        ids = [save_calibration(CalibrationCurve(grid, mad_h, slope, intercept),
+                                tmp_path / f"{name}.json", provenance={})
+               for name, slope, intercept in (("int", 1, 0), ("float", 1.0, 0.0))]
+        assert ids == ["e86f7dead4e37000"] * 2
+        assert (tmp_path / "int.json").read_bytes() == (tmp_path / "float.json").read_bytes()
+
     @pytest.mark.parametrize("change,message", [
         (lambda p: p.pop("mad_h"), "calibration file lacks key 'mad_h'"),
         (lambda p: p.update(slope="steep"), "slope is not a number: 'steep'"),
@@ -141,6 +151,10 @@ class TestCalibrationIO:
          "sigma0_sq_grid is not a sequence of numbers: '123'"),
         (lambda p: p["mad_h"].pop(), "sigma0_sq_grid and mad_h differ in length: 3 and 2"),
         (lambda p: p.update(slope=-1.0), "fitted slope must be positive"),
+        (lambda p: p["mad_h"].__setitem__(1, 10 ** 400),
+         "mad_h must be finite, got an int beyond the float range"),
+        (lambda p: p.update(intercept=-10 ** 400),
+         "intercept must be finite, got an int beyond the float range"),
     ])
     def test_bad_payload_names_file(self, tmp_path, swept_curve, change, message):
         path = tmp_path / "calib.json"

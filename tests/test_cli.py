@@ -113,40 +113,49 @@ class TestSynth:
         ("{bad", "Expecting property name"),
         ("[1]", "corpus spec file is not a JSON object"),
         ('{"rate_hz": 250}', "corpus spec lacks key 'n_targets'"),
-        (json.dumps({**GOOD_SPEC, "rate_hz": "fast"}),
-         "corpus spec key 'rate_hz' is not a number: 'fast'"),
+        (json.dumps({**GOOD_SPEC, "rate_hz": "fast"}), "rate_hz is not a number: 'fast'"),
         (json.dumps({**GOOD_SPEC, "n_targets": 2.5}),
-         "corpus spec key 'n_targets' is not an integer: 2.5"),
+         "n_targets must be >= 1 and an int, got 2.5"),
         (json.dumps({**GOOD_SPEC, "dwell_ms": [900.0]}),
-         "corpus spec key 'dwell_ms' is not a pair of numbers"),
+         "dwell_ms is not a pair of numbers: (900.0,)"),
         (json.dumps({**GOOD_SPEC, "latency": "slow"}),
-         "corpus spec key 'latency' is not a number: 'slow'"),
+         "corpus spec key 'latency': a is not a number: 'slow'"),
         (json.dumps({**GOOD_SPEC, "noise_sigma": {"kind": "lognormal", "a": 0.05, "b": 0.3,
                                                    "clip_hi": "high"}}),
-         "corpus spec key 'noise_sigma.clip_hi' is not a number: 'high'"),
+         "corpus spec key 'noise_sigma': clip_hi is not a number: 'high'"),
         (json.dumps({**GOOD_SPEC, "bias_sigma": {"kind": "gamma", "a": 1.0}}),
          "unknown distribution kind 'gamma'"),
         # ranges are checked before the output directory is made
         (json.dumps({"rate_hz": -1, "n_targets": 3, "dwell_ms": 1000}),
-         "nominal_rate_hz must be positive and finite, got -1.0"),
+         "rate_hz must be positive and finite, got -1.0"),
         (json.dumps({**GOOD_SPEC, "latency": {"kind": "lognormal", "a": 0, "b": 0.1}}),
          "corpus spec key 'latency': lognormal needs median a > 0"),
         ('{"rate_hz": 500, "n_targets": 3, "dwell_ms": NaN}',
-         "corpus spec key 'dwell_ms' is not finite: nan"),
+         "dwell_ms must be finite, got nan"),
         (json.dumps({**GOOD_SPEC, "target_extent_dva": [float("inf"), 5.0]}),
-         "corpus spec key 'target_extent_dva' is not finite: inf"),
+         "target_extent_dva must be finite, got (inf, 5.0)"),
         # an ISI jitter jitter_timestamps cannot apply at the spec's rate
         (json.dumps({"rate_hz": 1000, "n_targets": 3, "dwell_ms": 1000, "isi_jitter": 0.6}),
          "isi_jitter's largest draw 0.6 ms reaches the jitter limit of 0.45 periods (0.45 ms) "
-         "at 1000.0 Hz"),
+         "of a 1.0 ms grid"),
         (json.dumps({"rate_hz": 250, "n_targets": 3, "dwell_ms": 1000,
                      "isi_jitter": {"kind": "uniform", "a": 1.0, "b": 2.0}}),
          "isi_jitter's largest draw 2.0 ms reaches the jitter limit of 0.45 periods (1.8 ms) "
-         "at 250.0 Hz"),
+         "of a 4.0 ms grid"),
+        # a misspelled key is not dropped
+        (json.dumps({**GOOD_SPEC, "noise_sgima": 0.2}),
+         "corpus spec has unknown key 'noise_sgima'"),
+        (json.dumps({**GOOD_SPEC, "latency": {"kind": "fixed", "a": 200, "bogus": 1}}),
+         "corpus spec key 'latency' has unknown key 'bogus'"),
+        (json.dumps({**GOOD_SPEC, "latency": {"kind": "uniform", "b": 250}}),
+         "corpus spec key 'latency' lacks key 'a'"),
+        (json.dumps({**GOOD_SPEC, "rate_hz": 10 ** 400}),
+         "rate_hz must be finite, got an int beyond the float range"),
     ], ids=["not-json", "not-object", "missing-key", "rate", "n-targets", "dwell",
             "latency", "clip-hi", "kind", "negative-rate", "zero-lognormal-median",
             "nan-dwell", "infinite-extent", "fixed-jitter-too-large",
-            "uniform-jitter-too-large"])
+            "uniform-jitter-too-large", "unknown-key", "unknown-distribution-key",
+            "distribution-lacks-key", "int-beyond-float"])
     def test_bad_spec_file_names_path(self, tmp_path, caplog, text, message):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(text)
@@ -626,7 +635,7 @@ class TestDegrade:
             assert run(self.modified_argv(tiny_source / "manifest.csv", table,
                                           tiny_calibration, out)) == 1
         assert ("median temporal precision 2.0 ms reaches the jitter limit of "
-                "0.45 periods (1.8 ms) at 250.0 Hz") in caplog.text
+                "0.45 periods (1.8 ms) of a 4.0 ms grid") in caplog.text
         assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize("skip_bad", [[], ["--skip-bad"]])
@@ -649,7 +658,7 @@ class TestDegrade:
             assert run(self.modified_argv(manifest, table, tiny_calibration, out)
                        + skip_bad) == 1
         assert ("median temporal precision 2.0 ms reaches the jitter limit of "
-                "0.45 periods (1.8 ms) at 250.0 Hz") in caplog.text
+                "0.45 periods (1.8 ms) of a 4.0 ms grid") in caplog.text
         assert "No such file" not in caplog.text and "clamp" not in caplog.text
         assert reads == [] and not out.exists()
 
@@ -872,6 +881,19 @@ class TestAssessAndReport:
         assert run(["report", tiny_target_table, "--out", out]) == 0
         assert out.read_text().splitlines()[0].startswith("feature,min,d10")
 
+    def test_tables_sharing_a_stem_fail_before_writing(self, tiny_target_table, tmp_path,
+                                                       caplog):
+        # each row is labelled with its table's stem, which must tell the tables apart
+        other = tmp_path / "other" / tiny_target_table.name
+        other.parent.mkdir()
+        shutil.copyfile(tiny_target_table, other)
+        out = tmp_path / "summary.csv"
+        with caplog.at_level("ERROR"):
+            assert run(["report", tiny_target_table, other, "--out", out]) == 1
+        assert (f"tables {tiny_target_table} and {other} share the label "
+                f"{tiny_target_table.stem!r}") in caplog.text
+        assert not out.exists()
+
     def test_report_multiple_tables(self, tiny_target_table, tmp_path):
         out = tmp_path / "summary.csv"
         assert run(["report", tiny_target_table, tiny_target_table, "--out", out]) == 0
@@ -1076,6 +1098,23 @@ class TestGoldenDigests:
         spec = ["--preset", "vr-like"] if source == "preset" else ["--spec-file", "short.json"]
         assert run(["synth", *spec, "--n", 1, "--seed", 8, "--out", "corpus"]) == 0
         assert self.digest("corpus/run_manifest.json") == self.SYNTH_RUN[source]
+
+    # the defaults fill every key but the three a spec file must give
+    MINIMAL_SPEC_CORPUS = {
+        "ground_truth.csv": "467ea2c4e415cd9aa5a1f378b70f2128cbba0da5258c159b88318d422cc21ebf",
+        "manifest.csv": "a65fec7e7ece4afa5b0e995e81fd7b74a41050a58aab784e884ebed8dbb4ef24",
+        "minimal_0000.csv": "44ad37ef4db8f265daba73e00179078719d6019b2ec015250d1f1945ce16a0a4",
+        "minimal_0001.csv": "53e3cdb96af4a720708d1df12223ca2f8e40a5b4cb0b60701582f71b9af9a517",
+        "run_manifest.json": "4780aae07e57b5519daebd2b6ebccc8b69f52e88db294d0250345cbc0aa34104",
+    }
+
+    def test_minimal_spec_file_corpus_unchanged(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("minimal.json").write_text('{"rate_hz": 500, "n_targets": 3, "dwell_ms": 1000}')
+        assert run(["synth", "--spec-file", "minimal.json", "--n", 2, "--seed", 8,
+                    "--out", "corpus"]) == 0
+        assert {p.name: self.digest(p) for p in Path("corpus").iterdir()} == \
+            self.MINIMAL_SPEC_CORPUS
 
     @pytest.mark.parametrize("source", sorted(GROUND_TRUTH))
     def test_ground_truth_csv_unchanged(self, tmp_path, monkeypatch, source):

@@ -432,7 +432,7 @@ class TestPlanModified:
         source_corpus = [qv(0.1, 0.1, 0.03)]
         target_corpus = [qv(0.4, 0.4, 0.15, temporal=t) for t in (1.0, 1.8, 2.5)]
         with pytest.raises(ValueError, match=r"median temporal precision 1\.8 ms "
-                                             r"reaches .*\(1\.8 ms\) at 250\.0 Hz"):
+                                             r"reaches .*\(1\.8 ms\) of a 4\.0 ms grid"):
             plan_modified(source_corpus[0], 0.03, table(source_corpus), table(target_corpus),
                           self.curve(), 250.0, 0)
         target_corpus[1] = qv(0.4, 0.4, 0.15, temporal=1.79)

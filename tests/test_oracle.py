@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -5,9 +6,10 @@ import numpy as np
 import pytest
 
 from gazesim.metrics import estimate_latency, recording_quality
-from gazesim.oracle import (PRESETS, CorpusSpec, OracleSpec, ParamDist, fixed,
-                            generate_corpus, generate_recording, lognormal,
+from gazesim.oracle import (PRESETS, CorpusSpec, OracleSpec, ParamDist, corpus_spec_from_json,
+                            fixed, generate_corpus, generate_recording, lognormal,
                             uniform, write_ground_truth)
+from gazesim.types import DegradationPlan
 
 from conftest import canonical_text
 
@@ -71,9 +73,13 @@ class TestGenerateRecording:
             OracleSpec(n_targets=3, dwell_ms=(500.0, 100.0))
 
     @pytest.mark.parametrize("field, value, message", [
-        ("rate_hz", math.inf, "nominal_rate_hz must be positive and finite, got inf"),
-        ("rate_hz", math.nan, "nominal_rate_hz must be positive and finite, got nan"),
-        ("rate_hz", 0.0, "nominal_rate_hz must be positive and finite, got 0.0"),
+        # these ids predate the message naming the field rate_hz
+        pytest.param("rate_hz", math.inf, "rate_hz must be positive and finite, got inf",
+                     id="rate_hz-inf-nominal_rate_hz must be positive and finite, got inf"),
+        pytest.param("rate_hz", math.nan, "rate_hz must be positive and finite, got nan",
+                     id="rate_hz-nan-nominal_rate_hz must be positive and finite, got nan"),
+        pytest.param("rate_hz", 0.0, "rate_hz must be positive and finite, got 0.0",
+                     id="rate_hz-0.0-nominal_rate_hz must be positive and finite, got 0.0"),
         ("latency_ms", math.nan, "latency_ms must be finite, got nan"),
         ("latency_ms", math.inf, "latency_ms must be finite, got inf"),
         ("bias_sigma_dva", math.inf, "bias_sigma_dva must be finite, got inf"),
@@ -139,7 +145,7 @@ class TestParamDist:
         (("uniform", 2.0, 1.0), "uniform b must be >= a"),
         (("lognormal", 0.0, 0.1), "lognormal needs median a > 0"),
         (("lognormal", 0.5, -0.1), "sigma b >= 0"),
-        (("fixed", float("nan")), "fixed a must be >= 0"),
+        (("fixed", float("nan")), "a must be finite, got nan"),
         (("lognormal", 0.5, 0.1, -1.0), "clip_hi must be >= 0"),
     ], ids=["fixed-negative", "uniform-negative", "uniform-reversed", "lognormal-zero-median",
             "lognormal-negative-sigma", "fixed-nan", "clip-negative"])
@@ -155,6 +161,30 @@ class TestParamDist:
             CorpusSpec(**{**fields, "n_targets": 0})
         with pytest.raises(ValueError, match="dwell range"):
             CorpusSpec(**{**fields, "dwell_ms": (900.0, 100.0)})
+
+    def test_spec_file_defaults(self):
+        # JSON ints, and an integral n_targets, build the spec their floats and count do
+        spec = corpus_spec_from_json({"rate_hz": 500, "n_targets": 3.0, "dwell_ms": 1000})
+        assert spec == CorpusSpec(500.0, 3, 1000.0, (15.0, 10.0), fixed(200.0), fixed(0.0),
+                                  fixed(0.0), fixed(0.0))
+        assert type(spec.rate_hz) is float and type(spec.n_targets) is int
+
+
+# a valid value of each numeric field but the one under test
+VALID = {ParamDist: {"kind": "uniform", "a": 1.0, "b": 2.0, "clip_hi": 3.0},
+         OracleSpec: {"n_targets": 3},
+         CorpusSpec: {"rate_hz": 250.0, "n_targets": 3, "dwell_ms": 1000.0},
+         DegradationPlan: {"target_rate_hz": 250.0, "sigma0_sq": 0.1}}
+NUMERIC_FIELDS = [(cls, f.name, value) for cls in VALID for f in dataclasses.fields(cls)
+                  if f.type not in ("str", "ParamDist")
+                  for value in ("1.0", True, None) if not (value is None and "None" in f.type)]
+
+
+@pytest.mark.parametrize("cls,field,value", NUMERIC_FIELDS, ids=[
+    f"{cls.__name__}.{field}-{value!r}" for cls, field, value in NUMERIC_FIELDS])
+def test_value_that_is_not_a_number_names_its_field(cls, field, value):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        cls(**{**VALID[cls], field: value})
 
 
 class TestGenerateCorpus:

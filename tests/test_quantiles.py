@@ -26,6 +26,8 @@ class TestQuantile:
             quantile([1, 2], 1.5)
         with pytest.raises(ValueError, match="outside"):
             quantile([1, 2], -0.1)
+        with pytest.raises(ValueError, match="outside"):
+            quantile([1, 2], float("nan"))
 
     def test_empty_sample(self):
         with pytest.raises(ValueError, match="empty"):

@@ -1,12 +1,15 @@
 """README's examples run as written: the `## Command line` block through
 gazesim.cli.main, at a tiny corpus size, and then the Python blocks, so a
 flag the README uses but the parser lacks, or a command that stops
-running, fails here. Its `Modules:` paragraph names every module."""
+running, fails here. Its `Modules:` paragraph names every module, and its
+corpus spec entry every key of a spec file."""
+import dataclasses
 import re
 import shlex
 from pathlib import Path
 
 from gazesim.cli import main
+from gazesim.oracle import CorpusSpec, ParamDist
 
 from conftest import tree_bytes
 
@@ -100,3 +103,13 @@ def test_module_list_names_every_module():
     modules = [p.stem for p in (ROOT / "src" / "gazesim").glob("*.py")
                if p.stem != "__init__"]
     assert sorted(re.findall(r"`(\w+)`", paragraph)) == sorted(modules)
+
+
+def test_corpus_spec_entry_names_every_key():
+    # one `key`: required / default line per field, the spec's then a distribution's
+    text = README.read_text(encoding="utf-8")
+    start = text.index("\n- Corpus spec ")
+    entry = text[start:text.index("\n- ", start + 1)]
+    keys = re.findall(r"^  - `(\w+)`: (required|default)", entry, re.M)
+    assert keys == [(f.name, "required" if f.default is dataclasses.MISSING else "default")
+                    for cls in (CorpusSpec, ParamDist) for f in dataclasses.fields(cls)]

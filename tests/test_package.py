@@ -88,8 +88,9 @@ def test_star_import_keeps_stdlib_io_and_types():
 
 
 class TestImportLight:
-    """scipy loads only in the commands that use it: scipy.signal at the
-    first low-pass filter design, scipy.spatial in the 1-NN search."""
+    """scipy loads only in the commands that use it: scipy.linalg, whose
+    BLAS runs the low-pass recursion, in calibrate and degrade, and
+    scipy.spatial in the 1-NN search. No command loads scipy.signal."""
 
     @pytest.fixture(scope="class")
     def corpus(self, tmp_path_factory):
@@ -99,6 +100,11 @@ class TestImportLight:
         assert main(["metrics", "--manifest", str(root / "manifest.csv"),
                      "--out", str(root / "quality.csv")]) == 0
         return root
+
+    @staticmethod
+    def calibrate_argv(corpus, out):
+        return ["calibrate", "--manifest", corpus / "manifest.csv", "--rate-hz", 125,
+                "--grid", "0.05:0.45:0.2", "--out", out]
 
     def test_import_loads_no_scipy(self):
         assert scipy_modules_after() == []
@@ -118,17 +124,24 @@ class TestImportLight:
         assert "scipy.spatial" in loaded
         assert "scipy.signal" not in loaded
 
-    def test_calibrate_loads_signal_before_its_workers_fork(self, corpus, tmp_path):
+    def test_calibrate_loads_linalg_before_its_workers_fork(self, corpus, tmp_path):
         # a worker's import would be lost with it, and repeated by every
         # worker of every later command
-        loaded = scipy_modules_after(["calibrate", "--manifest", corpus / "manifest.csv",
-                                      "--rate-hz", 125, "--grid", "0.05:0.45:0.2",
-                                      "--out", tmp_path / "calib.json"], workers=2)
-        assert "scipy.signal" in loaded
-
-    def test_degrade_loads_signal(self, corpus, tmp_path):
-        loaded = scipy_modules_after(["degrade", "--manifest", corpus / "manifest.csv",
-                                      "--model", "baseline", "--sigma0-sq", 0.1,
-                                      "--rate-hz", 125, "--seed", 1, "--out", tmp_path],
+        loaded = scipy_modules_after(self.calibrate_argv(corpus, tmp_path / "calib.json"),
                                      workers=2)
-        assert "scipy.signal" in loaded
+        assert "scipy.linalg" in loaded
+        assert "scipy.signal" not in loaded
+
+    @pytest.mark.parametrize("model", ["baseline", "modified"])
+    def test_degrade_loads_linalg(self, corpus, model, tmp_path):
+        argv = ["degrade", "--manifest", corpus / "manifest.csv", "--model", model,
+                "--rate-hz", 125, "--seed", 1, "--out", tmp_path / "out"]
+        if model == "baseline":
+            argv += ["--sigma0-sq", 0.1]
+        else:
+            calib = tmp_path / "calib.json"
+            assert main([str(a) for a in self.calibrate_argv(corpus, calib)]) == 0
+            argv += ["--calibration", calib, "--target-table", corpus / "quality.csv"]
+        loaded = scipy_modules_after(argv, workers=2)
+        assert "scipy.linalg" in loaded
+        assert "scipy.signal" not in loaded

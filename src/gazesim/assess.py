@@ -3,9 +3,10 @@
 Two views: per-feature distribution summaries (the numeric substrate of
 distribution plots) and a leave-one-sample-out 1-nearest-neighbor two-sample
 test over the 7-feature quality vectors. Combined accuracy near 50% means
-the classifier cannot tell real from synthetic. The 1-NN search is an exact
-KD-tree query, linear in memory, with the lowest-index tie rule of an argmin
-over the dense distance matrix.
+the classifier cannot tell real from synthetic. The 1-NN search is exact,
+with the lowest-index tie rule of an argmin over the dense distance matrix:
+up to _DENSE_MAX_ROWS pooled rows it is that argmin, on numpy alone; above,
+a KD-tree query, linear in memory, the only code that loads SciPy.
 """
 from __future__ import annotations
 
@@ -24,10 +25,18 @@ SUMMARY_HEADER = ("feature", "min", "d10", "d20", "d30", "d40", "d50", "d60",
 
 _DECILES = tuple(i / 10.0 for i in range(1, 10))
 
-# KD-tree and cdist distances differ only in summation order (a few ulps), so
+# KD-tree and _distances differ only in summation order (a few ulps), so
 # two neighbours farther apart than this relative gap rank the same under
-# both; closer ones are rescored with cdist
+# both; closer ones are rescored with _distances
 _TIE_RTOL = 1e-9
+
+# the most pooled rows (both classes) searched through the dense distance
+# matrix, 2 MB at this size. Warm, per search, dense against KD-tree: 0.61
+# against 0.48 ms at 200 rows, 6.4 against 1.7 ms at 500, 24 against 5.0 ms
+# at 1000 (one core, numpy 2.4, scipy 1.17); the KD-tree also pays 0.3 s,
+# once per process, to import SciPy's spatial package. The README's
+# assessment (about 200 rows) stays dense, a 6000-row one takes the KD-tree.
+_DENSE_MAX_ROWS = 512
 
 
 class ZeroVarianceWarning(UserWarning):
@@ -91,30 +100,45 @@ class TwoSampleResult:
         return max(values) - min(values)
 
 
+def _distances(rows: np.ndarray, pooled: np.ndarray) -> np.ndarray:
+    """Euclidean distances from each of `rows` to each row of `pooled`:
+    squared differences summed feature by feature, in feature order, then
+    the square root, the order cdist sums in. Squares past the float range
+    are inf, without a warning."""
+    d = np.zeros((rows.shape[0], pooled.shape[0]))
+    with np.errstate(over="ignore"):
+        for j in range(pooled.shape[1]):
+            d += (rows[:, j, None] - pooled[None, :, j]) ** 2
+    return np.sqrt(d)
+
+
 def _nearest_other(pooled: np.ndarray) -> np.ndarray:
     """Index of each row's nearest other row, ties to the lowest index.
 
-    Equal to argmin over the rows of cdist(pooled, pooled) with an infinite
-    diagonal, in O(rows) memory: a k=3 KD-tree query gives each row itself
-    and its two nearest others. A row whose two nearest others lie within a
-    relative _TIE_RTOL of each other is rescored exactly against every row;
-    that includes a row that did not get itself back, as then all three
-    results lie at distance 0. scipy.spatial loads here, not when gazesim
-    is imported.
+    Up to _DENSE_MAX_ROWS rows, the argmin over each row of _distances with
+    an infinite diagonal. Above, the same result in O(rows) memory: a k=3
+    KD-tree query gives each row itself and its two nearest others. A row
+    whose two nearest others lie within a relative _TIE_RTOL of each other
+    is rescored exactly against every row; that includes a row that did
+    not get itself back, as then all three results lie at distance 0.
+    SciPy loads here, for the KD-tree only.
     """
-    from scipy.spatial import cKDTree
-    from scipy.spatial.distance import cdist
-
     m = pooled.shape[0]
+    if m <= _DENSE_MAX_ROWS:
+        d = _distances(pooled, pooled)
+        np.fill_diagonal(d, np.inf)
+        return np.argmin(d, axis=1)  # first (lowest) index on ties
+    from scipy.spatial import cKDTree
+
     dist, idx = cKDTree(pooled).query(pooled, k=3)
     # columns of the two nearest non-self results, in distance order
     keep = np.argsort(idx == np.arange(m)[:, None], axis=1, kind="stable")[:, :2]
     neighbor = np.take_along_axis(idx, keep[:, :1], axis=1)[:, 0]
     d1, d2 = np.take_along_axis(dist, keep, axis=1).T
     for r in np.flatnonzero(d2 <= d1 * (1.0 + _TIE_RTOL)):
-        d = cdist(pooled[r:r + 1], pooled)[0]
+        d = _distances(pooled[r:r + 1], pooled)[0]
         d[r] = np.inf
-        neighbor[r] = np.argmin(d)  # first (lowest) index on ties
+        neighbor[r] = np.argmin(d)
     return neighbor
 
 

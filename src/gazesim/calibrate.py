@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .degrade import _load_filter_backend, degrade_benchmark
+from .degrade import degrade_benchmark
 from .io import format_float, read_json_object, write_json
 from .metrics import recording_quality
 from .pool import ordered_map
@@ -66,7 +66,6 @@ def sweep_sigma(corpus, sigma0_sq_grid, target_rate_hz: float,
     fit the curve. Each recording runs the whole grid as one task of
     ordered_map, so the result does not depend on the number of processes."""
     plans = sweep_plans(sigma0_sq_grid, target_rate_hz)
-    _load_filter_backend()
     return fit_sweep(plans, ordered_map(partial(sweep_recording, plans=plans, seed=seed), corpus))
 
 

@@ -25,8 +25,8 @@ from .assess import (SUMMARY_HEADER, assessment_report_dict, distribution_summar
                      repeated_assessment, summary_row)
 from .calibrate import (describe_curve, fit_sweep, load_calibration, save_calibration,
                         sweep_plans, sweep_recording)
-from .degrade import (_load_filter_backend, _target_jitter_ms, degrade_benchmark,
-                      degrade_modified, plan_modified, save_plan, zero_noise_pass)
+from .degrade import (_target_jitter_ms, degrade_benchmark, degrade_modified,
+                      plan_modified, save_plan, zero_noise_pass)
 from .io import (ManifestEntry, read_json_object, read_manifest, read_quality_table,
                  read_recording_from_entry, write_csv, write_json, write_manifest,
                  write_quality_table, write_recording)
@@ -162,7 +162,6 @@ def _parse_grid(text: str) -> list:
 
 def cmd_calibrate(args) -> int:
     plans = sweep_plans(_parse_grid(args.grid), args.rate_hz)
-    _load_filter_backend()
     curve = fit_sweep(plans, _map_corpus(args.manifest, args.skip_bad,
                                          partial(sweep_recording, plans=plans, seed=args.seed)))
     calibration_id = save_calibration(curve, args.out, provenance={
@@ -251,7 +250,6 @@ def cmd_degrade(args) -> int:
         _target_jitter_ms(target, args.rate_hz)
     out_dir = Path(args.out)
     _check_out_dir(args.manifest, out_dir)
-    _load_filter_backend()
     provenance = {
         "model": args.model,
         "calibration_id": calib_payload.get("calibration_id") if calib_payload else None,

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist
 
+import gazesim.assess
 from gazesim.assess import (RepeatAccuracy, ZeroVarianceWarning, assessment_report_dict,
                             distribution_summary, one_nn_two_sample, repeated_assessment,
-                            _nearest_other, _standardize)
+                            _DENSE_MAX_ROWS, _nearest_other, _standardize)
 from gazesim.quantiles import quantile
 from gazesim.types import QUALITY_FEATURES, QualityVector
 
@@ -75,8 +77,16 @@ def dense_accuracy(real, synth):
     return float(correct.mean()), float(correct[:n].mean()), float(correct[n:].mean())
 
 
+def neighbors_with_dense_limit(real, synth, limit):
+    """_nearest_other of the pooled rows with _DENSE_MAX_ROWS set to
+    `limit`: 0 takes the KD-tree path at every size, and a limit of at
+    least the pooled rows takes the dense path."""
+    with mock.patch.object(gazesim.assess, "_DENSE_MAX_ROWS", limit):
+        return _nearest_other(np.vstack([real, synth]))
+
+
 def kd_neighbors(real, synth):
-    return _nearest_other(np.vstack([real, synth]))
+    return neighbors_with_dense_limit(real, synth, 0)
 
 
 def _random_case(n, seed):
@@ -153,6 +163,27 @@ class TestKDTreeOracle:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+class TestDenseAndKDTreePaths:
+    # each class's rows on both sides of the dense limit of pooled rows;
+    # numpy's floating-point warnings are errors
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(st.integers(2, _DENSE_MAX_ROWS // 2),
+                     st.integers(_DENSE_MAX_ROWS // 2 + 1, _DENSE_MAX_ROWS // 2 + 60)),
+           st.sampled_from([_random_case, _duplicates_case, _exact_copy_case, _grid_case,
+                            _identical_case]),
+           st.sampled_from([1.0, 1e200]), st.integers(0, 2 ** 32 - 1))
+    def test_both_paths_equal_the_cdist_oracle(self, n, make, scale, seed):
+        # a scale of 1e200 makes squared distances overflow to inf, where
+        # the dense path must neither warn nor lose the lowest-index tie
+        real, synth = make(n, seed)
+        real, synth = real * scale, synth * scale
+        want = dense_neighbors(real, synth)
+        np.testing.assert_array_equal(_nearest_other(np.vstack([real, synth])), want)
+        np.testing.assert_array_equal(kd_neighbors(real, synth), want)
+        np.testing.assert_array_equal(neighbors_with_dense_limit(real, synth, 2 * n), want)
 
 
 class TestOneNN:

@@ -6,10 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gazesim
+from gazesim.assess import _DENSE_MAX_ROWS
 from gazesim.cli import main
+from gazesim.io import read_quality_table, write_quality_table
+from gazesim.types import QualityTable
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -88,9 +92,9 @@ def test_star_import_keeps_stdlib_io_and_types():
 
 
 class TestImportLight:
-    """scipy loads only in the commands that use it: scipy.linalg, whose
-    BLAS runs the low-pass recursion, in calibrate and degrade, and
-    scipy.spatial in the 1-NN search. No command loads scipy.signal."""
+    """Every README command runs on numpy alone: scipy loads only for the
+    KD-tree of an assessment of more than assess._DENSE_MAX_ROWS pooled
+    rows, and then only scipy.spatial."""
 
     @pytest.fixture(scope="class")
     def corpus(self, tmp_path_factory):
@@ -106,6 +110,11 @@ class TestImportLight:
         return ["calibrate", "--manifest", corpus / "manifest.csv", "--rate-hz", 125,
                 "--grid", "0.05:0.45:0.2", "--out", out]
 
+    @staticmethod
+    def assess_argv(table, out):
+        return ["assess", "--real-table", table, "--synth-table", table, "--repeats", 1,
+                "--out", out]
+
     def test_import_loads_no_scipy(self):
         assert scipy_modules_after() == []
 
@@ -117,31 +126,30 @@ class TestImportLight:
             ["report", table, "--out", tmp_path / "summary.csv"],
         ) == []
 
-    def test_assess_loads_spatial_not_signal(self, corpus, tmp_path):
-        table = corpus / "quality.csv"
-        loaded = scipy_modules_after(["assess", "--real-table", table, "--synth-table", table,
-                                      "--repeats", 1, "--out", tmp_path / "assess.json"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_calibrate_degrade_assess_load_no_scipy(self, corpus, workers, tmp_path):
+        # at two workers calibrate and degrade fork, and the parent must not
+        # have loaded scipy for them either
+        calib = tmp_path / "calib.json"
+        degrade = ["degrade", "--manifest", corpus / "manifest.csv", "--rate-hz", 125,
+                   "--seed", 1]
+        assert scipy_modules_after(
+            self.calibrate_argv(corpus, calib),
+            degrade + ["--model", "baseline", "--sigma0-sq", 0.1, "--out", tmp_path / "base"],
+            degrade + ["--model", "modified", "--calibration", calib,
+                       "--target-table", corpus / "quality.csv", "--out", tmp_path / "mod"],
+            self.assess_argv(corpus / "quality.csv", tmp_path / "assess.json"),
+            workers=workers) == []
+
+    def test_assess_above_the_dense_limit_loads_spatial(self, corpus, tmp_path):
+        # 257 rows per class pool 514, two past the dense limit
+        small = read_quality_table(corpus / "quality.csv")
+        rows = np.arange(257) % len(small)
+        table = tmp_path / "large.csv"
+        write_quality_table(QualityTable([f"r{i:03d}" for i in range(rows.size)],
+                                         small.features[rows],
+                                         [small.n_fixations_used[i] for i in rows]), table)
+        assert 2 * rows.size > _DENSE_MAX_ROWS
+        loaded = scipy_modules_after(self.assess_argv(table, tmp_path / "assess.json"))
         assert "scipy.spatial" in loaded
-        assert "scipy.signal" not in loaded
-
-    def test_calibrate_loads_linalg_before_its_workers_fork(self, corpus, tmp_path):
-        # a worker's import would be lost with it, and repeated by every
-        # worker of every later command
-        loaded = scipy_modules_after(self.calibrate_argv(corpus, tmp_path / "calib.json"),
-                                     workers=2)
-        assert "scipy.linalg" in loaded
-        assert "scipy.signal" not in loaded
-
-    @pytest.mark.parametrize("model", ["baseline", "modified"])
-    def test_degrade_loads_linalg(self, corpus, model, tmp_path):
-        argv = ["degrade", "--manifest", corpus / "manifest.csv", "--model", model,
-                "--rate-hz", 125, "--seed", 1, "--out", tmp_path / "out"]
-        if model == "baseline":
-            argv += ["--sigma0-sq", 0.1]
-        else:
-            calib = tmp_path / "calib.json"
-            assert main([str(a) for a in self.calibrate_argv(corpus, calib)]) == 0
-            argv += ["--calibration", calib, "--target-table", corpus / "quality.csv"]
-        loaded = scipy_modules_after(argv, workers=2)
-        assert "scipy.linalg" in loaded
         assert "scipy.signal" not in loaded

@@ -141,6 +141,26 @@ class TestImportLight:
             self.assess_argv(corpus / "quality.csv", tmp_path / "assess.json"),
             workers=workers) == []
 
+    def test_calibrate_loads_linalg_before_its_workers_fork(self, corpus, tmp_path):
+        # the low-pass's linear algebra is numpy's matmul, loaded with
+        # gazesim itself: the parent imports no scipy.linalg, nor any other
+        # scipy module, for its workers
+        assert scipy_modules_after(self.calibrate_argv(corpus, tmp_path / "calib.json"),
+                                   workers=2) == []
+
+    @pytest.mark.parametrize("model", ["baseline", "modified"])
+    def test_degrade_loads_linalg(self, corpus, model, tmp_path):
+        # numpy's linear algebra only: no scipy.linalg, no scipy at all
+        argv = ["degrade", "--manifest", corpus / "manifest.csv", "--model", model,
+                "--rate-hz", 125, "--seed", 1, "--out", tmp_path / "out"]
+        if model == "baseline":
+            argv += ["--sigma0-sq", 0.1]
+        else:
+            calib = tmp_path / "calib.json"
+            assert main([str(a) for a in self.calibrate_argv(corpus, calib)]) == 0
+            argv += ["--calibration", calib, "--target-table", corpus / "quality.csv"]
+        assert scipy_modules_after(argv, workers=2) == []
+
     def test_assess_above_the_dense_limit_loads_spatial(self, corpus, tmp_path):
         # 257 rows per class pool 514, two past the dense limit
         small = read_quality_table(corpus / "quality.csv")

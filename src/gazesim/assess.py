@@ -227,11 +227,12 @@ def distribution_summary(features: np.ndarray) -> list:
     out = []
     for j, name in enumerate(QUALITY_FEATURES):
         col = raw[:, j]
+        *deciles, median = quantile(col, (*_DECILES, 0.5))
         out.append(FeatureSummary(
             feature=name,
             minimum=float(col.min()),
-            deciles=tuple(quantile(col, p) for p in _DECILES),
-            median=quantile(col, 0.5),
+            deciles=tuple(deciles),
+            median=median,
             mean=float(col.mean()),
             maximum=float(col.max()),
         ))

@@ -4,6 +4,13 @@ Sweeping a variance grid through the baseline pipeline over a source corpus
 yields measured horizontal precision per grid point; a least-squares line
 through those points gives the tuning curve used by both models, which
 CalibrationCurve.invert inverts.
+
+The pipeline is linear in its noise, and its draws do not depend on the
+variance, so a recording is filtered once for the whole grid: one
+component pass (degrade.component_pass) gives its low-passed, resampled
+gaze and unit noise, and each grid point's output is their combination,
+gaze + sqrt(sigma0_sq) * noise. That equals running the whole pipeline at
+each grid point within rounding (1e-12 of the precision, relative).
 """
 from __future__ import annotations
 
@@ -15,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .degrade import degrade_benchmark
+from .degrade import combine, component_pass
 from .io import format_float, read_json_object, write_json
 from .metrics import recording_quality
 from .pool import ordered_map
@@ -39,10 +46,12 @@ def sweep_plans(sigma0_sq_grid, target_rate_hz: float) -> list:
 def sweep_recording(rec, plans, seed: int) -> list:
     """Horizontal precision of one recording after the baseline pipeline at
     each plan, in grid order. Its noise seed depends only on (seed,
-    recording_id), so every grid point scales the same noise draws."""
+    recording_id), so every grid point scales the same noise draws: one
+    component pass at the plans' target rate, combined at each plan."""
     rng_seed = derive_seed(seed, rec.recording_id)
     plans = [dataclasses.replace(plan, rng_seed=rng_seed) for plan in plans]
-    return [recording_quality(degrade_benchmark(rec, plan)).prec_h for plan in plans]
+    nominal, = component_pass(rec, plans[0].target_rate_hz, rng_seed)
+    return [recording_quality(combine(nominal, plan)).prec_h for plan in plans]
 
 
 def fit_sweep(plans, per_recording) -> CalibrationCurve:

@@ -25,8 +25,8 @@ from .assess import (SUMMARY_HEADER, assessment_report_dict, distribution_summar
                      repeated_assessment, summary_row)
 from .calibrate import (describe_curve, fit_sweep, load_calibration, save_calibration,
                         sweep_plans, sweep_recording)
-from .degrade import (_target_jitter_ms, degrade_benchmark, degrade_modified,
-                      plan_modified, save_plan, zero_noise_pass)
+from .degrade import (_target_jitter_ms, combine, component_pass, degrade_benchmark,
+                      plan_modified, save_plan)
 from .io import (ManifestEntry, read_json_object, read_manifest, read_quality_table,
                  read_recording_from_entry, write_csv, write_json, write_manifest,
                  write_quality_table, write_recording)
@@ -176,14 +176,19 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def _measure_source(rec, rate_hz: float) -> tuple:
-    """What the modified model needs of one source: the recording, its
-    quality, its analysis (the transform's fixation windows) and the
-    combined precision its zero-noise pass at rate_hz keeps."""
+def _measure_source(rec, rate_hz: float, seed: int, jitter_sigma_ms: float) -> tuple:
+    """What the modified model needs of one source: its quality, the
+    combined precision its zero-noise pass at rate_hz keeps, and its
+    degradation components on the grid jittered by jitter_sigma_ms, drawn
+    with its plan's seed. One component pass gives both grids, so the
+    source is filtered once, and what returns to the command's process is
+    target-rate rows, not the source recording."""
     analysis = analyse_recording(rec)
     qv = recording_quality(rec, analysis)
-    post_qv = recording_quality(zero_noise_pass(rec, rate_hz))
-    return rec, qv, analysis, post_qv.prec_c
+    rng_seed = derive_seed(seed, rec.recording_id)
+    nominal, jittered = component_pass(rec, rate_hz, rng_seed, analysis, jitter_sigma_ms)
+    zero_noise = combine(nominal, DegradationPlan(rate_hz, 0.0, rng_seed=rng_seed))
+    return qv, recording_quality(zero_noise).prec_c, jittered
 
 
 def _write_degraded(degraded, plan: DegradationPlan, out_dir: Path, provenance: dict) -> str:
@@ -201,11 +206,10 @@ def _degrade_baseline(rec, plan: DegradationPlan, seed: int, out_dir: Path,
     return _write_degraded(degrade_benchmark(rec, plan), plan, out_dir, provenance)
 
 
-def _transform_and_write(task, out_dir: Path, provenance: dict) -> str:
-    """Degrade one (recording, plan, analysis) task by the modified model
-    and write it."""
-    rec, plan, analysis = task
-    return _write_degraded(degrade_modified(rec, plan, analysis), plan, out_dir, provenance)
+def _combine_and_write(task, out_dir: Path, provenance: dict) -> str:
+    """Build one (components, plan) task's modified output and write it."""
+    components, plan = task
+    return _write_degraded(combine(components, plan), plan, out_dir, provenance)
 
 
 def _check_out_dir(manifest_path, out_dir: Path) -> None:
@@ -245,9 +249,9 @@ def cmd_degrade(args) -> int:
         logger.info("baseline sigma0_sq=%.6g from calibration inverse of "
                     "target median prec_h=%.6g", sigma0_sq, desired)
         baseline = dataclasses.replace(baseline, sigma0_sq=sigma0_sq)
-    # the modified model's jitter limit, checked before any recording is read
-    if modified:
-        _target_jitter_ms(target, args.rate_hz)
+    # the modified model's jitter, checked against its limit before any
+    # recording is read
+    jitter_sigma_ms = _target_jitter_ms(target, args.rate_hz) if modified else None
     out_dir = Path(args.out)
     _check_out_dir(args.manifest, out_dir)
     provenance = {
@@ -257,16 +261,18 @@ def cmd_degrade(args) -> int:
     }
     if modified:
         # every plan needs the whole source table: measure each source as it
-        # is read (its quality, zero-noise precision and fixation windows)
+        # is read (its quality, zero-noise precision and degradation
+        # components), then combine each plan's output
         measured = _map_corpus(args.manifest, args.skip_bad,
-                               partial(_measure_source, rate_hz=args.rate_hz))
-        source = QualityTable.from_rows((rec.recording_id, qv) for rec, qv, _, _ in measured)
+                               partial(_measure_source, rate_hz=args.rate_hz, seed=args.seed,
+                                       jitter_sigma_ms=jitter_sigma_ms))
+        source = QualityTable.from_rows((c.recording_id, qv) for qv, _, c in measured)
         provenance["source_corpus_hash"] = _hash_quality_table(source)
-        tasks = [(rec, plan_modified(qv, post_prec_c, source, target, calib, args.rate_hz,
-                                     derive_seed(args.seed, rec.recording_id)), analysis)
-                 for rec, qv, analysis, post_prec_c in measured]
+        tasks = [(c, plan_modified(qv, post_prec_c, source, target, calib, args.rate_hz,
+                                   c.rng_seed))
+                 for qv, post_prec_c, c in measured]
         out_dir.mkdir(parents=True, exist_ok=True)
-        written = ordered_map(partial(_transform_and_write, out_dir=out_dir,
+        written = ordered_map(partial(_combine_and_write, out_dir=out_dir,
                                       provenance=provenance), tasks)
     else:
         # the baseline plan needs no corpus: read, transform and write in one task

@@ -1,6 +1,6 @@
 """Synthetic degradation of high-rate gaze recordings.
 
-Both transform models run one staged pipeline:
+Both transform models are defined by one staged pipeline:
 
     [accuracy steps] -> noise -> zero-phase low-pass
     -> nominal target grid -> [jitter] -> clip to source span -> resample
@@ -16,6 +16,20 @@ inverting the needed precision through a calibration curve.
 
 Noise is injected before the low-pass: that ordering is the one consistent
 with calibrating the noise variance against post-pipeline precision.
+
+Every stage after the draws is linear in the gaze, and no draw depends on
+the plan's noise variance or accuracy offsets. So the pipeline runs by
+superposition, in two steps. The component pass (component_pass) draws the
+unit signals (accuracy steps of magnitude 1 + z * 0.2 / 3 with their signs,
+unit position noise, the jitter normals), low-passes them with the gaze as
+the rows of one block solve, and resamples them on the nominal grid and the
+jittered one. The combination (combine) builds a plan's output as
+gaze + sqrt(sigma0_sq) * noise + acc_offset * steps per channel, so one
+filter run serves any number of plans: the calibration sweep's grid, or the
+modified model's zero-noise pass and its output. Stamps, targets and the
+missing mask are those of the staged pipeline bit for bit, and the gaze
+agrees with it within rounding (1e-12 times the source's largest gaze
+magnitude; the staged pipeline stays in the tests as the oracle).
 
 The low-pass is an order-2 Butterworth biquad designed in closed form by the
 prewarped bilinear transform, run forward and backward over an even
@@ -80,16 +94,24 @@ _GEMM_BLOCKS = 8
 _JITTER_LIMIT = 0.45
 
 
+def _bridge_missing(rows: np.ndarray, miss: np.ndarray) -> np.ndarray:
+    """rows (k, n) with the samples where miss is set replaced, row by row,
+    by linear interpolation between the others; rows itself when miss is
+    all unset or all set."""
+    if not miss.any() or miss.all():
+        return rows
+    idx, at = np.flatnonzero(~miss), np.flatnonzero(miss)
+    filled = rows.copy()
+    for row in filled:
+        row[miss] = np.interp(at, idx, row[idx])
+    return filled
+
+
 def _fill_missing_linear(x: np.ndarray) -> tuple:
     """Linearly bridge NaN runs so the IIR filter sees finite data; the
     missing mask is reapplied after filtering."""
     miss = np.isnan(x)
-    if not miss.any() or miss.all():
-        return x, miss
-    idx = np.flatnonzero(~miss)
-    filled = x.copy()
-    filled[miss] = np.interp(np.flatnonzero(miss), idx, x[idx])
-    return filled, miss
+    return _bridge_missing(x[np.newaxis], miss)[0], miss
 
 
 @functools.lru_cache(maxsize=16)
@@ -144,6 +166,7 @@ def _solve_recursion(rhs: np.ndarray, a1: float, a2: float) -> np.ndarray:
     padded = np.zeros((-(-stacked // _GEMM_BLOCKS) * _GEMM_BLOCKS, _BLOCK))
     padded[:stacked].reshape(rows, blocks * _BLOCK)[:, :n] = rhs
     y = (padded.reshape(-1, _GEMM_BLOCKS, _BLOCK) @ t.T).reshape(-1, _BLOCK)[:stacked]
+    del padded
     (m00, m01), (m10, m11) = g[-1], g[-2]
     before1, before2 = [], []  # each block's y[-1] and y[-2]
     for last, prev in zip(y[:, -1].reshape(rows, blocks).tolist(),
@@ -153,8 +176,11 @@ def _solve_recursion(rhs: np.ndarray, a1: float, a2: float) -> np.ndarray:
             before1.append(s1)
             before2.append(s2)
             s1, s2 = z1 + m00 * s1 + m01 * s2, z2 + m10 * s1 + m11 * s2
-    # the product with G as outer products, so no BLAS call grows with n
-    y += np.multiply.outer(before1, g[:, 0]) + np.multiply.outer(before2, g[:, 1])
+    # the product with G as outer products, so no BLAS call grows with n;
+    # their sum is formed in place before it is added, as y + (a + b)
+    response = np.multiply.outer(before1, g[:, 0])
+    response += np.multiply.outer(before2, g[:, 1])
+    y += response
     return y.reshape(rows, blocks * _BLOCK)[:, :n]
 
 
@@ -180,6 +206,37 @@ def _biquad_pass(x: np.ndarray, sos: np.ndarray) -> np.ndarray:
     return _solve_recursion(rhs, a1, a2)
 
 
+def _lowpass_padlen(rec: GazeRecording, cutoff_hz: float) -> int:
+    """The padding, in samples, of the low-pass at cutoff_hz over rec's
+    channels; ValueError unless 0 < cutoff_hz < the source Nyquist and rec
+    is longer than the padding."""
+    fs = rec.nominal_rate_hz
+    if not cutoff_hz > 0:
+        raise ValueError(f"cutoff_hz must be positive, got {cutoff_hz}")
+    if not cutoff_hz < fs / 2:
+        raise ValueError(
+            f"cutoff {cutoff_hz} Hz must be below the source Nyquist {fs / 2} Hz"
+        )
+    tau_samples = fs / (2.0 * math.pi * cutoff_hz)
+    padlen = max(int(np.ceil(3.0 * tau_samples)), _MIN_PAD)
+    if rec.n_samples <= padlen:
+        raise ValueError(
+            f"{rec.recording_id or 'recording'}: recording shorter than 3x filter "
+            f"warm-up length ({rec.n_samples} samples <= pad {padlen})"
+        )
+    return padlen
+
+
+def _lowpass_rows(x: np.ndarray, sos: np.ndarray, padlen: int) -> np.ndarray:
+    """The section run forward and backward along each row of the finite
+    array x, over its even extension by padlen samples at both ends, as the
+    rows of one block solve per pass."""
+    ext = np.concatenate((x[:, padlen:0:-1], x, x[:, -2:-padlen - 2:-1]), axis=1)
+    y = _biquad_pass(ext, sos)
+    del ext
+    return _biquad_pass(y[:, ::-1], sos)[:, ::-1][:, padlen:-padlen]
+
+
 def lowpass_zero_phase(rec: GazeRecording, cutoff_hz: float) -> GazeRecording:
     """Order-2 Butterworth low-pass (see _lowpass_sos) of the gaze channels
     at 0 < cutoff_hz < source Nyquist; targets and timestamps pass through
@@ -198,20 +255,7 @@ def lowpass_zero_phase(rec: GazeRecording, cutoff_hz: float) -> GazeRecording:
     one block solve (_solve_recursion) on numpy's matmul.
     Missing samples are bridged for filtering and restored to missing after.
     """
-    fs = rec.nominal_rate_hz
-    if not cutoff_hz > 0:
-        raise ValueError(f"cutoff_hz must be positive, got {cutoff_hz}")
-    if not cutoff_hz < fs / 2:
-        raise ValueError(
-            f"cutoff {cutoff_hz} Hz must be below the source Nyquist {fs / 2} Hz"
-        )
-    tau_samples = fs / (2.0 * math.pi * cutoff_hz)
-    padlen = max(int(np.ceil(3.0 * tau_samples)), _MIN_PAD)
-    if rec.n_samples <= padlen:
-        raise ValueError(
-            f"{rec.recording_id or 'recording'}: recording shorter than 3x filter "
-            f"warm-up length ({rec.n_samples} samples <= pad {padlen})"
-        )
+    padlen = _lowpass_padlen(rec, cutoff_hz)
     names, rows, masks = [], [], []
     for name in ("gaze_x", "gaze_y"):
         finite, miss = _fill_missing_linear(getattr(rec, name))
@@ -221,11 +265,7 @@ def lowpass_zero_phase(rec: GazeRecording, cutoff_hz: float) -> GazeRecording:
             masks.append(miss)
     if not names:
         return rec
-    sos = _lowpass_sos(cutoff_hz, fs)
-    x = np.array(rows)
-    ext = np.concatenate((x[:, padlen:0:-1], x, x[:, -2:-padlen - 2:-1]), axis=1)
-    y = _biquad_pass(ext, sos)
-    y = _biquad_pass(y[:, ::-1], sos)[:, ::-1][:, padlen:-padlen]
+    y = _lowpass_rows(np.array(rows), _lowpass_sos(cutoff_hz, rec.nominal_rate_hz), padlen)
     y[np.array(masks)] = np.nan
     return rec.replace(**dict(zip(names, y)))
 
@@ -324,32 +364,123 @@ def add_precision_noise(rec: GazeRecording, sigma0_sq: float,
     return rec.replace(gaze_x=rec.gaze_x + noise_x, gaze_y=rec.gaze_y + noise_y)
 
 
-def _degrade(rec: GazeRecording, plan: DegradationPlan,
-             analysis: RecordingAnalysis | None = None) -> GazeRecording:
-    """The staged pipeline behind both models (see the module docstring);
-    the source's `analysis` adds the modified model's accuracy-step and
-    timestamp-jitter stages, the steps aligned on its fixation windows."""
-    if not plan.target_rate_hz < rec.nominal_rate_hz:
+def _step_draws(rec: GazeRecording, analysis: RecordingAnalysis,
+                rng: np.random.Generator) -> tuple:
+    """The accuracy steps' draws, one step per channel and fixation window
+    of `analysis`: (z, signs, runs), the steps' standard normals (x row
+    first), their signs (x first), and the samples each step holds for,
+    from its window's onset to the next; the first run, before the first
+    onset, holds none."""
+    onsets = analysis.window_start
+    if not onsets.size:
+        raise ValueError(f"{rec.recording_id or 'recording'}: zero fixations for accuracy signal")
+    n = onsets.size
+    z = rng.standard_normal((2, n))
+    signs = [rng.integers(0, 2, n) * 2 - 1 for _ in range(2)]
+    return z, signs, np.diff(np.concatenate(([0], onsets, [rec.n_samples])))
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class DegradeComponents:
+    """One recording's degradation on one output grid, in the parts that no
+    plan's noise variance or accuracy offsets change; combine() builds a
+    plan's output from them. Each (2, n) array holds the x channel, then y.
+    gaze, noise and steps are low-passed; every part is resampled on
+    timestamps_ms."""
+
+    timestamps_ms: np.ndarray
+    gaze: np.ndarray  # the source gaze
+    noise: np.ndarray  # unit-variance position noise
+    steps: np.ndarray | None  # unit accuracy steps; None for the baseline model
+    targets: np.ndarray
+    target_rate_hz: float
+    rng_seed: int
+    jitter_sigma_ms: float | None  # the grid's jitter; None on the nominal grid
+    recording_id: str | None
+
+
+def component_pass(rec: GazeRecording, target_rate_hz: float, rng_seed: int,
+                   analysis: RecordingAnalysis | None = None,
+                   jitter_sigma_ms: float = 0.0) -> tuple:
+    """The DegradeComponents of rec toward target_rate_hz: (nominal,) on the
+    nominal target grid for the baseline model; (nominal, jittered) for the
+    modified one, whose accuracy steps start at the fixation windows of
+    `analysis` and whose second grid is jittered by jitter_sigma_ms.
+
+    Draws come from default_rng(rng_seed) in the staged pipeline's order and
+    counts (see the module docstring), as unit signals: each step's
+    magnitude 1 + z * 0.2 / 3 with its random sign, then the position noise,
+    then the jitter normals. The gaze channels and the unit rows are
+    low-passed as the rows of one block solve, each unit row bridged over
+    its gaze channel's missing samples and missing where that channel is.
+    """
+    if not target_rate_hz < rec.nominal_rate_hz:
         raise ValueError(
-            f"{rec.recording_id or 'recording'}: target rate {plan.target_rate_hz} Hz "
+            f"{rec.recording_id or 'recording'}: target rate {target_rate_hz} Hz "
             f"must be below the source rate {rec.nominal_rate_hz} Hz"
         )
-    rng = np.random.default_rng(plan.rng_seed)
-    out = rec
+    rng = np.random.default_rng(rng_seed)
+    steps = []  # drawn before the noise
     if analysis is not None:
-        off_x, off_y = build_accuracy_signal(rec, plan, analysis, rng)
-        out = rec.replace(gaze_x=rec.gaze_x + off_x, gaze_y=rec.gaze_y + off_y)
-    out = add_precision_noise(out, plan.sigma0_sq, rng)
-    out = lowpass_zero_phase(out, _CUTOFF_FRACTION * plan.target_rate_hz / 2.0)
-    stamps = nominal_target_timestamps(rec.span_ms, plan.target_rate_hz,
-                                       float(rec.timestamps_ms[0]))
+        z, signs, runs = _step_draws(rec, analysis, rng)
+        steps.append([np.repeat(np.append(0.0, sign * (1.0 + 0.2 / 3.0 * zc)), runs)
+                      for zc, sign in zip(z, signs)])
+    # (part, channel, sample): the gaze, the unit noise, then the unit steps
+    parts = np.array([[rec.gaze_x, rec.gaze_y], rng.standard_normal((2, rec.n_samples)),
+                      *steps])
+    cutoff_hz = _CUTOFF_FRACTION * target_rate_hz / 2.0
+    padlen = _lowpass_padlen(rec, cutoff_hz)
+    miss = np.isnan(parts[0])
+    live = [c for c in range(2) if not miss[c].all()]
+    if live:
+        y = _lowpass_rows(np.concatenate([_bridge_missing(parts[:, c], miss[c]) for c in live]),
+                          _lowpass_sos(cutoff_hz, rec.nominal_rate_hz), padlen)
+        # the filtered rows go where their inputs were, which are bridged copies now
+        parts[:, live] = y.reshape(len(live), len(parts), -1).swapaxes(0, 1)
+    parts[:, miss] = np.nan
+    t_src = rec.timestamps_ms
+    nominal = nominal_target_timestamps(rec.span_ms, target_rate_hz, float(t_src[0]))
+    grids = [(nominal, None)]
     if analysis is not None:
-        stamps = jitter_timestamps(stamps, plan.jitter_sigma_ms, rng, correction=True)
-    # the grid's last stamp can land one ulp past the source span, and
-    # endpoint jitter further; clip (interior jittered stamps cannot reach the
-    # bounds because perturbations are clamped)
-    stamps = np.clip(stamps, rec.timestamps_ms[0], rec.timestamps_ms[-1])
-    return resample_spline(out, stamps, plan.target_rate_hz)
+        grids.append((jitter_timestamps(nominal, jitter_sigma_ms, rng, correction=True),
+                      jitter_sigma_ms))
+    out = []
+    for stamps, jitter in grids:
+        # the grid's last stamp can land one ulp past the source span, and
+        # endpoint jitter further; clip (interior jittered stamps cannot reach
+        # the bounds because perturbations are clamped)
+        stamps = np.clip(stamps, t_src[0], t_src[-1])
+        at = np.array([np.interp(stamps, t_src, row)
+                       for row in parts.reshape(-1, rec.n_samples)]).reshape(len(parts), 2, -1)
+        out.append(DegradeComponents(
+            timestamps_ms=stamps, gaze=at[0], noise=at[1],
+            steps=at[2] if analysis is not None else None,
+            targets=np.array([np.interp(stamps, t_src, rec.tgt_x),
+                              np.interp(stamps, t_src, rec.tgt_y)]),
+            target_rate_hz=target_rate_hz, rng_seed=rng_seed, jitter_sigma_ms=jitter,
+            recording_id=rec.recording_id))
+    return tuple(out)
+
+
+def combine(components: DegradeComponents, plan: DegradationPlan) -> GazeRecording:
+    """The degraded recording of `plan` from its recording's components:
+    gaze + sqrt(sigma0_sq) * noise, plus acc_offset_h and acc_offset_v times
+    the steps of the modified model's components (the baseline's have none,
+    and ignore the plan's offsets and jitter). ValueError unless the
+    components were drawn for the plan's target rate and seed and, on a
+    jittered grid, its jitter_sigma_ms."""
+    c = components
+    if (c.target_rate_hz, c.rng_seed) != (plan.target_rate_hz, plan.rng_seed) \
+            or c.jitter_sigma_ms not in (None, plan.jitter_sigma_ms):
+        raise ValueError(f"{c.recording_id or 'recording'}: components drawn at "
+                         f"{c.target_rate_hz} Hz with seed {c.rng_seed} and jitter "
+                         f"{c.jitter_sigma_ms} ms do not belong to {plan}")
+    gaze = c.gaze + math.sqrt(plan.sigma0_sq) * c.noise
+    if c.steps is not None:
+        gaze += np.array([[plan.acc_offset_h], [plan.acc_offset_v]]) * c.steps
+    return GazeRecording(timestamps_ms=c.timestamps_ms, gaze_x=gaze[0], gaze_y=gaze[1],
+                         tgt_x=c.targets[0], tgt_y=c.targets[1],
+                         nominal_rate_hz=c.target_rate_hz, recording_id=c.recording_id)
 
 
 def degrade_benchmark(rec: GazeRecording, plan: DegradationPlan) -> GazeRecording:
@@ -359,7 +490,7 @@ def degrade_benchmark(rec: GazeRecording, plan: DegradationPlan) -> GazeRecordin
     baseline model has no mechanism for them. Deterministic given
     plan.rng_seed.
     """
-    return _degrade(rec, plan)
+    return combine(component_pass(rec, plan.target_rate_hz, plan.rng_seed)[0], plan)
 
 
 def zero_noise_pass(rec: GazeRecording, target_rate_hz: float) -> GazeRecording:
@@ -436,17 +567,10 @@ def build_accuracy_signal(rec: GazeRecording, plan: DegradationPlan,
     signs (x then y). Each signed offset holds from its fixation's onset
     until the next onset; samples before the first onset get zero.
     """
-    onsets = analysis.window_start
-    if not onsets.size:
-        raise ValueError(f"{rec.recording_id or 'recording'}: zero fixations for accuracy signal")
-    n = onsets.size
-    mag_x = rng.normal(plan.acc_offset_h, 0.2 * plan.acc_offset_h / 3.0, n)
-    mag_y = rng.normal(plan.acc_offset_v, 0.2 * plan.acc_offset_v / 3.0, n)
-    sign_x = rng.integers(0, 2, n) * 2 - 1
-    sign_y = rng.integers(0, 2, n) * 2 - 1
-    runs = np.diff(np.concatenate(([0], onsets, [rec.n_samples])))
-    return (np.repeat(np.append(0.0, sign_x * mag_x), runs),
-            np.repeat(np.append(0.0, sign_y * mag_y), runs))
+    z, signs, runs = _step_draws(rec, analysis, rng)
+    # rng.normal(m, s) is m + s * z on the same stream, bit for bit
+    return tuple(np.repeat(np.append(0.0, sign * (m + 0.2 * m / 3.0 * zc)), runs)
+                 for m, zc, sign in zip((plan.acc_offset_h, plan.acc_offset_v), z, signs))
 
 
 def degrade_modified(rec: GazeRecording, plan: DegradationPlan,
@@ -461,7 +585,9 @@ def degrade_modified(rec: GazeRecording, plan: DegradationPlan,
     inter-sample interval std is the plan's jitter_sigma_ms. Deterministic
     given plan.rng_seed.
     """
-    return _degrade(rec, plan, analysis)
+    jittered = component_pass(rec, plan.target_rate_hz, plan.rng_seed, analysis,
+                              plan.jitter_sigma_ms)[1]
+    return combine(jittered, plan)
 
 
 def save_plan(plan: DegradationPlan, path, provenance: dict) -> None:

@@ -9,15 +9,19 @@ from __future__ import annotations
 import numpy as np
 
 
-def quantile(sample, p: float) -> float:
+def quantile(sample, p):
     """Quantile at the fraction p of a 1-D sample by linear interpolation
-    between order statistics (the ``(n-1)*p`` rule)."""
+    between order statistics (the ``(n-1)*p`` rule). For a tuple of
+    fractions, the tuple of their quantiles, from one np.quantile call; each
+    equals the quantile of its fraction alone, bit for bit."""
     s = np.asarray(sample, dtype=float)
     if s.size == 0:
         raise ValueError("quantile of empty sample")
-    if not 0.0 <= p <= 1.0:
+    fractions = np.asarray(p, dtype=float)
+    if not np.all((fractions >= 0.0) & (fractions <= 1.0)):
         raise ValueError(f"quantile fraction outside [0, 1]: {p}")
-    return float(np.quantile(s, p, method="linear"))
+    q = np.quantile(s, fractions, method="linear")
+    return tuple(map(float, q)) if isinstance(p, tuple) else float(q)
 
 
 def percentile_rank(value, sample):

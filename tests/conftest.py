@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import gazesim.pool
+from gazesim import degrade
 from gazesim.io import write_recording
 from gazesim.types import GazeRecording
 
@@ -39,6 +40,32 @@ def blank_missing_gaze(text: str) -> str:
     return "".join(",".join("" if i in (1, 2) and cell == "nan" else cell
                             for i, cell in enumerate(line.split(",")))
                    for line in text.splitlines(keepends=True))
+
+
+def staged_pipeline(rec, plan, analysis=None, lowpass=None):
+    """The per-call pipeline that the component pass and its combination
+    replaced, kept as their oracle: with `analysis`, the modified model's
+    accuracy steps are added to the gaze, then position noise, each stage on
+    the whole recording; then the low-pass (degrade.lowpass_zero_phase
+    unless `lowpass` is given) and resampling onto the nominal grid, or,
+    with `analysis`, the jittered one. One default_rng(plan.rng_seed)
+    stream feeds the stages in that order."""
+    lowpass = lowpass or degrade.lowpass_zero_phase
+    if not plan.target_rate_hz < rec.nominal_rate_hz:
+        raise ValueError(f"target rate {plan.target_rate_hz} Hz must be below the source rate")
+    rng = np.random.default_rng(plan.rng_seed)
+    out = rec
+    if analysis is not None:
+        off_x, off_y = degrade.build_accuracy_signal(rec, plan, analysis, rng)
+        out = rec.replace(gaze_x=rec.gaze_x + off_x, gaze_y=rec.gaze_y + off_y)
+    out = degrade.add_precision_noise(out, plan.sigma0_sq, rng)
+    out = lowpass(out, 0.8 * plan.target_rate_hz / 2.0)
+    stamps = degrade.nominal_target_timestamps(rec.span_ms, plan.target_rate_hz,
+                                               float(rec.timestamps_ms[0]))
+    if analysis is not None:
+        stamps = degrade.jitter_timestamps(stamps, plan.jitter_sigma_ms, rng, correction=True)
+    stamps = np.clip(stamps, rec.timestamps_ms[0], rec.timestamps_ms[-1])
+    return degrade.resample_spline(out, stamps, plan.target_rate_hz)
 
 
 def piecewise_recording(dwells_ms, targets, latency_ms=0.0, rate_hz=1000.0,

@@ -1,16 +1,20 @@
+import dataclasses
 import json
 import re
 
+import numpy as np
 import pytest
 
 import gazesim.calibrate as calibrate_mod
-from gazesim.calibrate import (NonMonotoneSweepWarning, describe_curve,
-                               load_calibration, save_calibration, sweep_sigma)
-from gazesim.degrade import degrade_benchmark, nominal_target_timestamps
+from gazesim.calibrate import (NonMonotoneSweepWarning, describe_curve, fit_sweep,
+                               load_calibration, save_calibration, sweep_plans, sweep_sigma)
+from gazesim.degrade import combine, nominal_target_timestamps
+from gazesim.metrics import recording_quality
 from gazesim.oracle import OracleSpec, generate_recording
+from gazesim.seeding import derive_seed
 from gazesim.types import CalibrationClampWarning, CalibrationCurve, QualityVector
 
-from conftest import with_bom
+from conftest import staged_pipeline, with_bom
 
 
 @pytest.fixture(scope="module")
@@ -39,10 +43,10 @@ class TestSweepSigma:
         assert nominal_target_timestamps(rec.span_ms, 120.0, 0.0)[-1] > 3500.0
         outputs = []
 
-        def kept_output(rec, plan):
-            outputs.append(degrade_benchmark(rec, plan))
+        def kept_output(components, plan):
+            outputs.append(combine(components, plan))
             return outputs[-1]
-        monkeypatch.setattr(calibrate_mod, "degrade_benchmark", kept_output)
+        monkeypatch.setattr(calibrate_mod, "combine", kept_output)
         sweep_sigma([rec], [0.01, 0.02, 0.03], 120.0, seed=7)
         assert [out.timestamps_ms[-1] for out in outputs] == [3500.0] * 3
 
@@ -78,7 +82,8 @@ class TestSweepSigma:
             sweep_sigma(small_corpus, [0.0, 0.1], 250.0, seed=0)
 
     def test_non_monotone_sweep_warns(self, small_corpus, monkeypatch):
-        canned = iter([0.05, 0.04, 0.06] * len(small_corpus) * 3)
+        # one precision per grid point, in grid order
+        canned = iter([0.05, 0.04, 0.06])
 
         def fake_quality(rec):
             v = next(canned)
@@ -86,10 +91,23 @@ class TestSweepSigma:
                                  prec_c=v, temporal_prec_ms=0, n_fixations_used=1)
 
         monkeypatch.setattr(calibrate_mod, "recording_quality", fake_quality)
-        monkeypatch.setattr(calibrate_mod, "degrade_benchmark",
-                            lambda rec, plan: rec)
         with pytest.warns(NonMonotoneSweepWarning):
             sweep_sigma(small_corpus[:1], [0.0, 0.1, 0.2], 250.0, seed=0)
+
+    def test_sweep_matches_the_per_point_pipeline(self, small_corpus):
+        # README's grid: one staged pipeline run per grid point and recording,
+        # the sweep as it ran before the component pass, is the oracle
+        grid = [round(0.05 * i, 12) for i in range(1, 10)]
+        plans = sweep_plans(grid, 250.0)
+        per_recording = [
+            [recording_quality(staged_pipeline(
+                rec, dataclasses.replace(plan, rng_seed=derive_seed(7, rec.recording_id)))).prec_h
+             for plan in plans]
+            for rec in small_corpus]
+        want = fit_sweep(plans, per_recording)
+        got = sweep_sigma(small_corpus, grid, 250.0, seed=7)
+        assert got.sigma0_sq_grid == want.sigma0_sq_grid
+        np.testing.assert_allclose(got.mad_h, want.mad_h, rtol=1e-12, atol=0)
 
 
 class TestInvertCurve:

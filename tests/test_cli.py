@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import multiprocessing
+import pickle
 import shutil
 from pathlib import Path
 
@@ -10,12 +11,13 @@ import numpy as np
 import pytest
 
 from gazesim.calibrate import load_calibration, save_calibration
-from gazesim.cli import _hash_quality_table, _parse_grid, main
+from gazesim.cli import _hash_quality_table, _measure_source, _parse_grid, main
 from gazesim.degrade import degrade_modified, save_plan
 from gazesim.io import (ManifestEntry, read_manifest, read_quality_table,
                         read_recording_from_entry, write_manifest,
                         write_quality_table, write_recording)
 from gazesim.metrics import analyse_recording
+from gazesim.oracle import PRESETS, generate_corpus_recording
 from gazesim.quantiles import quantile
 from gazesim.types import CalibrationCurve, DegradationPlan, QualityTable, QualityVector
 
@@ -542,6 +544,15 @@ class TestDegrade:
         assert "skipping flat: no target transitions" in caplog.text
         assert len(list(out.glob("*.plan.json"))) == 4
         assert not (out / "flat.csv").exists()
+
+    def test_modified_measure_task_returns_no_full_rate_channel(self):
+        # what a measure task sends back to the command's process is
+        # target-rate rows: a 1000 Hz source degraded to 250 Hz returns less
+        # than half of what the source recording pickles to
+        rec, _ = generate_corpus_recording(PRESETS["eyelink-like"], 0, 21, "src")
+        assert rec.nominal_rate_hz == 1000.0
+        result = _measure_source(rec, 250.0, seed=5, jitter_sigma_ms=0.7)
+        assert len(pickle.dumps(result)) < len(pickle.dumps(rec)) / 2
 
     def test_modified_searches_latency_once_per_signal(
             self, tiny_source, tiny_target_table, tiny_calibration, tmp_path, monkeypatch,

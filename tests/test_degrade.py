@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -15,8 +16,9 @@ from scipy import signal as sp_signal
 
 import gazesim.degrade
 from gazesim.degrade import (_BLOCK, _fill_missing_linear, _lowpass_sos, _recursion_blocks,
-                             add_precision_noise, build_accuracy_signal, degrade_benchmark,
-                             degrade_modified, jitter_timestamps,
+                             add_precision_noise, build_accuracy_signal, combine,
+                             component_pass, degrade_benchmark, degrade_modified,
+                             jitter_timestamps,
                              lowpass_zero_phase, nominal_target_timestamps,
                              plan_modified, resample_spline, save_plan,
                              zero_noise_pass)
@@ -25,7 +27,7 @@ from gazesim.metrics import (LatencyEstimate, RecordingAnalysis, analyse_recordi
 from gazesim.oracle import OracleSpec, generate_recording
 from gazesim.types import CalibrationCurve, DegradationPlan, QualityTable, QualityVector
 
-from conftest import blank_missing_gaze, canonical_text, make_recording
+from conftest import blank_missing_gaze, canonical_text, make_recording, staged_pipeline
 
 
 def qv(acc_h, acc_v, prec_c, temporal=0.5):
@@ -730,6 +732,102 @@ class TestDegradeModified:
         assert degraded.acc_v < 0.5
 
 
+@functools.lru_cache(maxsize=None)
+def analysed_source(seed):
+    """A 1000 Hz oracle recording and its analysis, built once per seed."""
+    spec = OracleSpec(n_targets=4, dwell_ms=1000.0, latency_ms=200.0,
+                      noise_sigma_dva=0.02, bias_sigma_dva=0.1, seed=seed)
+    rec = generate_recording(spec, recording_id=f"src{seed}")[0]
+    return rec, analyse_recording(rec)
+
+
+MISSING_RUNS = st.lists(st.tuples(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                                  st.integers(1, 60)), max_size=3)
+
+
+class TestComponentPass:
+    """The component pass and its combination against the staged pipeline
+    they replaced (staged_pipeline): the same draws, and the same linear
+    stages, summed in another order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(source=st.integers(0, 2), modified=st.booleans(),
+           rate_hz=st.sampled_from([60.0, 120.0, 250.0, 500.0]),
+           sigma0_sq=st.sampled_from([0.0]) | st.floats(0.0, 0.5),
+           offsets=st.tuples(*[st.sampled_from([0.0]) | st.floats(0.0, 2.0)] * 2),
+           jitter_fraction=st.floats(0.0, 0.44), runs_x=MISSING_RUNS, runs_y=MISSING_RUNS,
+           rng_seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_staged_pipeline(self, source, modified, rate_hz, sigma0_sq, offsets,
+                                     jitter_fraction, runs_x, runs_y, rng_seed):
+        # missing runs anywhere in either channel, the first and last samples
+        # included; the steps start at the clean recording's windows
+        rec, analysis = analysed_source(source)
+        channels = {}
+        for name, runs in (("gaze_x", runs_x), ("gaze_y", runs_y)):
+            gaze = getattr(rec, name).copy()
+            for where, length in runs:
+                start = round(where * (rec.n_samples - 1))
+                gaze[start:start + length] = np.nan
+            channels[name] = gaze
+        rec = rec.replace(**channels)
+        plan = DegradationPlan(rate_hz, sigma0_sq, acc_offset_h=offsets[0],
+                               acc_offset_v=offsets[1],
+                               jitter_sigma_ms=jitter_fraction * 1000.0 / rate_hz,
+                               rng_seed=rng_seed)
+        if modified:
+            got, want = degrade_modified(rec, plan, analysis), staged_pipeline(rec, plan, analysis)
+        else:
+            got, want = degrade_benchmark(rec, plan), staged_pipeline(rec, plan)
+        for name in ("timestamps_ms", "tgt_x", "tgt_y"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert (got.nominal_rate_hz, got.recording_id) == (want.nominal_rate_hz,
+                                                           want.recording_id)
+        source_gaze = np.abs(np.concatenate([rec.gaze_x, rec.gaze_y]))
+        scale = np.max(source_gaze, initial=0.0, where=~np.isnan(source_gaze))
+        for name in ("gaze_x", "gaze_y"):
+            g, w = getattr(got, name), getattr(want, name)
+            np.testing.assert_array_equal(np.isnan(g), np.isnan(w))
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("modified", [False, True])
+    def test_channel_missing_throughout(self, modified):
+        # a channel with no sample to filter stays missing, as in the low-pass
+        rec, analysis = analysed_source(1)
+        rec = rec.replace(gaze_y=np.full(rec.n_samples, np.nan))
+        plan = DegradationPlan(250.0, 0.1, acc_offset_h=0.3, acc_offset_v=0.2,
+                               jitter_sigma_ms=0.5, rng_seed=3)
+        args = (rec, plan, analysis) if modified else (rec, plan)
+        got = (degrade_modified if modified else degrade_benchmark)(*args)
+        want = staged_pipeline(*args)
+        assert np.isnan(got.gaze_y).all() and np.isnan(want.gaze_y).all()
+        np.testing.assert_allclose(got.gaze_x, want.gaze_x, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(rec.gaze_x)))
+
+    def test_one_pass_gives_both_grids(self):
+        # the modified model's nominal grid is the zero-noise pass's, and its
+        # jittered grid the transform's
+        rec, analysis = analysed_source(0)
+        plan = DegradationPlan(250.0, 0.2, acc_offset_h=0.4, acc_offset_v=0.1,
+                               jitter_sigma_ms=0.6, rng_seed=9)
+        nominal, jittered = component_pass(rec, 250.0, 9, analysis, 0.6)
+        zero = combine(nominal, DegradationPlan(250.0, 0.0, rng_seed=9))
+        assert zero.gaze_x.tobytes() == zero_noise_pass(rec, 250.0).gaze_x.tobytes()
+        assert zero.timestamps_ms.tobytes() == zero_noise_pass(rec, 250.0).timestamps_ms.tobytes()
+        out = degrade_modified(rec, plan, analysis)
+        assert combine(jittered, plan).gaze_x.tobytes() == out.gaze_x.tobytes()
+        assert jittered.timestamps_ms.tobytes() == out.timestamps_ms.tobytes()
+        assert component_pass(rec, 250.0, 9)[0].steps is None
+
+    @pytest.mark.parametrize("change", [dict(rng_seed=10), dict(target_rate_hz=120.0),
+                                        dict(jitter_sigma_ms=0.5)])
+    def test_components_of_another_plan_rejected(self, change):
+        rec, analysis = analysed_source(0)
+        plan = DegradationPlan(250.0, 0.2, jitter_sigma_ms=0.6, rng_seed=9)
+        _, jittered = component_pass(rec, 250.0, 9, analysis, 0.6)
+        with pytest.raises(ValueError, match="src0: components drawn at 250.0 Hz"):
+            combine(jittered, dataclasses.replace(plan, **change))
+
+
 class TestPlanSerialization:
     def test_round_trip(self, tmp_path):
         # values that need 16 or 17 significant digits to round-trip
@@ -753,10 +851,12 @@ class TestGoldenDigests:
     """SHA-256 of the canonical CSV of each transform's output, pinned on a
     small oracle recording with a missing run, so a restructuring of the
     pipeline cannot change a single output byte. The first digests are the
-    pipeline's around the scipy.signal low-pass it ran before the closed-form
-    biquad (scipy_lowpass_zero_phase); SHIPPED are the same outputs with
-    the shipped low-pass, which agree with them within FILTER_TOL. The
-    SHIPPED digests depend on the summation order of numpy's matmul."""
+    staged pipeline's (staged_pipeline) around the scipy.signal low-pass it
+    ran before the closed-form biquad (scipy_lowpass_zero_phase); STAGED
+    are the staged pipeline's with the shipped low-pass, and SHIPPED the
+    shipped transforms', the component pass and its combination. Both agree
+    with the first within FILTER_TOL. STAGED and SHIPPED depend on the
+    summation order of numpy's matmul."""
 
     BENCHMARK = "f08b94d4f9850944add4f508840c1bc064f5254f9c0b36f72f19633765357619"
     MODIFIED = "796c8b46d5cb75adeb8f610fc917987c7158d976d0a57b3e7b46dcda1c3695db"
@@ -768,11 +868,19 @@ class TestGoldenDigests:
         "MODIFIED": "5a6eb7dedd3a26a98ce8f59b8aa868561327cc1f0e3d635f2ef5d1314978355c",
         "ZERO_NOISE": "5cdd918c8289d9eccbf6005e7a936c05163a6a0e9c9dce6dc8e0f2b3d5902fcd",
     }
-    SHIPPED = {
+    # the shipped outputs while the staged pipeline was the shipped one
+    STAGED = {
         "BENCHMARK": "27cac40a2bef42c2b575c842bf27f47ac67355350a307fe3e4557d3c6b2a8648",
         "MODIFIED": "eb2b1778604b15b5c28671f42e06646dbc0208db13ccd761eacd0b20e5ae2d1a",
         "ZERO_NOISE": "905843cb3741534a363a5e09e5ef2e17ff130dd1861c31bfa011cbd760104f58",
     }
+    SHIPPED = {
+        "BENCHMARK": "b000e24f94cbfb530f0d47fa723b9a95060364375a459208a879a8c1e44dfeba",
+        "MODIFIED": "5c31a0701af9cd67c3b74a263de72314af190a39b760183551a4ba1ce97a577c",
+        "ZERO_NOISE": "905843cb3741534a363a5e09e5ef2e17ff130dd1861c31bfa011cbd760104f58",
+    }
+    PLAN = DegradationPlan(250.0, 0.1, acc_offset_h=0.3, acc_offset_v=0.2,
+                           jitter_sigma_ms=0.5, rng_seed=77)
 
     @pytest.fixture(scope="class")
     def rec(self):
@@ -787,30 +895,33 @@ class TestGoldenDigests:
     def digest(text):
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
-    @staticmethod
-    def outputs(rec):
-        plan = DegradationPlan(250.0, 0.1, acc_offset_h=0.3, acc_offset_v=0.2,
-                               jitter_sigma_ms=0.5, rng_seed=77)
-        return {"BENCHMARK": degrade_benchmark(rec, plan),
-                "MODIFIED": degrade_modified(rec, plan, analyse_recording(rec)),
+    @classmethod
+    def outputs(cls, rec):
+        return {"BENCHMARK": degrade_benchmark(rec, cls.PLAN),
+                "MODIFIED": degrade_modified(rec, cls.PLAN, analyse_recording(rec)),
                 "ZERO_NOISE": zero_noise_pass(rec, 250.0)}
+
+    @classmethod
+    def staged_outputs(cls, rec, lowpass=None):
+        return {"BENCHMARK": staged_pipeline(rec, cls.PLAN, lowpass=lowpass),
+                "MODIFIED": staged_pipeline(rec, cls.PLAN, analyse_recording(rec), lowpass),
+                "ZERO_NOISE": staged_pipeline(rec, DegradationPlan(250.0, 0.0), lowpass=lowpass)}
 
     # the id keeps the name the case had while uncorrected jitter and a
     # post-filter noise order also existed, so the digests stay under it
     @pytest.mark.parametrize("case", ["True-pre"])
-    def test_outputs_unchanged(self, rec, case, monkeypatch):
-        monkeypatch.setattr(gazesim.degrade, "lowpass_zero_phase", scipy_lowpass_zero_phase)
-        for name, out in self.outputs(rec).items():
+    def test_outputs_unchanged(self, rec, case):
+        staged = self.staged_outputs(rec)
+        for name, out in self.staged_outputs(rec, scipy_lowpass_zero_phase).items():
             text = canonical_text(out)
             assert ",nan," in text, name  # the missing run reaches every output
             assert self.digest(text) == getattr(self, name), name
             assert self.digest(blank_missing_gaze(text)) == self.BLANK_CELL[name], name
+            assert self.digest(canonical_text(staged[name])) == self.STAGED[name], name
 
-    def test_shipped_filter_outputs_pinned_and_within_tolerance(self, rec, monkeypatch):
-        shipped = self.outputs(rec)
-        monkeypatch.setattr(gazesim.degrade, "lowpass_zero_phase", scipy_lowpass_zero_phase)
-        oracle = self.outputs(rec)
-        for name, out in shipped.items():
+    def test_shipped_filter_outputs_pinned_and_within_tolerance(self, rec):
+        oracle = self.staged_outputs(rec, scipy_lowpass_zero_phase)
+        for name, out in self.outputs(rec).items():
             text = canonical_text(out)
             assert ",nan," in text, name
             assert self.digest(text) == self.SHIPPED[name], name

@@ -32,6 +32,22 @@ class TestQuantile:
     def test_empty_sample(self):
         with pytest.raises(ValueError, match="empty"):
             quantile([], 0.5)
+        with pytest.raises(ValueError, match="empty"):
+            quantile([], (0.5,))
+
+    def test_tuple_of_fractions_one_out_of_range(self):
+        with pytest.raises(ValueError, match="outside"):
+            quantile([1, 2], (0.5, 1.5))
+        with pytest.raises(ValueError, match="outside"):
+            quantile([1, 2], (0.5, float("nan")))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
+    def test_tuple_equals_each_fraction_alone(self, sample, fractions):
+        got = quantile(sample, tuple(fractions))
+        assert type(got) is tuple and all(type(v) is float for v in got)
+        assert list(map(float.hex, got)) == [quantile(sample, p).hex() for p in fractions]
 
 
 class TestPercentileRank:

@@ -22,8 +22,9 @@ the plan's noise variance or accuracy offsets. So the pipeline runs by
 superposition, in two steps. The component pass (component_pass) draws the
 unit signals (accuracy steps of magnitude 1 + z * 0.2 / 3 with their signs,
 unit position noise, the jitter normals), low-passes them with the gaze as
-the rows of one block solve, and resamples them on the nominal grid and the
-jittered one. The combination (combine) builds a plan's output as
+the rows of one solve (_lowpass_parts, the low-pass's one entry), and
+resamples them on the nominal grid and the jittered one. The combination
+(combine) builds a plan's output as
 gaze + sqrt(sigma0_sq) * noise + acc_offset * steps per channel, so one
 filter run serves any number of plans: the calibration sweep's grid, or the
 modified model's zero-noise pass and its output. Stamps, targets and the
@@ -35,10 +36,13 @@ The low-pass is an order-2 Butterworth biquad designed in closed form by the
 prewarped bilinear transform, run forward and backward over an even
 (mirror) extension of each channel, each pass started in the steady state
 of its first sample. That is SciPy's sosfiltfilt(padtype="even"), computed
-on numpy alone: each pass solves the recursion block by block with matrix
-products (_solve_recursion), so no command loads SciPy; outputs agree with
-sosfiltfilt within 1e-11 times the channel's largest magnitude, not bit for
-bit.
+on numpy alone, so no command loads SciPy. The biquad's poles are a
+conjugate pair p, p*, so each pass is the real part of one complex
+first-order scan w[n] = p w[n-1] + r[n], solved block by block as
+p^k * cumsum(r / p^k) with each block's end state carried to the next
+(_solve_recursion); |p| is at least 0.41 at every cutoff, so the scaling
+by 1 / p^k cannot overflow. Outputs agree with sosfiltfilt within 1e-11
+times the channel's largest magnitude, not bit for bit.
 
 Every operation is a pure function of (recording, plan, seed). Random draws
 happen in a fixed order per recording: accuracy magnitudes, then signs, then
@@ -72,22 +76,13 @@ _CUTOFF_FRACTION = 0.8
 # edge transient; the floor also fixes the shortest recording filtered.
 _MIN_PAD = 15
 
-# the low-pass recursion's block length, in samples: a pass solves blocks of
-# this many samples by matrix products, then carries each block's last two
-# outputs into the next. Longer blocks cost more multiply-adds, shorter ones
-# more Python steps: at 17 221 samples (a 1000 Hz recording), one core, a
-# low-pass call took 1.7-1.9 ms at 128 against 2.0-2.3 ms at 64 and at 256.
+# the low-pass recursion's block length, in samples: a pass scans blocks of
+# this many samples, then carries each block's end state into the next.
+# Shorter blocks cost more Python steps, longer ones raise the largest
+# scale factor 1 / p^k (_solve_recursion): at 17 221 samples (a 1000 Hz
+# recording), one core, a low-pass call took 2.80 ms at 128 against 2.99 ms
+# at 64 and 2.74-2.81 ms at 256 and 512 (medians of 9 interleaved rounds).
 _BLOCK = 128
-
-# blocks per matrix product: matmul of a stack of (_GEMM_BLOCKS, _BLOCK)
-# matrices makes one BLAS call per matrix, of 8 * 128 * 128 = 2**17
-# multiply-adds, half the size above which OpenBLAS runs a product on more
-# than one thread. One product of every block at once was threaded, and
-# then each forked worker of a command ran a BLAS thread pool on the same
-# CPUs: on 2 CPUs without OPENBLAS_NUM_THREADS set, calibrate of README's
-# 100 recordings took 11.8 s, against 4.1 s in stacks of 8 blocks and 3.5 s
-# with the banded BLAS solve this replaced.
-_GEMM_BLOCKS = 8
 
 # jitter limit, in grid periods: a jitter sigma must stay below it and each
 # perturbation is clamped to it, so jittered stamps stay strictly increasing
@@ -107,13 +102,6 @@ def _bridge_missing(rows: np.ndarray, miss: np.ndarray) -> np.ndarray:
     return filled
 
 
-def _fill_missing_linear(x: np.ndarray) -> tuple:
-    """Linearly bridge NaN runs so the IIR filter sees finite data; the
-    missing mask is reapplied after filtering."""
-    miss = np.isnan(x)
-    return _bridge_missing(x[np.newaxis], miss)[0], miss
-
-
 @functools.lru_cache(maxsize=16)
 def _lowpass_sos(cutoff_hz: float, fs: float) -> np.ndarray:
     """Read-only order-2 Butterworth low-pass as one second-order section
@@ -130,58 +118,39 @@ def _lowpass_sos(cutoff_hz: float, fs: float) -> np.ndarray:
     return sos
 
 
-@functools.lru_cache(maxsize=16)
-def _recursion_blocks(a1: float, a2: float) -> tuple:
-    """Read-only (T, G) that solve y[n] + a1 y[n-1] + a2 y[n-2] = r[n] over
-    one block of _BLOCK samples, built once per recursion: the block's
-    output is T @ r + G @ (y[-1], y[-2]). T is the lower-triangular
-    Toeplitz matrix of the impulse response h (h[0] = 1); G's columns are
-    the responses to y[-1] = 1 and to y[-2] = 1 with zero input, h[k + 1]
-    and -a2 h[k]."""
-    h = np.empty(_BLOCK + 1)
-    h[0], h[1] = 1.0, -a1
-    for k in range(2, _BLOCK + 1):
-        h[k] = -a1 * h[k - 1] - a2 * h[k - 2]
-    lag = np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK))
-    t = np.where(lag >= 0, h[np.maximum(lag, 0)], 0.0)
-    g = np.column_stack((h[1:], -a2 * h[:-1]))
-    t.flags.writeable = g.flags.writeable = False
-    return t, g
-
-
 def _solve_recursion(rhs: np.ndarray, a1: float, a2: float) -> np.ndarray:
     """y with y[n] + a1 y[n-1] + a2 y[n-2] = rhs[n] along each row of rhs,
-    from y[-1] = y[-2] = 0.
+    from y[-1] = y[-2] = 0, for a design with a conjugate pole pair p, p*
+    (a1^2 < 4 a2, as every _lowpass_sos design has).
 
-    The rows, zero-padded to whole blocks of _BLOCK samples, are solved
-    from a zero state by products with T (_recursion_blocks), _GEMM_BLOCKS
-    blocks at a time. A 2x2 update per block carries its last two outputs
-    forward as the next block's state, and G adds each block's response to
-    its state.
+    By partial fractions y = Re(g w), g = 2p / (p - p*), where w is the
+    complex first-order scan w[n] = p w[n-1] + rhs[n]. The rows, zero-padded
+    to whole blocks of _BLOCK samples, are scanned block by block: each
+    block's zero-state end value is one sum against p^(_BLOCK-1-k), a scalar
+    loop carries the state from block to block and adds it to each block's
+    first sample, and the block is then p^k * cumsum(rhs / p^k). That never
+    overflows: at every cutoff below the Nyquist frequency, |p|^2 = a2 >=
+    (2 - sqrt 2) / (2 + sqrt 2), reached at fs / 4, so 1 / |p|^(_BLOCK-1)
+    < 1e49.
     """
-    t, g = _recursion_blocks(a1, a2)
     rows, n = rhs.shape
     blocks = -(-n // _BLOCK)
-    stacked = rows * blocks
-    padded = np.zeros((-(-stacked // _GEMM_BLOCKS) * _GEMM_BLOCKS, _BLOCK))
-    padded[:stacked].reshape(rows, blocks * _BLOCK)[:, :n] = rhs
-    y = (padded.reshape(-1, _GEMM_BLOCKS, _BLOCK) @ t.T).reshape(-1, _BLOCK)[:stacked]
-    del padded
-    (m00, m01), (m10, m11) = g[-1], g[-2]
-    before1, before2 = [], []  # each block's y[-1] and y[-2]
-    for last, prev in zip(y[:, -1].reshape(rows, blocks).tolist(),
-                          y[:, -2].reshape(rows, blocks).tolist()):
-        s1 = s2 = 0.0
-        for z1, z2 in zip(last, prev):
-            before1.append(s1)
-            before2.append(s2)
-            s1, s2 = z1 + m00 * s1 + m01 * s2, z2 + m10 * s1 + m11 * s2
-    # the product with G as outer products, so no BLAS call grows with n;
-    # their sum is formed in place before it is added, as y + (a + b)
-    response = np.multiply.outer(before1, g[:, 0])
-    response += np.multiply.outer(before2, g[:, 1])
-    y += response
-    return y.reshape(rows, blocks * _BLOCK)[:, :n]
+    p = complex(-a1, math.sqrt(4.0 * a2 - a1 * a1)) / 2.0
+    power = p ** np.arange(_BLOCK)
+    w = np.zeros((rows, blocks, _BLOCK), complex)
+    w.reshape(rows, -1)[:, :n] = rhs
+    step = power[-1] * p  # p^_BLOCK
+    before = []  # each block's starting state, w[-1]
+    for ends in np.einsum("rbk,k->rb", w, power[::-1]).tolist():
+        s = 0j
+        for end in ends:
+            before.append(s)
+            s = step * s + end
+    w *= 1.0 / power
+    w[:, :, 0] += p * np.reshape(before, (rows, blocks))
+    np.cumsum(w, axis=2, out=w)
+    w *= 2.0 * p / (p - p.conjugate()) * power
+    return w.real.reshape(rows, -1)[:, :n]
 
 
 def _biquad_pass(x: np.ndarray, sos: np.ndarray) -> np.ndarray:
@@ -206,10 +175,16 @@ def _biquad_pass(x: np.ndarray, sos: np.ndarray) -> np.ndarray:
     return _solve_recursion(rhs, a1, a2)
 
 
-def _lowpass_padlen(rec: GazeRecording, cutoff_hz: float) -> int:
-    """The padding, in samples, of the low-pass at cutoff_hz over rec's
-    channels; ValueError unless 0 < cutoff_hz < the source Nyquist and rec
-    is longer than the padding."""
+def _lowpass_parts(parts: np.ndarray, rec: GazeRecording, cutoff_hz: float) -> np.ndarray:
+    """parts (k, 2, n), the x and y rows of k signals on rec's samples with
+    parts[0] rec's gaze, low-passed at cutoff_hz in place and returned.
+
+    Every row is bridged over its channel's missing gaze samples, extended
+    at both ends by its even reflection of padlen samples, run through the
+    section forward and backward as the rows of one solve per pass, cut back
+    to n samples, and set missing where its channel's gaze is. ValueError
+    unless 0 < cutoff_hz < the source Nyquist and rec is longer than padlen.
+    """
     fs = rec.nominal_rate_hz
     if not cutoff_hz > 0:
         raise ValueError(f"cutoff_hz must be positive, got {cutoff_hz}")
@@ -217,24 +192,26 @@ def _lowpass_padlen(rec: GazeRecording, cutoff_hz: float) -> int:
         raise ValueError(
             f"cutoff {cutoff_hz} Hz must be below the source Nyquist {fs / 2} Hz"
         )
-    tau_samples = fs / (2.0 * math.pi * cutoff_hz)
-    padlen = max(int(np.ceil(3.0 * tau_samples)), _MIN_PAD)
+    padlen = max(int(np.ceil(3.0 * fs / (2.0 * math.pi * cutoff_hz))), _MIN_PAD)
     if rec.n_samples <= padlen:
         raise ValueError(
             f"{rec.recording_id or 'recording'}: recording shorter than 3x filter "
             f"warm-up length ({rec.n_samples} samples <= pad {padlen})"
         )
-    return padlen
-
-
-def _lowpass_rows(x: np.ndarray, sos: np.ndarray, padlen: int) -> np.ndarray:
-    """The section run forward and backward along each row of the finite
-    array x, over its even extension by padlen samples at both ends, as the
-    rows of one block solve per pass."""
-    ext = np.concatenate((x[:, padlen:0:-1], x, x[:, -2:-padlen - 2:-1]), axis=1)
-    y = _biquad_pass(ext, sos)
-    del ext
-    return _biquad_pass(y[:, ::-1], sos)[:, ::-1][:, padlen:-padlen]
+    miss = np.isnan(parts[0])
+    live = [c for c in range(2) if not miss[c].all()]
+    if live:
+        x = np.concatenate([_bridge_missing(parts[:, c], miss[c]) for c in live])
+        ext = np.concatenate((x[:, padlen:0:-1], x, x[:, -2:-padlen - 2:-1]), axis=1)
+        del x
+        sos = _lowpass_sos(cutoff_hz, fs)
+        y = _biquad_pass(ext, sos)
+        del ext
+        y = _biquad_pass(y[:, ::-1], sos)[:, ::-1][:, padlen:-padlen]
+        # the filtered rows go where their inputs were, which are bridged copies now
+        parts[:, live] = y.reshape(len(live), len(parts), -1).swapaxes(0, 1)
+    parts[:, miss] = np.nan
+    return parts
 
 
 def lowpass_zero_phase(rec: GazeRecording, cutoff_hz: float) -> GazeRecording:
@@ -249,25 +226,14 @@ def lowpass_zero_phase(rec: GazeRecording, cutoff_hz: float) -> GazeRecording:
     least _MIN_PAD samples, and each pass starts in the steady state of its
     first input sample; the padding is cut off after. That is SciPy's
     sosfiltfilt(padtype="even") with the same padlen: outputs agree with it
-    within 1e-11 * max|x| (the largest difference measured is 3.8e-13 *
+    within 1e-11 * max|x| (the largest difference measured is 3.2e-13 *
     max|x|), not bit for bit, since the recursion is summed in another
     order. Both channels run through each pass together, as the rows of
-    one block solve (_solve_recursion) on numpy's matmul.
+    one complex scan (_solve_recursion), which cannot overflow.
     Missing samples are bridged for filtering and restored to missing after.
     """
-    padlen = _lowpass_padlen(rec, cutoff_hz)
-    names, rows, masks = [], [], []
-    for name in ("gaze_x", "gaze_y"):
-        finite, miss = _fill_missing_linear(getattr(rec, name))
-        if not miss.all():
-            names.append(name)
-            rows.append(finite)
-            masks.append(miss)
-    if not names:
-        return rec
-    y = _lowpass_rows(np.array(rows), _lowpass_sos(cutoff_hz, rec.nominal_rate_hz), padlen)
-    y[np.array(masks)] = np.nan
-    return rec.replace(**dict(zip(names, y)))
+    x, y = _lowpass_parts(np.array([[rec.gaze_x, rec.gaze_y]]), rec, cutoff_hz)[0]
+    return rec.replace(gaze_x=x, gaze_y=y)
 
 
 def resample_spline(rec: GazeRecording, new_timestamps_ms,
@@ -338,7 +304,7 @@ def jitter_timestamps(timestamps, jitter_sigma_ms: float, rng: np.random.Generat
     period = t[1] - t[0]
     if np.max(np.abs(np.diff(t) - period)) > 1e-6 * period:
         raise ValueError("jitter_timestamps requires a uniform input grid")
-    if jitter_sigma_ms < 0:
+    if not jitter_sigma_ms >= 0:
         raise ValueError(f"jitter_sigma_ms must be >= 0, got {jitter_sigma_ms}")
     bound = _check_jitter_ms(jitter_sigma_ms, period, "jitter_sigma_ms")
     applied = jitter_sigma_ms / math.sqrt(2.0) if correction else jitter_sigma_ms
@@ -355,8 +321,8 @@ def add_precision_noise(rec: GazeRecording, sigma0_sq: float,
     consumed for every sample (x channel first, then y) regardless of the
     missing mask, so the stream position is independent of the data.
     """
-    if sigma0_sq < 0:
-        raise ValueError(f"sigma0_sq must be >= 0, got {sigma0_sq}")
+    if not 0 <= sigma0_sq < math.inf:
+        raise ValueError(f"sigma0_sq must be >= 0 and finite, got {sigma0_sq}")
     n = rec.n_samples
     std = math.sqrt(sigma0_sq)
     noise_x = rng.standard_normal(n) * std
@@ -411,8 +377,8 @@ def component_pass(rec: GazeRecording, target_rate_hz: float, rng_seed: int,
     counts (see the module docstring), as unit signals: each step's
     magnitude 1 + z * 0.2 / 3 with its random sign, then the position noise,
     then the jitter normals. The gaze channels and the unit rows are
-    low-passed as the rows of one block solve, each unit row bridged over
-    its gaze channel's missing samples and missing where that channel is.
+    low-passed together by _lowpass_parts, each unit row bridged over its
+    gaze channel's missing samples and missing where that channel is.
     """
     if not target_rate_hz < rec.nominal_rate_hz:
         raise ValueError(
@@ -428,16 +394,7 @@ def component_pass(rec: GazeRecording, target_rate_hz: float, rng_seed: int,
     # (part, channel, sample): the gaze, the unit noise, then the unit steps
     parts = np.array([[rec.gaze_x, rec.gaze_y], rng.standard_normal((2, rec.n_samples)),
                       *steps])
-    cutoff_hz = _CUTOFF_FRACTION * target_rate_hz / 2.0
-    padlen = _lowpass_padlen(rec, cutoff_hz)
-    miss = np.isnan(parts[0])
-    live = [c for c in range(2) if not miss[c].all()]
-    if live:
-        y = _lowpass_rows(np.concatenate([_bridge_missing(parts[:, c], miss[c]) for c in live]),
-                          _lowpass_sos(cutoff_hz, rec.nominal_rate_hz), padlen)
-        # the filtered rows go where their inputs were, which are bridged copies now
-        parts[:, live] = y.reshape(len(live), len(parts), -1).swapaxes(0, 1)
-    parts[:, miss] = np.nan
+    _lowpass_parts(parts, rec, _CUTOFF_FRACTION * target_rate_hz / 2.0)
     t_src = rec.timestamps_ms
     nominal = nominal_target_timestamps(rec.span_ms, target_rate_hz, float(t_src[0]))
     grids = [(nominal, None)]

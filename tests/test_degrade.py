@@ -15,9 +15,8 @@ from hypothesis import strategies as st
 from scipy import signal as sp_signal
 
 import gazesim.degrade
-from gazesim.degrade import (_BLOCK, _fill_missing_linear, _lowpass_sos, _recursion_blocks,
-                             add_precision_noise, build_accuracy_signal, combine,
-                             component_pass, degrade_benchmark, degrade_modified,
+from gazesim.degrade import (_BLOCK, _lowpass_sos, _solve_recursion, add_precision_noise,
+                             build_accuracy_signal, combine, component_pass, degrade_benchmark, degrade_modified,
                              jitter_timestamps,
                              lowpass_zero_phase, nominal_target_timestamps,
                              plan_modified, resample_spline, save_plan,
@@ -59,7 +58,7 @@ def windows_at(rec, latency_ms):
 
 # |lowpass_zero_phase - scipy_lowpass_zero_phase| <= FILTER_TOL * max|x|;
 # the largest measured over TestLowpassZeroPhase's grid of rates, cutoffs
-# and lengths is 3.8e-13 (12 Hz at 2000 Hz, 20 000 samples)
+# and lengths is 3.2e-13 (12 Hz at 2000 Hz, 20 000 samples)
 FILTER_TOL = 1e-11
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -68,18 +67,21 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def scipy_lowpass_zero_phase(rec, cutoff_hz):
     """The low-pass as scipy.signal computed it before the closed-form
     biquad, kept as the oracle: butter's order-2 design and
-    sosfiltfilt(padtype="even") with the same padding and missing-sample
-    bridging."""
+    sosfiltfilt(padtype="even") with the same padding, each channel's NaN
+    runs bridged by linear interpolation for filtering (np.interp here, so
+    the oracle shares no helper with the filter it checks)."""
     fs = rec.nominal_rate_hz
     padlen = max(int(np.ceil(3.0 * fs / (2.0 * math.pi * cutoff_hz))), 15)
     sos = sp_signal.butter(2, cutoff_hz, btype="lowpass", fs=fs, output="sos")
     filtered = {}
     for name in ("gaze_x", "gaze_y"):
         x = getattr(rec, name)
-        finite, miss = _fill_missing_linear(x)
+        miss = np.isnan(x)
         if miss.all():
             filtered[name] = x
             continue
+        at = np.arange(x.size)
+        finite = np.interp(at, at[~miss], x[~miss])
         y = sp_signal.sosfiltfilt(sos, finite, padtype="even", padlen=padlen)
         y[miss] = np.nan
         filtered[name] = y
@@ -93,6 +95,38 @@ def assert_gaze_within_filter_tol(out, ref, scale):
         got, want = getattr(out, name), getattr(ref, name)
         np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
         np.testing.assert_allclose(got, want, rtol=0, atol=FILTER_TOL * scale)
+
+
+class TestSolveRecursion:
+    """The low-pass recursion against scipy.signal.lfilter([1], [1, a1, a2]),
+    the oracle: |_solve_recursion - lfilter| <= RECURSION_TOL * max|lfilter|
+    per row; the largest measured over this grid is 1.4e-13 (fc/fs = 0.49),
+    and 3.3e-14 over the cutoffs the pipeline asks for."""
+
+    RECURSION_TOL = 1e-12
+
+    # cutoffs as fractions of the rate, from the lowest the pipeline asks for
+    # (2000 Hz to a 30 Hz target, 0.006) to past the highest (0.4 just below
+    # the source rate); at fs / 4 the design's pole radius is the smallest of
+    # any cutoff, sqrt((2 - sqrt 2) / (2 + sqrt 2)) = 0.414
+    @pytest.mark.parametrize("ratio", [0.006, 0.02, 0.1, 0.2, 0.25, 0.3, 0.3996, 0.49])
+    def test_matches_lfilter(self, ratio):
+        a1, a2 = _lowpass_sos(ratio * 1000.0, 1000.0)[0, 4:]
+        assert a1 * a1 < 4.0 * a2 and a2 >= (2 - math.sqrt(2)) / (2 + math.sqrt(2)) - 1e-15
+        if ratio == 0.25:
+            assert math.sqrt(a2) == pytest.approx(0.414, abs=1e-3)
+        rng = np.random.default_rng(round(ratio * 1e4))
+        for n in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1, 2 * _BLOCK + 1, 20_000):
+            for rows in range(1, 7):
+                # each row its own magnitude, up to 1e6
+                rhs = rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(-3, 6, (rows, 1))
+                got = _solve_recursion(rhs, a1, a2)
+                want = sp_signal.lfilter([1.0], [1.0, a1, a2], rhs, axis=1)
+                assert got.shape == want.shape
+                for g, w in zip(got, want):
+                    np.testing.assert_allclose(g, w, rtol=0,
+                                               atol=self.RECURSION_TOL * np.max(np.abs(w)),
+                                               err_msg=str((ratio, n, rows)))
 
 
 class TestLowpassZeroPhase:
@@ -192,12 +226,14 @@ class TestLowpassZeroPhase:
     def test_matches_scipy_sosfiltfilt_within_tolerance(self):
         # source rates, cutoffs at 0.8 of each lower target's Nyquist (2000 Hz
         # to a 30 Hz target is the lowest cutoff relative to the rate that the
-        # pipeline asks for), and lengths from one past the padding up: one
-        # short of, equal to and one past a block, and ones whose padded
-        # extension, the length each pass solves, is one short of, equal to
-        # or one past two blocks
+        # pipeline asks for; a target just below the source rate the highest,
+        # and 0.625 of it a cutoff of fs / 4, the smallest pole radius), and
+        # lengths from one past the padding up: one short of, equal to and
+        # one past a block, and ones whose padded extension, the length each
+        # pass solves, is one short of, equal to or one past two blocks
         for fs in (60.0, 250.0, 500.0, 1000.0, 2000.0):
-            for target_hz in (30.0, 60.0, 120.0, 250.0, 500.0):
+            for target_hz in (30.0, 60.0, 120.0, 250.0, 500.0, 625.0, 999.0, 1250.0,
+                              1999.0):
                 if target_hz >= fs:
                     continue
                 fc = 0.8 * target_hz / 2.0
@@ -219,7 +255,7 @@ class TestLowpassZeroPhase:
                             atol=FILTER_TOL * np.max(np.abs(x)), err_msg=str((fs, fc, n)))
 
     def test_bits_equal_at_one_and_two_blas_threads(self):
-        # the block solve is matrix products, which a threaded BLAS may split
+        # the scan makes no BLAS call, so a BLAS thread pool cannot split it
         probe = ("import hashlib, numpy as np; from gazesim.degrade import lowpass_zero_phase;"
                  "from gazesim.types import GazeRecording as G; n = 17221;"
                  "x = np.random.default_rng(0).standard_normal((2, n));"
@@ -267,12 +303,6 @@ class TestLowpassZeroPhase:
         assert not sos.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             sos[0, 0] = 0.0
-        t, g = _recursion_blocks(sos[0, 4], sos[0, 5])
-        assert t.shape == (_BLOCK, _BLOCK) and g.shape == (_BLOCK, 2)
-        assert _recursion_blocks(sos[0, 4], sos[0, 5])[0] is t
-        for kernel in (t, g):
-            with pytest.raises(ValueError, match="read-only"):
-                kernel[0, 0] = 0.0
 
 
 class TestResampleSpline:
@@ -393,6 +423,13 @@ class TestJitterTimestamps:
         t = np.arange(10) * 4.0
         with pytest.raises(ValueError, match="0.45"):
             jitter_timestamps(t, 1.8, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="0.45"):
+            jitter_timestamps(t, math.inf, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("sigma", [-0.1, math.nan])
+    def test_negative_or_nan_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match=f"jitter_sigma_ms must be >= 0, got {sigma}"):
+            jitter_timestamps(np.arange(10) * 4.0, sigma, np.random.default_rng(0))
 
     def test_non_uniform_grid_rejected(self):
         with pytest.raises(ValueError, match="uniform"):
@@ -421,9 +458,12 @@ class TestAddPrecisionNoise:
         assert np.array_equal(out.tgt_x, rec.tgt_x)
 
     def test_negative_variance_rejected(self):
+        # and a variance that is not finite, which would make every sample nan or inf
         rec = make_recording(np.arange(5.0), np.zeros(5), np.zeros(5))
-        with pytest.raises(ValueError, match="sigma0_sq"):
-            add_precision_noise(rec, -0.1, np.random.default_rng(0))
+        for sigma0_sq in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"sigma0_sq must be >= 0 and finite, "
+                                                 f"got {sigma0_sq}"):
+                add_precision_noise(rec, sigma0_sq, np.random.default_rng(0))
 
 
 class TestDegradeBenchmark:
@@ -856,7 +896,8 @@ class TestGoldenDigests:
     are the staged pipeline's with the shipped low-pass, and SHIPPED the
     shipped transforms', the component pass and its combination. Both agree
     with the first within FILTER_TOL. STAGED and SHIPPED depend on the
-    summation order of numpy's matmul."""
+    rounding of the low-pass's complex scan: numpy's complex power, einsum
+    and cumsum."""
 
     BENCHMARK = "f08b94d4f9850944add4f508840c1bc064f5254f9c0b36f72f19633765357619"
     MODIFIED = "796c8b46d5cb75adeb8f610fc917987c7158d976d0a57b3e7b46dcda1c3695db"
@@ -870,14 +911,14 @@ class TestGoldenDigests:
     }
     # the shipped outputs while the staged pipeline was the shipped one
     STAGED = {
-        "BENCHMARK": "27cac40a2bef42c2b575c842bf27f47ac67355350a307fe3e4557d3c6b2a8648",
-        "MODIFIED": "eb2b1778604b15b5c28671f42e06646dbc0208db13ccd761eacd0b20e5ae2d1a",
-        "ZERO_NOISE": "905843cb3741534a363a5e09e5ef2e17ff130dd1861c31bfa011cbd760104f58",
+        "BENCHMARK": "ace953024185576f9646b3a8e55f10136158fdf205d2657115254a74ef77cc42",
+        "MODIFIED": "6ab2422a96b439ebf796d035d552507331ebd55889de5fa87807fb2c9501b1a7",
+        "ZERO_NOISE": "d879b61c639b6c15e2fb0c47ca330b41ba408d8a46986a046e79032720fa0797",
     }
     SHIPPED = {
-        "BENCHMARK": "b000e24f94cbfb530f0d47fa723b9a95060364375a459208a879a8c1e44dfeba",
-        "MODIFIED": "5c31a0701af9cd67c3b74a263de72314af190a39b760183551a4ba1ce97a577c",
-        "ZERO_NOISE": "905843cb3741534a363a5e09e5ef2e17ff130dd1861c31bfa011cbd760104f58",
+        "BENCHMARK": "5585b2db8fc9510d21958739cabbd8b8fe458ebcf0fccaf8e2ef11972d0a2a03",
+        "MODIFIED": "292a92fe25ddc9e629bbe5e54aca1168c5272441523569214dbb8e8847625b9d",
+        "ZERO_NOISE": "d879b61c639b6c15e2fb0c47ca330b41ba408d8a46986a046e79032720fa0797",
     }
     PLAN = DegradationPlan(250.0, 0.1, acc_offset_h=0.3, acc_offset_v=0.2,
                            jitter_sigma_ms=0.5, rng_seed=77)

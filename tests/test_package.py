@@ -142,15 +142,15 @@ class TestImportLight:
             workers=workers) == []
 
     def test_calibrate_loads_linalg_before_its_workers_fork(self, corpus, tmp_path):
-        # the low-pass's linear algebra is numpy's matmul, loaded with
-        # gazesim itself: the parent imports no scipy.linalg, nor any other
-        # scipy module, for its workers
+        # the low-pass is a complex scan on numpy's cumsum and einsum,
+        # loaded with gazesim itself: the parent imports no scipy.linalg,
+        # nor any other scipy module, for its workers
         assert scipy_modules_after(self.calibrate_argv(corpus, tmp_path / "calib.json"),
                                    workers=2) == []
 
     @pytest.mark.parametrize("model", ["baseline", "modified"])
     def test_degrade_loads_linalg(self, corpus, model, tmp_path):
-        # numpy's linear algebra only: no scipy.linalg, no scipy at all
+        # numpy only: no scipy.linalg, no scipy at all
         argv = ["degrade", "--manifest", corpus / "manifest.csv", "--model", model,
                 "--rate-hz", 125, "--seed", 1, "--out", tmp_path / "out"]
         if model == "baseline":

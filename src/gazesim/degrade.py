@@ -51,7 +51,6 @@ position noise, then timestamp jitter.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 
 import numpy as np
@@ -92,8 +91,8 @@ _JITTER_LIMIT = 0.45
 def _bridge_missing(rows: np.ndarray, miss: np.ndarray) -> np.ndarray:
     """rows (k, n) with the samples where miss is set replaced, row by row,
     by linear interpolation between the others; rows itself when miss is
-    all unset or all set."""
-    if not miss.any() or miss.all():
+    all unset. miss must leave a sample unset."""
+    if not miss.any():
         return rows
     idx, at = np.flatnonzero(~miss), np.flatnonzero(miss)
     filled = rows.copy()
@@ -102,20 +101,16 @@ def _bridge_missing(rows: np.ndarray, miss: np.ndarray) -> np.ndarray:
     return filled
 
 
-@functools.lru_cache(maxsize=16)
 def _lowpass_sos(cutoff_hz: float, fs: float) -> np.ndarray:
-    """Read-only order-2 Butterworth low-pass as one second-order section
+    """Order-2 Butterworth low-pass as one second-order section
     [[b0, b1, b2, 1, a1, a2]] (the output="sos" layout of SciPy's butter),
-    designed once per (cutoff, rate) in closed form: the bilinear transform
-    of 1 / (s^2 + sqrt(2) s + 1), prewarped so that |H|^2 = 1/2 at
-    cutoff_hz."""
+    designed in closed form: the bilinear transform of
+    1 / (s^2 + sqrt(2) s + 1), prewarped so that |H|^2 = 1/2 at cutoff_hz."""
     k = math.tan(math.pi * cutoff_hz / fs)
     norm = 1.0 / (1.0 + math.sqrt(2.0) * k + k * k)
     b0 = k * k * norm
-    sos = np.array([[b0, 2.0 * b0, b0, 1.0, 2.0 * (k * k - 1.0) * norm,
-                     (1.0 - math.sqrt(2.0) * k + k * k) * norm]])
-    sos.flags.writeable = False
-    return sos
+    return np.array([[b0, 2.0 * b0, b0, 1.0, 2.0 * (k * k - 1.0) * norm,
+                      (1.0 - math.sqrt(2.0) * k + k * k) * norm]])
 
 
 def _solve_recursion(rhs: np.ndarray, a1: float, a2: float) -> np.ndarray:
@@ -179,11 +174,11 @@ def _lowpass_parts(parts: np.ndarray, rec: GazeRecording, cutoff_hz: float) -> n
     """parts (k, 2, n), the x and y rows of k signals on rec's samples with
     parts[0] rec's gaze, low-passed at cutoff_hz in place and returned.
 
-    Every row is bridged over its channel's missing gaze samples, extended
-    at both ends by its even reflection of padlen samples, run through the
-    section forward and backward as the rows of one solve per pass, cut back
-    to n samples, and set missing where its channel's gaze is. ValueError
-    unless 0 < cutoff_hz < the source Nyquist and rec is longer than padlen.
+    Every row is bridged over rec.missing (either gaze channel NaN),
+    extended at both ends by its even reflection of padlen samples, run
+    through the section forward and backward as the rows of one solve per
+    pass, cut back to n samples, and set NaN where rec.missing is set.
+    ValueError unless 0 < cutoff_hz < Nyquist and rec is longer than padlen.
     """
     fs = rec.nominal_rate_hz
     if not cutoff_hz > 0:
@@ -198,19 +193,17 @@ def _lowpass_parts(parts: np.ndarray, rec: GazeRecording, cutoff_hz: float) -> n
             f"{rec.recording_id or 'recording'}: recording shorter than 3x filter "
             f"warm-up length ({rec.n_samples} samples <= pad {padlen})"
         )
-    miss = np.isnan(parts[0])
-    live = [c for c in range(2) if not miss[c].all()]
-    if live:
-        x = np.concatenate([_bridge_missing(parts[:, c], miss[c]) for c in live])
+    miss = rec.missing
+    if not miss.all():
+        x = _bridge_missing(parts.reshape(-1, rec.n_samples), miss)
         ext = np.concatenate((x[:, padlen:0:-1], x, x[:, -2:-padlen - 2:-1]), axis=1)
         del x
         sos = _lowpass_sos(cutoff_hz, fs)
         y = _biquad_pass(ext, sos)
         del ext
-        y = _biquad_pass(y[:, ::-1], sos)[:, ::-1][:, padlen:-padlen]
-        # the filtered rows go where their inputs were, which are bridged copies now
-        parts[:, live] = y.reshape(len(live), len(parts), -1).swapaxes(0, 1)
-    parts[:, miss] = np.nan
+        y = _biquad_pass(y[:, ::-1], sos)[:, ::-1]
+        parts[:] = y[:, padlen:-padlen].reshape(parts.shape)
+    parts[..., miss] = np.nan
     return parts
 
 
@@ -230,7 +223,7 @@ def lowpass_zero_phase(rec: GazeRecording, cutoff_hz: float) -> GazeRecording:
     max|x|), not bit for bit, since the recursion is summed in another
     order. Both channels run through each pass together, as the rows of
     one complex scan (_solve_recursion), which cannot overflow.
-    Missing samples are bridged for filtering and restored to missing after.
+    A sample missing in either channel is bridged, and missing in both after.
     """
     x, y = _lowpass_parts(np.array([[rec.gaze_x, rec.gaze_y]]), rec, cutoff_hz)[0]
     return rec.replace(gaze_x=x, gaze_y=y)
@@ -377,8 +370,8 @@ def component_pass(rec: GazeRecording, target_rate_hz: float, rng_seed: int,
     counts (see the module docstring), as unit signals: each step's
     magnitude 1 + z * 0.2 / 3 with its random sign, then the position noise,
     then the jitter normals. The gaze channels and the unit rows are
-    low-passed together by _lowpass_parts, each unit row bridged over its
-    gaze channel's missing samples and missing where that channel is.
+    low-passed together by _lowpass_parts, every row bridged over rec's
+    missing samples (either gaze channel NaN) and missing where they are.
     """
     if not target_rate_hz < rec.nominal_rate_hz:
         raise ValueError(

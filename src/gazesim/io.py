@@ -225,7 +225,8 @@ def read_recording(path, format_tag: str, nominal_rate_hz: float,
     """Parse one recording file, in the layout of format_tag and recorded at
     nominal_rate_hz, into a GazeRecording.
 
-    Empty or NaN gaze cells are flagged missing, not dropped. Columns are
+    Empty or NaN gaze cells are flagged missing, not dropped; an infinite
+    one fails the read, as does a layout column named twice. Columns are
     matched by their whitespace-stripped header names. Malformed rows abort
     the read with a message naming the 1-based file line; blank lines are
     skipped but counted. A file without its layout's time column fails
@@ -245,13 +246,14 @@ def read_recording(path, format_tag: str, nominal_rate_hz: float,
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty file")
-        index = {name.strip(): i for i, name in enumerate(header)}
+        names = [name.strip() for name in header]
         for col in (layout["time"], layout["gx"], layout["gy"], layout["tx"], layout["ty"]):
-            if col not in index:
-                raise ValueError(f"{path}: missing column {col!r} for format {format_tag!r}")
-        columns = [(index[layout["time"]], False),
-                   (index[layout["gx"]], True), (index[layout["gy"]], True),
-                   (index[layout["tx"]], False), (index[layout["ty"]], False)]
+            if names.count(col) != 1:
+                problem = "repeated" if col in names else "missing"
+                raise ValueError(f"{path}: {problem} column {col!r} for format {format_tag!r}")
+        columns = [(names.index(layout["time"]), False),
+                   (names.index(layout["gx"]), True), (names.index(layout["gy"]), True),
+                   (names.index(layout["tx"]), False), (names.index(layout["ty"]), False)]
         try:
             data = _read_columns(fh, len(header), columns)
         except UnicodeDecodeError:

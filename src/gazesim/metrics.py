@@ -99,8 +99,8 @@ def _candidate_shifts(gx, gy, tx, ty, shifts: np.ndarray) -> np.ndarray:
     instead of O(shifts * n). A shift is kept when its prefix-sum mean is
     within the summation error bound, plus a relative 1e-9, of the smallest.
     """
-    if shifts.size == 0 or np.isinf(gx).any() or np.isinf(gy).any():
-        return shifts  # an infinite distance breaks the differences: rescore all
+    if shifts.size == 0:
+        return shifts
     n = gx.size
     k_lo, k_hi = int(shifts[0]), int(shifts[-1])
     sums = np.zeros(shifts.size)
@@ -194,8 +194,7 @@ def reject_outliers(win: FixationWindow, rec: GazeRecording) -> FixationWindow:
     q1 = quantile(dist[valid], 0.25)
     q3 = quantile(dist[valid], 0.75)
     iqr = q3 - q1
-    with np.errstate(invalid="ignore"):
-        outlier = (dist > q3 + 1.5 * iqr) | (dist < q1 - 1.5 * iqr) | (dist > _MAX_DIST_DVA)
+    outlier = (dist > q3 + 1.5 * iqr) | (dist < q1 - 1.5 * iqr) | (dist > _MAX_DIST_DVA)
     return win.with_mask(outlier | missing)
 
 
@@ -283,15 +282,14 @@ def analyse_recording(rec: GazeRecording) -> RecordingAnalysis:
     usable = valid.sum(axis=1)
     gaze[:, ~valid] = np.nan
 
-    with np.errstate(invalid="ignore"):
-        centroid = _sorted_median(np.sort(gaze, axis=-1), usable)
-        dist = np.hypot(gaze[0] - centroid[0][:, None], gaze[1] - centroid[1][:, None])
-        sorted_dist = np.sort(dist, axis=-1)
-        q1 = _sorted_quantile(sorted_dist, usable, 0.25)
-        q3 = _sorted_quantile(sorted_dist, usable, 0.75)
-        iqr = q3 - q1
-        outlier = ((dist > (q3 + 1.5 * iqr)[:, None]) | (dist < (q1 - 1.5 * iqr)[:, None])
-                   | (dist > _MAX_DIST_DVA))
+    centroid = _sorted_median(np.sort(gaze, axis=-1), usable)
+    dist = np.hypot(gaze[0] - centroid[0][:, None], gaze[1] - centroid[1][:, None])
+    sorted_dist = np.sort(dist, axis=-1)
+    q1 = _sorted_quantile(sorted_dist, usable, 0.25)
+    q3 = _sorted_quantile(sorted_dist, usable, 0.75)
+    iqr = q3 - q1
+    outlier = ((dist > (q3 + 1.5 * iqr)[:, None]) | (dist < (q1 - 1.5 * iqr)[:, None])
+               | (dist > _MAX_DIST_DVA))
     kept = valid & ~outlier & (usable >= _MIN_WINDOW_SAMPLES)[:, None]
     n_kept = kept.sum(axis=1)
     used = n_kept > 0
@@ -305,9 +303,8 @@ def analyse_recording(rec: GazeRecording) -> RecordingAnalysis:
                            rec.recording_id, i)
 
     kept_gaze = np.where(kept, gaze, np.nan)
-    with np.errstate(invalid="ignore"):
-        middle = _sorted_median(np.sort(kept_gaze, axis=-1), n_kept)
-        mad = _sorted_median(np.sort(np.abs(kept_gaze - middle[..., None]), axis=-1), n_kept)
+    middle = _sorted_median(np.sort(kept_gaze, axis=-1), n_kept)
+    mad = _sorted_median(np.sort(np.abs(kept_gaze - middle[..., None]), axis=-1), n_kept)
     precision = np.stack((mad[0], mad[1], np.hypot(mad[0], mad[1])), axis=1)[used]
 
     # the accuracy means stay one pairwise sum per window: each window's kept
@@ -340,12 +337,11 @@ def _take(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
 def _sorted_median(rows: np.ndarray, count: np.ndarray) -> np.ndarray:
     """np.median of the first `count` entries of each ascending row (NaN
     padding sorts after them): the mean of the middle entry or pair, summed
-    as numpy's add.reduce does (lo + (0.0 + hi), so a zero comes out +0.0),
-    and NaN when a counted entry is NaN."""
+    as numpy's add.reduce does (lo + (0.0 + hi), so a zero comes out +0.0).
+    An empty row reads its padding, NaN."""
     lo = _take(rows, (count - 1) // 2)
     hi = _take(rows, count // 2)
-    median = np.where(count % 2 == 1, lo + 0.0, (lo + (0.0 + hi)) / 2)
-    return np.where(np.isnan(_take(rows, count - 1)), np.nan, median)
+    return np.where(count % 2 == 1, lo + 0.0, (lo + (0.0 + hi)) / 2)
 
 
 def _sorted_quantile(rows: np.ndarray, count: np.ndarray, p: float) -> np.ndarray:
@@ -362,8 +358,7 @@ def _sorted_quantile(rows: np.ndarray, count: np.ndarray, p: float) -> np.ndarra
     a = _take(rows, np.where(top, count - 1, lower).astype(np.intp))
     b = _take(rows, np.where(top, count - 1, lower + 1).astype(np.intp))
     diff = b - a
-    q = np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
-    return np.where(np.isnan(_take(rows, count - 1)), np.nan, q)
+    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
 
 
 def recording_quality(rec: GazeRecording,

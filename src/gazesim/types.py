@@ -1,12 +1,12 @@
 """Shared domain types for gaze recordings and signal-quality summaries.
 
 Unit conventions used everywhere in this package: positions in degrees of
-visual angle (dva), times in milliseconds, rates in Hz. Missing gaze samples
-are carried as NaN in the gaze channels; timestamps and target channels are
-always finite. All types are immutable value objects that check their
-invariants when built, so a GazeRecording that exists is a valid one,
-whether it was read, generated, replaced or resampled, and a QualityTable
-holds only rows that would pass as QualityVectors.
+visual angle (dva), times in milliseconds, rates in Hz. Gaze is finite or
+missing (NaN); a sample is missing when either channel is NaN. Stamps and
+targets are always finite. All types are immutable value objects that
+check their invariants when built, so a GazeRecording that exists is a
+valid one, whether it was read, generated, replaced or resampled, and a
+QualityTable holds only rows that would pass as QualityVectors.
 """
 from __future__ import annotations
 
@@ -60,7 +60,7 @@ def check_rate_hz(rate_hz, name: str) -> float:
 class GazeRecording:
     """One recording: timestamped gaze and stimulus-target traces, checked
     when built (replace() too); a failed check raises ValueError naming the
-    first offending index. Gaze may hold NaN (missing) and inf."""
+    first offending index. Gaze is finite or missing (NaN)."""
 
     timestamps_ms: np.ndarray
     gaze_x: np.ndarray
@@ -94,6 +94,10 @@ class GazeRecording:
             if not finite.all():
                 i = int(np.flatnonzero(~finite)[0])
                 raise ValueError(f"non-finite target {name} at index {i}")
+        for name in ("gaze_x", "gaze_y"):
+            infinite = np.isinf(getattr(self, name))
+            if infinite.any():
+                raise ValueError(f"infinite gaze {name} at index {int(np.argmax(infinite))}")
         object.__setattr__(self, "nominal_rate_hz",
                            check_rate_hz(self.nominal_rate_hz, "nominal_rate_hz"))
 
@@ -103,7 +107,7 @@ class GazeRecording:
 
     @property
     def missing(self) -> np.ndarray:
-        """Boolean mask, True where the gaze sample is missing."""
+        """Boolean mask, True where the sample is missing: either gaze channel NaN."""
         return np.isnan(self.gaze_x) | np.isnan(self.gaze_y)
 
     @property

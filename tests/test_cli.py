@@ -228,6 +228,22 @@ class TestMetrics:
         assert len(read_quality_table(table)) == 4
         assert "skipping flat: no target transitions" in caplog.text
 
+    def test_skip_bad_skips_infinite_gaze(self, tiny_source, tmp_path, caplog):
+        bad = tmp_path / "inf.csv"
+        bad.write_text("t_ms,gaze_x_dva,gaze_y_dva,tgt_x_dva,tgt_y_dva\n"
+                       "0,0.1,0.2,0,0\n1,inf,0.25,0,0\n2,0.2,0.3,1,0\n")
+        manifest = self.manifest_with_bad_entry(tiny_source, tmp_path, bad)
+        table = tmp_path / "q.csv"
+        with caplog.at_level("ERROR"):
+            assert run(["metrics", "--manifest", manifest, "--out", table]) == 1
+        assert f"{bad}: infinite gaze gaze_x at index 1" in caplog.text
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            assert run(["metrics", "--manifest", manifest, "--out", table,
+                        "--skip-bad"]) == 0
+        assert len(read_quality_table(table)) == 4
+        assert f"skipping broken: {bad}: infinite gaze gaze_x at index 1" in caplog.text
+
     def test_skip_bad_skips_cell_over_csv_field_limit(self, tiny_source, tmp_path, caplog):
         bad = tmp_path / "long.csv"
         bad.write_text("t_ms,gaze_x_dva,gaze_y_dva,tgt_x_dva,tgt_y_dva\n0,0.1,0.2,0,0\n"

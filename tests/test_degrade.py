@@ -291,18 +291,15 @@ class TestLowpassZeroPhase:
                                       scipy_lowpass_zero_phase(rec, fc),
                                       np.max(magnitude, initial=0.0, where=~np.isnan(magnitude)))
 
-    def test_filter_designed_once_per_rate_and_read_only(self):
-        _lowpass_sos.cache_clear()
-        rec = self.white_noise_recording(n=2000)
-        first = lowpass_zero_phase(rec, 100.0)
-        second = lowpass_zero_phase(rec, 100.0)
-        info = _lowpass_sos.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-        assert first.gaze_x.tobytes() == second.gaze_x.tobytes()
-        sos = _lowpass_sos(100.0, 1000.0)
-        assert not sos.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            sos[0, 0] = 0.0
+    def test_one_channel_missing_filters_as_both(self):
+        # a sample is missing when either channel is NaN: runs missing in one
+        # channel alone, the first samples included, filter bit for bit as
+        # the same runs missing in both channels
+        x_only, both = one_channel_missing_pair(self.white_noise_recording(n=3000))
+        got, want = lowpass_zero_phase(x_only, 100.0), lowpass_zero_phase(both, 100.0)
+        for name in ("gaze_x", "gaze_y"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert np.isnan(got.gaze_y[[0, 1, 2, 700, 759, 1500, 1519]]).all()
 
 
 class TestResampleSpline:
@@ -772,6 +769,17 @@ class TestDegradeModified:
         assert degraded.acc_v < 0.5
 
 
+def one_channel_missing_pair(rec):
+    """rec with runs missing in one channel alone (samples 0-2 and 700-759
+    in x, 1500-1519 in y), and rec with the same runs missing in both."""
+    gx, gy = rec.gaze_x.copy(), rec.gaze_y.copy()
+    gx[:3] = gx[700:760] = np.nan
+    gy[1500:1520] = np.nan
+    miss = np.isnan(gx) | np.isnan(gy)
+    return (rec.replace(gaze_x=gx, gaze_y=gy),
+            rec.replace(gaze_x=np.where(miss, np.nan, gx), gaze_y=np.where(miss, np.nan, gy)))
+
+
 @functools.lru_cache(maxsize=None)
 def analysed_source(seed):
     """A 1000 Hz oracle recording and its analysis, built once per seed."""
@@ -831,17 +839,29 @@ class TestComponentPass:
 
     @pytest.mark.parametrize("modified", [False, True])
     def test_channel_missing_throughout(self, modified):
-        # a channel with no sample to filter stays missing, as in the low-pass
+        # with one channel missing throughout every sample is missing, so
+        # the output is missing throughout in both channels
         rec, analysis = analysed_source(1)
         rec = rec.replace(gaze_y=np.full(rec.n_samples, np.nan))
         plan = DegradationPlan(250.0, 0.1, acc_offset_h=0.3, acc_offset_v=0.2,
                                jitter_sigma_ms=0.5, rng_seed=3)
         args = (rec, plan, analysis) if modified else (rec, plan)
         got = (degrade_modified if modified else degrade_benchmark)(*args)
-        want = staged_pipeline(*args)
-        assert np.isnan(got.gaze_y).all() and np.isnan(want.gaze_y).all()
-        np.testing.assert_allclose(got.gaze_x, want.gaze_x, rtol=0,
-                                   atol=1e-12 * np.max(np.abs(rec.gaze_x)))
+        assert np.isnan(got.gaze_x).all() and np.isnan(got.gaze_y).all()
+
+    @pytest.mark.parametrize("modified", [False, True])
+    def test_one_channel_missing_passes_as_both(self, modified):
+        # the component pass of runs missing in one channel alone is, bit
+        # for bit, that of the same runs missing in both channels
+        rec, analysis = analysed_source(2)
+        x_only, both = one_channel_missing_pair(rec)
+        extra = (analysis, 0.5) if modified else ()
+        got, want = (component_pass(r, 250.0, 4, *extra) for r in (x_only, both))
+        assert len(got) == len(want) == 1 + modified
+        for g, w in zip(got, want):
+            for name in ("timestamps_ms", "gaze", "noise", "targets") + ("steps",) * modified:
+                assert getattr(g, name).tobytes() == getattr(w, name).tobytes(), name
+            assert np.isnan(g.gaze).any()
 
     def test_one_pass_gives_both_grids(self):
         # the modified model's nominal grid is the zero-noise pass's, and its

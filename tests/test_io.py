@@ -161,6 +161,20 @@ class TestAdapters:
         with pytest.raises(ValueError, match="missing column"):
             read_recording(path, "eyelink-export", 1000.0)
 
+    @pytest.mark.parametrize("format_tag, header, column", [
+        ("canonical", "t_ms,gaze_x_dva,gaze_y_dva,tgt_x_dva,tgt_y_dva, gaze_x_dva",
+         "gaze_x_dva"),
+        ("vr-export", "time_s,gaze_x_deg,gaze_y_deg,target_x_deg,target_y_deg,time_s",
+         "time_s")],
+        ids=["canonical", "vr-export"])
+    def test_repeated_layout_column_named(self, tmp_path, format_tag, header, column):
+        # either copy could be the one meant: the read fails rather than pick one
+        path = tmp_path / "rc.csv"
+        path.write_text(header + "\n0,1,2,0,0,9\n0.004,1.1,2.1,0,0,9\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: repeated column "
+                                             rf"'{column}' for format '{format_tag}'$"):
+            read_recording(path, format_tag, 250.0)
+
 
 def row_loop_csv(rec):
     """Reference writer: one csv.writer row per sample, the byte layout
@@ -286,6 +300,17 @@ class TestReadRecordingFuzz:
                         + "0,0\n")
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: "
                                              r"field larger than field limit"):
+            read_recording(path, "canonical", 1000.0)
+
+    @pytest.mark.parametrize("cell", ["inf", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("blank", ["0.15", ""], ids=["c-parser", "csv-reader"])
+    def test_infinite_gaze_cell_names_file(self, tmp_path, cell, blank):
+        # gaze is finite or missing; the blank gaze cell sends its block to
+        # the csv.reader path
+        path = tmp_path / "inf.csv"
+        path.write_text(HEADER + f"0,0.1,0.2,0,0\n1,{blank},0.25,0,0\n2,0.2,{cell},0,0\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: infinite gaze "
+                                             r"gaze_y at index 2$"):
             read_recording(path, "canonical", 1000.0)
 
     def test_blank_lines_skipped_but_counted(self, tmp_path):

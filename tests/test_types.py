@@ -44,9 +44,20 @@ class TestValidateRecording:
         rec = make_recording([0.0, 1.0, 2.0], [0.1, np.nan, 0.3], [0.0, 0.0, 0.0])
         assert rec.missing.tolist() == [False, True, False]
 
-    def test_infinite_gaze_allowed(self):
-        rec = make_recording([0.0, 1.0, 2.0], [0.1, np.inf, 0.3], [-np.inf, 0.0, 0.0])
-        assert rec.missing.tolist() == [False, False, False]
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    @pytest.mark.parametrize("channel", ["gaze_x", "gaze_y"])
+    def test_infinite_gaze_rejected(self, channel, value):
+        # gaze is finite or missing: an infinite sample fails the build and
+        # replace(), naming the channel and the first index; NaN still builds
+        gaze = {"gaze_x": [0.1, np.nan, 0.3, 0.4], "gaze_y": [0.0, 0.0, np.nan, 0.0]}
+        rec = make_recording([0.0, 1.0, 2.0, 3.0], **gaze)
+        assert rec.missing.tolist() == [False, True, True, False]
+        bad = np.array(gaze[channel])
+        bad[[1, 3]] = value
+        with pytest.raises(ValueError, match=f"^infinite gaze {channel} at index 1$"):
+            make_recording([0.0, 1.0, 2.0, 3.0], **{**gaze, channel: bad})
+        with pytest.raises(ValueError, match=f"^infinite gaze {channel} at index 1$"):
+            rec.replace(**{channel: bad})
 
     @settings(max_examples=50, deadline=None)
     @given(n=st.integers(2, 40), data=st.data())

@@ -8,6 +8,13 @@ take one master seed; all their internal seeds derive from it and the
 recording ids, so reruns are byte-identical. metrics and report draw no
 random numbers and take no seed. Outputs are plain CSV/JSON written
 atomically.
+
+A recording of a corpus fails by one rule, in _read_and_apply: whatever
+its read or its per-recording stage raises as OSError or ValueError is
+reported as "<recording id>: <reason>", raised as ValueError (so the run
+logs it as its one error and exits 1) or, with --skip-bad, logged as
+"skipping <recording id>: <reason>". A read's reason starts with the file's
+path. An OSError of the stage itself is an output's, and is raised as it is.
 """
 from __future__ import annotations
 
@@ -50,36 +57,40 @@ def _hash_quality_table(table: QualityTable) -> str:
 
 def _read_and_apply(task) -> tuple:
     """(None, fn(recording)) for one (fn, manifest entry, skip_bad) task.
-    With skip_bad, a read that raised OSError or ValueError, or an fn that
-    raised ValueError, gives (error, None), so the caller logs it in
-    manifest order; otherwise the error is raised, so the map stops at the
-    first one. An OSError of fn is an output's, and is always raised."""
+    This is where a failed recording is named: a read that raised OSError or
+    ValueError, or an fn that raised ValueError, fails as "<recording id>:
+    <reason>", the reason being the error's own text. With skip_bad that
+    message comes back as (message, None), for the caller to log in manifest
+    order; otherwise it is raised as ValueError, so the map stops at the
+    first one. An OSError of fn is an output's, and is raised unchanged."""
     fn, entry, skip_bad = task
     rec = None
     try:
         rec = read_recording_from_entry(entry)
         return None, fn(rec)
     except (OSError, ValueError) as exc:
-        if not skip_bad or (rec is not None and isinstance(exc, OSError)):
+        if rec is not None and isinstance(exc, OSError):
             raise
-        return exc, None
+        message = f"{entry.recording_id}: {exc}"
+        if not skip_bad:
+            raise ValueError(message) from None
+        return message, None
 
 
-def _map_corpus(manifest_path, skip_bad: bool, fn) -> list:
-    """fn(recording) for every recording in a manifest, each read and
-    computed in an ordered_map task (so what fn returns must pickle). The
-    first failed read or fn, in manifest order, is raised; with skip_bad,
-    every recording whose read or fn failed is logged and dropped instead."""
-    entries = read_manifest(manifest_path)
+def _map_corpus(manifest_path, entries, skip_bad: bool, fn) -> list:
+    """fn(recording) for every entry of the manifest at manifest_path, each
+    read and computed in an ordered_map task (so what fn returns must
+    pickle). The first failed read or fn, in manifest order, is raised as
+    ValueError("<recording id>: <reason>"); with skip_bad, every recording
+    whose read or fn failed is logged as "skipping <recording id>: <reason>"
+    and dropped instead (see _read_and_apply)."""
     results = []
     outcomes = ordered_map(_read_and_apply, [(fn, entry, skip_bad) for entry in entries])
-    for entry, (exc, result) in zip(entries, outcomes):
-        if exc is None:
+    for failure, result in outcomes:
+        if failure is None:
             results.append(result)
-            continue
-        # the log line names the recording once
-        reason = str(exc).removeprefix(f"{entry.recording_id}: ")
-        logger.warning("skipping %s: %s", entry.recording_id, reason)
+        else:
+            logger.warning("skipping %s", failure)
     if not results:
         raise ValueError(f"{manifest_path}: no usable recordings")
     return results
@@ -127,7 +138,8 @@ def _quality_row(rec) -> tuple:
 
 
 def cmd_metrics(args) -> int:
-    table = QualityTable.from_rows(_map_corpus(args.manifest, args.skip_bad, _quality_row))
+    table = QualityTable.from_rows(_map_corpus(args.manifest, read_manifest(args.manifest),
+                                               args.skip_bad, _quality_row))
     write_quality_table(table, args.out)
     print(f"wrote quality table with {len(table)} rows to {args.out}")
     return 0
@@ -162,7 +174,8 @@ def _parse_grid(text: str) -> list:
 
 def cmd_calibrate(args) -> int:
     plans = sweep_plans(_parse_grid(args.grid), args.rate_hz)
-    curve = fit_sweep(plans, _map_corpus(args.manifest, args.skip_bad,
+    curve = fit_sweep(plans, _map_corpus(args.manifest, read_manifest(args.manifest),
+                                         args.skip_bad,
                                          partial(sweep_recording, plans=plans, seed=args.seed)))
     calibration_id = save_calibration(curve, args.out, provenance={
         "manifest": str(args.manifest),
@@ -212,10 +225,10 @@ def _combine_and_write(task, out_dir: Path, provenance: dict) -> str:
     return _write_degraded(combine(components, plan), plan, out_dir, provenance)
 
 
-def _check_out_dir(manifest_path, out_dir: Path) -> None:
+def _check_out_dir(manifest_path, entries, out_dir: Path) -> None:
     """Raise ValueError naming the path if a degraded recording or the output
-    manifest would replace a source recording or the input manifest."""
-    entries = read_manifest(manifest_path)
+    manifest would replace a source recording (one of the manifest's
+    entries) or the input manifest."""
     inputs = {Path(e.path).resolve() for e in entries} | {Path(manifest_path).resolve()}
     for name in [f"{e.recording_id}.csv" for e in entries] + ["manifest.csv"]:
         if (out_dir / name).resolve() in inputs:
@@ -253,7 +266,9 @@ def cmd_degrade(args) -> int:
     # recording is read
     jitter_sigma_ms = _target_jitter_ms(target, args.rate_hz) if modified else None
     out_dir = Path(args.out)
-    _check_out_dir(args.manifest, out_dir)
+    # one read of the manifest: the guard checks the corpus the pass reads
+    entries = read_manifest(args.manifest)
+    _check_out_dir(args.manifest, entries, out_dir)
     provenance = {
         "model": args.model,
         "calibration_id": calib_payload.get("calibration_id") if calib_payload else None,
@@ -263,7 +278,7 @@ def cmd_degrade(args) -> int:
         # every plan needs the whole source table: measure each source as it
         # is read (its quality, zero-noise precision and degradation
         # components), then combine each plan's output
-        measured = _map_corpus(args.manifest, args.skip_bad,
+        measured = _map_corpus(args.manifest, entries, args.skip_bad,
                                partial(_measure_source, rate_hz=args.rate_hz, seed=args.seed,
                                        jitter_sigma_ms=jitter_sigma_ms))
         source = QualityTable.from_rows((c.recording_id, qv) for qv, _, c in measured)
@@ -277,7 +292,7 @@ def cmd_degrade(args) -> int:
     else:
         # the baseline plan needs no corpus: read, transform and write in one task
         out_dir.mkdir(parents=True, exist_ok=True)
-        written = _map_corpus(args.manifest, args.skip_bad,
+        written = _map_corpus(args.manifest, entries, args.skip_bad,
                               partial(_degrade_baseline, plan=baseline, seed=args.seed,
                                       out_dir=out_dir, provenance=provenance))
     write_manifest([ManifestEntry(rid, rid + ".csv", "canonical", args.rate_hz)

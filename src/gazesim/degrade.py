@@ -189,10 +189,8 @@ def _lowpass_parts(parts: np.ndarray, rec: GazeRecording, cutoff_hz: float) -> n
         )
     padlen = max(int(np.ceil(3.0 * fs / (2.0 * math.pi * cutoff_hz))), _MIN_PAD)
     if rec.n_samples <= padlen:
-        raise ValueError(
-            f"{rec.recording_id or 'recording'}: recording shorter than 3x filter "
-            f"warm-up length ({rec.n_samples} samples <= pad {padlen})"
-        )
+        raise ValueError(f"recording shorter than 3x filter warm-up length "
+                         f"({rec.n_samples} samples <= pad {padlen})")
     miss = rec.missing
     if not miss.all():
         x = _bridge_missing(parts.reshape(-1, rec.n_samples), miss)
@@ -332,7 +330,7 @@ def _step_draws(rec: GazeRecording, analysis: RecordingAnalysis,
     onset, holds none."""
     onsets = analysis.window_start
     if not onsets.size:
-        raise ValueError(f"{rec.recording_id or 'recording'}: zero fixations for accuracy signal")
+        raise ValueError("zero fixations for accuracy signal")
     n = onsets.size
     z = rng.standard_normal((2, n))
     signs = [rng.integers(0, 2, n) * 2 - 1 for _ in range(2)]
@@ -374,10 +372,8 @@ def component_pass(rec: GazeRecording, target_rate_hz: float, rng_seed: int,
     missing samples (either gaze channel NaN) and missing where they are.
     """
     if not target_rate_hz < rec.nominal_rate_hz:
-        raise ValueError(
-            f"{rec.recording_id or 'recording'}: target rate {target_rate_hz} Hz "
-            f"must be below the source rate {rec.nominal_rate_hz} Hz"
-        )
+        raise ValueError(f"target rate {target_rate_hz} Hz must be below the source rate "
+                         f"{rec.nominal_rate_hz} Hz")
     rng = np.random.default_rng(rng_seed)
     steps = []  # drawn before the noise
     if analysis is not None:
@@ -422,9 +418,8 @@ def combine(components: DegradeComponents, plan: DegradationPlan) -> GazeRecordi
     c = components
     if (c.target_rate_hz, c.rng_seed) != (plan.target_rate_hz, plan.rng_seed) \
             or c.jitter_sigma_ms not in (None, plan.jitter_sigma_ms):
-        raise ValueError(f"{c.recording_id or 'recording'}: components drawn at "
-                         f"{c.target_rate_hz} Hz with seed {c.rng_seed} and jitter "
-                         f"{c.jitter_sigma_ms} ms do not belong to {plan}")
+        raise ValueError(f"components drawn at {c.target_rate_hz} Hz with seed {c.rng_seed} "
+                         f"and jitter {c.jitter_sigma_ms} ms do not belong to {plan}")
     gaze = c.gaze + math.sqrt(plan.sigma0_sq) * c.noise
     if c.steps is not None:
         gaze += np.array([[plan.acc_offset_h], [plan.acc_offset_v]]) * c.steps

@@ -144,9 +144,8 @@ def extract_fixations(rec: GazeRecording, latency: LatencyEstimate) -> list:
     """
     starts, ends, dwells = _window_bounds(rec, latency)
     missing = rec.missing
-    return [FixationWindow(recording_id=rec.recording_id, sample_start=a, sample_end=b,
-                           tgt_x=float(rec.tgt_x[d]), tgt_y=float(rec.tgt_y[d]),
-                           outlier_mask=missing[a:b])
+    return [FixationWindow(sample_start=a, sample_end=b, tgt_x=float(rec.tgt_x[d]),
+                           tgt_y=float(rec.tgt_y[d]), outlier_mask=missing[a:b])
             for a, b, d in zip(starts.tolist(), ends.tolist(), dwells.tolist())]
 
 
@@ -157,7 +156,7 @@ def _window_bounds(rec: GazeRecording, latency: LatencyEstimate) -> tuple:
     changed = (np.diff(rec.tgt_x) != 0) | (np.diff(rec.tgt_y) != 0)
     transitions = np.flatnonzero(changed) + 1
     if transitions.size == 0:
-        raise ValueError(f"{rec.recording_id or 'recording'}: no target transitions found")
+        raise ValueError("no target transitions found")
     dwells = np.concatenate(([0], transitions))
     dwell_start = t[dwells]
     dwell_end = np.concatenate((t[transitions], [t[-1]]))
@@ -185,7 +184,7 @@ def reject_outliers(win: FixationWindow, rec: GazeRecording) -> FixationWindow:
     n_valid = int(valid.sum())
     if n_valid < _MIN_WINDOW_SAMPLES:
         raise ValueError(
-            f"{win.recording_id}: fewer than {_MIN_WINDOW_SAMPLES} usable samples in window "
+            f"fewer than {_MIN_WINDOW_SAMPLES} usable samples in window "
             f"[{win.sample_start}, {win.sample_end}) ({n_valid})"
         )
     cx = float(np.median(gx[valid]))
@@ -204,7 +203,7 @@ def fixation_accuracy(win: FixationWindow, rec: GazeRecording) -> tuple:
     sl = win.sample_slice
     keep = ~win.outlier_mask
     if not keep.any():
-        raise ValueError(f"{win.recording_id}: zero unmasked samples in window")
+        raise ValueError("zero unmasked samples in window")
     dx = rec.gaze_x[sl][keep] - win.tgt_x
     dy = rec.gaze_y[sl][keep] - win.tgt_y
     return (float(np.mean(np.abs(dx))), float(np.mean(np.abs(dy))),
@@ -217,7 +216,7 @@ def fixation_precision(win: FixationWindow, rec: GazeRecording) -> tuple:
     sl = win.sample_slice
     keep = ~win.outlier_mask
     if not keep.any():
-        raise ValueError(f"{win.recording_id}: zero unmasked samples in window")
+        raise ValueError("zero unmasked samples in window")
     x = rec.gaze_x[sl][keep]
     y = rec.gaze_y[sl][keep]
     mad_h = float(np.median(np.abs(x - np.median(x))))
@@ -379,7 +378,7 @@ def recording_quality(rec: GazeRecording,
     if analysis is None:
         analysis = analyse_recording(rec)
     if not analysis.n_used:
-        raise ValueError(f"{rec.recording_id or 'recording'}: zero usable fixations")
+        raise ValueError("zero usable fixations")
 
     acc = np.mean(analysis.accuracy, axis=0)
     prec_h = float(np.median(analysis.precision[:, 0]))

@@ -1,9 +1,10 @@
 """Shared domain types for gaze recordings and signal-quality summaries.
 
 Unit conventions used everywhere in this package: positions in degrees of
-visual angle (dva), times in milliseconds, rates in Hz. Gaze is finite or
-missing (NaN); a sample is missing when either channel is NaN. Stamps and
-targets are always finite. All types are immutable value objects that
+visual angle (dva), times in milliseconds, rates in Hz. Gaze is missing
+(NaN) or within the position range of +/-1e150 dva; a sample is missing when
+either channel is NaN. Stamps are always finite, and targets are always
+within the position range. All types are immutable value objects that
 check their invariants when built, so a GazeRecording that exists is a
 valid one, whether it was read, generated, replaced or resampled, and a
 QualityTable holds only rows that would pass as QualityVectors.
@@ -56,11 +57,24 @@ def check_rate_hz(rate_hz, name: str) -> float:
     return rate
 
 
+# the largest |position| a recording holds, gaze or target (see GazeRecording)
+_POSITION_LIMIT_DVA = 1e150
+
+
 @dataclass(frozen=True, eq=False)
 class GazeRecording:
     """One recording: timestamped gaze and stimulus-target traces, checked
     when built (replace() too); a failed check raises ValueError naming the
-    first offending index. Gaze is finite or missing (NaN)."""
+    first offending index. Gaze is missing (NaN) or within the position
+    range +/-B, B = _POSITION_LIMIT_DVA = 1e150 dva, and targets are within
+    it too.
+
+    B keeps every sum of gaze-to-target distances finite: one distance is
+    at most hypot(2B, 2B) = 2*sqrt(2)*B, so a sum over n pairs stays below
+    the float maximum (1.8e308) for any n that fits in memory, and so do
+    the latency search's prefix sums and their error bounds. Without it,
+    two finite samples near the float maximum turn those sums to inf and
+    their differences to NaN."""
 
     timestamps_ms: np.ndarray
     gaze_x: np.ndarray
@@ -89,15 +103,20 @@ class GazeRecording:
         bad = np.flatnonzero(np.diff(self.timestamps_ms) <= 0)
         if bad.size:
             raise ValueError(f"non-monotone at index {int(bad[0]) + 1}")
-        for name in ("tgt_x", "tgt_y"):
-            finite = np.isfinite(getattr(self, name))
-            if not finite.all():
-                i = int(np.flatnonzero(~finite)[0])
-                raise ValueError(f"non-finite target {name} at index {i}")
-        for name in ("gaze_x", "gaze_y"):
-            infinite = np.isinf(getattr(self, name))
-            if infinite.any():
-                raise ValueError(f"infinite gaze {name} at index {int(np.argmax(infinite))}")
+        for kind, name in (("target", "tgt_x"), ("target", "tgt_y"),
+                           ("gaze", "gaze_x"), ("gaze", "gaze_y")):
+            values = getattr(self, name)
+            # NaN compares False: refused as a target, a missing sample as gaze
+            bad = (~(np.abs(values) <= _POSITION_LIMIT_DVA) if kind == "target"
+                   else np.abs(values) > _POSITION_LIMIT_DVA)
+            if bad.any():
+                i = int(np.argmax(bad))
+                value = float(values[i])
+                if not math.isfinite(value):
+                    raise ValueError(f"non-finite target {name} at index {i}" if kind == "target"
+                                     else f"infinite gaze {name} at index {i}")
+                raise ValueError(f"{kind} {name} at index {i} is {value!r} dva, outside the "
+                                 f"position range +/-{_POSITION_LIMIT_DVA:g} dva")
         object.__setattr__(self, "nominal_rate_hz",
                            check_rate_hz(self.nominal_rate_hz, "nominal_rate_hz"))
 
@@ -131,7 +150,6 @@ class FixationWindow:
     from metric computation (flagged outliers and missing samples).
     """
 
-    recording_id: str
     sample_start: int
     sample_end: int
     tgt_x: float

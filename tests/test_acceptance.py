@@ -155,7 +155,7 @@ def test_criterion_3_exact_identities():
         rec = make_recording(np.arange(float(n)), gx, gy,
                              np.full(n, rng.uniform(-10, 10)),
                              np.full(n, rng.uniform(-10, 10)))
-        win = FixationWindow("fuzz", 0, n, float(rec.tgt_x[0]), float(rec.tgt_y[0]),
+        win = FixationWindow(0, n, float(rec.tgt_x[0]), float(rec.tgt_y[0]),
                              np.zeros(n, dtype=bool))
         ph, pv, pc = fixation_precision(win, rec)
         combined_sq = ph ** 2 + pv ** 2

@@ -796,6 +796,25 @@ class TestDegrade:
         assert reads == [] and not out.exists()
 
     @pytest.mark.parametrize("model", ["baseline", "modified"])
+    def test_manifest_read_once(self, tiny_source, tiny_target_table, tiny_calibration,
+                                tmp_path, monkeypatch, model):
+        # the --out guard checks the very entries the corpus pass reads
+        import gazesim.cli
+        reads = []
+
+        def counting_read(path):
+            reads.append(path)
+            return read_manifest(path)
+
+        monkeypatch.setattr(gazesim.cli, "read_manifest", counting_read)
+        manifest = tiny_source / "manifest.csv"
+        argv = self.modified_argv(manifest, tiny_target_table, tiny_calibration,
+                                  tmp_path / "deg")
+        argv[argv.index("--model") + 1] = model
+        assert run(argv) == 0
+        assert reads == [str(manifest)]
+
+    @pytest.mark.parametrize("model", ["baseline", "modified"])
     def test_recording_id_cannot_write_outside_out(self, tiny_source, tiny_target_table,
                                                    tiny_calibration, tmp_path, caplog, model):
         entries = read_manifest(tiny_source / "manifest.csv")
@@ -1173,10 +1192,16 @@ class TestWorkerProcesses:
         write_manifest(entries[:2] + bad + entries[2:], manifest)
         return manifest
 
-    @pytest.mark.parametrize("command", ["metrics", "calibrate", "degrade-modified"])
+    @pytest.mark.parametrize("command", ["metrics", "calibrate", "degrade-baseline",
+                                         "degrade-modified"])
     def test_skip_bad_same_in_one_and_two_processes(
             self, tiny_source, tiny_target_table, tiny_calibration, tmp_path, use_workers,
             caplog, command):
+        # the corpus pass names a failed recording once, "<id>: <reason>": the
+        # run fails in one ERROR line for the first one in manifest order, and
+        # --skip-bad logs one "skipping <id>: <reason>" line for each, with
+        # the same reasons in one process and in two; "flat" fails every
+        # stage that measures it, and the baseline transform measures nothing
         manifest = self.manifest_with_bad_middle(tiny_source, tmp_path)
         out = tmp_path / "out"
         if command == "metrics":
@@ -1184,32 +1209,38 @@ class TestWorkerProcesses:
         elif command == "calibrate":
             argv = ["calibrate", "--manifest", manifest, "--rate-hz", 250,
                     "--grid", "0.05:0.45:0.2", "--seed", 3, "--out", out]
+        elif command == "degrade-baseline":
+            argv = ["degrade", "--manifest", manifest, "--model", "baseline",
+                    "--sigma0-sq", 0.13, "--rate-hz", 250, "--seed", 5, "--out", out]
         else:
             argv = TestDegrade().modified_argv(manifest, tiny_target_table, tiny_calibration,
                                                out)
+        failures = [f"broken: {tmp_path / 'corrupt.csv'}: malformed row at line 2: "
+                    f"could not convert string to float: 'zz'"]
+        if command != "degrade-baseline":
+            failures.append("flat: no target transitions found")
         seen = []
         for n in (1, 2):
             use_workers(n)
             caplog.clear()
             with caplog.at_level("ERROR"):
                 assert run(argv) == 1
-            # the first bad recording in manifest order fails the run
             errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-            assert len(errors) == 1 and errors[0].startswith(f"{tmp_path / 'corrupt.csv'}: ")
-            assert not out.exists()
+            assert errors == failures[:1]
+            # the baseline transform makes its output directory before the pass
+            assert not (out / "manifest.csv" if command == "degrade-baseline" else out).exists()
             caplog.clear()
             with caplog.at_level("WARNING"):
                 assert run(argv + ["--skip-bad"]) == 0
             skipped = [r.getMessage() for r in caplog.records
                        if r.getMessage().startswith("skipping ")]
+            assert skipped == [f"skipping {failure}" for failure in failures]
             if out.is_dir():
-                seen.append((skipped, errors, tree_bytes(out)))
+                seen.append(tree_bytes(out))
                 shutil.rmtree(out)
             else:
-                seen.append((skipped, errors, out.read_bytes()))
+                seen.append(out.read_bytes())
                 out.unlink()
-        assert [line.split(":")[0] for line in seen[0][0]] == ["skipping broken",
-                                                               "skipping flat"]
         assert seen[0] == seen[1]
 
     @staticmethod
@@ -1271,27 +1302,16 @@ class TestWorkerProcesses:
             assert ({k: v for k, v in seen[0].items() if k != run_manifest}
                     == {k: v for k, v in tree_bytes(clean).items() if k != run_manifest})
 
-    @pytest.mark.parametrize("time_column", [True, False], ids=["t_ms", "no-t_ms"])
-    @pytest.mark.parametrize("rate", ["inf", "0", "-5", "nan"])
-    def test_infinite_rate_fails_or_is_skipped_in_one_and_two_processes(
-            self, tiny_target_table, tmp_path, use_workers, caplog, rate, time_column):
-        # a recording needs a positive, finite rate: one that is not fails the
-        # run naming its file, and --skip-bad skips it alone; a file without
-        # its time column fails the same way naming that column, whatever its
-        # rate, as no timestamps are made from the rate
-        entries = read_manifest(tiny_target_table.parent / "manifest.csv")
-        bad = entries[1]
-        if not time_column:
-            untimed = tmp_path / "untimed.csv"
-            untimed.write_text("".join(line.split(",", 1)[1] + "\n"
-                                       for line in Path(bad.path).read_text().splitlines()))
-            bad = dataclasses.replace(bad, path=str(untimed))
-        bad = entries[1] = dataclasses.replace(bad, rate_hz=float(rate))
-        manifest = tmp_path / "bad_rate.csv"
+    @staticmethod
+    def metrics_fails_then_skips(entries, bad, reason, tiny_target_table, tmp_path,
+                                 use_workers, caplog):
+        """metrics over the tiny target corpus with its entries replaced by
+        `entries` fails in one ERROR line "<bad id>: <reason>" and, with
+        --skip-bad, skips that recording alone in one line "skipping <bad
+        id>: <reason>", the same in one process and in two."""
+        manifest = tmp_path / "bad_manifest.csv"
         write_manifest(entries, manifest)
         out = tmp_path / "q.csv"
-        reason = (f"{bad.path}: nominal_rate_hz must be positive and finite, got {float(rate)}"
-                  if time_column else f"{bad.path}: missing column 't_ms' for format 'canonical'")
         seen = []
         for n in (1, 2):
             use_workers(n)
@@ -1299,7 +1319,7 @@ class TestWorkerProcesses:
             with caplog.at_level("ERROR"):
                 assert run(["metrics", "--manifest", manifest, "--out", out]) == 1
             errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-            assert errors == [reason]
+            assert errors == [f"{bad.recording_id}: {reason}"]
             assert not out.exists()
             caplog.clear()
             with caplog.at_level("WARNING"):
@@ -1316,6 +1336,46 @@ class TestWorkerProcesses:
         assert list(read_quality_table(out.parent / "kept.csv").rows_by_id()) == [
             row for row in read_quality_table(tiny_target_table).rows_by_id()
             if row[0] != bad.recording_id]
+
+    @pytest.mark.parametrize("time_column", [True, False], ids=["t_ms", "no-t_ms"])
+    @pytest.mark.parametrize("rate", ["inf", "0", "-5", "nan"])
+    def test_infinite_rate_fails_or_is_skipped_in_one_and_two_processes(
+            self, tiny_target_table, tmp_path, use_workers, caplog, rate, time_column):
+        # a recording needs a positive, finite rate: one that is not fails the
+        # run naming its file, and --skip-bad skips it alone; a file without
+        # its time column fails the same way naming that column, whatever its
+        # rate, as no timestamps are made from the rate
+        entries = read_manifest(tiny_target_table.parent / "manifest.csv")
+        bad = entries[1]
+        if not time_column:
+            untimed = tmp_path / "untimed.csv"
+            untimed.write_text("".join(line.split(",", 1)[1] + "\n"
+                                       for line in Path(bad.path).read_text().splitlines()))
+            bad = dataclasses.replace(bad, path=str(untimed))
+        bad = entries[1] = dataclasses.replace(bad, rate_hz=float(rate))
+        reason = (f"{bad.path}: nominal_rate_hz must be positive and finite, got {float(rate)}"
+                  if time_column else f"{bad.path}: missing column 't_ms' for format 'canonical'")
+        self.metrics_fails_then_skips(entries, bad, reason, tiny_target_table, tmp_path,
+                                      use_workers, caplog)
+
+    def test_gaze_beyond_position_range_fails_or_is_skipped_in_one_and_two_processes(
+            self, tiny_target_table, tmp_path, use_workers, caplog):
+        # two finite gaze samples near the float maximum would overflow the
+        # latency search's sums; the read rejects them by the position range,
+        # so the run fails naming the recording and the rule, not the
+        # latency search, and --skip-bad skips that recording alone
+        entries = read_manifest(tiny_target_table.parent / "manifest.csv")
+        lines = Path(entries[1].path).read_text().splitlines(keepends=True)
+        for i in (10, 11):  # data row i is file line i + 2
+            cells = lines[i + 1].split(",")
+            lines[i + 1] = ",".join([cells[0], "1.7e308", *cells[2:]])
+        wild = tmp_path / "wild.csv"
+        wild.write_text("".join(lines))
+        bad = entries[1] = dataclasses.replace(entries[1], path=str(wild))
+        reason = (f"{wild}: gaze gaze_x at index 10 is 1.7e+308 dva, outside the position "
+                  f"range +/-1e+150 dva")
+        self.metrics_fails_then_skips(entries, bad, reason, tiny_target_table, tmp_path,
+                                      use_workers, caplog)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_output_error_is_never_skipped(self, tiny_source, tmp_path, use_workers, caplog,

@@ -884,7 +884,7 @@ class TestComponentPass:
         rec, analysis = analysed_source(0)
         plan = DegradationPlan(250.0, 0.2, jitter_sigma_ms=0.6, rng_seed=9)
         _, jittered = component_pass(rec, 250.0, 9, analysis, 0.6)
-        with pytest.raises(ValueError, match="src0: components drawn at 250.0 Hz"):
+        with pytest.raises(ValueError, match="^components drawn at 250.0 Hz"):
             combine(jittered, dataclasses.replace(plan, **change))
 
 

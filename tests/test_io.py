@@ -189,8 +189,10 @@ def row_loop_csv(rec):
     return buf.getvalue()
 
 
+# positions a recording may hold, up to its range of +/-1e150 dva, with a
+# 17-digit repr near the top
 EDGE_VALUES = [np.nan, -0.0, 0.0, 1e-300, -1e-300, 1e22, -1e22, 5e-324,
-               3.0, -17.0, 0.1, 2.5e-7, 123456789.0, 1.7976931348623157e308]
+               3.0, -17.0, 0.1, 2.5e-7, 123456789.0, 1.7976931348623157e149, -1e150]
 
 
 def golden_recording(case):
@@ -311,6 +313,17 @@ class TestReadRecordingFuzz:
         path.write_text(HEADER + f"0,0.1,0.2,0,0\n1,{blank},0.25,0,0\n2,0.2,{cell},0,0\n")
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: infinite gaze "
                                              r"gaze_y at index 2$"):
+            read_recording(path, "canonical", 1000.0)
+
+    @pytest.mark.parametrize("blank", ["0.15", ""], ids=["c-parser", "csv-reader"])
+    def test_gaze_beyond_position_range_names_file(self, tmp_path, blank):
+        # a finite gaze cell beyond +/-1e150 dva fails the read naming the
+        # file, the channel and the index
+        path = tmp_path / "wild.csv"
+        path.write_text(HEADER + f"0,0.1,0.2,0,0\n1,{blank},0.25,0,0\n2,0.2,1.7e308,0,0\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: gaze gaze_y at index 2 "
+                                             r"is 1\.7e\+308 dva, outside the position range "
+                                             r"\+/-1e\+150 dva$"):
             read_recording(path, "canonical", 1000.0)
 
     def test_blank_lines_skipped_but_counted(self, tmp_path):

@@ -20,10 +20,8 @@ from conftest import make_recording, piecewise_recording
 
 
 def window_for(rec, start, end):
-    return FixationWindow(recording_id=rec.recording_id, sample_start=start,
-                          sample_end=end, tgt_x=float(rec.tgt_x[start]),
-                          tgt_y=float(rec.tgt_y[start]),
-                          outlier_mask=rec.missing[start:end])
+    return FixationWindow(sample_start=start, sample_end=end, tgt_x=float(rec.tgt_x[start]),
+                          tgt_y=float(rec.tgt_y[start]), outlier_mask=rec.missing[start:end])
 
 
 class TestEstimateLatency:
@@ -284,7 +282,7 @@ class TestExtractFixations:
             assert a.sample_end <= b.sample_start
 
     def test_no_transitions_raises(self, four_sample_recording):
-        with pytest.raises(ValueError, match="^test: no target transitions found$"):
+        with pytest.raises(ValueError, match="^no target transitions found$"):
             extract_fixations(four_sample_recording, LatencyEstimate(0.0, 0.0))
 
     def test_window_past_recording_end_skipped(self):
@@ -357,8 +355,7 @@ class TestFixationMetrics:
         n = len(gaze_x)
         rec = make_recording(np.arange(float(n)), gaze_x, gaze_y,
                              np.full(n, tgt[0]), np.full(n, tgt[1]))
-        win = FixationWindow(recording_id="t", sample_start=0, sample_end=n,
-                             tgt_x=tgt[0], tgt_y=tgt[1],
+        win = FixationWindow(sample_start=0, sample_end=n, tgt_x=tgt[0], tgt_y=tgt[1],
                              outlier_mask=np.zeros(n, dtype=bool))
         return win, rec
 
@@ -509,7 +506,7 @@ class TestRecordingQuality:
             gy = rng.normal(rng.uniform(-5, 5), rng.uniform(0.01, 1.0), n)
             rec = make_recording(np.arange(float(n)), gx, gy,
                                  np.full(n, 1.0), np.full(n, -2.0))
-            win = FixationWindow("f", 0, n, 1.0, -2.0, np.zeros(n, dtype=bool))
+            win = FixationWindow(0, n, 1.0, -2.0, np.zeros(n, dtype=bool))
             acc = fixation_accuracy(win, rec)
             prec = fixation_precision(win, rec)
             assert prec[2] ** 2 == pytest.approx(prec[0] ** 2 + prec[1] ** 2, rel=1e-12)
@@ -535,7 +532,7 @@ def per_window_fixations(rec, latency):
     changed = (np.diff(rec.tgt_x) != 0) | (np.diff(rec.tgt_y) != 0)
     transitions = np.flatnonzero(changed) + 1
     if transitions.size == 0:
-        raise ValueError(f"{rec.recording_id or 'recording'}: no target transitions found")
+        raise ValueError("no target transitions found")
     starts = np.concatenate(([0], transitions))
     dwell_ends = np.concatenate((t[transitions], [t[-1]]))
     windows = []
@@ -551,7 +548,7 @@ def per_window_fixations(rec, latency):
         b = int(np.searchsorted(t, w_hi + 1e-9, side="right"))
         if b - a < 1:
             continue
-        windows.append(FixationWindow(rec.recording_id, a, b, float(rec.tgt_x[start_idx]),
+        windows.append(FixationWindow(a, b, float(rec.tgt_x[start_idx]),
                                       float(rec.tgt_y[start_idx]), rec.missing[a:b]))
     return windows
 
@@ -578,7 +575,7 @@ def per_window_quality(rec):
         precs.append(fixation_precision(masked, rec))
         used.append(masked)
     if not accs:
-        raise ValueError(f"{rec.recording_id or 'recording'}: zero usable fixations")
+        raise ValueError("zero usable fixations")
     acc = np.mean(accs, axis=0)
     prec_h = float(np.median([p[0] for p in precs]))
     prec_v = float(np.median([p[1] for p in precs]))
@@ -715,7 +712,7 @@ class TestBatchedWindowsOracle:
     def test_every_window_dropped(self):
         rec = window_pattern_recording(["sparse", "split", "sparse"], 100.0, seed=1)
         assert_batched_matches_per_window(rec)
-        with pytest.raises(ValueError, match="pattern: zero usable fixations"):
+        with pytest.raises(ValueError, match="^zero usable fixations$"):
             recording_quality(rec)
 
     def test_no_windows(self):

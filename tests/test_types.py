@@ -59,6 +59,25 @@ class TestValidateRecording:
         with pytest.raises(ValueError, match=f"^infinite gaze {channel} at index 1$"):
             rec.replace(**{channel: bad})
 
+    @pytest.mark.parametrize("value", [1.7e308, -1.0000000000000002e150])
+    @pytest.mark.parametrize("kind, channel", [("gaze", "gaze_x"), ("gaze", "gaze_y"),
+                                               ("target", "tgt_x"), ("target", "tgt_y")])
+    def test_position_beyond_range_rejected(self, kind, channel, value):
+        # positions lie within +/-1e150 dva, so sums of distances stay finite:
+        # one beyond fails the build and replace(), naming the channel, the
+        # first index and the value; the limit itself and NaN gaze build
+        columns = {"gaze_x": [0.1, np.nan, 0.3, 1e150], "gaze_y": [0.0, 0.0, np.nan, -1e150],
+                   "tgt_x": [0.0, 1e150, 0.0, 0.0], "tgt_y": [-1e150, 0.0, 0.0, 0.0]}
+        rec = make_recording([0.0, 1.0, 2.0, 3.0], **columns)
+        bad = np.array(columns[channel])
+        bad[[1, 3]] = value
+        expected = "^" + re.escape(f"{kind} {channel} at index 1 is {value!r} dva, outside "
+                                   f"the position range +/-1e+150 dva") + "$"
+        with pytest.raises(ValueError, match=expected):
+            make_recording([0.0, 1.0, 2.0, 3.0], **{**columns, channel: bad})
+        with pytest.raises(ValueError, match=expected):
+            rec.replace(**{channel: bad})
+
     @settings(max_examples=50, deadline=None)
     @given(n=st.integers(2, 40), data=st.data())
     def test_replace_with_swapped_stamps_raises(self, n, data):
@@ -73,7 +92,7 @@ class TestValidateRecording:
     @given(data=st.data(), n=st.integers(0, 9),
            steps=st.lists(st.floats(0.01, 10.0), min_size=9, max_size=9),
            stamp_fault=st.sampled_from([None, "swap", "repeat", np.nan, np.inf, -np.inf]),
-           target_fault=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+           target_fault=st.sampled_from([None, np.nan, np.inf, -np.inf, 1e200, -1e151]),
            channel=st.sampled_from(["tgt_x", "tgt_y"]),
            tgt_length=st.one_of(st.none(), st.integers(0, 9)),
            rate=st.sampled_from([250.0, 1e-3, 0.0, -5.0, np.nan, np.inf]))
@@ -98,6 +117,7 @@ class TestValidateRecording:
         with np.errstate(invalid="ignore"):
             non_increasing = np.flatnonzero(np.diff(t) <= 0)
         bad_target = np.flatnonzero(~np.isfinite(tgt))
+        beyond = np.flatnonzero(np.abs(tgt) > 1e150)
         if m != n:
             expected = f"length mismatch: {channel} has {m} samples, timestamps_ms has {n}$"
         elif n < 2:
@@ -108,6 +128,10 @@ class TestValidateRecording:
             expected = f"non-monotone at index {non_increasing[0] + 1}$"
         elif bad_target.size:
             expected = f"non-finite target {channel} at index {bad_target[0]}$"
+        elif beyond.size:
+            expected = re.escape(f"target {channel} at index {beyond[0]} is "
+                                 f"{float(tgt[beyond[0]])!r} dva, outside the position range "
+                                 f"+/-1e+150 dva") + "$"
         elif not (np.isfinite(rate) and rate > 0):
             expected = f"nominal_rate_hz must be positive and finite, got {float(rate)}$"
         else:

@@ -78,15 +78,19 @@ def sweep_sigma(corpus, sigma0_sq_grid, target_rate_hz: float,
     return fit_sweep(plans, ordered_map(partial(sweep_recording, plans=plans, seed=seed), corpus))
 
 
+def _calibration_digest(payload: dict) -> str:
+    """A calibration's id: the first 16 hex digits of the SHA-256 of its
+    payload's JSON with sorted keys, the calibration_id itself left out."""
+    body = {key: value for key, value in payload.items() if key != "calibration_id"}
+    return hashlib.sha256(json.dumps(body, sort_keys=True).encode("utf-8")).hexdigest()[:16]
+
+
 def save_calibration(calib: CalibrationCurve, path, provenance: dict) -> str:
     """Write the curve and its provenance as JSON; returns the content-derived id."""
     payload = {**dataclasses.asdict(calib), "provenance": dict(provenance)}
-    digest = hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode("utf-8")
-    ).hexdigest()[:16]
-    payload["calibration_id"] = digest
+    payload["calibration_id"] = _calibration_digest(payload)
     write_json(payload, path)
-    return digest
+    return payload["calibration_id"]
 
 
 def load_calibration(path, target_rate_hz: float) -> tuple:
@@ -96,7 +100,8 @@ def load_calibration(path, target_rate_hz: float) -> tuple:
     A file that is not a JSON object, was swept with a noise order other
     than "pre" or at a target rate other than target_rate_hz, lacks one of
     the curve's fields, or describes no valid curve raises ValueError naming
-    the file.
+    the file; so does one whose calibration_id is not its content digest
+    (see _calibration_digest). A file without an id gets its digest as id.
     """
     payload = read_json_object(path, "calibration")
     provenance = payload.get("provenance")
@@ -116,6 +121,11 @@ def load_calibration(path, target_rate_hz: float) -> tuple:
         curve = CalibrationCurve(**{key: payload[key] for key in keys})
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    digest = _calibration_digest(payload)
+    stored = payload.setdefault("calibration_id", digest)
+    if stored != digest:
+        raise ValueError(f"{path}: calibration_id {stored!r} differs from the file's "
+                         f"content digest {digest!r}")
     return curve, payload
 
 

@@ -9,12 +9,13 @@ recording ids, so reruns are byte-identical. metrics and report draw no
 random numbers and take no seed. Outputs are plain CSV/JSON written
 atomically.
 
-A recording of a corpus fails by one rule, in _read_and_apply: whatever
-its read or its per-recording stage raises as OSError or ValueError is
-reported as "<recording id>: <reason>", raised as ValueError (so the run
-logs it as its one error and exits 1) or, with --skip-bad, logged as
-"skipping <recording id>: <reason>". A read's reason starts with the file's
-path. An OSError of the stage itself is an output's, and is raised as it is.
+A recording of a corpus fails by one rule, in _read_and_apply: a ValueError
+of its per-recording stage (a read's OSError included) is reported as
+"<recording id>: <reason>", raised as ValueError (so the run logs it as its
+one error and exits 1) or, with --skip-bad, logged as "skipping <recording
+id>: <reason>"; the modified degrade's combine-and-write pass too. A read's
+reason names the file. An OSError of the stage itself is an output's, and
+is raised as it is.
 """
 from __future__ import annotations
 
@@ -56,36 +57,43 @@ def _hash_quality_table(table: QualityTable) -> str:
 
 
 def _read_and_apply(task) -> tuple:
-    """(None, fn(recording)) for one (fn, manifest entry, skip_bad) task.
-    This is where a failed recording is named: a read that raised OSError or
-    ValueError, or an fn that raised ValueError, fails as "<recording id>:
-    <reason>", the reason being the error's own text. With skip_bad that
-    message comes back as (message, None), for the caller to log in manifest
-    order; otherwise it is raised as ValueError, so the map stops at the
-    first one. An OSError of fn is an output's, and is raised unchanged."""
-    fn, entry, skip_bad = task
-    rec = None
+    """(None, fn(item)) for one (fn, item, skip_bad) task of _map_corpus.
+    This is where a failed recording is named: a ValueError of fn fails as
+    "<the item's recording_id>: <reason>", the reason being the error's own
+    text. With skip_bad that message comes back as (message, None), for the
+    caller to log in manifest order; otherwise it is raised as ValueError, so
+    the map stops at the first one. An OSError of fn is an output's, and is
+    raised unchanged."""
+    fn, item, skip_bad = task
     try:
-        rec = read_recording_from_entry(entry)
-        return None, fn(rec)
-    except (OSError, ValueError) as exc:
-        if rec is not None and isinstance(exc, OSError):
-            raise
-        message = f"{entry.recording_id}: {exc}"
+        return None, fn(item)
+    except ValueError as exc:
+        message = f"{item.recording_id}: {exc}"
         if not skip_bad:
             raise ValueError(message) from None
         return message, None
 
 
-def _map_corpus(manifest_path, entries, skip_bad: bool, fn) -> list:
-    """fn(recording) for every entry of the manifest at manifest_path, each
-    read and computed in an ordered_map task (so what fn returns must
-    pickle). The first failed read or fn, in manifest order, is raised as
-    ValueError("<recording id>: <reason>"); with skip_bad, every recording
-    whose read or fn failed is logged as "skipping <recording id>: <reason>"
-    and dropped instead (see _read_and_apply)."""
+def _read_then(fn, entry: ManifestEntry, **kwargs):
+    """fn(the recording a manifest entry names, **kwargs), read in the task.
+    A read's OSError (a missing file, say) is the recording's failure, not an
+    output's: it is raised as ValueError with the same text."""
+    try:
+        rec = read_recording_from_entry(entry)
+    except OSError as exc:
+        raise ValueError(str(exc)) from None
+    return fn(rec, **kwargs)
+
+
+def _map_corpus(manifest_path, items, skip_bad: bool, fn) -> list:
+    """fn(item) for every item of the corpus of the manifest at manifest_path,
+    each in an ordered_map task (so what fn returns must pickle): a manifest
+    entry that fn reads (see _read_then), or a source's DegradeComponents.
+    The first ValueError of fn, in manifest order, is raised as
+    ValueError("<recording id>: <reason>"); with skip_bad, each recording
+    whose fn failed is logged as "skipping <id>: <reason>" and dropped."""
     results = []
-    outcomes = ordered_map(_read_and_apply, [(fn, entry, skip_bad) for entry in entries])
+    outcomes = ordered_map(_read_and_apply, [(fn, item, skip_bad) for item in items])
     for failure, result in outcomes:
         if failure is None:
             results.append(result)
@@ -139,7 +147,7 @@ def _quality_row(rec) -> tuple:
 
 def cmd_metrics(args) -> int:
     table = QualityTable.from_rows(_map_corpus(args.manifest, read_manifest(args.manifest),
-                                               args.skip_bad, _quality_row))
+                                               args.skip_bad, partial(_read_then, _quality_row)))
     write_quality_table(table, args.out)
     print(f"wrote quality table with {len(table)} rows to {args.out}")
     return 0
@@ -174,9 +182,9 @@ def _parse_grid(text: str) -> list:
 
 def cmd_calibrate(args) -> int:
     plans = sweep_plans(_parse_grid(args.grid), args.rate_hz)
+    sweep = partial(_read_then, sweep_recording, plans=plans, seed=args.seed)
     curve = fit_sweep(plans, _map_corpus(args.manifest, read_manifest(args.manifest),
-                                         args.skip_bad,
-                                         partial(sweep_recording, plans=plans, seed=args.seed)))
+                                         args.skip_bad, sweep))
     calibration_id = save_calibration(curve, args.out, provenance={
         "manifest": str(args.manifest),
         "target_rate_hz": args.rate_hz,
@@ -219,9 +227,9 @@ def _degrade_baseline(rec, plan: DegradationPlan, seed: int, out_dir: Path,
     return _write_degraded(degrade_benchmark(rec, plan), plan, out_dir, provenance)
 
 
-def _combine_and_write(task, out_dir: Path, provenance: dict) -> str:
-    """Build one (components, plan) task's modified output and write it."""
-    components, plan = task
+def _combine_and_write(components, plans: dict, out_dir: Path, provenance: dict) -> str:
+    """Combine one source's components with its plan, plans[id], and write it."""
+    plan = plans[components.recording_id]
     return _write_degraded(combine(components, plan), plan, out_dir, provenance)
 
 
@@ -277,24 +285,25 @@ def cmd_degrade(args) -> int:
     if modified:
         # every plan needs the whole source table: measure each source as it
         # is read (its quality, zero-noise precision and degradation
-        # components), then combine each plan's output
+        # components), build every plan here, then combine each plan's output
         measured = _map_corpus(args.manifest, entries, args.skip_bad,
-                               partial(_measure_source, rate_hz=args.rate_hz, seed=args.seed,
-                                       jitter_sigma_ms=jitter_sigma_ms))
+                               partial(_read_then, _measure_source, rate_hz=args.rate_hz,
+                                       seed=args.seed, jitter_sigma_ms=jitter_sigma_ms))
         source = QualityTable.from_rows((c.recording_id, qv) for qv, _, c in measured)
         provenance["source_corpus_hash"] = _hash_quality_table(source)
-        tasks = [(c, plan_modified(qv, post_prec_c, source, target, calib, args.rate_hz,
-                                   c.rng_seed))
-                 for qv, post_prec_c, c in measured]
+        plans = {c.recording_id: plan_modified(qv, post_prec_c, source, target, calib,
+                                               args.rate_hz, c.rng_seed)
+                 for qv, post_prec_c, c in measured}
         out_dir.mkdir(parents=True, exist_ok=True)
-        written = ordered_map(partial(_combine_and_write, out_dir=out_dir,
-                                      provenance=provenance), tasks)
+        written = _map_corpus(args.manifest, [c for _, _, c in measured], args.skip_bad,
+                              partial(_combine_and_write, plans=plans, out_dir=out_dir,
+                                      provenance=provenance))
     else:
         # the baseline plan needs no corpus: read, transform and write in one task
         out_dir.mkdir(parents=True, exist_ok=True)
         written = _map_corpus(args.manifest, entries, args.skip_bad,
-                              partial(_degrade_baseline, plan=baseline, seed=args.seed,
-                                      out_dir=out_dir, provenance=provenance))
+                              partial(_read_then, _degrade_baseline, plan=baseline,
+                                      seed=args.seed, out_dir=out_dir, provenance=provenance))
     write_manifest([ManifestEntry(rid, rid + ".csv", "canonical", args.rate_hz)
                     for rid in written], out_dir / "manifest.csv")
     write_json({

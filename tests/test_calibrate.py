@@ -183,6 +183,28 @@ class TestCalibrationIO:
         with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             load_calibration(path, 250.0)
 
+    def test_edited_file_with_its_old_id_fails(self, tmp_path, swept_curve):
+        # the id is the content digest, so a file edited under its old id
+        # would give plans that name a calibration they do not come from
+        path = tmp_path / "calib.json"
+        calib_id = save_calibration(swept_curve, path, provenance={})
+        payload = json.loads(path.read_text())
+        payload["slope"] *= 2
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: calibration_id {calib_id!r} differs from the file's content "
+                f"digest '")):
+            load_calibration(path, 250.0)
+
+    def test_file_without_id_gets_its_digest(self, tmp_path, swept_curve):
+        path = tmp_path / "calib.json"
+        calib_id = save_calibration(swept_curve, path, provenance={"seed": 7})
+        payload = json.loads(path.read_text())
+        del payload["calibration_id"]
+        path.write_text(json.dumps(payload))
+        curve, loaded = load_calibration(path, 250.0)
+        assert curve == swept_curve and loaded["calibration_id"] == calib_id
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("key", ["sigma0_sq_grid", "mad_h", "slope", "intercept"])
     def test_non_finite_value_names_file(self, tmp_path, swept_curve, key, value):

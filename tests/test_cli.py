@@ -4,6 +4,7 @@ import hashlib
 import json
 import multiprocessing
 import pickle
+import re
 import shutil
 from pathlib import Path
 
@@ -19,7 +20,8 @@ from gazesim.io import (ManifestEntry, read_manifest, read_quality_table,
 from gazesim.metrics import analyse_recording
 from gazesim.oracle import PRESETS, generate_corpus_recording
 from gazesim.quantiles import quantile
-from gazesim.types import CalibrationCurve, DegradationPlan, QualityTable, QualityVector
+from gazesim.types import (CalibrationClampWarning, CalibrationCurve, DegradationPlan,
+                           QualityTable, QualityVector)
 
 from conftest import canonical_text, make_recording, tree_bytes
 
@@ -744,6 +746,28 @@ class TestDegrade:
                 f"rate {float(rate)} Hz") in caplog.text
         assert reads == [] and not out.exists()
 
+    @pytest.mark.parametrize("model", ["baseline", "modified"])
+    def test_calibration_with_a_stale_id_fails_before_any_recording_is_read(
+            self, tiny_source, tiny_target_table, tiny_calibration, tmp_path, monkeypatch,
+            one_worker, caplog, model):
+        # a hand-edited curve under the id of the one it replaced would give
+        # plans whose calibration_id names a curve they do not come from
+        import gazesim.cli
+        reads = []
+        monkeypatch.setattr(gazesim.cli, "read_recording_from_entry", reads.append)
+        payload = json.loads(tiny_calibration.read_text())
+        payload["slope"] *= 2
+        stale = tmp_path / "stale.json"
+        stale.write_text(json.dumps(payload))
+        out = tmp_path / "deg"
+        argv = self.modified_argv(tiny_source / "manifest.csv", tiny_target_table, stale, out)
+        argv[argv.index("--model") + 1] = model
+        with caplog.at_level("ERROR"):
+            assert run(argv) == 1
+        assert (f"{stale}: calibration_id {payload['calibration_id']!r} differs from the "
+                f"file's content digest") in caplog.text
+        assert reads == [] and not out.exists()
+
     @pytest.mark.parametrize("rate", ["nan", "0", "-250", "inf"])
     def test_modified_bad_rate_fails_before_any_recording_is_read(
             self, tiny_source, tiny_target_table, tiny_calibration, tmp_path, monkeypatch,
@@ -1378,21 +1402,121 @@ class TestWorkerProcesses:
                                       use_workers, caplog)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_output_error_is_never_skipped(self, tiny_source, tmp_path, use_workers, caplog,
+    def test_output_error_is_never_skipped(self, tiny_source, tiny_target_table,
+                                           tiny_calibration, tmp_path, use_workers, caplog,
                                            workers):
-        # --skip-bad skips bad recordings, not outputs that cannot be written
+        # --skip-bad skips bad recordings, not outputs that cannot be written:
+        # the baseline writes in its reading pass, the modified model in its
+        # combine pass
         use_workers(workers)
+        manifest = tiny_source / "manifest.csv"
+        for model in ("baseline", "modified"):
+            out = tmp_path / model
+            blocked = out / f"{read_manifest(manifest)[1].recording_id}.csv"
+            blocked.mkdir(parents=True)
+            argv = (TestDegrade().modified_argv(manifest, tiny_target_table, tiny_calibration,
+                                                out) if model == "modified" else
+                    ["degrade", "--manifest", manifest, "--model", "baseline",
+                     "--sigma0-sq", 0.13, "--rate-hz", 250, "--out", out])
+            caplog.clear()
+            with caplog.at_level("ERROR"):
+                assert run(argv + ["--skip-bad"]) == 1
+            errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+            assert len(errors) == 1 and errors[0].endswith(f": {str(blocked)!r}")
+            assert not [r for r in caplog.records if r.getMessage().startswith("skipping ")]
+            assert not (out / "manifest.csv").exists()
+            assert not (out / "run_manifest.json").exists()
+
+    @staticmethod
+    def clamped_calibration(path):
+        """A hand-written calibration whose grid reaches 1e300 at a slope of
+        1e-303, so every plan's noise variance clamps to 1e300 and its gaze,
+        1e150 times unit noise, leaves the position range."""
+        path.write_text(json.dumps({"sigma0_sq_grid": [0.0, 1e299, 1e300],
+                                    "mad_h": [0.01, 0.02, 0.03],
+                                    "slope": 1e-303, "intercept": 0.0}))
+        return path
+
+    def test_combine_pass_failure_names_the_recording_in_one_and_two_processes(
+            self, tiny_source, tiny_target_table, tmp_path, use_workers, caplog):
+        # the modified model's combine-and-write pass fails by the corpus
+        # rule: one ERROR line "<id>: <reason>" for the first recording, and
+        # with --skip-bad one "skipping <id>: <reason>" line for each
+        calib = self.clamped_calibration(tmp_path / "clamped.json")
+        ids = [e.recording_id for e in read_manifest(tiny_source / "manifest.csv")]
         out = tmp_path / "deg"
-        blocked = out / f"{read_manifest(tiny_source / 'manifest.csv')[1].recording_id}.csv"
-        blocked.mkdir(parents=True)
-        with caplog.at_level("ERROR"):
-            assert run(["degrade", "--manifest", tiny_source / "manifest.csv", "--model",
-                        "baseline", "--sigma0-sq", 0.13, "--rate-hz", 250, "--out", out,
-                        "--skip-bad"]) == 1
-        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-        assert len(errors) == 1 and errors[0].endswith(f": {str(blocked)!r}")
-        assert not (out / "manifest.csv").exists()
-        assert not (out / "run_manifest.json").exists()
+        argv = TestDegrade().modified_argv(tiny_source / "manifest.csv", tiny_target_table,
+                                           calib, out)
+        reason = re.compile(r"gaze gaze_x at index \d+ is -?[0-9.]+e\+150 dva, outside the "
+                            r"position range \+/-1e\+150 dva")
+        seen = []
+        for n in (1, 2):
+            use_workers(n)
+            for flag in ([], ["--skip-bad"]):
+                caplog.clear()
+                with caplog.at_level("WARNING"), pytest.warns(CalibrationClampWarning):
+                    assert run(argv + flag) == 1
+                errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+                skipped = [r.getMessage() for r in caplog.records
+                           if r.getMessage().startswith("skipping ")]
+                if flag:
+                    assert errors == [f"{tiny_source / 'manifest.csv'}: no usable recordings"]
+                    assert [m.split(": ", 1)[0] for m in skipped] == [f"skipping {i}" for i in ids]
+                    assert all(reason.fullmatch(m.split(": ", 1)[1]) for m in skipped)
+                else:
+                    assert len(errors) == 1 and not skipped
+                    rid, message = errors[0].split(": ", 1)
+                    assert rid == ids[0] and reason.fullmatch(message)
+                seen.append(errors + skipped)
+                assert not (out / "manifest.csv").exists()
+                assert not list(out.glob("*.csv"))
+        assert seen[:2] == seen[2:]
+
+    def test_combine_pass_skips_one_recording_in_one_and_two_processes(
+            self, tiny_source, tiny_target_table, tiny_calibration, tmp_path, monkeypatch,
+            use_workers, caplog):
+        # a recording whose combine fails is skipped alone: every other output
+        # is the bytes of a clean run, and only the manifest loses its row
+        import gazesim.cli
+        manifest = tiny_source / "manifest.csv"
+        clean = tmp_path / "clean"
+        assert run(TestDegrade().modified_argv(manifest, tiny_target_table, tiny_calibration,
+                                               clean)) == 0
+        bad = read_manifest(manifest)[1].recording_id
+        combine = gazesim.cli.combine
+
+        def failing_combine(components, plan):
+            # the jittered grid is the combine pass's; the zero-noise pass
+            # combines the nominal grid, whose jitter is None
+            if components.recording_id == bad and components.jitter_sigma_ms is not None:
+                raise ValueError("combine refused")
+            return combine(components, plan)
+
+        # forked workers inherit the patch
+        monkeypatch.setattr(gazesim.cli, "combine", failing_combine)
+        expected = {k: v for k, v in tree_bytes(clean).items() if not k.name.startswith(bad)}
+        expected[Path("manifest.csv")] = b"".join(
+            line for line in expected[Path("manifest.csv")].splitlines(keepends=True)
+            if not line.startswith(f"{bad},".encode()))
+        out = tmp_path / "deg"
+        argv = TestDegrade().modified_argv(manifest, tiny_target_table, tiny_calibration, out)
+        for n in (1, 2):
+            use_workers(n)
+            caplog.clear()
+            with caplog.at_level("ERROR"):
+                assert run(argv) == 1
+            errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+            assert errors == [f"{bad}: combine refused"]
+            assert not (out / "manifest.csv").exists()
+            shutil.rmtree(out)
+            caplog.clear()
+            with caplog.at_level("WARNING"):
+                assert run(argv + ["--skip-bad"]) == 0
+            skipped = [r.getMessage() for r in caplog.records
+                       if r.getMessage().startswith("skipping ")]
+            assert skipped == [f"skipping {bad}: combine refused"]
+            assert tree_bytes(out) == expected
+            shutil.rmtree(out)
 
     @pytest.mark.parametrize("bad", [False, True], ids=["success", "bad-recording"])
     @pytest.mark.parametrize("model", ["metrics", "baseline", "modified"])

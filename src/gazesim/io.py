@@ -60,7 +60,8 @@ def atomic_write_text(path, text) -> None:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.writelines([text] if isinstance(text, str) else text)
         # reading the umask sets it, so set it back at once (gazesim starts
-        # no threads that could create a file in between)
+        # no threads that could create a file in between; tests/test_pool.py
+        # test_starts_no_thread checks that ordered_map starts none)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)

@@ -1,4 +1,5 @@
 import codecs
+import os
 import tempfile
 from pathlib import Path
 
@@ -93,6 +94,14 @@ def with_bom(path):
     copy = path.with_name("bom-" + path.name)
     copy.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
     return copy
+
+
+def assert_no_child_process():
+    """This process has no child left, running or exited and unreaped.
+    (multiprocessing.active_children() knows only the children it started,
+    not those of a bare os.fork.)"""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def tree_bytes(root):

@@ -2,7 +2,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import multiprocessing
 import pickle
 import re
 import shutil
@@ -23,7 +22,7 @@ from gazesim.quantiles import quantile
 from gazesim.types import (CalibrationClampWarning, CalibrationCurve, DegradationPlan,
                            QualityTable, QualityVector)
 
-from conftest import canonical_text, make_recording, tree_bytes
+from conftest import assert_no_child_process, canonical_text, make_recording, tree_bytes
 
 
 def run(argv):
@@ -1532,7 +1531,7 @@ class TestWorkerProcesses:
                                                tmp_path / "deg")
             argv[argv.index("--model") + 1] = model
         assert run(argv) == (1 if bad else 0)
-        assert multiprocessing.active_children() == []
+        assert_no_child_process()
 
     @pytest.mark.parametrize("command", ["metrics", "calibrate", "degrade"])
     def test_first_bad_recording_stops_the_corpus_pass(self, tiny_source, tmp_path,

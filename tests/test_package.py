@@ -19,8 +19,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 # runs each argv list through gazesim.cli.main in a fresh interpreter, with
-# ordered_map on at most sys.argv[2] processes, then prints the scipy
-# modules this (the parent) process loaded as its last line
+# ordered_map on at most sys.argv[2] processes, then prints the modules of
+# package sys.argv[3] this (the parent) process loaded as its last line
 _PROBE = """
 import json, sys
 import gazesim, gazesim.cli, gazesim.pool
@@ -29,21 +29,21 @@ gazesim.pool.worker_count = lambda n_items: max(1, min(workers, n_items))
 for argv in json.loads(sys.argv[1]):
     if gazesim.cli.main(argv) != 0:
         sys.exit(f"gazesim {argv[0]} failed")
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == sys.argv[3])))
 """
 
 
-def scipy_modules_after(*argvs, workers=1):
-    """scipy modules in sys.modules of a fresh interpreter that imported
-    gazesim and gazesim.cli and then ran the given commands, each
-    ordered_map on at most `workers` processes. The test process has scipy
-    loaded already, so only a subprocess can tell; and what a forked worker
-    imports dies with it, so a probe of what the commands import at all
-    runs them in one process."""
+def modules_after(package, *argvs, workers=1):
+    """Modules of `package` (a top-level name) in sys.modules of a fresh
+    interpreter that imported gazesim and gazesim.cli and then ran the given
+    commands, each ordered_map on at most `workers` processes. The test
+    process has scipy and concurrent.futures loaded already, so only a
+    subprocess can tell; and what a forked worker imports dies with it, so
+    a probe of what the commands import at all runs them in one process."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, json.dumps([[str(a) for a in argv] for argv in argvs]),
-         str(workers)],
+         str(workers), package],
         env=env, capture_output=True, text=True, timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -94,7 +94,8 @@ def test_star_import_keeps_stdlib_io_and_types():
 class TestImportLight:
     """Every README command runs on numpy alone: scipy loads only for the
     KD-tree of an assessment of more than assess._DENSE_MAX_ROWS pooled
-    rows, and then only scipy.spatial."""
+    rows, and then only scipy.spatial. No command loads concurrent.futures
+    unless a worker dies."""
 
     @pytest.fixture(scope="class")
     def corpus(self, tmp_path_factory):
@@ -116,11 +117,12 @@ class TestImportLight:
                 "--out", out]
 
     def test_import_loads_no_scipy(self):
-        assert scipy_modules_after() == []
+        assert modules_after("scipy") == []
 
     def test_synth_metrics_report_load_no_scipy(self, tmp_path):
         table = tmp_path / "quality.csv"
-        assert scipy_modules_after(
+        assert modules_after(
+            "scipy",
             ["synth", "--preset", "vr-like", "--n", 2, "--seed", 5, "--out", tmp_path],
             ["metrics", "--manifest", tmp_path / "manifest.csv", "--out", table],
             ["report", table, "--out", tmp_path / "summary.csv"],
@@ -133,7 +135,8 @@ class TestImportLight:
         calib = tmp_path / "calib.json"
         degrade = ["degrade", "--manifest", corpus / "manifest.csv", "--rate-hz", 125,
                    "--seed", 1]
-        assert scipy_modules_after(
+        assert modules_after(
+            "scipy",
             self.calibrate_argv(corpus, calib),
             degrade + ["--model", "baseline", "--sigma0-sq", 0.1, "--out", tmp_path / "base"],
             degrade + ["--model", "modified", "--calibration", calib,
@@ -145,8 +148,8 @@ class TestImportLight:
         # the low-pass is a complex scan on numpy's cumsum and einsum,
         # loaded with gazesim itself: the parent imports no scipy.linalg,
         # nor any other scipy module, for its workers
-        assert scipy_modules_after(self.calibrate_argv(corpus, tmp_path / "calib.json"),
-                                   workers=2) == []
+        assert modules_after("scipy", self.calibrate_argv(corpus, tmp_path / "calib.json"),
+                             workers=2) == []
 
     @pytest.mark.parametrize("model", ["baseline", "modified"])
     def test_degrade_loads_linalg(self, corpus, model, tmp_path):
@@ -159,7 +162,7 @@ class TestImportLight:
             calib = tmp_path / "calib.json"
             assert main([str(a) for a in self.calibrate_argv(corpus, calib)]) == 0
             argv += ["--calibration", calib, "--target-table", corpus / "quality.csv"]
-        assert scipy_modules_after(argv, workers=2) == []
+        assert modules_after("scipy", argv, workers=2) == []
 
     def test_assess_above_the_dense_limit_loads_spatial(self, corpus, tmp_path):
         # 257 rows per class pool 514, two past the dense limit
@@ -170,6 +173,16 @@ class TestImportLight:
                                          small.features[rows],
                                          [small.n_fixations_used[i] for i in rows]), table)
         assert 2 * rows.size > _DENSE_MAX_ROWS
-        loaded = scipy_modules_after(self.assess_argv(table, tmp_path / "assess.json"))
+        loaded = modules_after("scipy", self.assess_argv(table, tmp_path / "assess.json"))
         assert "scipy.spatial" in loaded
         assert "scipy.signal" not in loaded
+
+    def test_metrics_and_degrade_load_no_executor(self, corpus, tmp_path):
+        # at two workers each corpus pass forks its workers bare and reads
+        # their pipes: the parent loads no concurrent.futures
+        assert modules_after(
+            "concurrent",
+            ["metrics", "--manifest", corpus / "manifest.csv", "--out", tmp_path / "q.csv"],
+            ["degrade", "--manifest", corpus / "manifest.csv", "--rate-hz", 125, "--seed", 1,
+             "--model", "baseline", "--sigma0-sq", 0.1, "--out", tmp_path / "base"],
+            workers=2) == []

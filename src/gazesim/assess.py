@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .io import format_float
-from .quantiles import quantile
+from .quantiles import median, quantile
 from .seeding import derive_seed
 from .types import QUALITY_FEATURES
 
@@ -201,9 +201,9 @@ def repeated_assessment(real: np.ndarray, synth: np.ndarray, repeats: int = 5,
         results.append(one_nn_two_sample(*_standardize(real_raw[idx], synth_raw)))
 
     return TwoSampleResult(
-        combined_accuracy=float(np.median([r.combined for r in results])),
-        real_accuracy=float(np.median([r.real for r in results])),
-        synthetic_accuracy=float(np.median([r.synthetic for r in results])),
+        combined_accuracy=median([r.combined for r in results]),
+        real_accuracy=median([r.real for r in results]),
+        synthetic_accuracy=median([r.synthetic for r in results]),
         per_repeat=tuple(results),
         n_per_class=n,
         seed=seed,

@@ -26,6 +26,7 @@ from .degrade import combine, component_pass
 from .io import format_float, read_json_object, write_json
 from .metrics import recording_quality
 from .pool import ordered_map
+from .quantiles import median
 from .seeding import derive_seed
 from .types import CalibrationCurve, DegradationPlan, is_number
 
@@ -60,7 +61,7 @@ def fit_sweep(plans, per_recording) -> CalibrationCurve:
     if not per_recording:
         raise ValueError("calibration corpus must be non-empty")
     grid = [plan.sigma0_sq for plan in plans]
-    medians = [float(np.median(values)) for values in zip(*per_recording)]
+    medians = [median(values) for values in zip(*per_recording)]
     if any(b < a for a, b in zip(medians, medians[1:])):
         warnings.warn("raw calibration sweep is non-monotone; fitting anyway",
                       NonMonotoneSweepWarning, stacklevel=2)

@@ -56,7 +56,7 @@ import math
 import numpy as np
 
 from .metrics import RecordingAnalysis
-from .quantiles import percentile_rank, quantile
+from .quantiles import median, percentile_rank, quantile
 from .types import (CalibrationCurve, DegradationPlan, GazeRecording, QualityTable,
                     QualityVector)
 from .io import write_json
@@ -452,7 +452,7 @@ def zero_noise_pass(rec: GazeRecording, target_rate_hz: float) -> GazeRecording:
 def _target_jitter_ms(target: QualityTable, target_rate_hz: float) -> float:
     """The modified model's jitter sigma, the target corpus's median temporal
     precision, checked against the jitter limit of the target-rate grid."""
-    jitter = float(np.median(target.column("temporal_prec_ms")))
+    jitter = median(target.column("temporal_prec_ms"))
     # jitter_timestamps checks the requested sigma, not the smaller one it applies
     _check_jitter_ms(jitter, 1000.0 / target_rate_hz, "target corpus median temporal precision")
     return jitter

@@ -7,9 +7,10 @@ times, not from an event classifier. Missing gaze samples are excluded from
 every computation, never interpolated.
 
 extract_fixations, reject_outliers, fixation_accuracy and fixation_precision
-define the steps for one window. analyse_recording runs them for every
-window of a recording at once, with the same results, and recording_quality
-reduces its output.
+define the steps for one window, with numpy's median. analyse_recording runs
+them for every window of a recording at once, with the same results, and
+recording_quality reduces its output; both take their medians and quartiles
+from gazesim.quantiles, which equal numpy's and load no numpy.ma.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantiles import quantile
+from .quantiles import median, quantile, sorted_median, sorted_quantile
 from .types import FixationWindow, GazeRecording, QualityVector
 
 logger = logging.getLogger(__name__)
@@ -281,11 +282,11 @@ def analyse_recording(rec: GazeRecording) -> RecordingAnalysis:
     usable = valid.sum(axis=1)
     gaze[:, ~valid] = np.nan
 
-    centroid = _sorted_median(np.sort(gaze, axis=-1), usable)
+    centroid = sorted_median(np.sort(gaze, axis=-1), usable)
     dist = np.hypot(gaze[0] - centroid[0][:, None], gaze[1] - centroid[1][:, None])
     sorted_dist = np.sort(dist, axis=-1)
-    q1 = _sorted_quantile(sorted_dist, usable, 0.25)
-    q3 = _sorted_quantile(sorted_dist, usable, 0.75)
+    q1 = sorted_quantile(sorted_dist, usable, 0.25)
+    q3 = sorted_quantile(sorted_dist, usable, 0.75)
     iqr = q3 - q1
     outlier = ((dist > (q3 + 1.5 * iqr)[:, None]) | (dist < (q1 - 1.5 * iqr)[:, None])
                | (dist > _MAX_DIST_DVA))
@@ -302,8 +303,8 @@ def analyse_recording(rec: GazeRecording) -> RecordingAnalysis:
                            rec.recording_id, i)
 
     kept_gaze = np.where(kept, gaze, np.nan)
-    middle = _sorted_median(np.sort(kept_gaze, axis=-1), n_kept)
-    mad = _sorted_median(np.sort(np.abs(kept_gaze - middle[..., None]), axis=-1), n_kept)
+    middle = sorted_median(np.sort(kept_gaze, axis=-1), n_kept)
+    mad = sorted_median(np.sort(np.abs(kept_gaze - middle[..., None]), axis=-1), n_kept)
     precision = np.stack((mad[0], mad[1], np.hypot(mad[0], mad[1])), axis=1)[used]
 
     # the accuracy means stay one pairwise sum per window: each window's kept
@@ -323,41 +324,6 @@ def analyse_recording(rec: GazeRecording) -> RecordingAnalysis:
         dropped_few_samples=int(few.sum()), dropped_all_masked=int((~used & ~few).sum()),
         accuracy=accuracy, precision=precision,
     )
-
-
-def _take(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """rows[..., index] per row, the index broadcast over the leading axes.
-    The helpers below index a row of count entries within [0, count - 1],
-    and an empty row at -1, which reads its padding."""
-    index = np.broadcast_to(index, rows.shape[:-1])
-    return np.take_along_axis(rows, index[..., None], axis=-1)[..., 0]
-
-
-def _sorted_median(rows: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """np.median of the first `count` entries of each ascending row (NaN
-    padding sorts after them): the mean of the middle entry or pair, summed
-    as numpy's add.reduce does (lo + (0.0 + hi), so a zero comes out +0.0).
-    An empty row reads its padding, NaN."""
-    lo = _take(rows, (count - 1) // 2)
-    hi = _take(rows, count // 2)
-    return np.where(count % 2 == 1, lo + 0.0, (lo + (0.0 + hi)) / 2)
-
-
-def _sorted_quantile(rows: np.ndarray, count: np.ndarray, p: float) -> np.ndarray:
-    """np.quantile(row[:count], p, method="linear") of each ascending row
-    of non-negative values: numpy's virtual index (count - 1) * p, its
-    last-entry rule at the top, and its _lerp, which interpolates down from
-    the upper neighbour when the weight t >= 0.5. (With -0.0 among the
-    values, which of two equal zeros numpy's partition picks can set the
-    sign of a zero result.)"""
-    virtual = (count - 1) * p
-    lower = np.floor(virtual)
-    top = virtual >= count - 1
-    t = virtual - np.where(top, -1, lower)
-    a = _take(rows, np.where(top, count - 1, lower).astype(np.intp))
-    b = _take(rows, np.where(top, count - 1, lower + 1).astype(np.intp))
-    diff = b - a
-    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
 
 
 def recording_quality(rec: GazeRecording,
@@ -381,8 +347,8 @@ def recording_quality(rec: GazeRecording,
         raise ValueError("zero usable fixations")
 
     acc = np.mean(analysis.accuracy, axis=0)
-    prec_h = float(np.median(analysis.precision[:, 0]))
-    prec_v = float(np.median(analysis.precision[:, 1]))
+    prec_h = median(analysis.precision[:, 0])
+    prec_v = median(analysis.precision[:, 1])
     return QualityVector(
         acc_h=float(acc[0]), acc_v=float(acc[1]), acc_c=float(acc[2]),
         prec_h=prec_h, prec_v=prec_v, prec_c=float(np.hypot(prec_h, prec_v)),

@@ -5,20 +5,21 @@ derived from (master seed, recording id), so the number of processes that
 compute the results changes none of them. ordered_map runs one worker per
 CPU in the process's affinity mask, at most one per item, and returns the
 results in input order. With one CPU (`taskset -c 0 gazesim ...`), one item,
-or no affinity mask or fork on the platform, it runs in this process and
-imports no multiprocessing.
+or no affinity mask or fork on the platform, it runs in this process.
 
-The workers are bare os.fork() children of this process, forked after the
-items exist, so they inherit the function and the items (and whatever the
-caller loaded or patched before the map). Each worker claims the next item
-index from a counter in shared memory and writes each pickled result to its
-own pipe. This process waits on the pipes and unpickles the results in its
-main thread: it starts no thread and keeps no queue. What a worker loads,
-logs to a handler in memory or counts is lost when it exits.
+The workers are bare os.fork() children, forked after the items exist, so
+they inherit the function and the items (and whatever the caller loaded or
+patched). This process writes a worker the index of its next item, on the
+worker's inbox pipe, once the worker's last pickled result has arrived on
+its outbox pipe. It waits on the outboxes with select, starts no thread and
+loads no multiprocessing. What a worker loads, logs to a handler in memory
+or counts is lost when it exits.
 """
 from __future__ import annotations
 
 import os
+
+_WORD = 8  # bytes of an item index, and of a result's length prefix
 
 
 class _RemoteTraceback(Exception):
@@ -46,33 +47,40 @@ def _flush_stdio() -> None:
             pass
 
 
-def _work(fn, items, claims, lock, conn) -> None:
-    """A forked worker's loop: claim the next index claims[0] while it is
-    below claims[1], the lowest failed index, and send each item's pickled
-    (index, ok, result or exception, traceback text or None) on conn."""
-    import pickle
-    import traceback
+def _work(fn, items, held, inbox: int, outbox: int) -> None:
+    """A forked worker: close the other pipe ends in held; for each index
+    read from inbox until it ends, write the item's pickled (ok, result or
+    exception, traceback text), after its length, to outbox; then exit."""
+    code = 1
     try:
-        while True:
-            with lock:
-                i = claims[0]
-                if i >= claims[1]:
-                    return
-                claims[0] = i + 1
+        import pickle
+        import traceback
+        for fd in set(held) - {inbox, outbox}:
+            os.close(fd)
+        while index := os.read(inbox, _WORD):
             try:
-                message = pickle.dumps((i, True, fn(items[i]), None))
+                message = pickle.dumps((True, fn(items[int.from_bytes(index, "little")]), None))
             except BaseException as exc:  # fn failed, or its result does not pickle
-                with lock:
-                    claims[1] = min(claims[1], i)
-                message = pickle.dumps((i, False, exc, traceback.format_exc()))
-            conn.send_bytes(message)
+                message = pickle.dumps((False, exc, traceback.format_exc()))
+            data = memoryview(len(message).to_bytes(_WORD, "little") + message)
+            while data:
+                data = data[os.write(outbox, data):]
+        code = 0
     finally:
         _flush_stdio()
+        os._exit(code)
 
 
-def _broken_pool(message: str):
-    from concurrent.futures.process import BrokenProcessPool
-    return BrokenProcessPool(message)
+def _receive(outbox: int, n: int = _WORD):
+    """The next n bytes of a worker's outbox; BrokenProcessPool if it ends."""
+    buf, got = bytearray(n), 0
+    while got < n:
+        step = os.readv(outbox, [memoryview(buf)[got:]])
+        if not step:
+            from concurrent.futures.process import BrokenProcessPool
+            raise BrokenProcessPool("a worker exited before it reported its item")
+        got += step
+    return buf
 
 
 def ordered_map(fn, items) -> list:
@@ -80,66 +88,57 @@ def ordered_map(fn, items) -> list:
 
     Results must pickle. If fn raises, or its result does not pickle, the
     exception of the first failing item in input order is raised, and no
-    item after a failed one is started (items already claimed by a worker
-    still run). Every worker has exited before this returns or raises; a
-    worker that exits before it reports every item it claimed raises
+    item after a failed one is started (items already running in a worker
+    still finish). Every worker has exited before this returns or raises; a
+    worker that exits before it reports its item raises
     concurrent.futures.process.BrokenProcessPool.
     """
     items = list(items)
-    workers = worker_count(len(items))
-    if workers == 1:
+    if worker_count(len(items)) == 1:
         return [fn(item) for item in items]
-    import mmap
-    import multiprocessing
     import pickle
+    import select
     import signal
-    from multiprocessing.connection import wait
-    context = multiprocessing.get_context("fork")
-    lock = context.Lock()
-    shared = mmap.mmap(-1, 16)
-    claims = memoryview(shared).cast("q")
-    claims[1] = len(items)  # [next index to claim, lowest failed index]
-    children = {}  # read end of each worker's pipe -> pid, until it is reaped
-    outcomes = {}  # index -> (ok, result or exception, traceback text)
+    held = []     # every pipe end this process holds open
+    workers = {}  # read end of each worker's outbox -> (its pid, write end of its inbox)
+    running = {}  # read end of each busy worker's outbox -> index of its item
+    outcomes = [None] * len(items)  # (ok, result or exception, traceback text)
     _flush_stdio()
     try:
-        for _ in range(workers):
-            conn, worker_end = context.Pipe(duplex=False)
+        for _ in range(worker_count(len(items))):
+            held += os.pipe()
+            held += os.pipe()
+            inbox_r, inbox_w, outbox_r, outbox_w = held[-4:]
             pid = os.fork()
             if pid == 0:
-                code = 1
-                try:
-                    _work(fn, items, claims, lock, worker_end)
-                    code = 0
-                finally:
-                    os._exit(code)
-            worker_end.close()
-            children[conn] = pid
-        while children:
-            for conn in wait(list(children)):
-                try:
-                    message = conn.recv_bytes()
-                except EOFError:
-                    code = os.waitstatus_to_exitcode(os.waitpid(children[conn], 0)[1])
-                    del children[conn]
-                    conn.close()
-                    if code:
-                        raise _broken_pool(f"a worker exited with code {code}")
-                    continue
-                i, ok, value, remote = pickle.loads(message)
-                outcomes[i] = (ok, value, remote)
-        if len(outcomes) < claims[0]:
-            raise _broken_pool("a worker exited before it reported every item it claimed")
-        failed = [i for i, (ok, _value, _remote) in outcomes.items() if not ok]
-        if failed:
-            _ok, exc, remote = outcomes[min(failed)]
-            raise exc from _RemoteTraceback(remote)
-        return [outcomes[i][1] for i in range(len(items))]
+                _work(fn, items, held, inbox_r, outbox_w)
+            workers[outbox_r] = (pid, inbox_w)
+            for fd in (inbox_r, outbox_w):
+                held.remove(fd)
+                os.close(fd)
+        idle, started, stop = list(workers), 0, len(items)  # stop: the first item not to start
+        while idle:
+            for reader in idle[:stop - started]:  # the next items, one per idle worker
+                try:  # fewer than PIPE_BUF bytes: written whole, at once
+                    os.write(workers[reader][1], started.to_bytes(_WORD, "little"))
+                except BrokenPipeError:  # the worker has exited: its outbox reads as ended
+                    pass
+                running[reader], started = started, started + 1
+            idle = select.select(list(running), [], [])[0] if running else []
+            for reader in idle:
+                size = int.from_bytes(_receive(reader), "little")
+                i = running.pop(reader)
+                outcomes[i] = pickle.loads(_receive(reader, size))
+                if not outcomes[i][0]:
+                    stop = started  # no item after a known failure
     finally:
-        for pid in children.values():
-            os.kill(pid, signal.SIGKILL)
-        for conn, pid in children.items():
+        for fd in held:  # ends every inbox, so each idle worker exits
+            os.close(fd)
+        for reader, (pid, _inbox) in workers.items():
+            if reader in running:  # only when this map fails
+                os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-            conn.close()
-        claims.release()
-        shared.close()
+    for ok, value, remote in filter(None, outcomes):  # in input order
+        if not ok:
+            raise value from _RemoteTraceback(remote)
+    return [value for _ok, value, _remote in outcomes]

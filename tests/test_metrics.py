@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gazesim.degrade import degrade_benchmark
-from gazesim.metrics import (LatencyEstimate, _sorted_median, _sorted_quantile,
-                             analyse_recording, estimate_latency,
+from gazesim.metrics import (LatencyEstimate, analyse_recording, estimate_latency,
                              extract_fixations, fixation_accuracy,
                              fixation_precision, recording_quality,
                              reject_outliers, temporal_precision)
 from gazesim.oracle import PRESETS, OracleSpec, generate_corpus, generate_recording
-from gazesim.quantiles import quantile
+from gazesim.quantiles import quantile, sorted_median, sorted_quantile
 from gazesim.types import DegradationPlan, FixationWindow, QualityVector
 
 from conftest import make_recording, piecewise_recording
@@ -743,9 +742,9 @@ class TestBatchedWindowsOracle:
         for i, r in enumerate(rows):
             padded[i, :len(r)] = r
         padded = np.sort(padded, axis=-1)
-        got = {"median": _sorted_median(padded, count),
-               0.25: _sorted_quantile(padded, count, 0.25),
-               0.75: _sorted_quantile(padded, count, 0.75)}
+        got = {"median": sorted_median(padded, count),
+               0.25: sorted_quantile(padded, count, 0.25),
+               0.75: sorted_quantile(padded, count, 0.75)}
         for i, r in enumerate(rows):
             assert float(got["median"][i]).hex() == float(np.median(r)).hex()
             if lowest == 0.0:

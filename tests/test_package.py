@@ -15,12 +15,15 @@ from gazesim.cli import main
 from gazesim.io import read_quality_table, write_quality_table
 from gazesim.types import QualityTable
 
+from test_readme import readme_commands
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 # runs each argv list through gazesim.cli.main in a fresh interpreter, with
-# ordered_map on at most sys.argv[2] processes, then prints the modules of
-# package sys.argv[3] this (the parent) process loaded as its last line
+# ordered_map on at most sys.argv[2] processes, then prints, as its last
+# line, the modules in or under the packages named in sys.argv[3:] that this
+# (the parent) process loaded
 _PROBE = """
 import json, sys
 import gazesim, gazesim.cli, gazesim.pool
@@ -29,22 +32,25 @@ gazesim.pool.worker_count = lambda n_items: max(1, min(workers, n_items))
 for argv in json.loads(sys.argv[1]):
     if gazesim.cli.main(argv) != 0:
         sys.exit(f"gazesim {argv[0]} failed")
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == sys.argv[3])))
+print(json.dumps(sorted(m for m in sys.modules
+                        if any(m == p or m.startswith(p + ".") for p in sys.argv[3:]))))
 """
 
 
-def modules_after(package, *argvs, workers=1):
-    """Modules of `package` (a top-level name) in sys.modules of a fresh
-    interpreter that imported gazesim and gazesim.cli and then ran the given
-    commands, each ordered_map on at most `workers` processes. The test
-    process has scipy and concurrent.futures loaded already, so only a
-    subprocess can tell; and what a forked worker imports dies with it, so
-    a probe of what the commands import at all runs them in one process."""
+def modules_after(packages, *argvs, workers=1, cwd=None):
+    """Modules in or under `packages` (a dotted package name, or a tuple of
+    them) in sys.modules of a fresh interpreter that imported gazesim and
+    gazesim.cli and then ran the given commands in cwd, each ordered_map on
+    at most `workers` processes. The test process has scipy and
+    concurrent.futures loaded already, so only a subprocess can tell; and
+    what a forked worker imports dies with it, so a probe of what the
+    commands import at all runs them in one process."""
+    packages = (packages,) if isinstance(packages, str) else packages
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, json.dumps([[str(a) for a in argv] for argv in argvs]),
-         str(workers), package],
-        env=env, capture_output=True, text=True, timeout=120, check=False)
+         str(workers), *packages],
+        env=env, cwd=cwd, capture_output=True, text=True, timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -95,7 +101,8 @@ class TestImportLight:
     """Every README command runs on numpy alone: scipy loads only for the
     KD-tree of an assessment of more than assess._DENSE_MAX_ROWS pooled
     rows, and then only scipy.spatial. No command loads concurrent.futures
-    unless a worker dies."""
+    unless a worker dies, nor multiprocessing, nor numpy.ma, which numpy's
+    own median and quantile load."""
 
     @pytest.fixture(scope="class")
     def corpus(self, tmp_path_factory):
@@ -173,9 +180,13 @@ class TestImportLight:
                                          small.features[rows],
                                          [small.n_fixations_used[i] for i in rows]), table)
         assert 2 * rows.size > _DENSE_MAX_ROWS
-        loaded = modules_after("scipy", self.assess_argv(table, tmp_path / "assess.json"))
+        # (scipy.spatial loads numpy.ma itself, so this is the one command
+        # that may load it)
+        loaded = modules_after(("scipy", "multiprocessing"),
+                               self.assess_argv(table, tmp_path / "assess.json"))
         assert "scipy.spatial" in loaded
         assert "scipy.signal" not in loaded
+        assert not [m for m in loaded if m.split(".")[0] == "multiprocessing"]
 
     def test_metrics_and_degrade_load_no_executor(self, corpus, tmp_path):
         # at two workers each corpus pass forks its workers bare and reads
@@ -186,3 +197,14 @@ class TestImportLight:
             ["degrade", "--manifest", corpus / "manifest.csv", "--rate-hz", 125, "--seed", 1,
              "--model", "baseline", "--sigma0-sq", 0.1, "--out", tmp_path / "base"],
             workers=2) == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_readme_commands_load_no_masked_arrays_or_multiprocessing(self, workers, tmp_path):
+        # at one worker every command runs in the probe's process, so this
+        # covers what the workers load too; at two, what the parent loads
+        argvs = [argv[1:] for _line, argv in readme_commands()]
+        assert [argv[0] for argv in argvs] == ["synth", "synth", "metrics", "metrics",
+                                              "calibrate", "degrade", "degrade", "metrics",
+                                              "assess", "report"]
+        assert modules_after(("numpy.ma", "multiprocessing"), *argvs, workers=workers,
+                             cwd=tmp_path) == []

@@ -80,6 +80,46 @@ def _fail_on_0_else_mark(task):
     (out_dir / str(i)).touch()
 
 
+def _await_exit(pid):
+    # in the parent, as it unpickles the worker's result: kill the worker and
+    # wait until it is a zombie, its pipes closed, before the parent goes on
+    # to write the worker its next index
+    os.kill(pid, signal.SIGKILL)
+    while _state(pid) != "Z":
+        time.sleep(0.001)
+    return pid
+
+
+def _state(pid):
+    with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+        return fh.read().rpartition(")")[2].split()[0]
+
+
+class _KillsItsWorkerWhenUnpickled:
+    def __init__(self):
+        self.pid = os.getpid()
+
+    def __reduce__(self):
+        return _await_exit, (self.pid,)
+
+
+def _killed_while_sent_its_next_item(x):
+    return _KillsItsWorkerWhenUnpickled() if x == 0 else x
+
+
+def _pipe_fds():
+    """{fd: target} of each pipe this process holds open."""
+    fds = {}
+    for name in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{name}")
+        except FileNotFoundError:  # the listing's own fd, closed by now
+            continue
+        if target.startswith("pipe:"):
+            fds[name] = target
+    return fds
+
+
 class TestWorkerCount:
     @pytest.mark.parametrize("cpus,n_items,expected", [
         (4, 10, 4), (4, 3, 3), (2, 2, 2), (1, 10, 1), (4, 1, 1), (4, 0, 1),
@@ -193,4 +233,27 @@ class TestOrderedMap:
         request.getfixturevalue(workers)
         with pytest.raises(KeyError, match="item 0"):
             ordered_map(_slow_fail_on_0_fast_fail_on_1, range(4))
+        assert_no_child_process()
+
+    def test_worker_killed_before_its_next_item_fails_the_map(self, two_workers):
+        # the parent's write of the next index meets a closed pipe
+        if not os.path.isdir("/proc/self"):
+            pytest.skip("no /proc on this platform")
+        with pytest.raises(BrokenProcessPool):
+            ordered_map(_killed_while_sent_its_next_item, range(6))
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("fn,raised", [
+        (_square, None), (_fail_on_3_and_5, ValueError), (_exit_on_2, BrokenProcessPool),
+        (_killed_while_sent_its_next_item, BrokenProcessPool)])
+    def test_leaves_no_pipe_open(self, two_workers, fn, raised):
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("no /proc on this platform")
+        before = _pipe_fds()
+        if raised is None:
+            ordered_map(fn, range(8))
+        else:
+            with pytest.raises(raised):
+                ordered_map(fn, range(8))
+        assert _pipe_fds() == before
         assert_no_child_process()

@@ -3,7 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gazesim.quantiles import percentile_rank, quantile
+from gazesim.quantiles import median, percentile_rank, quantile, sorted_median, sorted_quantile
+
+# finite values with ties, both zeros and a wide range of magnitudes
+_VALUES = st.one_of(st.floats(-1e6, 1e6), st.integers(-3, 3).map(float),
+                    st.sampled_from([0.0, -0.0]))
+_SAMPLES = st.lists(_VALUES, min_size=1, max_size=41)
+
+
+def same_quantile(got: float, want: float, sample) -> bool:
+    """got equals numpy's want bit for bit; except that with both 0.0 and
+    -0.0 in the sample, a zero result may take either sign, because numpy's
+    partition and np.sort may order the two equal zeros differently."""
+    zeros = {np.copysign(1.0, v) for v in sample if v == 0.0}
+    if got == 0.0 and want == 0.0 and len(zeros) == 2:
+        return True
+    return got.hex() == want.hex()
 
 
 class TestQuantile:
@@ -35,6 +50,16 @@ class TestQuantile:
         with pytest.raises(ValueError, match="empty"):
             quantile([], (0.5,))
 
+    def test_list_of_fractions_is_a_tuple_of_quantiles(self):
+        assert quantile([1, 2, 3], [0.5]) == (2.0,)
+        assert quantile([1, 2, 3], [0.0, 0.25, 1.0]) == quantile([1, 2, 3], (0.0, 0.25, 1.0))
+
+    def test_nan_in_sample_is_named(self):
+        with pytest.raises(ValueError, match="NaN at index 1"):
+            quantile([1.0, float("nan"), 3.0], 0.5)
+        with pytest.raises(ValueError, match="NaN at index 2"):
+            median([1.0, 2.0, float("nan")])
+
     def test_tuple_of_fractions_one_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
             quantile([1, 2], (0.5, 1.5))
@@ -50,7 +75,65 @@ class TestQuantile:
         assert list(map(float.hex, got)) == [quantile(sample, p).hex() for p in fractions]
 
 
+class TestMatchesNumpy:
+    """median and quantile give np.median's and np.quantile's values bit
+    for bit (compared by float.hex), and so do sorted_median and
+    sorted_quantile for each row of a batch padded with NaN."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_SAMPLES)
+    def test_median(self, sample):
+        assert median(sample).hex() == float(np.median(sample)).hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_SAMPLES, st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])))
+    def test_quantile(self, sample, p):
+        assert same_quantile(quantile(sample, p),
+                             float(np.quantile(sample, p, method="linear")), sample)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_SAMPLES, st.lists(st.floats(0.0, 1.0), min_size=1, max_size=11))
+    def test_quantiles_of_a_tuple(self, sample, fractions):
+        want = np.quantile(sample, fractions, method="linear")
+        got = quantile(sample, tuple(fractions))
+        assert all(same_quantile(g, float(w), sample) for g, w in zip(got, want))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_SAMPLES, min_size=1, max_size=6),
+           st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 0.1]))
+    def test_batched_rows_padded_with_nan(self, rows, p):
+        count = np.array([len(r) for r in rows])
+        padded = np.full((len(rows), count.max()), np.nan)
+        for i, r in enumerate(rows):
+            padded[i, :len(r)] = r
+        padded = np.sort(padded, axis=-1)
+        medians = sorted_median(padded, count)
+        quantiles = sorted_quantile(padded, count, p)
+        for i, r in enumerate(rows):
+            assert float(medians[i]).hex() == float(np.median(r)).hex()
+            assert same_quantile(float(quantiles[i]),
+                                 float(np.quantile(r, p, method="linear")), r)
+
+    def test_one_element(self):
+        for v in (-0.0, 0.0, -2.5, 7.0):
+            assert median([v]).hex() == float(np.median([v])).hex()
+            for p in (0.0, 0.5, 1.0):
+                assert quantile([v], p).hex() == float(np.quantile([v], p)).hex()
+
+    def test_empty_median(self):
+        with pytest.raises(ValueError, match="empty"):
+            median([])
+
+
 class TestPercentileRank:
+    def test_nan_value_is_named(self):
+        with pytest.raises(ValueError, match="NaN value"):
+            percentile_rank(float("nan"), [1.0, 2.0, 3.0])
+
+    def test_nan_in_sample_is_named(self):
+        with pytest.raises(ValueError, match="NaN at index 1"):
+            percentile_rank(2.0, [1.0, float("nan"), 3.0])
+
     def test_median_value(self):
         assert percentile_rank(3, [1, 2, 3, 4, 5]) == 0.5
 

@@ -3,7 +3,9 @@
 Sweeping a variance grid through the baseline pipeline over a source corpus
 yields measured horizontal precision per grid point; a least-squares line
 through those points gives the tuning curve used by both models, which
-CalibrationCurve.invert inverts.
+CalibrationCurve.invert inverts. The line is fitted exactly, in integer
+arithmetic, and each coefficient is rounded to a float once: the same
+curve on every platform and numpy version, and no LAPACK call.
 
 The pipeline is linear in its noise, and its draws do not depend on the
 variance, so a recording is filtered once for the whole grid: one
@@ -17,10 +19,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import warnings
 from functools import partial
-
-import numpy as np
 
 from .degrade import combine, component_pass
 from .io import format_float, read_json_object, write_json
@@ -28,7 +29,7 @@ from .metrics import recording_quality
 from .pool import ordered_map
 from .quantiles import median
 from .seeding import derive_seed
-from .types import CalibrationCurve, DegradationPlan, is_number
+from .types import CalibrationCurve, DegradationPlan, check_sample_grid, is_number
 
 
 class NonMonotoneSweepWarning(UserWarning):
@@ -37,10 +38,12 @@ class NonMonotoneSweepWarning(UserWarning):
 
 def sweep_plans(sigma0_sq_grid, target_rate_hz: float) -> list:
     """The baseline plan of each grid variance, checked before any recording
-    is degraded."""
+    is degraded: at least 3 finite, strictly increasing points, as a
+    CalibrationCurve needs and the line fit assumes, each >= 0."""
     grid = [float(s) for s in sigma0_sq_grid]
     if len(grid) < 3:
         raise ValueError(f"calibration grid needs >= 3 points, got {len(grid)}")
+    check_sample_grid(grid)
     return [DegradationPlan(target_rate_hz=target_rate_hz, sigma0_sq=s) for s in grid]
 
 
@@ -55,9 +58,47 @@ def sweep_recording(rec, plans, seed: int) -> list:
     return [recording_quality(combine(nominal, plan)).prec_h for plan in plans]
 
 
+# every finite float is an integer multiple of 2**-1074, the least subnormal
+_SCALE = 2 ** 1074
+
+
+def _scaled(value: float) -> int:
+    """value * 2**1074, exactly, as an int."""
+    numerator, denominator = float(value).as_integer_ratio()
+    return numerator * (_SCALE // denominator)
+
+
+def _nearest_float(numerator: int, denominator: int) -> float:
+    """The float nearest numerator / denominator (denominator > 0), which
+    int division rounds correctly; +-inf beyond the float range."""
+    try:
+        return numerator / denominator
+    except OverflowError:
+        return math.inf if numerator > 0 else -math.inf
+
+
+def _least_squares_line(x, y) -> tuple:
+    """(slope, intercept) of the least-squares line through the points
+    (x[i], y[i]), each the float nearest its exact value. The sums and the
+    normal equations' determinant are exact ints over the values scaled to
+    integers, so each coefficient is one int division, rounded once. The x
+    must not all be equal (check_sample_grid holds this for a grid)."""
+    xs = [_scaled(v) for v in x]
+    ys = [_scaled(v) for v in y]
+    n, sx, sy = len(xs), sum(xs), sum(ys)
+    sxx = sum(v * v for v in xs)
+    sxy = sum(a * b for a, b in zip(xs, ys))
+    spread = n * sxx - sx * sx  # n**2 * var(x), scaled by 2**2148
+    return (_nearest_float(n * sxy - sx * sy, spread),
+            _nearest_float(sy * sxx - sx * sxy, spread * _SCALE))
+
+
 def fit_sweep(plans, per_recording) -> CalibrationCurve:
     """The least-squares line through the corpus-median precision of each
-    grid point, from the sweep_recording result of every recording."""
+    grid point of plans (as sweep_plans builds them), from the
+    sweep_recording result of every recording. The fit is exact, each
+    coefficient rounded once to the nearest float (_least_squares_line), so
+    it is the same on every platform."""
     if not per_recording:
         raise ValueError("calibration corpus must be non-empty")
     grid = [plan.sigma0_sq for plan in plans]
@@ -65,9 +106,9 @@ def fit_sweep(plans, per_recording) -> CalibrationCurve:
     if any(b < a for a, b in zip(medians, medians[1:])):
         warnings.warn("raw calibration sweep is non-monotone; fitting anyway",
                       NonMonotoneSweepWarning, stacklevel=2)
-    slope, intercept = np.polyfit(grid, medians, 1)
+    slope, intercept = _least_squares_line(grid, medians)
     return CalibrationCurve(sigma0_sq_grid=grid, mad_h=medians,
-                            slope=float(slope), intercept=float(intercept))
+                            slope=slope, intercept=intercept)
 
 
 def sweep_sigma(corpus, sigma0_sq_grid, target_rate_hz: float,

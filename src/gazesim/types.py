@@ -338,6 +338,16 @@ class DegradationPlan:
         object.__setattr__(self, "rng_seed", _check_seed("rng_seed", self.rng_seed))
 
 
+def check_sample_grid(grid) -> None:
+    """ValueError unless every sigma0_sq sample point is finite and each
+    exceeds the one before it."""
+    for value in grid:
+        if not math.isfinite(value):
+            raise ValueError(f"sample point must be finite, got {value}")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("sigma0_sq sample points must be strictly increasing")
+
+
 class CalibrationClampWarning(UserWarning):
     """Requested dispersion fell outside the calibrated range."""
 
@@ -371,11 +381,10 @@ class CalibrationCurve:
         if len(grid) < 3:
             raise ValueError(f"calibration needs >= 3 sample points, got {len(grid)}")
         named = [("slope", self.slope), ("intercept", self.intercept)]
-        for name, value in named + [("sample point", v) for v in grid + mad_h]:
+        for name, value in named + [("sample point", v) for v in mad_h]:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("sigma0_sq sample points must be strictly increasing")
+        check_sample_grid(grid)
         if not self.slope > 0:
             raise ValueError(f"fitted slope must be positive, got {self.slope}")
 

@@ -1,13 +1,19 @@
 import dataclasses
 import json
+import math
+import random
 import re
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gazesim.calibrate as calibrate_mod
-from gazesim.calibrate import (NonMonotoneSweepWarning, describe_curve, fit_sweep,
-                               load_calibration, save_calibration, sweep_plans, sweep_sigma)
+from gazesim.calibrate import (NonMonotoneSweepWarning, _least_squares_line, describe_curve,
+                               fit_sweep, load_calibration, save_calibration, sweep_plans,
+                               sweep_sigma)
 from gazesim.degrade import combine, nominal_target_timestamps
 from gazesim.metrics import recording_quality
 from gazesim.oracle import OracleSpec, generate_recording
@@ -81,6 +87,22 @@ class TestSweepSigma:
         with pytest.raises(ValueError, match=">= 3"):
             sweep_sigma(small_corpus, [0.0, 0.1], 250.0, seed=0)
 
+    @pytest.mark.parametrize("grid,message", [
+        ([0.1, 0.1, 0.1], "sigma0_sq sample points must be strictly increasing"),
+        ([0.3, 0.2, 0.1], "sigma0_sq sample points must be strictly increasing"),
+        ([0.0, float("nan"), 0.2], "sample point must be finite, got nan"),
+        ([0.0, 0.1, float("inf")], "sample point must be finite, got inf"),
+    ])
+    def test_bad_grid_rejected_before_any_recording_is_swept(self, small_corpus, monkeypatch,
+                                                             grid, message):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a recording was swept")
+        monkeypatch.setattr(calibrate_mod, "ordered_map", no_sweep)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                sweep_sigma(small_corpus, grid, 250.0, seed=0)
+
     def test_non_monotone_sweep_warns(self, small_corpus, monkeypatch):
         # one precision per grid point, in grid order
         canned = iter([0.05, 0.04, 0.06])
@@ -108,6 +130,109 @@ class TestSweepSigma:
         got = sweep_sigma(small_corpus, grid, 250.0, seed=7)
         assert got.sigma0_sq_grid == want.sigma0_sq_grid
         np.testing.assert_allclose(got.mad_h, want.mad_h, rtol=1e-12, atol=0)
+
+
+def exact_line(x, y) -> tuple:
+    """The least-squares (slope, intercept) through the points, as
+    Fractions, from the centred normal equations."""
+    x, y = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    x_mean, y_mean = sum(x) / len(x), sum(y) / len(y)
+    slope = (sum((a - x_mean) * (b - y_mean) for a, b in zip(x, y))
+             / sum((a - x_mean) ** 2 for a in x))
+    return slope, y_mean - slope * x_mean
+
+
+def nearest_float(q: Fraction) -> float:
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+
+
+def is_nearest(value: float, q: Fraction) -> bool:
+    """Whether no float neighbour of a finite value lies closer to q."""
+    return all(abs(Fraction(value) - q) <= abs(Fraction(neighbour) - q)
+               for neighbour in (math.nextafter(value, -math.inf),
+                                 math.nextafter(value, math.inf))
+               if math.isfinite(neighbour))
+
+
+def ulps_apart(a: float, b: float) -> float:
+    return abs(a - b) / math.ulp(b)
+
+
+# README's calibration grid, 0.05:0.45:0.05
+README_GRID = [round(0.05 * i, 12) for i in range(1, 10)]
+
+wide_floats = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False)
+
+
+class TestLeastSquaresLine:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(wide_floats, min_size=3, max_size=12, unique=True).flatmap(
+        lambda x: st.tuples(st.just(sorted(x)),
+                            st.lists(wide_floats, min_size=len(x), max_size=len(x)))))
+    def test_equals_exact_rational_arithmetic(self, points):
+        x, y = points
+        got, exact = _least_squares_line(x, y), exact_line(x, y)
+        assert [c.hex() for c in got] == [nearest_float(q).hex() for q in exact]
+        for value, q in zip(got, exact):
+            assert not math.isfinite(value) or is_nearest(value, q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0, 1), min_size=9, max_size=9),
+           st.floats(0.01, 1), st.floats(-0.5, 0.5), st.integers(-60, 60))
+    def test_equals_exact_rational_arithmetic_on_readme_grid(self, noise, slope, intercept,
+                                                             exponent):
+        # negative intercepts, and every magnitude from 2**-60 to 2**60
+        scale = 2.0 ** exponent
+        y = [(slope * s + intercept + 0.01 * e) * scale for s, e in zip(README_GRID, noise)]
+        got = _least_squares_line(README_GRID, y)
+        want = tuple(float(q) for q in exact_line(README_GRID, y))
+        assert [c.hex() for c in got] == [c.hex() for c in want]
+
+    @pytest.mark.parametrize("x,slope,intercept", [
+        ([0.0, 0.25, 0.5, 1.0, 3.0], 0.375, -1.5),
+        ([-2.0, 0.125, 0.5, 0.75], -3.0, 0.0625),
+        ([1e-300, 2e-300, 3e-300], 2.0 ** 900, 2.0 ** -100),
+        ([2.0 ** 60, 2.0 ** 61, 2.0 ** 62], 2.0 ** -40, -(2.0 ** 30)),
+    ])
+    def test_points_on_a_dyadic_line_give_it_back(self, x, slope, intercept):
+        y = [slope * v + intercept for v in x]
+        assert exact_line(x, y) == (slope, intercept)
+        assert _least_squares_line(x, y) == (slope, intercept)
+
+    def test_coefficient_beyond_the_float_range_is_infinite(self):
+        # the curve then rejects it, as it rejects any non-finite slope
+        slope, _ = _least_squares_line([0.0, 5e-324, 1e-323], [0.0, 1e300, 2e300])
+        assert slope == math.inf
+        plans = sweep_plans([0.0, 5e-324, 1e-323], 250.0)
+        with pytest.raises(ValueError, match="slope must be finite, got inf"):
+            fit_sweep(plans, [[0.0, 1e300, 2e300]])
+
+    def test_within_a_few_ulps_of_polyfit(self):
+        # np.polyfit solves the same problem through an SVD, a few ulps off
+        # the exact line; 2000 noisy quadrature-law sweeps on README's grid
+        # measured at most 7 ulps in the slope and 11 in the intercept
+        rng = random.Random(0)
+        for _ in range(2000):
+            floor, gain = rng.uniform(0.005, 0.05), rng.uniform(0.01, 0.1)
+            y = [math.sqrt(floor ** 2 + gain * s) * (1 + rng.gauss(0, 0.02))
+                 for s in README_GRID]
+            got = _least_squares_line(README_GRID, y)
+            for reference, value in zip(np.polyfit(README_GRID, y, 1), got):
+                assert ulps_apart(float(reference), value) <= 32
+
+    def test_golden_sweep(self):
+        # the same bits on every platform and numpy version; np.polyfit
+        # gives 0x1.26e978d4fdf3cp-3 and 0x1.e03bb5e86cdcfp-6 with numpy
+        # 2.4 on x86-64
+        mad_h = [0.0312, 0.0437, 0.0529, 0.0611, 0.0679, 0.0744, 0.0801, 0.0858, 0.0907]
+        curve = fit_sweep(sweep_plans(README_GRID, 250.0), [mad_h])
+        assert (curve.slope.hex(), curve.intercept.hex()) == (
+            "0x1.26e978d4fdf3bp-3", "0x1.e03bb5e86cdcdp-6")
+        assert (curve.slope, curve.intercept) == tuple(
+            float(q) for q in exact_line(README_GRID, mad_h))
 
 
 class TestInvertCurve:

@@ -152,15 +152,18 @@ class TestImportLight:
             workers=workers) == []
 
     def test_calibrate_loads_linalg_before_its_workers_fork(self, corpus, tmp_path):
-        # the low-pass is a complex scan on numpy's cumsum and einsum,
-        # loaded with gazesim itself: the parent imports no scipy.linalg,
-        # nor any other scipy module, for its workers
+        # checks scipy, not linalg (the name dates from a low-pass on
+        # scipy.linalg): the low-pass is a complex scan on numpy's cumsum
+        # and einsum, loaded with gazesim itself, so the parent imports no
+        # scipy module for its workers; tests/test_no_lapack.py checks that
+        # no command calls LAPACK
         assert modules_after("scipy", self.calibrate_argv(corpus, tmp_path / "calib.json"),
                              workers=2) == []
 
     @pytest.mark.parametrize("model", ["baseline", "modified"])
     def test_degrade_loads_linalg(self, corpus, model, tmp_path):
-        # numpy only: no scipy.linalg, no scipy at all
+        # checks scipy, not linalg (the name dates from a low-pass on
+        # scipy.linalg): degrade runs on numpy alone and loads no scipy
         argv = ["degrade", "--manifest", corpus / "manifest.csv", "--model", model,
                 "--rate-hz", 125, "--seed", 1, "--out", tmp_path / "out"]
         if model == "baseline":

@@ -9,6 +9,12 @@ canonical fields, converting units; every layout's time column is required.
 Files are read as UTF-8 after an optional byte order mark. Floats are
 written with shortest round-trip formatting, so a write followed by a read
 reproduces every value exactly.
+
+Recordings and quality tables stream through one block reader: 1024 lines
+at a time through numpy's C loadtxt parser, with a quality table's ids cut
+from each line's text, and a block that parser might read differently
+through csv.reader, float() and int(). Values and errors are those of
+float() and int() either way.
 """
 from __future__ import annotations
 
@@ -17,8 +23,10 @@ import io as _io
 import json
 import os
 import tempfile
-from contextlib import closing, contextmanager
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
@@ -130,56 +138,121 @@ _BLOCK_ROWS = 1024
 _NAN_IF_BLANK = {"": "nan"}.get
 
 # numpy's parser strips these four ASCII separators around a cell as
-# whitespace; float() rejects them
+# whitespace; float() and int() reject them
 _NOT_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"
 
+# the kinds of a column spec's fields: a float cell (float()), a gaze cell
+# (float() after str.strip(), blank is NaN), an int cell (int()) and a str
+# id cell (cell 0 only, kept as written)
+_FLOAT, _GAZE, _INT, _ID = "float", "gaze", "int", "id"
 
-def _parse_rows(rows, width: int, columns) -> list:
-    """Parse CSV rows into one float array per (cell index, is_gaze) column.
+
+@dataclass(frozen=True)
+class _Columns:
+    """A column spec: the block reader parses each data row of `width`
+    cells into one output column per (kind, cells) field. `cells` is a
+    tuple of adjacent cell indices: one cell gives a 1-D column, more an
+    (n, len(cells)) matrix. A float or gaze field reads as a float64 array,
+    an int or id field as a list."""
+
+    width: int
+    fields: tuple
+
+    @property
+    def has_id(self) -> bool:
+        return self.fields[0][0] == _ID
+
+    @cached_property
+    def dtype(self) -> np.dtype:
+        """loadtxt's dtype for the cells after an id: per field, a float64
+        or int64 item named by its first cell and shaped as its matrix, and
+        a float64 item for each cell no field reads (the C path parses every
+        cell it sees, so such a cell must still be a number)."""
+        starts = {cells[0]: (kind, len(cells)) for kind, cells in self.fields}
+        items, cell = [], int(self.has_id)
+        while cell < self.width:
+            kind, n = starts.get(cell, (_FLOAT, 1))
+            items.append((str(cell), np.int64 if kind == _INT else np.float64,
+                          (n,) if n > 1 else ()))
+            cell += n
+        return np.dtype(items)
+
+
+def _parse_rows(rows, spec: _Columns) -> list:
+    """Parse CSV rows into spec's output columns.
 
     Blank rows are skipped. Raises ValueError for a row whose cell count is
-    not `width` or for a cell float() rejects; a blank gaze cell is NaN.
+    not spec.width or for a cell float() or int() rejects; a blank gaze
+    cell is NaN.
     """
     if [] in rows:  # csv.reader's row for a blank line
         rows = [row for row in rows if row]
-    if set(map(len, rows)) - {width}:
-        got = next(len(row) for row in rows if len(row) != width)
-        raise ValueError(f"expected {width} cells, got {got}")
+    if set(map(len, rows)) - {spec.width}:
+        got = next(len(row) for row in rows if len(row) != spec.width)
+        raise ValueError(f"expected {spec.width} cells, got {got}")
     out = []
-    for index, is_gaze in columns:
-        cells = list(map(itemgetter(index), rows))
-        if is_gaze:
-            cells = list(map(str.strip, cells))
-            cells = list(map(_NAN_IF_BLANK, cells, cells))
-        # converts each str with float(), so values and errors match it
-        out.append(np.asarray(cells, dtype=float))
+    for kind, cells in spec.fields:
+        values = list(map(itemgetter(*cells), rows))
+        if kind == _INT:
+            values = list(map(int, values))
+        elif kind != _ID:
+            if kind == _GAZE:
+                values = list(map(str.strip, values))
+                values = list(map(_NAN_IF_BLANK, values, values))
+            # converts each str with float(), so values and errors match it
+            values = np.asarray(values, dtype=float)
+            if len(cells) > 1:
+                values = values.reshape(-1, len(cells))  # (0, k) for no rows
+        out.append(values)
     return out
 
 
-def _parse_lines_c(lines, width: int, columns):
+def _parse_lines_c(lines, spec: _Columns):
     """Parse a block of lines with numpy's C tokenizer, which converts each
-    cell as float() does, or return None where its result could differ from
-    _parse_rows over csv.reader's rows.
+    cell as float() or int() does, or return None where its result could
+    differ from _parse_rows over csv.reader's rows.
 
     loadtxt rejects what it cannot parse: an empty or all-space cell (so a
     block with another tool's blank gaze cell goes to the csv path, which
-    reads it as NaN), a quote, `1_0`, a non-ASCII digit, rows of unequal
-    width. None also covers a block of blank lines (loadtxt warns on no
-    data), the four separators float() will not strip, and a line long
-    enough to trip csv's field size limit.
+    reads it as NaN), a quote, `1_0`, a non-ASCII digit, an int cell such
+    as `16.0`, `1e1` or one past int64, a row of another width.
+    None also covers a block of blank lines (loadtxt warns on no data), the
+    four separators float() will not strip, and a line long enough to trip
+    csv's field size limit. An id is cut from its line at the first comma,
+    so a block with an id column also leaves for any quote, `\r`, NUL
+    (which csv rejects before Python 3.11), blank line or row whose comma
+    count is not the width's.
     """
     text = "".join(lines)
     limit = csv.field_size_limit()
     if (not text.strip("\r\n") or any(ch in text for ch in _NOT_FLOAT_SPACE)
             or (len(text) > limit and max(map(len, lines)) > limit)):
         return None
+    if spec.has_id and (any(ch in text for ch in '"\r\x00')
+                        or text.count(",") != (spec.width - 1) * len(lines)):
+        return None
     try:
-        arr = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
+        with warnings.catch_warnings():
+            # numpy 1.23-1.26 read an int cell such as "16.0" through float
+            # with only a DeprecationWarning; int() rejects it
+            warnings.simplefilter("error", DeprecationWarning)
+            arr = np.loadtxt(lines, dtype=spec.dtype, delimiter=",", comments=None,
+                             usecols=range(1, spec.width) if spec.has_id else None, ndmin=1)
+    except (ValueError, DeprecationWarning):
         return None
-    if arr.shape[1] != width:
+    if spec.has_id and len(arr) != len(lines):  # loadtxt skipped a blank line
         return None
-    return [arr[:, index] for index, _ in columns]
+    # with usecols loadtxt lets a longer row through: here every row has at
+    # least `width` cells, so the comma count above leaves it exactly `width`
+    out = []
+    for kind, cells in spec.fields:
+        if kind == _ID:
+            out.append([line.partition(",")[0] for line in lines])
+        elif kind == _INT:
+            out.append(arr[str(cells[0])].tolist())
+        else:
+            out.append(arr[str(cells[0])])
+    return out
 
 
 def _csv_rows(lines, rest) -> list:
@@ -194,20 +267,21 @@ def _csv_rows(lines, rest) -> list:
     return rows
 
 
-def _read_columns(fh, width: int, columns) -> list:
-    """Parse the lines left in `fh` into one float array per (cell index,
-    is_gaze) column, as _parse_rows would over csv.reader's rows, one block
-    of lines at a time; raises _parse_rows' ValueError."""
+def _read_columns(fh, spec: _Columns) -> list:
+    """Parse the lines left in `fh` into spec's output columns, as
+    _parse_rows would over csv.reader's rows, one block of lines at a time;
+    raises _parse_rows' ValueError. A file with no lines gives []."""
     blocks = []
     while lines := list(islice(fh, _BLOCK_ROWS)):
-        block = _parse_lines_c(lines, width, columns)
+        block = _parse_lines_c(lines, spec)
         if block is None:
-            block = _parse_rows(_csv_rows(lines, fh), width, columns)
+            block = _parse_rows(_csv_rows(lines, fh), spec)
         blocks.append(block)
-    return [np.concatenate(parts) for parts in zip(*blocks)]
+    return [list(chain.from_iterable(parts)) if kind in (_ID, _INT) else np.concatenate(parts)
+            for (kind, _), parts in zip(spec.fields, zip(*blocks))]
 
 
-def _malformed_row_error(path, width: int, columns) -> ValueError:
+def _malformed_row_error(path, spec: _Columns) -> ValueError:
     """Rescan the file row by row for the first row _parse_rows rejects and
     name its 1-based line."""
     with _open_csv(path) as fh:
@@ -215,7 +289,7 @@ def _malformed_row_error(path, width: int, columns) -> ValueError:
         next(reader)
         for row in reader:
             try:
-                _parse_rows([row], width, columns)
+                _parse_rows([row], spec)
             except ValueError as exc:
                 return ValueError(f"{path}: malformed row at line {reader.line_num}: {exc}")
     return ValueError(f"{path}: malformed row (file changed while reading)")
@@ -252,15 +326,15 @@ def read_recording(path, format_tag: str, nominal_rate_hz: float,
             if names.count(col) != 1:
                 problem = "repeated" if col in names else "missing"
                 raise ValueError(f"{path}: {problem} column {col!r} for format {format_tag!r}")
-        columns = [(names.index(layout["time"]), False),
-                   (names.index(layout["gx"]), True), (names.index(layout["gy"]), True),
-                   (names.index(layout["tx"]), False), (names.index(layout["ty"]), False)]
+        spec = _Columns(len(header), tuple(
+            (_GAZE if key in ("gx", "gy") else _FLOAT, (names.index(layout[key]),))
+            for key in ("time", "gx", "gy", "tx", "ty")))
         try:
-            data = _read_columns(fh, len(header), columns)
+            data = _read_columns(fh, spec)
         except UnicodeDecodeError:
             raise  # _open_csv names the path; no rescan
         except ValueError:
-            raise _malformed_row_error(path, len(header), columns) from None
+            raise _malformed_row_error(path, spec) from None
 
     if not data or data[0].size == 0:
         raise ValueError(f"{path}: zero usable samples")
@@ -337,23 +411,26 @@ def _table_rows(path, header: tuple, what: str):
             yield reader.line_num, row
 
 
-# a quality table row's feature cells: the QUALITY_FEATURES, in column order
-_FEATURE_CELLS = itemgetter(*range(1, 1 + len(QUALITY_FEATURES)))
+# a quality table row: its id, the QUALITY_FEATURES as one matrix, its count
+_QUALITY_SPEC = _Columns(len(QUALITY_HEADER), (
+    (_ID, (0,)), (_FLOAT, tuple(range(1, 1 + len(QUALITY_FEATURES)))),
+    (_INT, (len(QUALITY_HEADER) - 1,))))
 
 
 def _quality_columns(path) -> QualityTable:
-    """Read a quality table's rows into a QualityTable a block at a time, so
-    only one block's cell strings are alive at once. Cells convert with
-    float() and int(), so values and errors are theirs."""
-    ids, blocks, counts = [], [], []
-    width = len(QUALITY_FEATURES)
-    with closing(_table_rows(path, QUALITY_HEADER, "quality table")) as lines:
-        while block := [row for _, row in islice(lines, _BLOCK_ROWS)]:
-            ids += map(itemgetter(0), block)
-            cells = chain.from_iterable(map(_FEATURE_CELLS, block))
-            blocks.append(np.fromiter(map(float, cells), float, width * len(block)))
-            counts += map(int, map(itemgetter(-1), block))
-    features = np.concatenate(blocks or [np.empty(0)]).reshape(-1, width)
+    """Read a quality table's rows into a QualityTable through the block
+    reader, so only one block's line strings are alive at once. Cells
+    convert as float() and int() do, so values and errors are theirs; the
+    ValueError of a bad header or an empty table names neither line nor
+    path (read_quality_table's rescan does)."""
+    with _open_csv(path) as fh:
+        header = next(csv.reader(fh), None)
+        if header is None or tuple(header) != QUALITY_HEADER:
+            raise ValueError("unexpected quality table header")
+        data = _read_columns(fh, _QUALITY_SPEC)
+    if not data:
+        raise ValueError("empty quality table")
+    ids, features, counts = data
     features.flags.writeable = False  # a fresh array: the table shares it
     return QualityTable(ids, features, counts)
 

@@ -227,6 +227,14 @@ def _check_seed(name: str, seed) -> int:
     return int(seed)
 
 
+def _count_flags(counts) -> np.ndarray:
+    """_is_count of each count. Plain ints all >= 1, as a table read gives
+    them, pass in one pass over the types and one min()."""
+    if set(map(type, counts)) == {int} and min(counts) >= 1:
+        return np.ones(len(counts), bool)
+    return np.fromiter(map(_is_count, counts), bool, len(counts))
+
+
 def _first_broken_quality_rule(features: np.ndarray, counts) -> tuple | None:
     """(row, message) for the first row of an (n, 7) feature matrix in
     QUALITY_FEATURES order, with its n fixation counts, that breaks a
@@ -240,7 +248,7 @@ def _first_broken_quality_rule(features: np.ndarray, counts) -> tuple | None:
             np.abs(prec_c * prec_c - combined_sq) > 1e-12 * np.maximum(combined_sq, 1e-300),
             acc_c < np.maximum(acc_h, acc_v) - slack,
             acc_c > acc_h + acc_v + slack,
-            ~np.fromiter(map(_is_count, counts), bool, len(counts)),
+            ~_count_flags(counts),
         ])
     rows, rules = np.nonzero(broken)  # row-major: the first row, then its first rule
     if not rows.size:

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gazesim.io import (_BLOCK_ROWS, QUALITY_HEADER, RECORDING_HEADER, ManifestEntry,
-                        _parse_lines_c, _parse_rows, _read_columns, _table_rows,
+from gazesim.io import (_BLOCK_ROWS, _FLOAT, _GAZE, _QUALITY_SPEC, QUALITY_HEADER,
+                        RECORDING_HEADER, ManifestEntry, _Columns, _parse_lines_c,
+                        _parse_rows, _read_columns, _table_rows,
                         atomic_write_text, format_float, read_manifest, read_quality_table,
                         read_recording, write_manifest,
                         write_quality_table, write_recording)
@@ -379,14 +380,21 @@ class TestReadRecordingFuzz:
         assert rec.gaze_x[1] == 0.15
 
 
-# the canonical layout's (cell index, is_gaze) columns
-CANONICAL_COLUMNS = [(0, False), (1, True), (2, True), (3, False), (4, False)]
+def recording_columns(gaze) -> _Columns:
+    """The column spec of a 5-cell recording row whose cell i reads as a
+    gaze cell where gaze[i] is true, as a float cell where not."""
+    return _Columns(5, tuple((_GAZE if is_gaze else _FLOAT, (i,))
+                             for i, is_gaze in enumerate(gaze)))
+
+
+# the canonical layout's column spec
+CANONICAL_COLUMNS = recording_columns([False, True, True, False, False])
 
 
 def csv_oracle(text, columns=CANONICAL_COLUMNS):
     """The csv.reader + _parse_rows parse of data lines: the reference the
     C tokenizer path must reproduce bit for bit, or reject as it does."""
-    return _parse_rows(list(csv.reader(io.StringIO(text, newline=""))), 5, columns)
+    return _parse_rows(list(csv.reader(io.StringIO(text, newline=""))), columns)
 
 
 def parse_or_error(parse, *args):
@@ -435,7 +443,7 @@ class TestCParserMatchesCsv:
     @given(st.lists(st.one_of(clean_line, clean_line, clean_line, ending), min_size=1,
                     max_size=12).filter(lambda ls: any(len(x) > 2 for x in ls)))
     def test_clean_block_takes_c_path_bit_equal(self, lines):
-        got = _parse_lines_c(lines, 5, CANONICAL_COLUMNS)
+        got = _parse_lines_c(lines, CANONICAL_COLUMNS)
         assert got is not None
         assert_bit_equal(got, csv_oracle("".join(lines)))
 
@@ -450,7 +458,7 @@ class TestCParserMatchesCsv:
         # the id is the one the test had while blank gaze cells were filled
         # with "nan" for the C path: now any empty cell, in a gaze column or
         # not, first or last, leaves the block to the csv path
-        columns = list(enumerate(gaze))
+        columns = recording_columns(gaze)
         if not blank_outside:
             rows = [([c or ("" if gaze[i] else "0") for i, c in enumerate(cells)], end)
                     for cells, end in rows]
@@ -458,7 +466,7 @@ class TestCParserMatchesCsv:
         if not last_newline:
             text = text.rstrip("\r\n")
         lines = io.StringIO(text, newline="").readlines()
-        got = _parse_lines_c(lines, 5, columns)
+        got = _parse_lines_c(lines, columns)
         if any(cell == "" for cells, _ in rows for cell in cells):
             assert got is None
         else:
@@ -470,10 +478,10 @@ class TestCParserMatchesCsv:
         "1,2,3,4,\r\n5,6,7,8,9\r\n", "1,2,3,4,\r5,6,7,8,9\r", "1,2,3,4,5\n,6,7,8,9\n",
         "1,2,3,4,5\r\n,6,7,8,9\r\n", "1,2,3,4,5\r,6,7,8,9\r", "1,2,3,4,5\n6,7,8,9,"])
     def test_single_blank_gaze_cell_takes_c_path(self, text):
-        columns = [(i, True) for i in range(5)]
-        assert _parse_lines_c(io.StringIO(text, newline="").readlines(), 5, columns) is None
+        columns = recording_columns([True] * 5)
+        assert _parse_lines_c(io.StringIO(text, newline="").readlines(), columns) is None
         # the csv path reads the blank gaze cell as NaN
-        got = _read_columns(io.StringIO(text, newline=""), 5, columns)
+        got = _read_columns(io.StringIO(text, newline=""), columns)
         assert_bit_equal(got, csv_oracle(text, columns))
         assert np.isnan(np.concatenate(got)).sum() == 1
 
@@ -483,7 +491,7 @@ class TestCParserMatchesCsv:
     def test_read_columns_matches_csv_across_blocks(self, n_pad, lines):
         # clean rows before the generated ones put a block boundary among them
         text = "0,1.5,-2,3e-5,4\n" * n_pad + "".join(lines)
-        got = parse_or_error(_read_columns, io.StringIO(text, newline=""), 5,
+        got = parse_or_error(_read_columns, io.StringIO(text, newline=""),
                              CANONICAL_COLUMNS)
         want = parse_or_error(csv_oracle, text)
         if isinstance(want, str):
@@ -558,7 +566,7 @@ class TestCParserMatchesCsv:
         texts = list(map(format_float, values))
         rows = [texts[i:i + 5] for i in range(0, len(texts) - 4, 5)]
         lines = [",".join(row) + "\n" for row in rows]
-        got = _parse_lines_c(lines, 5, CANONICAL_COLUMNS)
+        got = _parse_lines_c(lines, CANONICAL_COLUMNS)
         assert got is not None
         want = [np.array([float(row[i]) for row in rows]) for i in range(5)]
         assert_bit_equal(got, want)
@@ -719,9 +727,60 @@ class TestQualityTable:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # read a block of rows at a time this peaked at 6.7 MB (the table
-        # keeps 2.6 MB); holding every row's cells at once peaked at 18 MB
+        # through the block reader this peaks at 5.6 MB, as csv.reader rows a
+        # block at a time at 8.2 MB (the table keeps 2.6 MB); holding every
+        # row's cells at once peaked at 18 MB
         assert peak < 10_000_000
+
+    def test_written_table_skips_csv_path(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(11)
+        rows = []
+        for i in range(3000):
+            acc_h, prec_h, prec_v, temporal = rng.random(4)
+            rows.append((f"rec_{i:04d}", qv(acc_h=0.05 + acc_h, prec_h=prec_h, prec_v=prec_v,
+                                             temporal=temporal, n=int(rng.integers(1, 60)))))
+        table = QualityTable.from_rows(rows)
+        path = tmp_path / "q.csv"
+        write_quality_table(table, path)
+
+        def no_csv(*args):
+            raise AssertionError("block left to the csv path")
+        monkeypatch.setattr("gazesim.io._parse_rows", no_csv)
+        back = read_quality_table(path)
+        assert back.ids == tuple(sorted(table.ids))
+        order = sorted(range(len(table)), key=table.ids.__getitem__)
+        assert back.features.tobytes() == table.features[order].tobytes()
+        assert back.n_fixations_used == tuple(table.n_fixations_used[i] for i in order)
+
+    def test_quoted_id_in_a_middle_block_reads_as_the_row_loop(self, tmp_path, monkeypatch):
+        cells = ["0.3", "0.4", "0.5", "0.3", "0.4", "0.5", "0.7", "15"]
+        rows = [[f"r{i}", *cells] for i in range(2 * _BLOCK_ROWS + 5)]
+        rows[_BLOCK_ROWS + 7][0] = '"q""x"'
+        path = tmp_path / "q.csv"
+        path.write_text(quality_table_text(rows))
+        csv_blocks = []
+        parse_rows = _parse_rows
+
+        def spy(rows, spec):
+            csv_blocks.append(len(rows))
+            return parse_rows(rows, spec)
+        monkeypatch.setattr("gazesim.io._parse_rows", spy)
+        back = read_quality_table(path)
+        assert csv_blocks == [_BLOCK_ROWS]  # the first and last blocks took the C path
+        assert back.ids[_BLOCK_ROWS + 7] == 'q"x'
+        want = QualityTable.from_rows(per_row_read(path))
+        assert (back.ids, back.features.tobytes(), back.n_fixations_used) == (
+            want.ids, want.features.tobytes(), want.n_fixations_used)
+
+    # on numpy 1.23-1.26 loadtxt reads "16.0" and "1e1" as an int64 with
+    # only a DeprecationWarning
+    @pytest.mark.parametrize("count", ["16.0", "1e1", "1_6", "0x10", "", " ", "\u0661\u0666",
+                                       "99999999999999999999"])
+    def test_count_not_plain_digits_leaves_the_c_path(self, count):
+        def block(count):
+            return [f"r{i},0.3,0.4,0.5,0.3,0.4,0.5,0.7,{count}\n" for i in range(3)]
+        assert _parse_lines_c(block("16"), _QUALITY_SPEC)[2] == [16] * 3
+        assert _parse_lines_c(block(count), _QUALITY_SPEC) is None
 
     def test_empty_rejected(self):
         # a table to write has at least one row
@@ -743,6 +802,16 @@ class TestQualityTable:
         path.write_text(",".join(QUALITY_HEADER) + "\n" + cells + "\n")
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: malformed row "
                                              rf"at line 2: expected 9 cells, got {got}$"):
+            read_quality_table(path)
+
+    def test_blank_line_does_not_hide_a_double_row(self, tmp_path):
+        # one blank line and one row of 17 cells hold the commas of two rows
+        row = "r1,0.3,0.4,0.5,0.3,0.4,0.5,0.7,15"
+        path = tmp_path / "q.csv"
+        assert _parse_lines_c(["\n", row + "," + row[3:] + "\n"], _QUALITY_SPEC) is None
+        path.write_text(quality_table_text(["", row + "," + row[3:]]))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: malformed row "
+                                             r"at line 3: expected 9 cells, got 17$"):
             read_quality_table(path)
 
     def test_cell_over_csv_field_limit_names_path(self, tmp_path):
@@ -810,14 +879,45 @@ def _cell(value) -> str:
 
 
 _count = st.one_of(st.integers(-3, 40), st.sampled_from([2.5, True, np.int64(3)]))
-_count_cell = st.one_of(st.integers(-3, 40).map(str),
-                        st.sampled_from(["2.5", "x", "", " 3", "+2", "1_0"]))
-_odd_feature_cell = st.sampled_from(["x", "", "1_0", " 0.5 ", "nan", "-inf"])
+# counts int() accepts though numpy's int64 parser does not, and cells
+# int() rejects, some of which numpy 1.23-1.26 accept
+_good_count_cell = st.one_of(st.integers(1, 40).map(str), st.sampled_from(
+    [" 3", "+2", "1_0", "\u0661\u0666", "99999999999999999999"]))
+_count_cell = st.one_of(st.integers(-3, 40).map(str), _good_count_cell,
+                        st.sampled_from(["2.5", "x", "", "16.0", "1e1", "0x10", "\x1c3",
+                                         "3\x1f"]))
+_odd_feature_cell = st.sampled_from(["x", "", "1_0", " 0.5 ", "nan", "-inf", "\x1c0.5",
+                                     "0.5\x1d"])
+# quoted ids, one holding a comma and one a quote, ids csv keeps padded,
+# and a NUL, which csv rejects before Python 3.11
+_id_cell = st.sampled_from(["a", "b", "c", '"c,d"', '"e""f"', '"a"', " a", "b ", "\x1cc",
+                            "d\x00"])
+_table_end = st.sampled_from(["", "", "\r"])  # "\r" ends the line in "\r\n"
+
+
+@st.composite
+def _valid_values(draw) -> list:
+    """Seven features that keep every QualityVector rule."""
+    acc_h, acc_v, prec_h, prec_v, temporal = (draw(st.floats(0.0, 5.0)) for _ in range(5))
+    acc_c = draw(st.floats(max(acc_h, acc_v), acc_h + acc_v))
+    return [acc_h, acc_v, acc_c, prec_h, prec_v, float(np.hypot(prec_h, prec_v)), temporal]
+
+
+def _row_text(rid, cells, count, end) -> str:
+    return ",".join([rid, *cells, count]) + end
+
+
+# rows that read, rows at QualityVector's bounds or with odd cells, blank
+# lines and a short row; any of them may take the C path or the csv one
 _table_line = st.one_of(
-    st.builds(lambda rid, values, odd, count: [rid, *(odd or map(_cell, values)), count],
-              st.sampled_from("abcdef"), quality_values(),
-              st.none() | st.lists(_odd_feature_cell, min_size=7, max_size=7), _count_cell),
-    st.sampled_from(["", "short,row"]))
+    st.builds(_row_text, _id_cell, _valid_values().map(lambda v: list(map(_cell, v))),
+              _good_count_cell, _table_end),
+    st.builds(lambda rid, values, odd, count, end: _row_text(
+                  rid, odd or list(map(_cell, values)), count, end),
+              _id_cell, quality_values(),
+              st.none() | st.lists(_odd_feature_cell, min_size=7, max_size=7), _count_cell,
+              _table_end),
+    st.sampled_from(["", "\r", "short,row"]))
 
 
 class TestQualityTableChecks:

@@ -6,7 +6,11 @@ test over the 7-feature quality vectors. Combined accuracy near 50% means
 the classifier cannot tell real from synthetic. The 1-NN search is exact,
 with the lowest-index tie rule of an argmin over the dense distance matrix:
 up to _DENSE_MAX_ROWS pooled rows it is that argmin, on numpy alone; above,
-a KD-tree query, linear in memory, the only code that loads SciPy.
+a KD-tree query, linear in memory, the only code that loads SciPy. That
+query splits its rows over one SciPy thread per CPU in the process's
+affinity mask (pool.worker_count; none with one CPU) and joins them all
+before it returns, so no thread outlives it and ordered_map, which starts
+none, never forks beside a live one.
 """
 from __future__ import annotations
 
@@ -15,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import pool
 from .io import format_float
 from .quantiles import median, quantile
 from .seeding import derive_seed
@@ -31,11 +36,15 @@ _DECILES = tuple(i / 10.0 for i in range(1, 10))
 _TIE_RTOL = 1e-9
 
 # the most pooled rows (both classes) searched through the dense distance
-# matrix, 2 MB at this size. Warm, per search, dense against KD-tree: 0.61
-# against 0.48 ms at 200 rows, 6.4 against 1.7 ms at 500, 24 against 5.0 ms
-# at 1000 (one core, numpy 2.4, scipy 1.17); the KD-tree also pays 0.3 s,
-# once per process, to import SciPy's spatial package. The README's
-# assessment (about 200 rows) stays dense, a 6000-row one takes the KD-tree.
+# matrix, 2 MB at this size. Warm, per search, dense against the KD-tree on
+# one thread and on two: 0.58-0.61 against 0.37-0.40 and 0.54-0.58 ms at 200
+# rows, 6.6-6.9 against 1.2 and 1.3-1.5 ms at 500, 24-31 against 2.3-2.6 and
+# 2.5-3.0 ms at 1000 (rows shaped like the assess-large benchmark's, two
+# rounds of 41 interleaved calls, 2-vCPU VM, numpy 2.4, scipy 1.17). The
+# KD-tree is faster at every size on either count, but it also pays 0.3 s,
+# once per process, to import SciPy's spatial package, which sets this
+# limit. The README's assessment (about 200 rows) stays dense, a 6000-row
+# one takes the KD-tree.
 _DENSE_MAX_ROWS = 512
 
 
@@ -121,7 +130,9 @@ def _nearest_other(pooled: np.ndarray) -> np.ndarray:
     whose two nearest others lie within a relative _TIE_RTOL of each other
     is rescored exactly against every row; that includes a row that did
     not get itself back, as then all three results lie at distance 0.
-    SciPy loads here, for the KD-tree only.
+    SciPy loads here, for the KD-tree only. The query's rows are split over
+    one SciPy thread per CPU of pool.worker_count, joined before it returns;
+    each row's search does not depend on the split.
     """
     m = pooled.shape[0]
     if m <= _DENSE_MAX_ROWS:
@@ -130,7 +141,7 @@ def _nearest_other(pooled: np.ndarray) -> np.ndarray:
         return np.argmin(d, axis=1)  # first (lowest) index on ties
     from scipy.spatial import cKDTree
 
-    dist, idx = cKDTree(pooled).query(pooled, k=3)
+    dist, idx = cKDTree(pooled).query(pooled, k=3, workers=pool.worker_count(m))
     # columns of the two nearest non-self results, in distance order
     keep = np.argsort(idx == np.arange(m)[:, None], axis=1, kind="stable")[:, :2]
     neighbor = np.take_along_axis(idx, keep[:, :1], axis=1)[:, 0]

@@ -14,6 +14,11 @@ worker's inbox pipe, once the worker's last pickled result has arrived on
 its outbox pipe. It waits on the outboxes with select, starts no thread and
 loads no multiprocessing. What a worker loads, logs to a handler in memory
 or counts is lost when it exits.
+
+worker_count also sets the threads of assess's KD-tree query (above
+assess._DENSE_MAX_ROWS pooled rows): SciPy splits the query over one thread
+per CPU and joins them all before the query returns. So no thread outlives
+the call that started it, and no fork here runs beside a live thread.
 """
 from __future__ import annotations
 

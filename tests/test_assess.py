@@ -1,4 +1,7 @@
+import os
+import threading
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -8,9 +11,11 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist
 
 import gazesim.assess
+from conftest import assert_no_child_process
 from gazesim.assess import (RepeatAccuracy, ZeroVarianceWarning, assessment_report_dict,
                             distribution_summary, one_nn_two_sample, repeated_assessment,
                             _DENSE_MAX_ROWS, _nearest_other, _standardize)
+from gazesim.pool import ordered_map
 from gazesim.quantiles import quantile
 from gazesim.types import QUALITY_FEATURES, QualityVector
 
@@ -184,6 +189,103 @@ class TestDenseAndKDTreePaths:
         np.testing.assert_array_equal(_nearest_other(np.vstack([real, synth])), want)
         np.testing.assert_array_equal(kd_neighbors(real, synth), want)
         np.testing.assert_array_equal(neighbors_with_dense_limit(real, synth, 2 * n), want)
+
+
+@pytest.fixture
+def use_cpus(monkeypatch):
+    """use_cpus(n) gives this process an affinity mask of n CPUs, which sets
+    both the KD-tree query's threads and ordered_map's workers."""
+    def use(n):
+        if n > 1 and not hasattr(os, "fork"):
+            pytest.skip("no fork on this platform")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                            raising=False)
+    return use
+
+
+def _quality_like_case(n, seed):
+    # the shape of the assess-large benchmark's tables: log-normal accuracy
+    # and precision channels, their combined values, a uniform clock jitter
+    rng = np.random.default_rng(seed)
+
+    def table():
+        acc = np.exp(rng.normal(np.log(0.35), 0.45, (n, 2)))
+        prec_h = np.exp(rng.normal(np.log(0.13), 0.25, n))
+        prec_v = prec_h * np.exp(rng.normal(0.0, 0.08, n))
+        return np.column_stack([acc, np.hypot(*acc.T) * rng.uniform(1.0, 1.12, n),
+                                prec_h, prec_v, np.hypot(prec_h, prec_v),
+                                rng.uniform(0.55, 0.90, n)])
+    return table(), table()
+
+
+def _recorded_thread_starts(monkeypatch):
+    """The threads started from now on, each start recorded and let through."""
+    started, start = [], threading.Thread.start
+
+    def recorded_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recorded_start)
+    return started
+
+
+def _kd_assessment(real, synth):
+    # zero columns make the grid case's 3 features the 7 of a quality table
+    real, synth = (np.pad(x, ((0, 0), (0, len(QUALITY_FEATURES) - x.shape[1])))
+                   for x in (real, synth))
+    with mock.patch.object(gazesim.assess, "_DENSE_MAX_ROWS", 0), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", ZeroVarianceWarning)
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow case's std
+        return repeated_assessment(real, synth, repeats=3, seed=5)
+
+
+class TestThreadedQuery:
+    # the KD-tree query runs on one thread per CPU of the affinity mask;
+    # each row's search does not depend on how the rows are split
+    @pytest.mark.parametrize("make", [_random_case, _duplicates_case,
+                                      _exact_copy_case, _grid_case, _identical_case,
+                                      _overflow_case])
+    @pytest.mark.parametrize("n", [2, 40, 300])
+    def test_two_cpus_equal_one(self, use_cpus, make, n):
+        real, synth = make(n, 4)
+        use_cpus(1)
+        neighbors, result = kd_neighbors(real, synth), _kd_assessment(real, synth)
+        use_cpus(2)
+        np.testing.assert_array_equal(kd_neighbors(real, synth), neighbors)
+        assert _kd_assessment(real, synth) == result
+
+    def test_two_cpus_equal_one_at_benchmark_size(self, use_cpus):
+        real, synth = _quality_like_case(3000, 7)
+        pooled = np.vstack([real, synth])
+        use_cpus(1)
+        neighbors = _nearest_other(pooled)
+        result = repeated_assessment(real, synth, repeats=2, seed=1)
+        use_cpus(2)
+        np.testing.assert_array_equal(_nearest_other(pooled), neighbors)
+        assert repeated_assessment(real, synth, repeats=2, seed=1) == result
+
+    def test_one_cpu_starts_no_thread(self, use_cpus, monkeypatch):
+        real, synth = _quality_like_case(_DENSE_MAX_ROWS, 8)
+        use_cpus(1)
+        started = _recorded_thread_starts(monkeypatch)
+        repeated_assessment(real, synth, repeats=2)
+        assert started == []
+
+    def test_no_thread_outlives_the_query(self, use_cpus, monkeypatch):
+        real, synth = _quality_like_case(_DENSE_MAX_ROWS, 9)
+        use_cpus(2)
+        before = threading.active_count()
+        started = _recorded_thread_starts(monkeypatch)
+        repeated_assessment(real, synth, repeats=2)
+        assert started and not any(t.is_alive() for t in started)
+        assert threading.active_count() == before
+        # Python 3.12+ warns when a process with a live thread forks
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            assert ordered_map(abs, range(-4, 5)) == [abs(x) for x in range(-4, 5)]
+        assert_no_child_process()
 
 
 class TestOneNN:
